@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -159,11 +159,4 @@ def categorize(
         )
     detected = detect_language(report.raw_content, signatures)
     kind = code_kind(detected[0]) if detected is not None else TEXT
-    return PocReport(
-        id=report.id,
-        source=report.source,
-        raw_content=report.raw_content,
-        content_kind=kind,
-        cve_ids=report.cve_ids,
-        aspects=report.aspects,
-    )
+    return replace(report, content_kind=kind)

@@ -158,6 +158,8 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
         else:
             sources.append((name.strip(), path.strip()))
 
+    defaults = PipelineConfig()
+
     def pick(flag_value, env_name: str | None, file_key: str, default):
         if flag_value is not None:
             return flag_value
@@ -167,15 +169,19 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
             return file_values[file_key]
         return default
 
-    workspace = pick(args.workspace, ENV_WORKSPACE, "workspace", None)
-    cve_path = pick(args.cve, None, "cve", None)
-    extractor_url = pick(args.extractor_url, ENV_EXTRACTOR, "extractor_url", None)
-    classifier_url = pick(args.classifier_url, ENV_CLASSIFIER, "classifier_url", None)
-    raw_code = pick(args.code_threshold, None, "code_threshold", "0.5")
-    raw_text = pick(args.text_threshold, None, "text_threshold", "0.95")
-    raw_seed = pick(args.seed, None, "seed", "0")
-    raw_jobs = pick(args.jobs, None, "jobs", "8")
-    out_format = pick(args.format, None, "format", "markdown")
+    workspace = pick(args.workspace, ENV_WORKSPACE, "workspace", defaults.workspace)
+    cve_path = pick(args.cve, None, "cve", defaults.cve_path)
+    extractor_url = pick(
+        args.extractor_url, ENV_EXTRACTOR, "extractor_url", defaults.extractor_url
+    )
+    classifier_url = pick(
+        args.classifier_url, ENV_CLASSIFIER, "classifier_url", defaults.classifier_url
+    )
+    raw_code = pick(args.code_threshold, None, "code_threshold", defaults.code_threshold)
+    raw_text = pick(args.text_threshold, None, "text_threshold", defaults.text_threshold)
+    raw_seed = pick(args.seed, None, "seed", defaults.seed)
+    raw_jobs = pick(args.jobs, None, "jobs", defaults.jobs)
+    out_format = pick(args.format, None, "format", defaults.format)
 
     def parse_threshold(name: str, raw) -> float:
         try:
@@ -381,9 +387,10 @@ def _training_texts(corpus: Corpus) -> list[str]:
 
 def stage_link(config: PipelineConfig, ws: Path) -> None:
     source = _require(ws, EXTRACTED, "extract")
+    # linking reads no CVE entries; the CVE db is still required and hashed
+    # so the manifest ties the links to the ingest run that produced both
     cve_source = _require(ws, CVE_DB, "ingest")
     corpus = load_corpus(source)
-    cve_db = ingest_cve_entries(cve_source)
     texts = _training_texts(corpus)
     embedding = None
     outputs = [LINKS]
@@ -395,19 +402,16 @@ def stage_link(config: PipelineConfig, ws: Path) -> None:
         logger.warning("no text content to train embeddings on; text pairs unscorable")
     models = ScoringModels(embedding)
     heuristic = HeuristicPairClassifier(models)
-    degraded = 0
-    if config.classifier_url:
-        classifier = ExternalPairClassifier(config.classifier_url, heuristic)
-        links = build_link_graph(
-            corpus, cve_db, models, classifier,
-            CompletionConfig(config.code_threshold, config.text_threshold),
-        )
-        degraded = len(classifier.degraded_pairs)
-    else:
-        links = build_link_graph(
-            corpus, cve_db, models, heuristic,
-            CompletionConfig(config.code_threshold, config.text_threshold),
-        )
+    external = (
+        ExternalPairClassifier(config.classifier_url, heuristic)
+        if config.classifier_url
+        else None
+    )
+    links = build_link_graph(
+        corpus, models, external or heuristic,
+        CompletionConfig(config.code_threshold, config.text_threshold),
+    )
+    degraded = len(external.degraded_pairs) if external else 0
     save_links(links, ws / LINKS)
     write_manifest(
         ws, "link", config, {EXTRACTED: source, CVE_DB: cve_source}, outputs,

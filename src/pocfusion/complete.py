@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -24,7 +24,10 @@ from .corpus import (
     FromPoc,
     PocReport,
     Provenance,
+    aspect_values,
     decode_provenance,
+    read_jsonl,
+    write_jsonl,
 )
 from .link import (
     PocLink,
@@ -101,10 +104,6 @@ def verify_association(report: PocReport, entry: CveEntry) -> bool:
     return any(n in p or p in n for n in names for p in products)
 
 
-def _norm(text: str) -> str:
-    return text.strip().lower()
-
-
 def _append_missing(
     report: PocReport,
     slot: str,
@@ -112,27 +111,13 @@ def _append_missing(
     origin: Provenance,
     run_id: str,
 ) -> tuple[PocReport, list[CompletionRecord]]:
-    existing = {_norm(v.text) for v in report.aspects.values(slot)}
-    added: list[AspectValue] = []
-    records: list[CompletionRecord] = []
-    for text in values:
-        trimmed = text.strip()
-        if not trimmed or _norm(trimmed) in existing:
-            continue
-        existing.add(_norm(trimmed))
-        added.append(AspectValue(trimmed, origin))
-        records.append(CompletionRecord(run_id, report.id, slot, trimmed, origin))
+    before = len(report.aspects.values(slot))
+    aspects = report.aspects.with_added(slot, aspect_values(values, origin))
+    added = aspects.values(slot)[before:]
     if not added:
         return report, []
-    updated = PocReport(
-        id=report.id,
-        source=report.source,
-        raw_content=report.raw_content,
-        content_kind=report.content_kind,
-        cve_ids=report.cve_ids,
-        aspects=report.aspects.with_added(slot, added),
-    )
-    return updated, records
+    records = [CompletionRecord(run_id, report.id, slot, v.text, origin) for v in added]
+    return replace(report, aspects=aspects), records
 
 
 def complete_from_cve(
@@ -311,12 +296,8 @@ def replay_completion(corpus: Corpus, records: Iterable[CompletionRecord]) -> Co
         report = current.get(record.target)
         if report is None:
             raise KeyError(f"record targets unknown report id: {record.target}")
-        current[record.target] = PocReport(
-            id=report.id,
-            source=report.source,
-            raw_content=report.raw_content,
-            content_kind=report.content_kind,
-            cve_ids=report.cve_ids,
+        current[record.target] = replace(
+            report,
             aspects=report.aspects.with_added(
                 record.slot, [AspectValue(record.value, record.origin)]
             ),
@@ -327,13 +308,8 @@ def replay_completion(corpus: Corpus, records: Iterable[CompletionRecord]) -> Co
 def save_completion_records(
     records: Iterable[CompletionRecord], path: str | Path
 ) -> None:
-    lines = [json.dumps(r.encode(), ensure_ascii=False) for r in records]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_jsonl(path, (r.encode() for r in records))
 
 
 def load_completion_records(path: str | Path) -> list[CompletionRecord]:
-    records = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            records.append(CompletionRecord.decode(json.loads(line)))
-    return records
+    return [CompletionRecord.decode(record) for record in read_jsonl(path)]

@@ -602,18 +602,26 @@ def ingest_cve_entries(path: str | Path) -> dict[str, CveEntry]:
 # --- persistence -------------------------------------------------------------
 
 
-def _json_line(obj: dict) -> str:
-    return json.dumps(obj, ensure_ascii=False)
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    """Write one JSON object per line, every line newline-terminated; no
+    records give an empty file. Every JSONL file the pipeline writes goes
+    through here."""
+    text = "".join(json.dumps(record, ensure_ascii=False) + "\n" for record in records)
+    Path(path).write_text(text, encoding="utf-8")
+
+
+def read_jsonl(path: str | Path) -> list[dict]:
+    """Decode every non-blank line of a file written by :func:`write_jsonl`."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    return [json.loads(line) for line in lines if line.strip()]
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write a corpus to a versioned container file (canonical serialization)."""
     for report in corpus:
         report.aspects.validate()
-    path = Path(path)
-    lines = [_json_line({"format": CORPUS_FORMAT, "version": CORPUS_VERSION})]
-    lines.extend(_json_line(report.encode()) for report in corpus)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = {"format": CORPUS_FORMAT, "version": CORPUS_VERSION}
+    write_jsonl(path, [header, *(report.encode() for report in corpus)])
 
 
 def load_corpus(path: str | Path) -> Corpus:
@@ -648,18 +656,16 @@ def load_corpus(path: str | Path) -> Corpus:
 
 def save_cve_db(entries: dict[str, CveEntry], path: str | Path) -> None:
     """Persist a normalized CVE map in the same shape the ingest format uses."""
-    lines = []
-    for cve_id in sorted(entries):
-        entry = entries[cve_id]
-        lines.append(
-            _json_line(
-                {
-                    "cve_id": entry.cve_id,
-                    "products": [
-                        {"name": p.name, "versions": list(p.versions)} for p in entry.products
-                    ],
-                    "platforms": list(entry.platforms),
-                }
-            )
-        )
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_jsonl(
+        path,
+        (
+            {
+                "cve_id": entry.cve_id,
+                "products": [
+                    {"name": p.name, "versions": list(p.versions)} for p in entry.products
+                ],
+                "platforms": list(entry.platforms),
+            }
+            for _, entry in sorted(entries.items())
+        ),
+    )

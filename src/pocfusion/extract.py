@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
@@ -18,38 +18,12 @@ import requests
 
 from .corpus import (
     ASPECT_SLOTS,
-    AspectValue,
     Corpus,
     Kind,
     PocReport,
     aspect_values,
 )
-from .cveid import CVE_PATTERN, find_cve_ids, normalize_cve_id
-
-__all__ = [
-    "CVE_PATTERN",
-    "find_cve_ids",
-    "normalize_cve_id",
-    "RuleSet",
-    "DEFAULT_RULES",
-    "NER_SLOTS",
-    "SlotSpan",
-    "StructuredExtraction",
-    "StructuredExtractor",
-    "DefaultStructuredExtractor",
-    "ExternalStructuredExtractor",
-    "SlotScore",
-    "ExtractionScore",
-    "ExtractionError",
-    "extract_trigger_step",
-    "extract_verification_oracle",
-    "extract_references",
-    "extract_cve_ids",
-    "extract_structured_aspects",
-    "extract_all",
-    "evaluate_extraction",
-    "load_gold_annotations",
-]
+from .cveid import find_cve_ids, normalize_cve_id
 
 logger = logging.getLogger(__name__)
 
@@ -517,14 +491,7 @@ def extract_all(
     for slot in NER_SLOTS:
         aspects = aspects.with_added(slot, aspect_values(structured.texts(slot)))
     cve_ids = tuple(extract_cve_ids(report, source_strategy))
-    return PocReport(
-        id=report.id,
-        source=report.source,
-        raw_content=report.raw_content,
-        content_kind=report.content_kind,
-        cve_ids=cve_ids,
-        aspects=aspects,
-    )
+    return replace(report, cve_ids=cve_ids, aspects=aspects)
 
 
 # --- evaluation -----------------------------------------------------------------

@@ -4,18 +4,18 @@ pairs, and classifier-based links for reports without a shared CVE id.
 
 from __future__ import annotations
 
-import json
 import logging
 import random
 import re
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 import requests
 
-from .corpus import Corpus, LanguageId, PocReport
+from .corpus import ContentKind, Corpus, PocReport, read_jsonl, write_jsonl
 from .similarity import (
     EmbeddingModel,
     cosine_similarity,
@@ -24,31 +24,6 @@ from .similarity import (
 )
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class PairKind:
-    """Code pairs carry the shared language; text pairs carry none."""
-
-    lang: LanguageId | None = None
-
-    @property
-    def is_code(self) -> bool:
-        return self.lang is not None
-
-    def encode(self) -> str:
-        return f"code:{self.lang.value}" if self.lang else "text"
-
-    @classmethod
-    def decode(cls, text: str) -> "PairKind":
-        if text == "text":
-            return cls()
-        if text.startswith("code:"):
-            return cls(LanguageId(text.split(":", 1)[1]))
-        raise ValueError(f"unknown pair kind: {text!r}")
-
-
-TEXT_PAIR = PairKind()
 
 
 @dataclass(frozen=True)
@@ -72,9 +47,11 @@ class PocLink:
     b: str
     basis: LinkBasis
     similarity: float
-    kind: PairKind
+    kind: ContentKind
 
     def __post_init__(self) -> None:
+        if not (self.kind.is_code or self.kind.is_text):
+            raise ValueError(f"link kind must be code or text: {self.kind.encode()!r}")
         if self.a == self.b:
             raise ValueError(f"self-link on {self.a}")
         if self.a > self.b:
@@ -113,7 +90,7 @@ class PocLink:
             b=data["b"],
             basis=basis,
             similarity=data["similarity"],
-            kind=PairKind.decode(data["kind"]),
+            kind=ContentKind.decode(data["kind"]),
         )
 
 
@@ -122,7 +99,7 @@ class ThresholdConfig(Protocol):
     text_threshold: float
 
 
-def kind_threshold(kind: PairKind, config: ThresholdConfig) -> float:
+def kind_threshold(kind: ContentKind, config: ThresholdConfig) -> float:
     return config.code_threshold if kind.is_code else config.text_threshold
 
 
@@ -139,20 +116,18 @@ def group_by_cve(corpus: Corpus) -> dict[str, list[str]]:
     return groups
 
 
-def pair_kind_of(a: PocReport, b: PocReport) -> PairKind | None:
-    """The link kind two reports can form, or None when kinds are incompatible."""
-    if a.content_kind.is_code and b.content_kind.is_code:
-        if a.content_kind.lang is b.content_kind.lang:
-            return PairKind(a.content_kind.lang)
-        return None
-    if a.content_kind.is_text and b.content_kind.is_text:
-        return TEXT_PAIR
+def pair_kind_of(a: PocReport, b: PocReport) -> ContentKind | None:
+    """The link kind two reports can form: their shared kind when both are
+    text or both are code in the same language, otherwise None."""
+    kind = a.content_kind
+    if kind == b.content_kind and (kind.is_code or kind.is_text):
+        return kind
     return None
 
 
 def candidate_pairs_same_cve(
     group: Sequence[str], corpus: Corpus
-) -> list[tuple[str, str, PairKind]]:
+) -> list[tuple[str, str, ContentKind]]:
     """All same-kind unordered pairs within one CVE group, canonically ordered."""
     pairs = []
     for i in range(len(group)):
@@ -183,9 +158,7 @@ class ScoringModels:
 
     def token_vector(self, report: PocReport):
         if report.id not in self._tokens:
-            self._tokens[report.id] = tokenize_code(
-                report.raw_content, report.content_kind.lang
-            )
+            self._tokens[report.id] = tokenize_code(report.raw_content)
         return self._tokens[report.id]
 
     def _require_embedding(self) -> EmbeddingModel:
@@ -209,7 +182,7 @@ class ScoringModels:
 
 
 def score_pair(
-    a: PocReport, b: PocReport, kind: PairKind, models: ScoringModels
+    a: PocReport, b: PocReport, kind: ContentKind, models: ScoringModels
 ) -> float:
     """Similarity in [0, 1]: token cosine for code pairs, embedding cosine
     (clamped at zero) for text pairs."""
@@ -480,8 +453,7 @@ def build_pair_training_set(
 
 
 def save_pair_samples(samples: Iterable[PairSample], path: str | Path) -> None:
-    lines = [json.dumps(s.encode(), ensure_ascii=False) for s in samples]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_jsonl(path, (s.encode() for s in samples))
 
 
 # --- graph assembly --------------------------------------------------------------
@@ -489,7 +461,6 @@ def save_pair_samples(samples: Iterable[PairSample], path: str | Path) -> None:
 
 def build_link_graph(
     corpus: Corpus,
-    cve_db: dict,
     models: ScoringModels,
     classifier: PairClassifier | None,
     config: ThresholdConfig,
@@ -499,10 +470,8 @@ def build_link_graph(
     Same-CVE same-kind pairs link when their similarity clears the per-kind
     threshold. Pairs sharing no CVE id link when they name the same software
     and the classifier votes yes. One link per pair, shared-CVE basis first,
-    output sorted by pair key. ``cve_db`` is accepted for interface symmetry
-    with the completion stage; grouping needs only the reports' own ids.
+    output sorted by pair key.
     """
-    del cve_db
     links: dict[tuple[str, str], PocLink] = {}
     groups = group_by_cve(corpus)
     for cve_id in sorted(groups):
@@ -514,17 +483,15 @@ def build_link_graph(
             if score >= kind_threshold(kind, config):
                 links[key] = PocLink(a_id, b_id, SharedCve(cve_id), score, kind)
     if classifier is not None:
-        by_name: dict[str, list[str]] = {}
+        # software name -> report ids in corpus order (a dict as ordered set)
+        by_name: dict[str, dict[str, None]] = {}
         for report in corpus:
             for name in software_names(report):
-                ids = by_name.setdefault(name.lower(), [])
-                if report.id not in ids:
-                    ids.append(report.id)
+                by_name.setdefault(name.lower(), {})[report.id] = None
         candidates: set[tuple[str, str]] = set()
         for ids in by_name.values():
-            for i in range(len(ids)):
-                for j in range(i + 1, len(ids)):
-                    candidates.add(tuple(sorted((ids[i], ids[j]))))
+            for pair in combinations(ids, 2):
+                candidates.add(tuple(sorted(pair)))
         for key in sorted(candidates):
             if key in links:
                 continue
@@ -541,13 +508,8 @@ def build_link_graph(
 
 
 def save_links(links: Iterable[PocLink], path: str | Path) -> None:
-    lines = [json.dumps(link.encode(), ensure_ascii=False) for link in links]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_jsonl(path, (link.encode() for link in links))
 
 
 def load_links(path: str | Path) -> list[PocLink]:
-    links = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            links.append(PocLink.decode(json.loads(line)))
-    return links
+    return [PocLink.decode(record) for record in read_jsonl(path)]

@@ -17,8 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import LanguageId
-
 logger = logging.getLogger(__name__)
 
 MODEL_FORMAT = "embedding-model"
@@ -31,10 +29,10 @@ _CODE_TOKEN = re.compile(r"[A-Za-z0-9_]+|[^\sA-Za-z0-9_]")
 _TEXT_TOKEN = re.compile(r"[a-z0-9]+")
 
 
-def tokenize_code(content: str, lang: LanguageId | None = None) -> Counter:
+def tokenize_code(content: str) -> Counter:
     """Token frequencies: maximal identifier runs plus single punctuation
-    characters, case-sensitive, comments included. The tokenization rule is
-    language-independent; ``lang`` documents the caller's classification.
+    characters, case-sensitive, comments included. The rule is the same for
+    every language.
     """
     return Counter(_CODE_TOKEN.findall(content))
 

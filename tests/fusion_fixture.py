@@ -15,12 +15,10 @@ from pocfusion import (
     FromCve,
     FromPoc,
     LanguageId,
-    PairKind,
     PocLink,
     PocReport,
     SharedCve,
     SourceId,
-    TEXT_PAIR,
     aspect_values,
     code_kind,
 )
@@ -138,13 +136,13 @@ def build_entries() -> dict[str, CveEntry]:
 
 def build_links(with_below_threshold: bool = True) -> list[PocLink]:
     links = [
-        PocLink("r1", "r2", SharedCve("CVE-2020-1111"), 0.82, PairKind(LanguageId.PYTHON)),
-        PocLink("r3", "r4", SharedCve("CVE-2019-2222"), 0.96, TEXT_PAIR),
-        PocLink("r5", "r6", Classifier(), 0.9, PairKind(LanguageId.C_CPP)),
+        PocLink("r1", "r2", SharedCve("CVE-2020-1111"), 0.82, code_kind(LanguageId.PYTHON)),
+        PocLink("r3", "r4", SharedCve("CVE-2019-2222"), 0.96, TEXT),
+        PocLink("r5", "r6", Classifier(), 0.9, code_kind(LanguageId.C_CPP)),
     ]
     if with_below_threshold:
         links.append(
-            PocLink("r1", "r3", SharedCve("CVE-2020-1111"), 0.4, PairKind(LanguageId.PYTHON))
+            PocLink("r1", "r3", SharedCve("CVE-2020-1111"), 0.4, code_kind(LanguageId.PYTHON))
         )
     return links
 

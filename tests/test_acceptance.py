@@ -23,13 +23,11 @@ from pocfusion import (
     EmbeddingParams,
     HeuristicPairClassifier,
     LanguageId,
-    PairKind,
     PocLink,
     PocReport,
     ScoringModels,
     SharedCve,
     SourceId,
-    TEXT_PAIR,
     aspect_values,
     build_link_graph,
     build_pair_training_set,
@@ -47,7 +45,7 @@ from pocfusion import (
     train_embeddings,
 )
 from pocfusion.cli import main as cli_main
-from pocfusion.corpus import AspectSet, ContentKind
+from pocfusion.corpus import TEXT, AspectSet, ContentKind
 from pocfusion.similarity import cosine_similarity, embed_text
 
 import classify_fixtures
@@ -247,7 +245,7 @@ def test_criterion_06_links_and_donations_respect_thresholds():
     models = ScoringModels(_planted_text_model())
 
     def links_for(config):
-        return build_link_graph(corpus, {}, models, None, config)
+        return build_link_graph(corpus, models, None, config)
 
     default_links = links_for(CompletionConfig())
     by_pair = {(l.a, l.b): l.similarity for l in default_links}
@@ -256,8 +254,8 @@ def test_criterion_06_links_and_donations_respect_thresholds():
         ("t1", "t2"): pytest.approx(0.9558, abs=1e-12),
     }
     # pairs left unlinked really do score under their thresholds
-    assert score_pair(corpus.get("c3"), corpus.get("c4"), PairKind(LanguageId.PYTHON), models) < 0.5
-    assert score_pair(corpus.get("t3"), corpus.get("t4"), TEXT_PAIR, models) < 0.95
+    assert score_pair(corpus.get("c3"), corpus.get("c4"), code_kind(LanguageId.PYTHON), models) < 0.5
+    assert score_pair(corpus.get("t3"), corpus.get("t4"), TEXT, models) < 0.95
 
     raised_code = links_for(CompletionConfig(code_threshold=0.51))
     assert {(l.a, l.b) for l in raised_code} == {("t1", "t2")}
@@ -283,8 +281,8 @@ def test_criterion_06_links_and_donations_respect_thresholds():
     b1, b2 = donor_pair("dc", "dd", "CVE-2020-0006")
     donation_corpus = Corpus([a1, a2, b1, b2])
     donation_links = [
-        PocLink("da", "db", SharedCve("CVE-2020-0005"), 0.5, PairKind(LanguageId.PYTHON)),
-        PocLink("dc", "dd", SharedCve("CVE-2020-0006"), 0.95, TEXT_PAIR),
+        PocLink("da", "db", SharedCve("CVE-2020-0005"), 0.5, code_kind(LanguageId.PYTHON)),
+        PocLink("dc", "dd", SharedCve("CVE-2020-0006"), 0.95, TEXT),
     ]
 
     def records_for(config):

@@ -12,13 +12,12 @@ from pocfusion import (
     FromPoc,
     LanguageId,
     ORIGINAL,
-    PairKind,
     PocLink,
     PocReport,
     SharedCve,
     SourceId,
-    TEXT_PAIR,
     aspect_values,
+    code_kind,
     complete_from_cve,
     complete_from_poc,
     load_completion_records,
@@ -145,7 +144,7 @@ def test_complete_from_cve_rejects_failed_verification():
         complete_from_cve(r, e)
 
 
-def link(a, b, basis, similarity, kind=TEXT_PAIR):
+def link(a, b, basis, similarity, kind=TEXT):
     return PocLink(a, b, basis, similarity, kind)
 
 
@@ -192,7 +191,7 @@ def test_complete_from_poc_rejects_weak_shared_cve_link():
     weak = link("a", "d", SharedCve("CVE-2020-0001"), 0.9)
     with pytest.raises(ValueError):
         complete_from_poc(target, donor, weak)
-    code_ok = PocLink("a", "d", SharedCve("CVE-2020-0001"), 0.9, PairKind(LanguageId.PYTHON))
+    code_ok = PocLink("a", "d", SharedCve("CVE-2020-0001"), 0.9, code_kind(LanguageId.PYTHON))
     _, records = complete_from_poc(target, donor, code_ok)
     assert len(records) == 1
 
@@ -302,5 +301,10 @@ def test_records_roundtrip(tmp_path):
     path = tmp_path / "records.jsonl"
     save_completion_records(result.records, path)
     assert load_completion_records(path) == result.records
+    data = path.read_bytes()
+    assert data.endswith(b"\n") and data.count(b"\n") == len(result.records)
+    save_completion_records(load_completion_records(path), path)
+    assert path.read_bytes() == data
     save_completion_records([], path)
+    assert path.read_bytes() == b""
     assert load_completion_records(path) == []

@@ -318,6 +318,12 @@ def test_corpus_save_load_roundtrip(tmp_path):
     assert load_corpus(path) == corpus
     # non-ascii content is stored unescaped
     assert "é" in path.read_text(encoding="utf-8")
+    data = path.read_bytes()
+    assert data.endswith(b"\n") and data.count(b"\n") == len(corpus) + 1
+    save_corpus(load_corpus(path), path)
+    assert path.read_bytes() == data
+    save_corpus(Corpus([]), path)
+    assert path.read_text(encoding="utf-8") == '{"format": "poc-corpus", "version": 1}\n'
 
 
 def test_load_corpus_version_mismatch(tmp_path):
@@ -356,6 +362,12 @@ def test_save_cve_db_sorted(tmp_path):
     assert [r["cve_id"] for r in rows] == ["CVE-2014-0160", "CVE-2021-33009"]
     assert rows[0]["products"] == [{"name": "OpenSSL", "versions": ["1.0.1f"]}]
     assert ingest_cve_entries(path)["CVE-2021-33009"].products[0].name == "GateServe"
+    data = path.read_bytes()
+    assert data.endswith(b"\n") and data.count(b"\n") == len(entries)
+    save_cve_db(ingest_cve_entries(path), path)
+    assert path.read_bytes() == data
+    save_cve_db({}, path)
+    assert path.read_bytes() == b""
 
 
 aspect_text = st.text(

@@ -12,13 +12,11 @@ from pocfusion import (
     EmbeddingParams,
     HeuristicPairClassifier,
     LanguageId,
-    PairKind,
     PocLink,
     PocReport,
     ScoringModels,
     SharedCve,
     SourceId,
-    TEXT_PAIR,
     aspect_values,
     build_link_graph,
     build_pair_training_set,
@@ -34,7 +32,7 @@ from pocfusion import (
     score_pair,
     software_names,
 )
-from pocfusion.corpus import AspectSet, ContentKind
+from pocfusion.corpus import AspectSet, ContentKind, read_jsonl, write_jsonl
 from pocfusion.link import save_pair_samples, title_text
 
 EDB = SourceId.parse("ExploitDB")
@@ -70,40 +68,44 @@ def planted_model(extra=None):
 
 
 def test_pair_kind_roundtrip():
-    assert PairKind.decode("text") == TEXT_PAIR
-    assert PairKind.decode("code:perl").lang is LanguageId.PERL
-    assert PairKind(LanguageId.PERL).encode() == "code:perl"
+    assert ContentKind.decode("text") == TEXT
+    assert ContentKind.decode("code:perl").lang is LanguageId.PERL
+    assert code_kind(LanguageId.PERL).encode() == "code:perl"
     with pytest.raises(ValueError):
-        PairKind.decode("binary")
+        ContentKind.decode("binary")
 
 
 def test_link_canonical_order():
-    link = PocLink("a1", "b1", SharedCve("CVE-2020-1111"), 0.75, TEXT_PAIR)
+    link = PocLink("a1", "b1", SharedCve("CVE-2020-1111"), 0.75, TEXT)
     assert link.other("a1") == "b1" and link.other("b1") == "a1"
     with pytest.raises(KeyError):
         link.other("zz")
     with pytest.raises(ValueError):
-        PocLink("b1", "a1", SharedCve("CVE-2020-1111"), 0.75, TEXT_PAIR)
+        PocLink("b1", "a1", SharedCve("CVE-2020-1111"), 0.75, TEXT)
     with pytest.raises(ValueError):
-        PocLink("a1", "a1", SharedCve("CVE-2020-1111"), 0.75, TEXT_PAIR)
+        PocLink("a1", "a1", SharedCve("CVE-2020-1111"), 0.75, TEXT)
     with pytest.raises(ValueError):
-        PocLink("a1", "b1", SharedCve("CVE-2020-1111"), 1.5, TEXT_PAIR)
+        PocLink("a1", "b1", SharedCve("CVE-2020-1111"), 1.5, TEXT)
 
 
 def test_link_encode_decode():
-    shared = PocLink("a1", "b1", SharedCve("CVE-2020-1111"), 0.9, PairKind(LanguageId.C_CPP))
-    voted = PocLink("a1", "c1", Classifier(), 0.87, TEXT_PAIR)
+    shared = PocLink("a1", "b1", SharedCve("CVE-2020-1111"), 0.9, code_kind(LanguageId.C_CPP))
+    voted = PocLink("a1", "c1", Classifier(), 0.87, TEXT)
     for link in (shared, voted):
         assert PocLink.decode(link.encode()) == link
     assert shared.encode()["basis"] == "shared_cve"
     assert shared.encode()["cve_id"] == "CVE-2020-1111"
     assert "cve_id" not in voted.encode()
+    # a link joins two reports of one code language or two text reports
+    for bad_kind in ("other", "unclassified", "code", "binary"):
+        with pytest.raises(ValueError):
+            PocLink.decode({**voted.encode(), "kind": bad_kind})
 
 
 def test_kind_threshold():
     config = CompletionConfig()
-    assert kind_threshold(PairKind(LanguageId.PHP), config) == 0.5
-    assert kind_threshold(TEXT_PAIR, config) == 0.95
+    assert kind_threshold(code_kind(LanguageId.PHP), config) == 0.5
+    assert kind_threshold(TEXT, config) == 0.95
 
 
 def test_group_by_cve_keeps_singletons():
@@ -125,10 +127,21 @@ def test_pair_kind_of():
     py_a, py_b = report("a", kind=PY), report("b", kind=PY)
     c = report("c", kind=code_kind(LanguageId.C_CPP))
     t1, t2 = report("t1"), report("t2")
-    assert pair_kind_of(py_a, py_b) == PairKind(LanguageId.PYTHON)
+    assert pair_kind_of(py_a, py_b) == code_kind(LanguageId.PYTHON)
     assert pair_kind_of(py_a, c) is None
-    assert pair_kind_of(t1, t2) == TEXT_PAIR
+    assert pair_kind_of(t1, t2) == TEXT
     assert pair_kind_of(py_a, t1) is None
+    other, cc = ContentKind.decode("other"), code_kind(LanguageId.C_CPP)
+    kinds = [TEXT, other, PY, cc]
+    table = [  # rows: kind of a, columns: kind of b, both in the order of kinds
+        [TEXT, None, None, None],
+        [None, None, None, None],
+        [None, None, PY, None],
+        [None, None, None, cc],
+    ]
+    for kind_a, row in zip(kinds, table):
+        for kind_b, expected in zip(kinds, row):
+            assert pair_kind_of(report("a", kind=kind_a), report("b", kind=kind_b)) == expected
 
 
 def test_candidate_pairs_filter_and_order():
@@ -140,22 +153,22 @@ def test_candidate_pairs_filter_and_order():
         ]
     )
     pairs = candidate_pairs_same_cve(["z9", "a1", "m5"], corpus)
-    assert pairs == [("a1", "z9", PairKind(LanguageId.PYTHON))]
+    assert pairs == [("a1", "z9", code_kind(LanguageId.PYTHON))]
 
 
 def test_score_pair_code_cosine():
     models = ScoringModels()
     a = report("a", content="x y", kind=PY)
     b = report("b", content="x z", kind=PY)
-    assert score_pair(a, b, PairKind(LanguageId.PYTHON), models) == 0.5
-    assert score_pair(a, a, PairKind(LanguageId.PYTHON), models) == 1.0
+    assert score_pair(a, b, code_kind(LanguageId.PYTHON), models) == 0.5
+    assert score_pair(a, a, code_kind(LanguageId.PYTHON), models) == 1.0
 
 
 def test_score_pair_empty_code(caplog):
     models = ScoringModels()
     a = report("a", content="  ", kind=PY)
     b = report("b", content="\n", kind=PY)
-    assert score_pair(a, b, PairKind(LanguageId.PYTHON), models) == 0.0
+    assert score_pair(a, b, code_kind(LanguageId.PYTHON), models) == 0.0
     assert "empty" in caplog.text
 
 
@@ -164,22 +177,22 @@ def test_score_pair_kind_mismatch():
     a = report("a", kind=PY)
     b = report("b")
     with pytest.raises(ValueError):
-        score_pair(a, b, TEXT_PAIR, models)
+        score_pair(a, b, TEXT, models)
     with pytest.raises(ValueError):
-        score_pair(a, report("c", kind=PY), TEXT_PAIR, models)
+        score_pair(a, report("c", kind=PY), TEXT, models)
 
 
 def test_score_pair_text_uses_embedding():
     models = ScoringModels(planted_model())
-    same = score_pair(report("a", "aa aa"), report("b", "aa"), TEXT_PAIR, models)
+    same = score_pair(report("a", "aa aa"), report("b", "aa"), TEXT, models)
     assert same == 1.0
-    mixed = score_pair(report("c", "aa"), report("d", "aa bb"), TEXT_PAIR, models)
+    mixed = score_pair(report("c", "aa"), report("d", "aa bb"), TEXT, models)
     assert mixed == pytest.approx(1 / math.sqrt(2))
 
 
 def test_score_pair_text_requires_model():
     with pytest.raises(ValueError):
-        score_pair(report("a"), report("b"), TEXT_PAIR, ScoringModels())
+        score_pair(report("a"), report("b"), TEXT, ScoringModels())
 
 
 def test_software_names_from_title_and_versions():
@@ -286,12 +299,12 @@ def test_build_link_graph():
     corpus = build_demo_corpus()
     models = ScoringModels(planted_model())
     clf = HeuristicPairClassifier(models)
-    links = build_link_graph(corpus, {}, models, clf, CompletionConfig())
+    links = build_link_graph(corpus, models, clf, CompletionConfig())
     as_tuples = [(l.a, l.b, l.basis, l.kind) for l in links]
     assert as_tuples == [
-        ("cl1", "cl2", Classifier(), PairKind(LanguageId.PYTHON)),
-        ("py1", "py2", SharedCve("CVE-2019-7008"), PairKind(LanguageId.PYTHON)),
-        ("tx1", "tx2", SharedCve("CVE-2014-0160"), TEXT_PAIR),
+        ("cl1", "cl2", Classifier(), code_kind(LanguageId.PYTHON)),
+        ("py1", "py2", SharedCve("CVE-2019-7008"), code_kind(LanguageId.PYTHON)),
+        ("tx1", "tx2", SharedCve("CVE-2014-0160"), TEXT),
     ]
     by_key = {(l.a, l.b): l for l in links}
     assert by_key[("py1", "py2")].similarity == 0.5
@@ -302,7 +315,7 @@ def test_build_link_graph():
 def test_build_link_graph_without_classifier():
     corpus = build_demo_corpus()
     models = ScoringModels(planted_model())
-    links = build_link_graph(corpus, {}, models, None, CompletionConfig())
+    links = build_link_graph(corpus, models, None, CompletionConfig())
     assert all(isinstance(l.basis, SharedCve) for l in links)
 
 
@@ -316,7 +329,7 @@ def test_shared_cve_basis_wins_over_classifier():
     )
     models = ScoringModels(planted_model())
     clf = HeuristicPairClassifier(models)
-    (link,) = build_link_graph(corpus, {}, models, clf, CompletionConfig())
+    (link,) = build_link_graph(corpus, models, clf, CompletionConfig())
     assert link.basis == SharedCve("CVE-2021-1111")
 
 
@@ -330,17 +343,21 @@ def test_below_threshold_shared_cve_not_rescued_by_classifier():
     )
     models = ScoringModels(planted_model())
     clf = HeuristicPairClassifier(models)
-    assert build_link_graph(corpus, {}, models, clf, CompletionConfig()) == []
+    assert build_link_graph(corpus, models, clf, CompletionConfig()) == []
 
 
 def test_links_roundtrip(tmp_path):
     links = [
-        PocLink("a1", "b1", SharedCve("CVE-2020-1111"), 0.625, PairKind(LanguageId.PHP)),
-        PocLink("a1", "c1", Classifier(), 0.875, TEXT_PAIR),
+        PocLink("a1", "b1", SharedCve("CVE-2020-1111"), 0.625, code_kind(LanguageId.PHP)),
+        PocLink("a1", "c1", Classifier(), 0.875, TEXT),
     ]
     path = tmp_path / "links.jsonl"
     save_links(links, path)
     assert load_links(path) == links
+    data = path.read_bytes()
+    assert data.endswith(b"\n") and data.count(b"\n") == len(links)
+    save_links(load_links(path), path)
+    assert path.read_bytes() == data
     save_links([], path)
     assert path.read_text(encoding="utf-8") == ""
     assert load_links(path) == []
@@ -408,6 +425,13 @@ def test_save_pair_samples(tmp_path):
         "label",
         "partition",
     ]
+    data = path.read_bytes()
+    assert data.endswith(b"\n") and data.count(b"\n") == len(samples)
+    # samples have no decoder; the generic reader and writer round-trip them
+    write_jsonl(path, read_jsonl(path))
+    assert path.read_bytes() == data
+    save_pair_samples([], path)
+    assert path.read_bytes() == b""
 
 
 def test_title_text_first_value():
