@@ -3,8 +3,6 @@ PoC reports by fusing CVE entries and related reports from other sources."""
 
 from .corpus import (
     ASPECT_SLOTS,
-    BASIC_SLOTS,
-    EXPLOIT_SLOTS,
     ORIGINAL,
     AspectSet,
     AspectValue,
@@ -34,12 +32,10 @@ from .corpus import (
 from .cveid import find_cve_ids, normalize_cve_id
 from .classify import LanguageSignature, categorize, detect_language, load_signatures
 from .extract import (
-    DEFAULT_RULES,
     DefaultStructuredExtractor,
     ExternalStructuredExtractor,
     ExtractionError,
     ExtractionScore,
-    RuleSet,
     StructuredExtraction,
     evaluate_extraction,
     extract_all,

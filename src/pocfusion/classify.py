@@ -8,7 +8,6 @@ signature's minimum hit count. Anything below every minimum is prose.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -20,6 +19,9 @@ from .corpus import (
     LanguageId,
     PocReport,
     code_kind,
+    format_mismatch,
+    json_object,
+    jsonl_lines,
 )
 
 SIGNATURES_FORMAT = "language-signatures"
@@ -61,35 +63,28 @@ class LanguageSignature:
         )
 
 
-def _parse_signature_lines(lines: list[str], origin: str) -> tuple[LanguageSignature, ...]:
-    if not lines:
-        raise SignatureError(f"{origin}: empty signature table")
+def _parse_signature_table(text: str, origin: str) -> tuple[LanguageSignature, ...]:
+    lines = jsonl_lines(text)
+    if not lines or lines[0][0] != 1:
+        raise SignatureError(f"{origin}: expected a format header on line 1")
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+        header = json_object(lines[0][1])
+    except ValueError as exc:
         raise SignatureError(f"{origin}: unreadable header: {exc}") from exc
-    if (
-        header.get("format") != SIGNATURES_FORMAT
-        or header.get("version") != SIGNATURES_VERSION
-    ):
-        raise SignatureError(
-            f"{origin}: table declares format {header.get('format')!r} version "
-            f"{header.get('version')!r}, this build reads {SIGNATURES_FORMAT!r} "
-            f"version {SIGNATURES_VERSION!r}"
-        )
+    mismatch = format_mismatch(header, SIGNATURES_FORMAT, SIGNATURES_VERSION)
+    if mismatch is not None:
+        raise SignatureError(f"{origin}: {mismatch}")
     min_hits = int(header.get("min_hits", DEFAULT_MIN_HITS))
     grouped: dict[LanguageId, list[SignaturePattern]] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    for lineno, line in lines[1:]:
         try:
-            record = json.loads(line)
+            record = json_object(line)
             language = LanguageId(record["language"])
             pattern = SignaturePattern(
                 re.compile(record["pattern"], re.MULTILINE),
                 int(record.get("weight", 1)),
             )
-        except (json.JSONDecodeError, KeyError, ValueError, re.error) as exc:
+        except (KeyError, ValueError, re.error) as exc:
             raise SignatureError(f"{origin}:{lineno}: broken signature record: {exc}") from exc
         grouped.setdefault(language, []).append(pattern)
     return tuple(
@@ -107,11 +102,8 @@ def load_signatures(path: str | Path | None = None) -> tuple[LanguageSignature, 
             .joinpath("signatures.jsonl")
             .read_text(encoding="utf-8")
         )
-        return _parse_signature_lines(text.splitlines(), "bundled signatures")
-    path = Path(path)
-    return _parse_signature_lines(
-        path.read_text(encoding="utf-8").splitlines(), str(path)
-    )
+        return _parse_signature_table(text, "bundled signatures")
+    return _parse_signature_table(Path(path).read_text(encoding="utf-8"), str(path))
 
 
 _DEFAULT_SIGNATURES: tuple[LanguageSignature, ...] | None = None
@@ -146,9 +138,7 @@ def detect_language(
     return best
 
 
-def categorize(
-    report: PocReport, signatures: tuple[LanguageSignature, ...] | None = None
-) -> PocReport:
+def categorize(report: PocReport) -> PocReport:
     """Resolve a report's content kind from its raw content.
 
     Code when some language signature clears its minimum, Text otherwise.
@@ -157,6 +147,6 @@ def categorize(
         raise ValueError(
             f"report {report.id} is already classified as {report.content_kind.encode()}"
         )
-    detected = detect_language(report.raw_content, signatures)
+    detected = detect_language(report.raw_content)
     kind = code_kind(detected[0]) if detected is not None else TEXT
     return replace(report, content_kind=kind)

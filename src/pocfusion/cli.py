@@ -71,8 +71,6 @@ RECORDS = "completion_records.jsonl"
 MANIFEST_DIR = "manifests"
 LOCK_FILE = ".lock"
 
-STAGES = ("ingest", "classify", "extract", "link", "complete", "stats")
-
 ENV_WORKSPACE = "POCFUSION_WORKSPACE"
 ENV_EXTRACTOR = "POCFUSION_EXTRACTOR_URL"
 ENV_CLASSIFIER = "POCFUSION_CLASSIFIER_URL"
@@ -93,8 +91,8 @@ class PipelineConfig:
     sources: tuple[tuple[str, str], ...] = ()
     cve_path: str | None = None
     workspace: str | None = None
-    code_threshold: float = 0.5
-    text_threshold: float = 0.95
+    code_threshold: float = CompletionConfig.code_threshold
+    text_threshold: float = CompletionConfig.text_threshold
     seed: int = 0
     extractor_url: str | None = None
     classifier_url: str | None = None
@@ -483,6 +481,7 @@ _STAGE_FUNCTIONS = {
     "complete": stage_complete,
     "stats": stage_stats,
 }
+STAGES = tuple(_STAGE_FUNCTIONS)
 
 
 def run_command(command: str, config: PipelineConfig) -> None:

@@ -32,8 +32,6 @@ ASPECT_SLOTS = (
     "publish_time",
     "reference",
 )
-EXPLOIT_SLOTS = frozenset(ASPECT_SLOTS[:4])
-BASIC_SLOTS = frozenset(ASPECT_SLOTS[4:])
 
 # Interchange-record fields that map straight into aspect slots at ingestion.
 _RECORD_SLOT_FIELDS = {
@@ -42,6 +40,7 @@ _RECORD_SLOT_FIELDS = {
     "publish_time": "publish_time",
     "platform": "test_platform",
     "version": "software_version",
+    "references": "reference",
 }
 
 
@@ -145,7 +144,6 @@ class ContentKind:
 
 UNCLASSIFIED = ContentKind(Kind.UNCLASSIFIED)
 TEXT = ContentKind(Kind.TEXT)
-OTHER_KIND = ContentKind(Kind.OTHER)
 
 
 def code_kind(lang: LanguageId) -> ContentKind:
@@ -438,12 +436,12 @@ class Corpus:
 # --- ingestion ---------------------------------------------------------------
 
 
-def _read_utf8_lines(path: Path) -> list[str]:
+def _read_utf8_lines(path: Path) -> list[tuple[int, str]]:
     try:
         text = path.read_text(encoding="utf-8", errors="replace")
     except OSError as exc:
         raise CorpusError(f"cannot read {path}: {exc}") from exc
-    return text.splitlines()
+    return jsonl_lines(text)
 
 
 def _record_error(record: dict) -> str | None:
@@ -457,6 +455,13 @@ def _record_error(record: dict) -> str | None:
     return None
 
 
+def _as_list(raw: object) -> list:
+    """An optional ingest field holds one value or a list of values."""
+    if raw is None:
+        return []
+    return raw if isinstance(raw, list) else [raw]
+
+
 def ingest_reports(path: str | Path, source: SourceId) -> list[PocReport]:
     """Load one source's report file into unclassified reports.
 
@@ -468,16 +473,11 @@ def ingest_reports(path: str | Path, source: SourceId) -> list[PocReport]:
     path = Path(path)
     reports: list[PocReport] = []
     seen_ids: set[str] = set()
-    for lineno, line in enumerate(_read_utf8_lines(path), start=1):
-        if not line.strip():
-            continue
+    for lineno, line in _read_utf8_lines(path):
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
+            record = json_object(line)
+        except ValueError as exc:
             logger.warning("%s:%d: skipping malformed record: %s", path, lineno, exc)
-            continue
-        if not isinstance(record, dict):
-            logger.warning("%s:%d: skipping non-object record", path, lineno)
             continue
         error = _record_error(record)
         if error is not None:
@@ -496,16 +496,11 @@ def ingest_reports(path: str | Path, source: SourceId) -> list[PocReport]:
 
         aspects = AspectSet()
         for field_name, slot in _RECORD_SLOT_FIELDS.items():
-            raw = record.get(field_name)
-            if raw is None:
-                continue
-            values = raw if isinstance(raw, list) else [raw]
+            values = _as_list(record.get(field_name))
             aspects = aspects.with_added(slot, aspect_values(str(v) for v in values))
-        references = record.get("references") or []
-        aspects = aspects.with_added("reference", aspect_values(str(v) for v in references))
 
         cve_ids: list[str] = []
-        for raw_id in record.get("cve_ids") or []:
+        for raw_id in _as_list(record.get("cve_ids")):
             normalized = normalize_cve_id(str(raw_id))
             if normalized is None:
                 logger.warning(
@@ -554,12 +549,10 @@ def ingest_cve_entries(path: str | Path) -> dict[str, CveEntry]:
     products: dict[str, dict[str, tuple[str, dict[str, None]]]] = {}
     platforms: dict[str, dict[str, None]] = {}
     order: dict[str, None] = {}
-    for lineno, line in enumerate(_read_utf8_lines(path), start=1):
-        if not line.strip():
-            continue
+    for lineno, line in _read_utf8_lines(path):
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
+            record = json_object(line)
+        except ValueError as exc:
             logger.warning("%s:%d: skipping malformed CVE record: %s", path, lineno, exc)
             continue
         cve_id = normalize_cve_id(str(record.get("cve_id", "")))
@@ -602,6 +595,33 @@ def ingest_cve_entries(path: str | Path) -> dict[str, CveEntry]:
 # --- persistence -------------------------------------------------------------
 
 
+def jsonl_lines(text: str) -> list[tuple[int, str]]:
+    """The non-blank lines of a JSON-lines text with their 1-based numbers.
+
+    Lines end at ``"\\n"`` only: :func:`write_jsonl` writes U+2028, U+2029
+    and U+0085 raw, and ``str.splitlines`` would break at them. A trailing
+    ``"\\r"`` is JSON whitespace, so CRLF files load too."""
+    return [(n, line) for n, line in enumerate(text.split("\n"), start=1) if line.strip()]
+
+
+def json_object(text: str) -> dict:
+    """Decode one record of a JSON file; ``ValueError`` unless it is an object."""
+    value = json.loads(text)
+    if not isinstance(value, dict):
+        raise ValueError(f"expected a JSON object, got {type(value).__name__}")
+    return value
+
+
+def format_mismatch(header: dict, fmt: str, version: int) -> str | None:
+    """Why a versioned file's header is not ``fmt`` at ``version``, or None."""
+    if header.get("format") == fmt and header.get("version") == version:
+        return None
+    return (
+        f"file declares format {header.get('format')!r} version "
+        f"{header.get('version')!r}, this build reads {fmt!r} version {version!r}"
+    )
+
+
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
     """Write one JSON object per line, every line newline-terminated; no
     records give an empty file. Every JSONL file the pipeline writes goes
@@ -611,9 +631,15 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
 
 
 def read_jsonl(path: str | Path) -> list[dict]:
-    """Decode every non-blank line of a file written by :func:`write_jsonl`."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    return [json.loads(line) for line in lines if line.strip()]
+    """Decode every non-blank line of a file written by :func:`write_jsonl`;
+    a broken line raises ``ValueError`` naming ``path:lineno``."""
+    records = []
+    for lineno, line in jsonl_lines(Path(path).read_text(encoding="utf-8")):
+        try:
+            records.append(json_object(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: broken record: {exc}") from exc
+    return records
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
@@ -628,25 +654,19 @@ def load_corpus(path: str | Path) -> Corpus:
     """Load a corpus saved by :func:`save_corpus`, checking the format version."""
     path = Path(path)
     lines = _read_utf8_lines(path)
-    if not lines:
-        raise CorpusError(f"{path}: empty corpus file, expected a format header")
+    if not lines or lines[0][0] != 1:
+        raise CorpusError(f"{path}: expected a format header on line 1")
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+        mismatch = format_mismatch(json_object(lines[0][1]), CORPUS_FORMAT, CORPUS_VERSION)
+    except ValueError as exc:
         raise CorpusError(f"{path}: unreadable header line: {exc}") from exc
-    if header.get("format") != CORPUS_FORMAT or header.get("version") != CORPUS_VERSION:
-        raise CorpusError(
-            f"{path}: file declares format {header.get('format')!r} version "
-            f"{header.get('version')!r}, this build reads {CORPUS_FORMAT!r} "
-            f"version {CORPUS_VERSION!r}"
-        )
+    if mismatch is not None:
+        raise CorpusError(f"{path}: {mismatch}")
     reports = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    for lineno, line in lines[1:]:
         try:
-            reports.append(PocReport.decode(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            reports.append(PocReport.decode(json_object(line)))
+        except (KeyError, ValueError) as exc:
             raise CorpusError(f"{path}:{lineno}: broken corpus record: {exc}") from exc
     corpus = Corpus(reports)
     for report in corpus:

@@ -7,7 +7,6 @@ whitespace trimming); nothing is synthesized at this stage.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass, field, replace
@@ -22,6 +21,8 @@ from .corpus import (
     Kind,
     PocReport,
     aspect_values,
+    json_object,
+    jsonl_lines,
 )
 from .cveid import find_cve_ids, normalize_cve_id
 
@@ -37,39 +38,27 @@ class ExtractionError(Exception):
     """Fatal extraction failure (contract violation, evaluation id mismatch)."""
 
 
-@dataclass(frozen=True)
-class RuleSet:
-    """Keyword and pattern inventory for the rule-based extractors."""
-
-    trigger_keywords: tuple[str, ...] = (
-        "steps",
-        "reproduce",
-        # the historical misspelling appears verbatim in real reports
-        "complie with",
-        "compile with",
-    )
-    oracle_keywords: tuple[str, ...] = ("expected output", "poc output")
-    step_list_patterns: tuple[str, ...] = (
-        r"^[ \t]{0,8}(\d{1,3})[.)][ \t]+",
-        r"^[ \t]{0,8}([a-z])\)[ \t]+",
-        r"^[ \t]{0,8}[Ss][Tt][Ee][Pp][ \t]+(\d{1,3})[ \t]*[:.)][ \t]*",
-    )
-    url_pattern: str = r"\b(?:https?|ftp)://[^\s<>\"']+"
-
-    def __post_init__(self) -> None:
-        if not self.trigger_keywords or not self.oracle_keywords:
-            raise ValueError("keyword lists must be non-empty")
-        if not self.step_list_patterns:
-            raise ValueError("step_list_patterns must be non-empty")
-
-
-DEFAULT_RULES = RuleSet()
-
-
-def _keyword_regexes(keywords: Sequence[str]) -> list[re.Pattern[str]]:
+def _keyword_regexes(*keywords: str) -> list[re.Pattern[str]]:
     return [
         re.compile(r"\b" + re.escape(kw) + r"\b", re.IGNORECASE) for kw in keywords
     ]
+
+
+# Keyword and pattern inventory of the rule-based extractors.
+_TRIGGER_KEYWORDS = _keyword_regexes(
+    "steps",
+    "reproduce",
+    # the historical misspelling appears verbatim in real reports
+    "complie with",
+    "compile with",
+)
+_ORACLE_KEYWORDS = _keyword_regexes("expected output", "poc output")
+_STEP_LIST_PATTERNS = (
+    re.compile(r"^[ \t]{0,8}(\d{1,3})[.)][ \t]+"),
+    re.compile(r"^[ \t]{0,8}([a-z])\)[ \t]+"),
+    re.compile(r"^[ \t]{0,8}[Ss][Tt][Ee][Pp][ \t]+(\d{1,3})[ \t]*[:.)][ \t]*"),
+)
+_URL_PATTERN = re.compile(r"\b(?:https?|ftp)://[^\s<>\"']+")
 
 
 def _indent_of(line: str) -> int:
@@ -88,10 +77,10 @@ def _sequence_value(marker: str) -> int:
     return int(marker) if marker.isdigit() else ord(marker)
 
 
-def _find_step_items(lines: list[str], patterns: list[re.Pattern[str]]) -> list[_StepItem]:
+def _find_step_items(lines: list[str]) -> list[_StepItem]:
     items = []
     for lineno, line in enumerate(lines):
-        for index, pattern in enumerate(patterns):
+        for index, pattern in enumerate(_STEP_LIST_PATTERNS):
             m = pattern.match(line)
             if m:
                 items.append(_StepItem(lineno, index, m.group(1), _indent_of(line)))
@@ -99,16 +88,14 @@ def _find_step_items(lines: list[str], patterns: list[re.Pattern[str]]) -> list[
     return items
 
 
-def _find_step_runs(
-    lines: list[str], patterns: list[re.Pattern[str]]
-) -> list[tuple[int, int, int]]:
+def _find_step_runs(lines: list[str]) -> list[tuple[int, int, int]]:
     """Maximal runs of consecutively-numbered items: (first_line, last_line, n_items).
 
     last_line includes continuation lines indented past the item markers.
     Between items, blank lines and indented continuations are tolerated up to
     a small gap; any other line breaks the run.
     """
-    items = _find_step_items(lines, patterns)
+    items = _find_step_items(lines)
     runs: list[tuple[int, int, int]] = []
     i = 0
     while i < len(items):
@@ -152,19 +139,17 @@ def _resolve_regions(candidates: list[tuple[int, int]], lines: list[str]) -> lis
     return ["\n".join(lines[s : e + 1]).strip() for s, e in chosen]
 
 
-def extract_trigger_step(content: str, rules: RuleSet = DEFAULT_RULES) -> list[str]:
+def extract_trigger_step(content: str) -> list[str]:
     """Find trigger-step regions: keyword lines with their enumerated block,
     and standalone step lists of at least two consecutive items.
     """
     lines = content.split("\n")
-    patterns = [re.compile(p) for p in rules.step_list_patterns]
-    keyword_res = _keyword_regexes(rules.trigger_keywords)
-    runs = _find_step_runs(lines, patterns)
+    runs = _find_step_runs(lines)
     candidates: list[tuple[int, int]] = [
         (first, last) for first, last, n in runs if n >= 2
     ]
     for lineno, line in enumerate(lines):
-        if not any(r.search(line) for r in keyword_res):
+        if not any(r.search(line) for r in _TRIGGER_KEYWORDS):
             continue
         end = lineno
         # a list starting just below the keyword line belongs to it
@@ -178,15 +163,14 @@ def extract_trigger_step(content: str, rules: RuleSet = DEFAULT_RULES) -> list[s
     return _resolve_regions(candidates, lines)
 
 
-def extract_verification_oracle(content: str, rules: RuleSet = DEFAULT_RULES) -> list[str]:
+def extract_verification_oracle(content: str) -> list[str]:
     """Find oracle regions: keyword lines plus any following indented or
     fenced block describing the observable result.
     """
     lines = content.split("\n")
-    keyword_res = _keyword_regexes(rules.oracle_keywords)
     candidates: list[tuple[int, int]] = []
     for lineno, line in enumerate(lines):
-        if not any(r.search(line) for r in keyword_res):
+        if not any(r.search(line) for r in _ORACLE_KEYWORDS):
             continue
         end = lineno
         nxt = lineno + 1
@@ -210,11 +194,11 @@ def extract_verification_oracle(content: str, rules: RuleSet = DEFAULT_RULES) ->
     return _resolve_regions(candidates, lines)
 
 
-def extract_references(content: str, rules: RuleSet = DEFAULT_RULES) -> list[str]:
+def extract_references(content: str) -> list[str]:
     """All web/ftp URLs in document order, first occurrence kept, trailing
     punctuation stripped."""
     seen: dict[str, None] = {}
-    for match in re.finditer(rules.url_pattern, content):
+    for match in _URL_PATTERN.finditer(content):
         url = match.group(0).rstrip(_TRAILING_PUNCT)
         host = url.split("://", 1)[1]
         if host and host[0].isalnum():
@@ -453,23 +437,11 @@ class ExternalStructuredExtractor:
             return self.fallback.extract(report)
 
 
-def extract_structured_aspects(
-    report: PocReport, extractor: StructuredExtractor | None = None
-) -> StructuredExtraction:
-    """Run a structured extractor and enforce its span contract."""
-    if extractor is None:
-        extractor = DefaultStructuredExtractor()
-    extraction = extractor.extract(report)
-    extraction.validate(report.raw_content)
-    return extraction
-
-
 # --- composition ----------------------------------------------------------------
 
 
 def extract_all(
     report: PocReport,
-    rules: RuleSet = DEFAULT_RULES,
     extractor: StructuredExtractor | None = None,
     source_strategy: SourceStrategy = dedicated_field_strategy,
 ) -> PocReport:
@@ -478,16 +450,20 @@ def extract_all(
         raise ValueError(f"report {report.id} must be categorized before extraction")
     aspects = report.aspects
     aspects = aspects.with_added(
-        "trigger_step", aspect_values(extract_trigger_step(report.raw_content, rules))
+        "trigger_step", aspect_values(extract_trigger_step(report.raw_content))
     )
     aspects = aspects.with_added(
         "verification_oracle",
-        aspect_values(extract_verification_oracle(report.raw_content, rules)),
+        aspect_values(extract_verification_oracle(report.raw_content)),
     )
     aspects = aspects.with_added(
-        "reference", aspect_values(extract_references(report.raw_content, rules))
+        "reference", aspect_values(extract_references(report.raw_content))
     )
-    structured = extract_structured_aspects(report, extractor)
+    if extractor is None:
+        extractor = DefaultStructuredExtractor()
+    structured = extractor.extract(report)
+    # every extractor, the default included, must return verbatim spans
+    structured.validate(report.raw_content)
     for slot in NER_SLOTS:
         aspects = aspects.with_added(slot, aspect_values(structured.texts(slot)))
     cve_ids = tuple(extract_cve_ids(report, source_strategy))
@@ -531,10 +507,8 @@ GoldAnnotations = dict[str, dict[str, list[str]]]
 def load_gold_annotations(path: str | Path) -> GoldAnnotations:
     """Read a gold file: one JSON object per line, {"id": ..., "<slot>": [...]}."""
     gold: GoldAnnotations = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        record = json.loads(line)
+    for lineno, line in jsonl_lines(Path(path).read_text(encoding="utf-8")):
+        record = json_object(line)
         report_id = record.pop("id")
         for slot in record:
             if slot not in ASPECT_SLOTS:

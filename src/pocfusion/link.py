@@ -262,19 +262,11 @@ class HeuristicPairClassifier:
     """Default same-vulnerability verdict: combined title/content cosine
     against a cutoff. Confidence is the combined cosine itself."""
 
-    def __init__(
-        self,
-        models: ScoringModels,
-        cutoff: float = 0.85,
-        title_weight: float = 0.5,
-        content_weight: float = 0.5,
-    ):
+    def __init__(self, models: ScoringModels, cutoff: float = 0.85):
         if not 0.0 <= cutoff <= 1.0:
             raise ValueError("cutoff must be in [0, 1]")
         self.models = models
         self.cutoff = cutoff
-        self.title_weight = title_weight
-        self.content_weight = content_weight
 
     def _content_similarity(self, a: PocReport, b: PocReport) -> float:
         kind = pair_kind_of(a, b)
@@ -292,10 +284,7 @@ class HeuristicPairClassifier:
                     self.models.title_vector(a), self.models.title_vector(b)
                 ),
             )
-        combined = (
-            self.title_weight * title_sim
-            + self.content_weight * self._content_similarity(a, b)
-        )
+        combined = 0.5 * title_sim + 0.5 * self._content_similarity(a, b)
         combined = min(max(combined, 0.0), 1.0)
         return combined >= self.cutoff, combined
 

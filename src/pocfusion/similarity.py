@@ -17,13 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import format_mismatch, json_object
+
 logger = logging.getLogger(__name__)
 
 MODEL_FORMAT = "embedding-model"
 MODEL_VERSION = 1
-
-# token -> count; the sparse vector form used for code similarity
-TokenFrequencyVector = Counter
 
 _CODE_TOKEN = re.compile(r"[A-Za-z0-9_]+|[^\sA-Za-z0-9_]")
 _TEXT_TOKEN = re.compile(r"[a-z0-9]+")
@@ -139,13 +138,10 @@ class EmbeddingModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingModel":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        if data.get("format") != MODEL_FORMAT or data.get("version") != MODEL_VERSION:
-            raise ValueError(
-                f"{path}: file declares format {data.get('format')!r} version "
-                f"{data.get('version')!r}, this build reads {MODEL_FORMAT!r} "
-                f"version {MODEL_VERSION!r}"
-            )
+        data = json_object(Path(path).read_text(encoding="utf-8"))
+        mismatch = format_mismatch(data, MODEL_FORMAT, MODEL_VERSION)
+        if mismatch is not None:
+            raise ValueError(f"{path}: {mismatch}")
         params = EmbeddingParams(**data["params"])
         vocabulary = {token: i for i, token in enumerate(data["vocabulary"])}
         vectors = np.array(data["vectors"], dtype=np.float64).reshape(

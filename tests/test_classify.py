@@ -128,3 +128,8 @@ def test_signature_unknown_language(tmp_path):
     table.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
     with pytest.raises(SignatureError):
         load_signatures(table)
+    # a line that is JSON but not an object, as the header or as a record
+    for text in ("[1]\n", json.dumps(rows[0]) + "\n[1]\n"):
+        table.write_text(text, encoding="utf-8")
+        with pytest.raises(SignatureError):
+            load_signatures(table)

@@ -239,11 +239,28 @@ def test_empty_ingestion_is_a_data_error(tmp_path, capsys):
 def test_partial_ingestion_succeeds(tmp_path):
     mixed = tmp_path / "mixed.jsonl"
     good = {"id": "ok", "source": "ExploitDB", "content": "hello"}
-    mixed.write_text("not json\n" + json.dumps(good) + "\n", encoding="utf-8")
+    # U+2028 is written raw and must not split its line
+    raw = {"id": "raw", "source": "ExploitDB", "content": "a\u2028b"}
+    mixed.write_text(
+        "not json\n" + json.dumps(good) + "\n" + json.dumps(raw, ensure_ascii=False) + "\n",
+        encoding="utf-8",
+    )
     ws = tmp_path / "ws"
     assert main(["ingest", "--workspace", str(ws), "--source", f"exploitdb={mixed}"]) == 0
     manifest = json.loads((ws / "manifests" / "ingest.json").read_text())
-    assert manifest["reports"] == 1
+    assert manifest["reports"] == 2
+    assert main(["classify", "--workspace", str(ws)]) == 0
+
+
+def test_non_object_corpus_line_is_a_data_error(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    assert main(base_argv("ingest", tmp_path)) == 0
+    corpus = ws / "corpus_ingested.jsonl"
+    lines = corpus.read_text(encoding="utf-8").count("\n")
+    with corpus.open("a", encoding="utf-8") as handle:
+        handle.write("[1]\n")
+    assert main(["classify", "--workspace", str(ws)]) == 4
+    assert f"corpus_ingested.jsonl:{lines + 1}:" in last_error(capsys)["message"]
 
 
 # --- pipeline stages ------------------------------------------------------------------

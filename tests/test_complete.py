@@ -298,13 +298,22 @@ def test_replay_unknown_target():
 
 def test_records_roundtrip(tmp_path):
     result = run_fixture()
+    records = [
+        *result.records,
+        CompletionRecord(
+            "run-x", "r1", "title", "a\u2028b\u2029c\u0085d", FromCve("CVE-2020-0001")
+        ),
+    ]
     path = tmp_path / "records.jsonl"
-    save_completion_records(result.records, path)
-    assert load_completion_records(path) == result.records
+    save_completion_records(records, path)
+    assert load_completion_records(path) == records
     data = path.read_bytes()
-    assert data.endswith(b"\n") and data.count(b"\n") == len(result.records)
+    assert data.endswith(b"\n") and data.count(b"\n") == len(records)
     save_completion_records(load_completion_records(path), path)
     assert path.read_bytes() == data
     save_completion_records([], path)
     assert path.read_bytes() == b""
     assert load_completion_records(path) == []
+    path.write_bytes(data + b"[1]\n")
+    with pytest.raises(ValueError, match=f"records.jsonl:{len(records) + 1}:"):
+        load_completion_records(path)

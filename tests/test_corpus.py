@@ -1,7 +1,9 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pocfusion import (
     ASPECT_SLOTS,
@@ -31,6 +33,10 @@ from pocfusion import (
     save_corpus,
     save_cve_db,
 )
+from pocfusion.corpus import read_jsonl, write_jsonl as write_records
+
+# str.splitlines breaks at these; JSON strings hold them raw with ensure_ascii=False
+LINE_SEPARATORS = "a\u2028b\u2029c\u0085d"
 
 EDB = SourceId.parse("ExploitDB")
 
@@ -204,15 +210,19 @@ def test_ingest_reports_drops_malformed_lines(tmp_path, caplog):
         {"id": "no-content", "source": "ExploitDB"},
         {"id": "ok-1", "source": "ExploitDB", "content": "dup"},
         {"id": "ok-2", "source": "ExploitDB", "content": "y", "cve_ids": ["2021-33009"]},
+        {"id": "sep", "source": "ExploitDB", "content": LINE_SEPARATORS},
     ]
-    text = "\n".join(json.dumps(r) for r in rows)
+    text = "\n".join(json.dumps(r, ensure_ascii=False) for r in rows)
     path.write_text(text + "\nnot json\n[1, 2]\n", encoding="utf-8")
     reports = ingest_reports(path, EDB)
-    assert [r.id for r in reports] == ["ok-1", "bad-cve", "ok-2"]
+    assert [r.id for r in reports] == ["ok-1", "bad-cve", "ok-2", "sep"]
     # malformed dedicated-field ids are dropped at ingestion with a warning
     assert reports[1].cve_ids == ()
     assert reports[2].cve_ids == ("CVE-2021-33009",)
     assert "ok-1" in caplog.text and "duplicate" in caplog.text
+    # raw line separators stay inside their record, so line numbers hold
+    assert reports[3].raw_content == LINE_SEPARATORS
+    assert f"{path}:8:" in caplog.text and f"{path}:9:" in caplog.text
 
 
 def test_ingest_reports_source_mismatch_skips(tmp_path, caplog):
@@ -242,10 +252,20 @@ def test_ingest_reports_optional_fields(tmp_path):
                 "author": "kv",
                 "publish_time": "2020-01-01",
                 "references": ["https://a.example/1", "https://a.example/1"],
-            }
+            },
+            {
+                "id": "scalars",
+                "source": "ExploitDB",
+                "content": "y",
+                "references": "https://a.example/2",
+                "cve_ids": "cve-2020-11001",
+            },
         ],
     )
-    (report,) = ingest_reports(path, EDB)
+    report, scalars = ingest_reports(path, EDB)
+    # every optional field takes one value or a list of values
+    assert scalars.aspects.texts("reference") == ["https://a.example/2"]
+    assert scalars.cve_ids == ("CVE-2020-11001",)
     assert report.aspects.texts("title") == ["Some Tool 1.0 - RCE"]
     assert report.aspects.texts("author") == ["kv"]
     assert report.aspects.texts("publish_time") == ["2020-01-01"]
@@ -286,9 +306,11 @@ def test_ingest_cve_entries_merges_repeats(tmp_path, caplog):
             },
             {"cve_id": "nonsense", "products": [{"name": "X", "versions": []}]},
             {"cve_id": "CVE-2021-1", "products": []},
+            [1],
         ],
     )
     db = ingest_cve_entries(path)
+    assert f"{path}:5:" in caplog.text
     assert list(db) == ["CVE-2020-11001"]
     entry = db["CVE-2020-11001"]
     assert entry.all_versions() == ["2.1", "2.2", "3.0"]
@@ -309,6 +331,11 @@ def test_corpus_save_load_roundtrip(tmp_path):
                 ),
             ),
             make_report("b", content="unicode éè"),
+            make_report(
+                "c",
+                content=LINE_SEPARATORS,
+                aspects=AspectSet().with_added("author", [AspectValue(LINE_SEPARATORS)]),
+            ),
         ]
     )
     path = tmp_path / "corpus.jsonl"
@@ -349,6 +376,14 @@ def test_load_corpus_names_bad_line(tmp_path):
     with pytest.raises(CorpusError) as err:
         load_corpus(path)
     assert "2" in str(err.value)
+    # a line that is JSON but not an object, as a record or as the header
+    header = json.dumps({"format": "poc-corpus", "version": 1})
+    cases = ((header + "\n[1]\n", ":2:"), ("[1]\n", ""), ("\n" + header + "\n", ""))
+    for text, where in cases:
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CorpusError) as err:
+            load_corpus(path)
+        assert f"{path}{where}" in str(err.value)
 
 
 def test_save_cve_db_sorted(tmp_path):
@@ -382,3 +417,38 @@ def test_with_added_idempotent(texts):
     assert again == aspects
     seen = [v.strip().lower() for v in aspects.texts("reference")]
     assert len(seen) == len(set(seen))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(derandomize=True, max_examples=60)
+@given(
+    content=st.text(),
+    value=aspect_text,
+    records=st.lists(st.dictionaries(st.text(), json_values, max_size=4), max_size=4),
+)
+@example(
+    content=LINE_SEPARATORS,
+    value=LINE_SEPARATORS,
+    records=[{LINE_SEPARATORS: LINE_SEPARATORS}],
+)
+@example(content="\r\n \n", value="\u2028x\u0085", records=[{}, {"\u2029": ["\n"]}])
+def test_jsonl_roundtrip_property(content, value, records):
+    """Save then load is the identity, and saving again gives the same bytes."""
+    aspects = AspectSet().with_added("title", [AspectValue(value)])
+    corpus = Corpus([make_report("a", content=content, aspects=aspects)])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        save_corpus(corpus, path)
+        data = path.read_bytes()
+        assert load_corpus(path) == corpus
+        save_corpus(load_corpus(path), path)
+        assert path.read_bytes() == data
+        path = Path(tmp) / "records.jsonl"
+        write_records(path, records)
+        assert read_jsonl(path) == records

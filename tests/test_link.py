@@ -350,6 +350,7 @@ def test_links_roundtrip(tmp_path):
     links = [
         PocLink("a1", "b1", SharedCve("CVE-2020-1111"), 0.625, code_kind(LanguageId.PHP)),
         PocLink("a1", "c1", Classifier(), 0.875, TEXT),
+        PocLink("a\u2028x", "b\u2029y\u0085", Classifier(), 0.5, TEXT),
     ]
     path = tmp_path / "links.jsonl"
     save_links(links, path)
@@ -361,6 +362,9 @@ def test_links_roundtrip(tmp_path):
     save_links([], path)
     assert path.read_text(encoding="utf-8") == ""
     assert load_links(path) == []
+    path.write_bytes(data + b"[1]\n")
+    with pytest.raises(ValueError, match=f"links.jsonl:{len(links) + 1}:"):
+        load_links(path)
 
 
 def tagged_corpus():

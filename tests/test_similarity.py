@@ -224,6 +224,9 @@ def test_model_version_check(tmp_path):
     with pytest.raises(ValueError) as err:
         EmbeddingModel.load(path)
     assert "2" in str(err.value) and "1" in str(err.value)
+    path.write_text("[1]", encoding="utf-8")
+    with pytest.raises(ValueError):
+        EmbeddingModel.load(path)
 
 
 def test_model_similarity_oov():
