@@ -26,6 +26,7 @@ from .corpus import (
     ingest_cve_entries,
     ingest_reports,
     load_corpus,
+    load_cve_db,
     save_corpus,
     save_cve_db,
 )
@@ -55,7 +56,6 @@ from .similarity import (
     train_embeddings,
 )
 from .link import (
-    Classifier,
     ExternalPairClassifier,
     HeuristicPairClassifier,
     PairSample,

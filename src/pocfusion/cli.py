@@ -33,6 +33,7 @@ from .corpus import (
     ingest_cve_entries,
     ingest_reports,
     load_corpus,
+    load_cve_db,
     save_corpus,
     save_cve_db,
 )
@@ -422,7 +423,7 @@ def stage_complete(config: PipelineConfig, ws: Path) -> None:
     links_source = _require(ws, LINKS, "link")
     cve_source = _require(ws, CVE_DB, "ingest")
     corpus = load_corpus(source)
-    cve_db = ingest_cve_entries(cve_source)
+    cve_db = load_cve_db(cve_source)
     links = load_links(links_source)
     result = run_completion(
         corpus, cve_db, links,

@@ -43,16 +43,12 @@ logger = logging.getLogger(__name__)
 class CompletionConfig:
     code_threshold: float = 0.5
     text_threshold: float = 0.95
-    poc_aspect_whitelist: frozenset[str] = frozenset(ASPECT_SLOTS)
 
     def __post_init__(self) -> None:
         for name in ("code_threshold", "text_threshold"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} out of range: {value}")
-        unknown = self.poc_aspect_whitelist - set(ASPECT_SLOTS)
-        if unknown:
-            raise ValueError(f"unknown aspects in whitelist: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -155,7 +151,7 @@ def complete_from_poc(
     config: CompletionConfig = CompletionConfig(),
     run_id: str = "",
 ) -> tuple[PocReport, list[CompletionRecord]]:
-    """Fill the target's empty whitelisted slots with the donor's Original
+    """Fill the target's empty slots with the donor's Original
     values. Non-empty target slots stay untouched; donor values that were
     themselves completed never re-donate.
     """
@@ -173,8 +169,6 @@ def complete_from_poc(
     origin = FromPoc(donor.id, link.similarity, _basis_string(link))
     records: list[CompletionRecord] = []
     for slot in ASPECT_SLOTS:
-        if slot not in config.poc_aspect_whitelist:
-            continue
         if target.aspects.values(slot):
             continue
         donated = donor.aspects.original_values(slot)
@@ -195,17 +189,7 @@ def _derive_run_id(
     for report in corpus:
         digest.update(json.dumps(report.encode(), ensure_ascii=False).encode("utf-8"))
     for cve_id in sorted(cve_db):
-        entry = cve_db[cve_id]
-        digest.update(
-            json.dumps(
-                {
-                    "cve_id": entry.cve_id,
-                    "products": [[p.name, list(p.versions)] for p in entry.products],
-                    "platforms": list(entry.platforms),
-                },
-                ensure_ascii=False,
-            ).encode("utf-8")
-        )
+        digest.update(json.dumps(cve_db[cve_id].encode(), ensure_ascii=False).encode("utf-8"))
     for link in links:
         digest.update(json.dumps(link.encode(), ensure_ascii=False).encode("utf-8"))
     digest.update(
@@ -213,7 +197,6 @@ def _derive_run_id(
             {
                 "code_threshold": config.code_threshold,
                 "text_threshold": config.text_threshold,
-                "whitelist": sorted(config.poc_aspect_whitelist),
             }
         ).encode("utf-8")
     )
@@ -234,7 +217,6 @@ def run_completion(
     cve_db: dict[str, CveEntry],
     links: Sequence[PocLink],
     config: CompletionConfig = CompletionConfig(),
-    run_id: str | None = None,
 ) -> CompletionResult:
     """Two completion passes over the whole corpus.
 
@@ -242,11 +224,10 @@ def run_completion(
     verification for. Pass 2 walks links by descending similarity (ties by
     pair key) and lets each endpoint donate to the other; donors expose their
     pre-run Original values only, targets accumulate live, so the best donor
-    fills each gap and nothing chains. The run id defaults to a digest of the
-    inputs, making reruns reproducible.
+    fills each gap and nothing chains. The run id is a digest of the inputs,
+    making reruns reproducible.
     """
-    if run_id is None:
-        run_id = _derive_run_id(corpus, cve_db, links, config)
+    run_id = _derive_run_id(corpus, cve_db, links, config)
     snapshot = {report.id: report for report in corpus}
     current: dict[str, PocReport] = dict(snapshot)
     records: list[CompletionRecord] = []
@@ -312,4 +293,4 @@ def save_completion_records(
 
 
 def load_completion_records(path: str | Path) -> list[CompletionRecord]:
-    return [CompletionRecord.decode(record) for record in read_jsonl(path)]
+    return read_jsonl(path, CompletionRecord.decode)

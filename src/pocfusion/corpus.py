@@ -12,11 +12,13 @@ import logging
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .cveid import normalize_cve_id
 
 logger = logging.getLogger(__name__)
+
+_T = TypeVar("_T")
 
 CORPUS_FORMAT = "poc-corpus"
 CORPUS_VERSION = 1
@@ -382,6 +384,21 @@ class CveEntry:
         if not self.products:
             raise ValueError(f"{self.cve_id}: products list is empty")
 
+    def encode(self) -> dict:
+        return {
+            "cve_id": self.cve_id,
+            "products": [{"name": p.name, "versions": list(p.versions)} for p in self.products],
+            "platforms": list(self.platforms),
+        }
+
+    @classmethod
+    def decode(cls, data: dict) -> "CveEntry":
+        return cls(
+            data["cve_id"],
+            tuple(CveProduct(p["name"], tuple(p["versions"])) for p in data["products"]),
+            tuple(data["platforms"]),
+        )
+
     def all_versions(self) -> list[str]:
         """Every version in the entry, product order then version order, deduplicated."""
         seen: dict[str, None] = {}
@@ -423,14 +440,6 @@ class Corpus:
             return self._by_id[report_id]
         except KeyError:
             raise KeyError(f"unknown report id: {report_id}") from None
-
-    def with_replaced(self, *updated: PocReport) -> "Corpus":
-        """New corpus with the given reports substituted by id, order preserved."""
-        changes = {r.id: r for r in updated}
-        for report_id in changes:
-            if report_id not in self._by_id:
-                raise KeyError(f"unknown report id: {report_id}")
-        return Corpus(changes.get(r.id, r) for r in self.reports)
 
 
 # --- ingestion ---------------------------------------------------------------
@@ -574,10 +583,10 @@ def ingest_cve_entries(path: str | Path) -> dict[str, CveEntry]:
         for product in raw_products:
             name = str(product["name"]).strip()
             display, versions = by_name.setdefault(name.lower(), (name, {}))
-            for version in product.get("versions") or []:
+            for version in _as_list(product.get("versions")):
                 versions.setdefault(str(version).strip(), None)
         plats = platforms.setdefault(cve_id, {})
-        for platform in record.get("platforms") or []:
+        for platform in _as_list(record.get("platforms")):
             text = str(platform).strip()
             if text:
                 plats.setdefault(text, None)
@@ -630,14 +639,18 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def read_jsonl(path: str | Path) -> list[dict]:
+_DECODE_ERRORS = (KeyError, ValueError, TypeError, AttributeError)  # bad shape or field type
+
+
+def read_jsonl(path: str | Path, decode: Callable[[dict], _T]) -> list[_T]:
     """Decode every non-blank line of a file written by :func:`write_jsonl`;
-    a broken line raises ``ValueError`` naming ``path:lineno``."""
+    a line that is not JSON, or that ``decode`` rejects, raises
+    ``ValueError`` naming ``path:lineno``."""
     records = []
     for lineno, line in jsonl_lines(Path(path).read_text(encoding="utf-8")):
         try:
-            records.append(json_object(line))
-        except ValueError as exc:
+            records.append(decode(json_object(line)))
+        except _DECODE_ERRORS as exc:
             raise ValueError(f"{path}:{lineno}: broken record: {exc}") from exc
     return records
 
@@ -666,7 +679,7 @@ def load_corpus(path: str | Path) -> Corpus:
     for lineno, line in lines[1:]:
         try:
             reports.append(PocReport.decode(json_object(line)))
-        except (KeyError, ValueError) as exc:
+        except _DECODE_ERRORS as exc:
             raise CorpusError(f"{path}:{lineno}: broken corpus record: {exc}") from exc
     corpus = Corpus(reports)
     for report in corpus:
@@ -676,16 +689,9 @@ def load_corpus(path: str | Path) -> Corpus:
 
 def save_cve_db(entries: dict[str, CveEntry], path: str | Path) -> None:
     """Persist a normalized CVE map in the same shape the ingest format uses."""
-    write_jsonl(
-        path,
-        (
-            {
-                "cve_id": entry.cve_id,
-                "products": [
-                    {"name": p.name, "versions": list(p.versions)} for p in entry.products
-                ],
-                "platforms": list(entry.platforms),
-            }
-            for _, entry in sorted(entries.items())
-        ),
-    )
+    write_jsonl(path, (entry.encode() for _, entry in sorted(entries.items())))
+
+
+def load_cve_db(path: str | Path) -> dict[str, CveEntry]:
+    """Load a CVE map saved by :func:`save_cve_db`; a broken line is an error."""
+    return {entry.cve_id: entry for entry in read_jsonl(path, CveEntry.decode)}

@@ -11,7 +11,7 @@ import logging
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import requests
 
@@ -24,7 +24,7 @@ from .corpus import (
     json_object,
     jsonl_lines,
 )
-from .cveid import find_cve_ids, normalize_cve_id
+from .cveid import find_cve_ids
 
 logger = logging.getLogger(__name__)
 
@@ -206,33 +206,12 @@ def extract_references(content: str) -> list[str]:
     return list(seen)
 
 
-SourceStrategy = Callable[[PocReport], Sequence[str] | None]
-
-
-def dedicated_field_strategy(report: PocReport) -> Sequence[str] | None:
-    """Ids captured from the source's dedicated CVE field at ingestion."""
-    return report.cve_ids or None
-
-
-def extract_cve_ids(
-    report: PocReport, source_strategy: SourceStrategy = dedicated_field_strategy
-) -> list[str]:
-    """Resolve a report's CVE ids: the dedicated source field when present,
-    otherwise a body scan for fully-prefixed ids. Canonical form, deduplicated.
+def extract_cve_ids(report: PocReport) -> list[str]:
+    """Resolve a report's CVE ids: the ids ingestion took from the source's
+    dedicated field when there are any, otherwise a body scan for
+    fully-prefixed ids. Canonical form, deduplicated.
     """
-    dedicated = source_strategy(report)
-    if dedicated is not None:
-        out: list[str] = []
-        for raw in dedicated:
-            normalized = normalize_cve_id(raw)
-            if normalized is None:
-                logger.warning(
-                    "report %s: dedicated CVE field value %r is malformed", report.id, raw
-                )
-            elif normalized not in out:
-                out.append(normalized)
-        return out
-    return find_cve_ids(report.raw_content)
+    return list(dict.fromkeys(report.cve_ids)) or find_cve_ids(report.raw_content)
 
 
 # --- structured extraction ----------------------------------------------------
@@ -441,9 +420,7 @@ class ExternalStructuredExtractor:
 
 
 def extract_all(
-    report: PocReport,
-    extractor: StructuredExtractor | None = None,
-    source_strategy: SourceStrategy = dedicated_field_strategy,
+    report: PocReport, extractor: StructuredExtractor | None = None
 ) -> PocReport:
     """Populate every slot a match exists for; idempotent, dedup-preserving."""
     if report.content_kind.kind is Kind.UNCLASSIFIED:
@@ -466,7 +443,7 @@ def extract_all(
     structured.validate(report.raw_content)
     for slot in NER_SLOTS:
         aspects = aspects.with_added(slot, aspect_values(structured.texts(slot)))
-    cve_ids = tuple(extract_cve_ids(report, source_strategy))
+    cve_ids = tuple(extract_cve_ids(report))
     return replace(report, cve_ids=cve_ids, aspects=aspects)
 
 

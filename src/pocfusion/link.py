@@ -32,20 +32,10 @@ class SharedCve:
 
 
 @dataclass(frozen=True)
-class Classifier:
-    pass
-
-
-LinkBasis = SharedCve | Classifier
-
-CLASSIFIER_BASIS = Classifier()
-
-
-@dataclass(frozen=True)
 class PocLink:
     a: str
     b: str
-    basis: LinkBasis
+    basis: SharedCve | None  # None: the pair classifier made the link
     similarity: float
     kind: ContentKind
 
@@ -58,13 +48,6 @@ class PocLink:
             raise ValueError(f"link endpoints not in canonical order: {self.a!r} > {self.b!r}")
         if not 0.0 <= self.similarity <= 1.0:
             raise ValueError(f"similarity out of range: {self.similarity}")
-
-    def other(self, report_id: str) -> str:
-        if report_id == self.a:
-            return self.b
-        if report_id == self.b:
-            return self.a
-        raise KeyError(f"{report_id} is not an endpoint of this link")
 
     def encode(self) -> dict:
         record = {"a": self.a, "b": self.b}
@@ -80,9 +63,9 @@ class PocLink:
     @classmethod
     def decode(cls, data: dict) -> "PocLink":
         if data["basis"] == "shared_cve":
-            basis: LinkBasis = SharedCve(data["cve_id"])
+            basis: SharedCve | None = SharedCve(data["cve_id"])
         elif data["basis"] == "classifier":
-            basis = CLASSIFIER_BASIS
+            basis = None
         else:
             raise ValueError(f"unknown link basis: {data['basis']!r}")
         return cls(
@@ -362,7 +345,6 @@ class PairSample:
     title_b: str
     content_a: str
     content_b: str
-    software_match: bool
     partition: str = ""  # train | dev | test
 
     def encode(self) -> dict:
@@ -434,7 +416,6 @@ def build_pair_training_set(
                 title_b=title_text(b),
                 content_a=a.raw_content,
                 content_b=b.raw_content,
-                software_match=match_software(a, b),
                 partition=partition,
             )
         )
@@ -492,7 +473,7 @@ def build_link_graph(
                 continue
             same, confidence = classify_pair(classifier, a, b)
             if same:
-                links[key] = PocLink(key[0], key[1], CLASSIFIER_BASIS, confidence, kind)
+                links[key] = PocLink(key[0], key[1], None, confidence, kind)
     return [links[key] for key in sorted(links)]
 
 
@@ -501,4 +482,4 @@ def save_links(links: Iterable[PocLink], path: str | Path) -> None:
 
 
 def load_links(path: str | Path) -> list[PocLink]:
-    return [PocLink.decode(record) for record in read_jsonl(path)]
+    return read_jsonl(path, PocLink.decode)

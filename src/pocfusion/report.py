@@ -86,9 +86,6 @@ class CompletionTable:
         values = sum(v for k, v in self.values.items() if k[2] == origin)
         return pocs, values
 
-    def total_values(self) -> int:
-        return sum(self.values.values())
-
 
 def _origin_kind(record: CompletionRecord) -> str:
     return "from_cve" if isinstance(record.origin, FromCve) else "from_poc"

@@ -9,7 +9,6 @@ in both directions, and one shared-CVE link under its threshold (L4).
 """
 
 from pocfusion import (
-    Classifier,
     Corpus,
     CveEntry,
     FromCve,
@@ -138,7 +137,7 @@ def build_links(with_below_threshold: bool = True) -> list[PocLink]:
     links = [
         PocLink("r1", "r2", SharedCve("CVE-2020-1111"), 0.82, code_kind(LanguageId.PYTHON)),
         PocLink("r3", "r4", SharedCve("CVE-2019-2222"), 0.96, TEXT),
-        PocLink("r5", "r6", Classifier(), 0.9, code_kind(LanguageId.C_CPP)),
+        PocLink("r5", "r6", None, 0.9, code_kind(LanguageId.C_CPP)),
     ]
     if with_below_threshold:
         links.append(

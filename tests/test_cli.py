@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -261,6 +262,60 @@ def test_non_object_corpus_line_is_a_data_error(tmp_path, capsys):
         handle.write("[1]\n")
     assert main(["classify", "--workspace", str(ws)]) == 4
     assert f"corpus_ingested.jsonl:{lines + 1}:" in last_error(capsys)["message"]
+
+
+@pytest.fixture(scope="module")
+def full_workspace(tmp_path_factory):
+    """A workspace after run-all; tests that damage it work on a copy."""
+    tmp = tmp_path_factory.mktemp("full")
+    assert main(base_argv("run-all", tmp)) == 0
+    return tmp / "ws"
+
+
+def cut_in_half(line):
+    return line[: len(line) // 2]
+
+
+def set_field(field, value):
+    return lambda line: json.dumps({**json.loads(line), field: value})
+
+
+# every JSON-lines file each stage reads (link hashes cve_db.jsonl but does not read it)
+STAGE_INPUTS = [
+    ("classify", "corpus_ingested.jsonl"),
+    ("extract", "corpus_classified.jsonl"),
+    ("link", "corpus_extracted.jsonl"),
+    ("complete", "corpus_extracted.jsonl"),
+    ("complete", "links.jsonl"),
+    ("complete", "cve_db.jsonl"),
+    ("stats", "corpus_extracted.jsonl"),
+    ("stats", "corpus_completed.jsonl"),
+    ("stats", "completion_records.jsonl"),
+]
+
+
+@pytest.mark.parametrize(
+    "stage, name, damage",
+    [
+        *(pytest.param(stage, name, cut_in_half, id=f"{stage}-{name}-cut")
+          for stage, name in STAGE_INPUTS),
+        pytest.param("link", "corpus_extracted.jsonl", set_field("aspects", []),
+                     id="link-aspects-list"),
+        pytest.param("complete", "links.jsonl", set_field("similarity", "x"),
+                     id="complete-similarity-string"),
+        pytest.param("stats", "completion_records.jsonl", set_field("origin", []),
+                     id="stats-origin-list"),
+    ],
+)
+def test_broken_last_line_is_a_data_error(full_workspace, tmp_path, capsys, stage, name, damage):
+    ws = tmp_path / "ws"
+    shutil.copytree(full_workspace, ws)
+    path = ws / name
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    lines[-1] = damage(lines[-1])
+    path.write_text("\n".join(lines), encoding="utf-8")
+    assert main([stage, "--workspace", str(ws)]) == 4
+    assert f"{name}:{len(lines)}:" in last_error(capsys)["message"]
 
 
 # --- pipeline stages ------------------------------------------------------------------

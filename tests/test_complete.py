@@ -3,7 +3,6 @@ from collections import Counter
 import pytest
 
 from pocfusion import (
-    Classifier,
     CompletionConfig,
     CompletionRecord,
     Corpus,
@@ -21,9 +20,11 @@ from pocfusion import (
     complete_from_cve,
     complete_from_poc,
     load_completion_records,
+    load_cve_db,
     replay_completion,
     run_completion,
     save_completion_records,
+    save_cve_db,
     verify_association,
 )
 from pocfusion.corpus import AspectSet, AspectValue, ContentKind, CveProduct
@@ -67,8 +68,6 @@ def test_config_validation():
         CompletionConfig(code_threshold=1.5)
     with pytest.raises(ValueError):
         CompletionConfig(text_threshold=-0.1)
-    with pytest.raises(ValueError):
-        CompletionConfig(poc_aspect_whitelist=frozenset({"severity"}))
 
 
 def test_record_origin_must_be_completion():
@@ -169,20 +168,11 @@ def test_complete_from_poc_donates_original_values_only():
         author=["alice"],
     )
     target = report("a")
-    l = link("a", "d", Classifier(), 0.9)
+    l = link("a", "d", None, 0.9)
     updated, records = complete_from_poc(target, donor, l)
     assert [(x.slot, x.value) for x in records] == [("author", "alice")]
     assert updated.aspects.texts("title") == []
     assert records[0].origin == FromPoc("d", 0.9, "classifier")
-
-
-def test_complete_from_poc_respects_whitelist():
-    donor = report("d", author=["alice"], title=["T"])
-    target = report("a")
-    config = CompletionConfig(poc_aspect_whitelist=frozenset({"title"}))
-    l = link("a", "d", Classifier(), 0.9)
-    _, records = complete_from_poc(target, donor, l, config)
-    assert [(x.slot, x.value) for x in records] == [("title", "T")]
 
 
 def test_complete_from_poc_rejects_weak_shared_cve_link():
@@ -199,7 +189,7 @@ def test_complete_from_poc_rejects_weak_shared_cve_link():
 def test_complete_from_poc_classifier_links_have_no_threshold():
     donor = report("d", author=["alice"])
     target = report("a")
-    l = link("a", "d", Classifier(), 0.3)
+    l = link("a", "d", None, 0.3)
     _, records = complete_from_poc(target, donor, l)
     assert len(records) == 1
 
@@ -207,7 +197,7 @@ def test_complete_from_poc_classifier_links_have_no_threshold():
 def test_complete_from_poc_requires_matching_link():
     donor = report("d", author=["alice"])
     target = report("a")
-    stray = link("a", "x", Classifier(), 0.9)
+    stray = link("a", "x", None, 0.9)
     with pytest.raises(ValueError):
         complete_from_poc(target, donor, stray)
 
@@ -242,15 +232,17 @@ def test_run_completion_is_idempotent():
     assert second.corpus == first.corpus
 
 
-def test_run_completion_id_derivation():
+def test_run_completion_id_derivation(tmp_path):
     a, b = run_fixture(), run_fixture()
     assert a.run_id == b.run_id
     assert a.run_id.startswith("run-") and len(a.run_id) == 20
     tweaked = run_fixture(config=CompletionConfig(code_threshold=0.6))
     assert tweaked.run_id != a.run_id
-    named = run_fixture(run_id="run-custom")
-    assert named.run_id == "run-custom"
-    assert all(r.run_id == "run-custom" for r in named.records)
+    # the saved CVE map gives the same run id and records as the in-memory one
+    path = tmp_path / "cve_db.jsonl"
+    save_cve_db(build_entries(), path)
+    reloaded = run_completion(build_reports(), load_cve_db(path), build_links())
+    assert (reloaded.run_id, reloaded.records) == (a.run_id, a.records)
 
 
 def test_donor_order_falling_similarity():

@@ -30,6 +30,7 @@ from pocfusion import (
     ingest_cve_entries,
     ingest_reports,
     load_corpus,
+    load_cve_db,
     save_corpus,
     save_cve_db,
 )
@@ -178,10 +179,6 @@ def test_corpus_lookup_and_replace():
     assert corpus.get("b").id == "b"
     with pytest.raises(KeyError):
         corpus.get("z")
-    updated = corpus.with_replaced(make_report("b", content="new"))
-    assert updated.get("b").raw_content == "new"
-    assert corpus.get("b").raw_content == "x"
-    assert [r.id for r in updated] == ["a", "b"]
 
 
 def test_cve_entry_validation_and_versions():
@@ -317,6 +314,15 @@ def test_ingest_cve_entries_merges_repeats(tmp_path, caplog):
     assert [p.name for p in entry.products] == ["NetLine Mail", "NetLine Pro"]
     assert entry.platforms == ("Windows", "Linux")
     assert "nonsense" in caplog.text
+    # one version or platform may stand alone instead of in a list
+    scalar = tmp_path / "scalar.jsonl"
+    write_jsonl(
+        scalar,
+        [{"cve_id": "CVE-2019-0002", "products": [{"name": "Solo", "versions": "1.0"}],
+          "platforms": "Linux"}],
+    )
+    solo = ingest_cve_entries(scalar)["CVE-2019-0002"]
+    assert solo.all_versions() == ["1.0"] and solo.platforms == ("Linux",)
 
 
 def test_corpus_save_load_roundtrip(tmp_path):
@@ -397,12 +403,18 @@ def test_save_cve_db_sorted(tmp_path):
     assert [r["cve_id"] for r in rows] == ["CVE-2014-0160", "CVE-2021-33009"]
     assert rows[0]["products"] == [{"name": "OpenSSL", "versions": ["1.0.1f"]}]
     assert ingest_cve_entries(path)["CVE-2021-33009"].products[0].name == "GateServe"
+    assert load_cve_db(path) == entries
     data = path.read_bytes()
     assert data.endswith(b"\n") and data.count(b"\n") == len(entries)
     save_cve_db(ingest_cve_entries(path), path)
     assert path.read_bytes() == data
     save_cve_db({}, path)
     assert path.read_bytes() == b""
+    assert load_cve_db(path) == {}
+    # the workspace copy is read strictly: a broken line is not skipped
+    path.write_bytes(data[:-10])
+    with pytest.raises(ValueError, match=f"{path}:2: "):
+        load_cve_db(path)
 
 
 aspect_text = st.text(
@@ -451,4 +463,4 @@ def test_jsonl_roundtrip_property(content, value, records):
         assert path.read_bytes() == data
         path = Path(tmp) / "records.jsonl"
         write_records(path, records)
-        assert read_jsonl(path) == records
+        assert read_jsonl(path, dict) == records

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from pocfusion import (
-    Classifier,
     CompletionConfig,
     Corpus,
     EmbeddingModel,
@@ -77,9 +76,6 @@ def test_pair_kind_roundtrip():
 
 def test_link_canonical_order():
     link = PocLink("a1", "b1", SharedCve("CVE-2020-1111"), 0.75, TEXT)
-    assert link.other("a1") == "b1" and link.other("b1") == "a1"
-    with pytest.raises(KeyError):
-        link.other("zz")
     with pytest.raises(ValueError):
         PocLink("b1", "a1", SharedCve("CVE-2020-1111"), 0.75, TEXT)
     with pytest.raises(ValueError):
@@ -90,7 +86,7 @@ def test_link_canonical_order():
 
 def test_link_encode_decode():
     shared = PocLink("a1", "b1", SharedCve("CVE-2020-1111"), 0.9, code_kind(LanguageId.C_CPP))
-    voted = PocLink("a1", "c1", Classifier(), 0.87, TEXT)
+    voted = PocLink("a1", "c1", None, 0.87, TEXT)
     for link in (shared, voted):
         assert PocLink.decode(link.encode()) == link
     assert shared.encode()["basis"] == "shared_cve"
@@ -302,7 +298,7 @@ def test_build_link_graph():
     links = build_link_graph(corpus, models, clf, CompletionConfig())
     as_tuples = [(l.a, l.b, l.basis, l.kind) for l in links]
     assert as_tuples == [
-        ("cl1", "cl2", Classifier(), code_kind(LanguageId.PYTHON)),
+        ("cl1", "cl2", None, code_kind(LanguageId.PYTHON)),
         ("py1", "py2", SharedCve("CVE-2019-7008"), code_kind(LanguageId.PYTHON)),
         ("tx1", "tx2", SharedCve("CVE-2014-0160"), TEXT),
     ]
@@ -349,8 +345,8 @@ def test_below_threshold_shared_cve_not_rescued_by_classifier():
 def test_links_roundtrip(tmp_path):
     links = [
         PocLink("a1", "b1", SharedCve("CVE-2020-1111"), 0.625, code_kind(LanguageId.PHP)),
-        PocLink("a1", "c1", Classifier(), 0.875, TEXT),
-        PocLink("a\u2028x", "b\u2029y\u0085", Classifier(), 0.5, TEXT),
+        PocLink("a1", "c1", None, 0.875, TEXT),
+        PocLink("a\u2028x", "b\u2029y\u0085", None, 0.5, TEXT),
     ]
     path = tmp_path / "links.jsonl"
     save_links(links, path)
@@ -432,7 +428,7 @@ def test_save_pair_samples(tmp_path):
     data = path.read_bytes()
     assert data.endswith(b"\n") and data.count(b"\n") == len(samples)
     # samples have no decoder; the generic reader and writer round-trip them
-    write_jsonl(path, read_jsonl(path))
+    write_jsonl(path, read_jsonl(path, dict))
     assert path.read_bytes() == data
     save_pair_samples([], path)
     assert path.read_bytes() == b""

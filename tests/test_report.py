@@ -90,7 +90,7 @@ def test_completion_stats_counts():
     assert table.row("ExploitDB", "title", "from_cve") == (0, 0)
     assert table.overall("from_cve") == (6, 7)
     assert table.overall("from_poc") == (13, 13)
-    assert table.total_values() == len(result.records) == 20
+    assert sum(table.values.values()) == len(result.records) == 20
 
 
 def test_completion_stats_rejects_unknown_targets():
