@@ -15,8 +15,9 @@ import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable
 
 from .classify import categorize
 from .complete import (
@@ -73,8 +74,6 @@ MANIFEST_DIR = "manifests"
 LOCK_FILE = ".lock"
 
 ENV_WORKSPACE = "POCFUSION_WORKSPACE"
-ENV_EXTRACTOR = "POCFUSION_EXTRACTOR_URL"
-ENV_CLASSIFIER = "POCFUSION_CLASSIFIER_URL"
 
 
 class ConfigurationError(Exception):
@@ -90,7 +89,7 @@ class PrerequisiteError(Exception):
 @dataclass(frozen=True)
 class PipelineConfig:
     sources: tuple[tuple[str, str], ...] = ()
-    cve_path: str | None = None
+    cve: str | None = None
     workspace: str | None = None
     code_threshold: float = CompletionConfig.code_threshold
     text_threshold: float = CompletionConfig.text_threshold
@@ -118,17 +117,27 @@ def parse_config_file(path: Path) -> dict[str, str]:
     return values
 
 
-_CONFIG_KEYS = {
-    "workspace",
-    "cve",
-    "code_threshold",
-    "text_threshold",
-    "seed",
-    "extractor_url",
-    "classifier_url",
-    "jobs",
-    "format",
+def _unit_interval(value: float) -> str | None:
+    return None if 0.0 <= value <= 1.0 else f"must be in [0, 1], got {value}"
+
+
+# name -> (environment variable, type, range check returning the problem or
+# None). The name is the config-file key and the PipelineConfig field; the
+# flag is the name with "_" written as "-".
+_SETTINGS: dict[str, tuple[str | None, type, Callable[..., str | None] | None]] = {
+    "cve": (None, str, None),
+    "workspace": (ENV_WORKSPACE, str, None),
+    "code_threshold": (None, float, _unit_interval),
+    "text_threshold": (None, float, _unit_interval),
+    "seed": (None, int, lambda v: None if 0 <= v < 2**63
+             else f"must fit in a 63-bit nonnegative integer: {v}"),
+    "extractor_url": ("POCFUSION_EXTRACTOR_URL", str, None),
+    "classifier_url": ("POCFUSION_CLASSIFIER_URL", str, None),
+    "jobs": (None, int, lambda v: None if v >= 1 else f"must be >= 1, got {v}"),
+    "format": (None, str, lambda v: None if v in ("markdown", "csv")
+               else f"must be markdown or csv, got {v!r}"),
 }
+_TYPE_NAMES = {float: "a number", int: "an integer"}
 
 
 def resolve_config(args: argparse.Namespace) -> PipelineConfig:
@@ -142,7 +151,7 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
             raise ConfigurationError([f"config file not found: {config_path}"])
         file_values = parse_config_file(config_path)
         for key in file_values:
-            if key not in _CONFIG_KEYS and not key.startswith("source."):
+            if key not in _SETTINGS and not key.startswith("source."):
                 errors.append(f"unknown config key: {key}")
 
     sources: list[tuple[str, str]] = [
@@ -158,62 +167,26 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
             sources.append((name.strip(), path.strip()))
 
     defaults = PipelineConfig()
-
-    def pick(flag_value, env_name: str | None, file_key: str, default):
-        if flag_value is not None:
-            return flag_value
-        if env_name and os.environ.get(env_name):
-            return os.environ[env_name]
-        if file_key in file_values:
-            return file_values[file_key]
-        return default
-
-    workspace = pick(args.workspace, ENV_WORKSPACE, "workspace", defaults.workspace)
-    cve_path = pick(args.cve, None, "cve", defaults.cve_path)
-    extractor_url = pick(
-        args.extractor_url, ENV_EXTRACTOR, "extractor_url", defaults.extractor_url
-    )
-    classifier_url = pick(
-        args.classifier_url, ENV_CLASSIFIER, "classifier_url", defaults.classifier_url
-    )
-    raw_code = pick(args.code_threshold, None, "code_threshold", defaults.code_threshold)
-    raw_text = pick(args.text_threshold, None, "text_threshold", defaults.text_threshold)
-    raw_seed = pick(args.seed, None, "seed", defaults.seed)
-    raw_jobs = pick(args.jobs, None, "jobs", defaults.jobs)
-    out_format = pick(args.format, None, "format", defaults.format)
-
-    def parse_threshold(name: str, raw) -> float:
+    values = {}
+    for name, (env_name, kind, check) in _SETTINGS.items():
+        raw = getattr(args, name)
+        if raw is None and env_name and os.environ.get(env_name):
+            raw = os.environ[env_name]
+        if raw is None:
+            raw = file_values.get(name)
+        if raw is None:
+            values[name] = getattr(defaults, name)
+            continue
+        label = name.replace("_", "-")
         try:
-            value = float(raw)
-        except (TypeError, ValueError):
-            errors.append(f"{name} is not a number: {raw!r}")
-            return 0.0
-        if not 0.0 <= value <= 1.0:
-            errors.append(f"{name} must be in [0, 1], got {value}")
-        return value
+            values[name] = kind(raw)
+        except ValueError:
+            errors.append(f"{label} is not {_TYPE_NAMES[kind]}: {raw!r}")
+            continue
+        if check and (problem := check(values[name])):
+            errors.append(f"{label} {problem}")
 
-    code_threshold = parse_threshold("code-threshold", raw_code)
-    text_threshold = parse_threshold("text-threshold", raw_text)
-
-    try:
-        seed = int(raw_seed)
-        if not 0 <= seed < 2**63:
-            errors.append(f"seed must fit in a 63-bit nonnegative integer: {seed}")
-    except (TypeError, ValueError):
-        errors.append(f"seed is not an integer: {raw_seed!r}")
-        seed = 0
-    try:
-        jobs = int(raw_jobs)
-        if jobs < 1:
-            errors.append(f"jobs must be >= 1, got {jobs}")
-    except (TypeError, ValueError):
-        errors.append(f"jobs is not an integer: {raw_jobs!r}")
-        jobs = 1
-
-    if out_format not in ("markdown", "csv"):
-        errors.append(f"format must be markdown or csv, got {out_format!r}")
-
-    if workspace is None:
+    if values["workspace"] is None:
         errors.append("workspace is required (--workspace, config key, or env)")
 
     needs_sources = args.command in ("ingest", "run-all")
@@ -227,23 +200,12 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
             seen_names.add(name.lower())
             if not Path(path).is_file():
                 errors.append(f"source file not found: {path}")
-        if cve_path is not None and not Path(cve_path).is_file():
-            errors.append(f"cve file not found: {cve_path}")
+        if values["cve"] is not None and not Path(values["cve"]).is_file():
+            errors.append(f"cve file not found: {values['cve']}")
 
     if errors:
         raise ConfigurationError(errors)
-    return PipelineConfig(
-        sources=tuple(sources),
-        cve_path=cve_path,
-        workspace=workspace,
-        code_threshold=code_threshold,
-        text_threshold=text_threshold,
-        seed=seed,
-        extractor_url=extractor_url,
-        classifier_url=classifier_url,
-        jobs=jobs,
-        format=out_format,
-    )
+    return PipelineConfig(sources=tuple(sources), **values)
 
 
 # --- workspace bookkeeping ---------------------------------------------------
@@ -260,17 +222,8 @@ def _sha256_file(path: Path) -> str:
 def config_hash(config: PipelineConfig) -> str:
     # the workspace path is excluded so identical runs in different
     # directories produce identical bytes
-    payload = {
-        "sources": [[name, path] for name, path in config.sources],
-        "cve": config.cve_path,
-        "code_threshold": config.code_threshold,
-        "text_threshold": config.text_threshold,
-        "seed": config.seed,
-        "extractor_url": config.extractor_url,
-        "classifier_url": config.classifier_url,
-        "jobs": config.jobs,
-        "format": config.format,
-    }
+    payload = asdict(config)
+    del payload["workspace"]
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode("utf-8")
     ).hexdigest()
@@ -341,9 +294,9 @@ def stage_ingest(config: PipelineConfig, ws: Path) -> None:
     if len(corpus) == 0:
         raise CorpusError("no reports survived ingestion")
     save_corpus(corpus, ws / INGESTED)
-    entries = ingest_cve_entries(config.cve_path) if config.cve_path else {}
-    if config.cve_path:
-        inputs["cve"] = Path(config.cve_path)
+    entries = ingest_cve_entries(config.cve) if config.cve else {}
+    if config.cve:
+        inputs["cve"] = Path(config.cve)
     save_cve_db(entries, ws / CVE_DB)
     write_manifest(
         ws, "ingest", config, inputs, [INGESTED, CVE_DB],
@@ -406,10 +359,7 @@ def stage_link(config: PipelineConfig, ws: Path) -> None:
         if config.classifier_url
         else None
     )
-    links = build_link_graph(
-        corpus, models, external or heuristic,
-        CompletionConfig(config.code_threshold, config.text_threshold),
-    )
+    links = build_link_graph(corpus, models, external or heuristic, config)
     degraded = len(external.degraded_pairs) if external else 0
     save_links(links, ws / LINKS)
     write_manifest(
@@ -425,10 +375,7 @@ def stage_complete(config: PipelineConfig, ws: Path) -> None:
     corpus = load_corpus(source)
     cve_db = load_cve_db(cve_source)
     links = load_links(links_source)
-    result = run_completion(
-        corpus, cve_db, links,
-        CompletionConfig(config.code_threshold, config.text_threshold),
-    )
+    result = run_completion(corpus, cve_db, links, config)
     save_corpus(result.corpus, ws / COMPLETED)
     save_completion_records(result.records, ws / RECORDS)
     write_manifest(
@@ -522,21 +469,14 @@ def build_parser() -> argparse.ArgumentParser:
     for command, description in descriptions.items():
         sub = subparsers.add_parser(command, help=description)
         sub.add_argument("--config", help="key=value configuration file")
-        sub.add_argument("--workspace", help="workspace directory")
         sub.add_argument(
             "--source",
             action="append",
             metavar="NAME=PATH",
             help="report source file, repeatable",
         )
-        sub.add_argument("--cve", help="CVE entries file")
-        sub.add_argument("--code-threshold", dest="code_threshold")
-        sub.add_argument("--text-threshold", dest="text_threshold")
-        sub.add_argument("--seed")
-        sub.add_argument("--extractor-url", dest="extractor_url")
-        sub.add_argument("--classifier-url", dest="classifier_url")
-        sub.add_argument("--jobs")
-        sub.add_argument("--format", choices=("markdown", "csv"))
+        for name in _SETTINGS:
+            sub.add_argument("--" + name.replace("_", "-"))
     return parser
 
 

@@ -32,6 +32,7 @@ from .corpus import (
 from .link import (
     PocLink,
     SharedCve,
+    ThresholdConfig,
     kind_threshold,
     software_names,
 )
@@ -148,7 +149,7 @@ def complete_from_poc(
     target: PocReport,
     donor: PocReport,
     link: PocLink,
-    config: CompletionConfig = CompletionConfig(),
+    config: ThresholdConfig = CompletionConfig(),
     run_id: str = "",
 ) -> tuple[PocReport, list[CompletionRecord]]:
     """Fill the target's empty slots with the donor's Original
@@ -183,7 +184,7 @@ def complete_from_poc(
 
 def _derive_run_id(
     corpus: Corpus, cve_db: dict[str, CveEntry], links: Sequence[PocLink],
-    config: CompletionConfig,
+    config: ThresholdConfig,
 ) -> str:
     digest = hashlib.sha256()
     for report in corpus:
@@ -216,7 +217,7 @@ def run_completion(
     corpus: Corpus,
     cve_db: dict[str, CveEntry],
     links: Sequence[PocLink],
-    config: CompletionConfig = CompletionConfig(),
+    config: ThresholdConfig = CompletionConfig(),
 ) -> CompletionResult:
     """Two completion passes over the whole corpus.
 

@@ -370,6 +370,12 @@ class CveProduct:
             raise ValueError("product name is empty")
 
 
+def _strings(value: object) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"expected a list of strings, got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class CveEntry:
     """A CVE record carrying affected products/versions and platforms."""
@@ -395,8 +401,8 @@ class CveEntry:
     def decode(cls, data: dict) -> "CveEntry":
         return cls(
             data["cve_id"],
-            tuple(CveProduct(p["name"], tuple(p["versions"])) for p in data["products"]),
-            tuple(data["platforms"]),
+            tuple(CveProduct(p["name"], _strings(p["versions"])) for p in data["products"]),
+            _strings(data["platforms"]),
         )
 
     def all_versions(self) -> list[str]:
@@ -639,7 +645,8 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-_DECODE_ERRORS = (KeyError, ValueError, TypeError, AttributeError)  # bad shape or field type
+# bad shape, field type or field value
+_DECODE_ERRORS = (KeyError, ValueError, TypeError, AttributeError, CorpusError)
 
 
 def read_jsonl(path: str | Path, decode: Callable[[dict], _T]) -> list[_T]:
@@ -678,13 +685,12 @@ def load_corpus(path: str | Path) -> Corpus:
     reports = []
     for lineno, line in lines[1:]:
         try:
-            reports.append(PocReport.decode(json_object(line)))
+            report = PocReport.decode(json_object(line))
+            report.aspects.validate()
         except _DECODE_ERRORS as exc:
             raise CorpusError(f"{path}:{lineno}: broken corpus record: {exc}") from exc
-    corpus = Corpus(reports)
-    for report in corpus:
-        report.aspects.validate()
-    return corpus
+        reports.append(report)
+    return Corpus(reports)
 
 
 def save_cve_db(entries: dict[str, CveEntry], path: str | Path) -> None:

@@ -137,6 +137,20 @@ def test_config_precedence(tmp_path, monkeypatch):
     # defaults fill whatever nothing set
     assert config.text_threshold == 0.95 and config.seed == 0
 
+    # the service URLs: flag > non-empty environment variable > file
+    cfg.write_text(
+        "workspace = w\nclassifier_url = http://file/c\nextractor_url = http://file/e\n",
+        encoding="utf-8",
+    )
+    monkeypatch.setenv("POCFUSION_CLASSIFIER_URL", "http://env/c")
+    monkeypatch.setenv("POCFUSION_EXTRACTOR_URL", "http://env/e")
+    config = resolve(["stats", "--config", str(cfg)])
+    assert (config.classifier_url, config.extractor_url) == ("http://env/c", "http://env/e")
+    config = resolve(["stats", "--config", str(cfg), "--classifier-url", "http://flag/c"])
+    assert (config.classifier_url, config.extractor_url) == ("http://flag/c", "http://env/e")
+    monkeypatch.setenv("POCFUSION_EXTRACTOR_URL", "")
+    assert resolve(["stats", "--config", str(cfg)]).extractor_url == "http://file/e"
+
 
 def test_config_errors_are_enumerated(tmp_path, capsys):
     code = main(
@@ -162,6 +176,45 @@ def test_config_errors_are_enumerated(tmp_path, capsys):
         "workspace is required",
         "requires at least one --source",
     ):
+        assert fragment in message, fragment
+
+
+@pytest.mark.parametrize(
+    "config_text, argv, fragments",
+    [
+        pytest.param(
+            "workspace = ws\nseed = x\njobs = x\nformat = xml\n",
+            ["ingest", "--source", "e=e.jsonl", "--cve", "missing.jsonl"],
+            (
+                "seed is not an integer: 'x'",
+                "jobs is not an integer: 'x'",
+                "format must be markdown or csv, got 'xml'",
+                "cve file not found: missing.jsonl",
+            ),
+            id="config-file",
+        ),
+        pytest.param(
+            None,
+            ["stats", "--workspace", "ws", "--format", "xml"],
+            ("format must be markdown or csv, got 'xml'",),
+            id="format-flag",
+        ),
+    ],
+)
+def test_file_and_format_errors_are_enumerated(
+    tmp_path, capsys, monkeypatch, config_text, argv, fragments
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "e.jsonl").write_text("", encoding="utf-8")
+    if config_text is not None:
+        (tmp_path / "run.cfg").write_text(config_text, encoding="utf-8")
+        argv = [*argv, "--config", "run.cfg"]
+    code = main(argv)
+    assert code == 2
+    error = last_error(capsys)
+    assert error["code"] == 2 and error["command"] == argv[0]
+    message = error["message"]
+    for fragment in fragments:
         assert fragment in message, fragment
 
 
@@ -280,6 +333,14 @@ def set_field(field, value):
     return lambda line: json.dumps({**json.loads(line), field: value})
 
 
+def set_aspect(slot, texts):
+    def damage(line):
+        record = json.loads(line)
+        values = [{"text": t, "provenance": {"kind": "original"}} for t in texts]
+        return json.dumps({**record, "aspects": {**record["aspects"], slot: values}})
+    return damage
+
+
 # every JSON-lines file each stage reads (link hashes cve_db.jsonl but does not read it)
 STAGE_INPUTS = [
     ("classify", "corpus_ingested.jsonl"),
@@ -305,6 +366,14 @@ STAGE_INPUTS = [
                      id="complete-similarity-string"),
         pytest.param("stats", "completion_records.jsonl", set_field("origin", []),
                      id="stats-origin-list"),
+        pytest.param("complete", "cve_db.jsonl", set_field("platforms", "Linux"),
+                     id="complete-platforms-string"),
+        pytest.param("link", "corpus_extracted.jsonl", set_aspect("bogus", ["x"]),
+                     id="link-unknown-slot"),
+        pytest.param("stats", "completion_records.jsonl", set_field("origin", {"kind": "bogus"}),
+                     id="stats-unknown-origin-kind"),
+        pytest.param("link", "corpus_extracted.jsonl", set_aspect("title", ["Foo", " foo"]),
+                     id="link-duplicate-values"),
     ],
 )
 def test_broken_last_line_is_a_data_error(full_workspace, tmp_path, capsys, stage, name, damage):
@@ -406,6 +475,19 @@ def test_config_hash_excludes_workspace(tmp_path):
 
     config_a = resolve(argv_a)
     assert config_hash(config_a) == json.loads(manifest_a)["config_hash"]
+
+    # pinned so a change to how settings are declared cannot move the hash
+    assert config_hash(resolve(["stats", "--workspace", "w"])) == (
+        "50f78ae1cd298e567a06cd6e9932dcb9a2f19e6c9ee7a111555f907049f79e1d"
+    )
+    argv = [
+        "stats", "--workspace", "w", "--cve", "c.jsonl", "--seed", "3",
+        "--code-threshold", "0.25", "--classifier-url", "http://h/c",
+        "--source", "exploitdb=e.jsonl", "--jobs", "2", "--format", "csv",
+    ]
+    assert config_hash(resolve(argv)) == (
+        "e3f6e1bc09226098f7424317bf1555fc68de8f071f76038b84dd5030f232fcbe"
+    )
 
 
 def test_env_workspace(tmp_path, monkeypatch):

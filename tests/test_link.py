@@ -329,6 +329,20 @@ def test_shared_cve_basis_wins_over_classifier():
     assert link.basis == SharedCve("CVE-2021-1111")
 
 
+def test_pair_sharing_two_cves_links_once():
+    # the pair is a candidate in both CVE groups; the lower id's group wins
+    cve_ids = ("CVE-2021-1111", "CVE-2020-2222")
+    corpus = Corpus(
+        [
+            report("a1", content="q w", kind=PY, cve_ids=cve_ids),
+            report("b1", content="q w", kind=PY, cve_ids=cve_ids),
+        ]
+    )
+    models = ScoringModels(planted_model())
+    (link,) = build_link_graph(corpus, models, None, CompletionConfig())
+    assert (link.a, link.b, link.basis) == ("a1", "b1", SharedCve("CVE-2020-2222"))
+
+
 def test_below_threshold_shared_cve_not_rescued_by_classifier():
     # shared CVE with dissimilar code: no link even though software matches
     corpus = Corpus(
