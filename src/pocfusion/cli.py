@@ -186,7 +186,7 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
         if check and (problem := check(values[name])):
             errors.append(f"{label} {problem}")
 
-    if values["workspace"] is None:
+    if not values["workspace"]:
         errors.append("workspace is required (--workspace, config key, or env)")
 
     needs_sources = args.command in ("ingest", "run-all")
@@ -251,11 +251,11 @@ def write_manifest(
     )
 
 
-def _require(ws: Path, filename: str, producing_command: str) -> Path:
+def _require(ws: Path, filename: str) -> Path:
     path = ws / filename
     if not path.is_file():
         raise PrerequisiteError(
-            f"workspace is missing {filename}; run 'pocfusion {producing_command}' first"
+            f"workspace is missing {filename}; run 'pocfusion {_PRODUCERS[filename]}' first"
         )
     return path
 
@@ -281,11 +281,15 @@ class WorkspaceLock:
 
 
 # --- stages ---------------------------------------------------------------------
+#
+# A stage gets the config, the workspace and its inputs (name -> path, its
+# declared workspace files already checked); it returns the workspace files it
+# wrote and the extra manifest counters.
+_StageResult = tuple[list[str], dict | None]
 
 
-def stage_ingest(config: PipelineConfig, ws: Path) -> None:
+def stage_ingest(config: PipelineConfig, ws: Path, inputs: dict[str, Path]) -> _StageResult:
     groups = []
-    inputs: dict[str, Path] = {}
     for name, path in config.sources:
         source = SourceId.parse(name)
         groups.append(ingest_reports(path, source))
@@ -298,23 +302,17 @@ def stage_ingest(config: PipelineConfig, ws: Path) -> None:
     if config.cve:
         inputs["cve"] = Path(config.cve)
     save_cve_db(entries, ws / CVE_DB)
-    write_manifest(
-        ws, "ingest", config, inputs, [INGESTED, CVE_DB],
-        {"reports": len(corpus), "cve_entries": len(entries)},
-    )
+    return [INGESTED, CVE_DB], {"reports": len(corpus), "cve_entries": len(entries)}
 
 
-def stage_classify(config: PipelineConfig, ws: Path) -> None:
-    source = _require(ws, INGESTED, "ingest")
-    corpus = load_corpus(source)
-    classified = Corpus(categorize(report) for report in corpus)
-    save_corpus(classified, ws / CLASSIFIED)
-    write_manifest(ws, "classify", config, {INGESTED: source}, [CLASSIFIED])
+def stage_classify(config: PipelineConfig, ws: Path, inputs: dict[str, Path]) -> _StageResult:
+    corpus = load_corpus(inputs[INGESTED])
+    save_corpus(Corpus(categorize(report) for report in corpus), ws / CLASSIFIED)
+    return [CLASSIFIED], None
 
 
-def stage_extract(config: PipelineConfig, ws: Path) -> None:
-    source = _require(ws, CLASSIFIED, "classify")
-    corpus = load_corpus(source)
+def stage_extract(config: PipelineConfig, ws: Path, inputs: dict[str, Path]) -> _StageResult:
+    corpus = load_corpus(inputs[CLASSIFIED])
     degraded = 0
     if config.extractor_url:
         extractor = ExternalStructuredExtractor(config.extractor_url)
@@ -325,10 +323,7 @@ def stage_extract(config: PipelineConfig, ws: Path) -> None:
         default = DefaultStructuredExtractor()
         reports = [extract_all(report, extractor=default) for report in corpus]
     save_corpus(Corpus(reports), ws / EXTRACTED)
-    write_manifest(
-        ws, "extract", config, {CLASSIFIED: source}, [EXTRACTED],
-        {"degraded": {"extractor": degraded}},
-    )
+    return [EXTRACTED], {"degraded": {"extractor": degraded}}
 
 
 def _training_texts(corpus: Corpus) -> list[str]:
@@ -337,12 +332,8 @@ def _training_texts(corpus: Corpus) -> list[str]:
     return [t for t in texts if t.strip()]
 
 
-def stage_link(config: PipelineConfig, ws: Path) -> None:
-    source = _require(ws, EXTRACTED, "extract")
-    # linking reads no CVE entries; the CVE db is still required and hashed
-    # so the manifest ties the links to the ingest run that produced both
-    cve_source = _require(ws, CVE_DB, "ingest")
-    corpus = load_corpus(source)
+def stage_link(config: PipelineConfig, ws: Path, inputs: dict[str, Path]) -> _StageResult:
+    corpus = load_corpus(inputs[EXTRACTED])
     texts = _training_texts(corpus)
     embedding = None
     outputs = [LINKS]
@@ -362,87 +353,78 @@ def stage_link(config: PipelineConfig, ws: Path) -> None:
     links = build_link_graph(corpus, models, external or heuristic, config)
     degraded = len(external.degraded_pairs) if external else 0
     save_links(links, ws / LINKS)
-    write_manifest(
-        ws, "link", config, {EXTRACTED: source, CVE_DB: cve_source}, outputs,
-        {"links": len(links), "degraded": {"classifier": degraded}},
-    )
+    return outputs, {"links": len(links), "degraded": {"classifier": degraded}}
 
 
-def stage_complete(config: PipelineConfig, ws: Path) -> None:
-    source = _require(ws, EXTRACTED, "extract")
-    links_source = _require(ws, LINKS, "link")
-    cve_source = _require(ws, CVE_DB, "ingest")
-    corpus = load_corpus(source)
-    cve_db = load_cve_db(cve_source)
-    links = load_links(links_source)
+def stage_complete(config: PipelineConfig, ws: Path, inputs: dict[str, Path]) -> _StageResult:
+    corpus = load_corpus(inputs[EXTRACTED])
+    cve_db = load_cve_db(inputs[CVE_DB])
+    links = load_links(inputs[LINKS])
     result = run_completion(corpus, cve_db, links, config)
     save_corpus(result.corpus, ws / COMPLETED)
     save_completion_records(result.records, ws / RECORDS)
-    write_manifest(
-        ws, "complete", config,
-        {EXTRACTED: source, LINKS: links_source, CVE_DB: cve_source},
-        [COMPLETED, RECORDS],
-        {
-            "run_id": result.run_id,
-            "records": len(result.records),
-            "skipped_links": result.skipped_links,
-            "failed_associations": len(result.failed_associations),
-        },
-    )
+    return [COMPLETED, RECORDS], {
+        "run_id": result.run_id,
+        "records": len(result.records),
+        "skipped_links": result.skipped_links,
+        "failed_associations": len(result.failed_associations),
+    }
 
 
-def stage_stats(config: PipelineConfig, ws: Path) -> None:
-    extracted_source = _require(ws, EXTRACTED, "extract")
-    completed_source = _require(ws, COMPLETED, "complete")
-    records_source = _require(ws, RECORDS, "complete")
-    extracted = load_corpus(extracted_source)
-    completed = load_corpus(completed_source)
-    records = load_completion_records(records_source)
+def stage_stats(config: PipelineConfig, ws: Path, inputs: dict[str, Path]) -> _StageResult:
+    extracted = load_corpus(inputs[EXTRACTED])
+    completed = load_corpus(inputs[COMPLETED])
+    records = load_completion_records(inputs[RECORDS])
     deficiency = deficiency_stats(extracted)
     if deficiency.empty:
         logger.warning("deficiency table computed over an empty corpus")
     completion = completion_stats(records, completed)
     extension = "md" if config.format == "markdown" else "csv"
     outputs = [f"deficiency.{extension}", f"completion.{extension}"]
-    (ws / outputs[0]).write_text(
-        render_report(deficiency, config.format), encoding="utf-8"
-    )
-    (ws / outputs[1]).write_text(
-        render_report(completion, config.format), encoding="utf-8"
-    )
-    write_manifest(
-        ws, "stats", config,
-        {
-            EXTRACTED: extracted_source,
-            COMPLETED: completed_source,
-            RECORDS: records_source,
-        },
-        outputs,
-    )
+    for name, table in zip(outputs, (deficiency, completion)):
+        (ws / name).write_text(render_report(table, config.format), encoding="utf-8")
+    return outputs, None
 
 
-_STAGE_FUNCTIONS = {
-    "ingest": stage_ingest,
-    "classify": stage_classify,
-    "extract": stage_extract,
-    "link": stage_link,
-    "complete": stage_complete,
-    "stats": stage_stats,
+# stage name -> (function, workspace files it reads, help text), in run order;
+# a missing input is reported in the order listed
+_STAGES = {
+    "ingest": (stage_ingest, (),
+               "load source report files and the CVE dump into the workspace"),
+    "classify": (stage_classify, (INGESTED,),
+                 "categorize reports as code (with language) or text"),
+    "extract": (stage_extract, (CLASSIFIED,),
+                "populate aspect slots by rule-based and structured extraction"),
+    # link reads no CVE entries; the CVE db is still required and hashed so
+    # the manifest ties the links to the ingest run that produced both
+    "link": (stage_link, (EXTRACTED, CVE_DB),
+             "build the cross-source association graph"),
+    "complete": (stage_complete, (EXTRACTED, LINKS, CVE_DB),
+                 "fill missing aspects from CVE entries and linked reports"),
+    "stats": (stage_stats, (EXTRACTED, COMPLETED, RECORDS),
+              "compute deficiency and completion tables"),
 }
-STAGES = tuple(_STAGE_FUNCTIONS)
+STAGES = tuple(_STAGES)
+# workspace file -> the stage that writes it
+_PRODUCERS = {
+    INGESTED: "ingest", CVE_DB: "ingest", CLASSIFIED: "classify", EXTRACTED: "extract",
+    EMBEDDING: "link", LINKS: "link", COMPLETED: "complete", RECORDS: "complete",
+}
 
 
 def run_command(command: str, config: PipelineConfig) -> None:
+    """Run one stage, or every stage for ``run-all``: check its declared
+    inputs, run it, then write its manifest."""
     ws = Path(config.workspace)
     ws.mkdir(parents=True, exist_ok=True)
     (ws / MANIFEST_DIR).mkdir(exist_ok=True)
     with WorkspaceLock(ws):
-        if command == "run-all":
-            for stage in STAGES:
-                logger.info("running stage %s", stage)
-                _STAGE_FUNCTIONS[stage](config, ws)
-        else:
-            _STAGE_FUNCTIONS[command](config, ws)
+        for stage in STAGES if command == "run-all" else (command,):
+            logger.info("running stage %s", stage)
+            run, reads, _help = _STAGES[stage]
+            inputs = {name: _require(ws, name) for name in reads}
+            outputs, extra = run(config, ws, inputs)
+            write_manifest(ws, stage, config, inputs, outputs, extra)
 
 
 # --- entry point -------------------------------------------------------------------
@@ -457,16 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "ingest": "load source report files and the CVE dump into the workspace",
-        "classify": "categorize reports as code (with language) or text",
-        "extract": "populate aspect slots by rule-based and structured extraction",
-        "link": "build the cross-source association graph",
-        "complete": "fill missing aspects from CVE entries and linked reports",
-        "stats": "compute deficiency and completion tables",
-        "run-all": "run every stage in order",
-    }
-    for command, description in descriptions.items():
+    commands = {name: row[2] for name, row in _STAGES.items()}
+    commands["run-all"] = "run every stage in order"
+    for command, description in commands.items():
         sub = subparsers.add_parser(command, help=description)
         sub.add_argument("--config", help="key=value configuration file")
         sub.add_argument(

@@ -19,3 +19,21 @@ def test_bench_wrapped_attributes_exist(monkeypatch):
         if not callable(getattr(module, attr, None))
     ]
     assert missing == []
+
+
+def test_traced_demo_run_reaches_every_hook(tmp_path, monkeypatch):
+    """The tracing hooks read the call shapes of the wrapped functions (for
+    example ``write_manifest``'s positional inputs and outputs), so a traced
+    run of the demo must still report the counters derived from them."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    from pocfusion import cli
+
+    monkeypatch.chdir(BENCH.parent)
+    args = cli.build_parser().parse_args(
+        ["run-all", "--config", "demo/config.cfg", "--workspace", str(tmp_path / "ws")]
+    )
+    metrics = tracing.layer_metrics(tracing.traced_pipeline(cli.resolve_config(args), "demo"))
+    assert metrics["cli.bytes_hashed"][0] > 0
+    assert metrics["link.links"][0] == 9
+    assert all(metrics[f"cli.{stage}_s"][0] > 0 for stage in cli.STAGES)

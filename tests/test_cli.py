@@ -199,12 +199,25 @@ def test_config_errors_are_enumerated(tmp_path, capsys):
             ("format must be markdown or csv, got 'xml'",),
             id="format-flag",
         ),
+        pytest.param(
+            "workspace =\n",
+            ["classify"],
+            ("workspace is required",),
+            id="config-empty-workspace",
+        ),
+        pytest.param(
+            None,
+            ["classify", "--workspace", ""],
+            ("workspace is required",),
+            id="flag-empty-workspace",
+        ),
     ],
 )
 def test_file_and_format_errors_are_enumerated(
     tmp_path, capsys, monkeypatch, config_text, argv, fragments
 ):
     monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(ENV_WORKSPACE, raising=False)
     (tmp_path / "e.jsonl").write_text("", encoding="utf-8")
     if config_text is not None:
         (tmp_path / "run.cfg").write_text(config_text, encoding="utf-8")
@@ -216,6 +229,8 @@ def test_file_and_format_errors_are_enumerated(
     message = error["message"]
     for fragment in fragments:
         assert fragment in message, fragment
+    # a configuration error stops the run before any workspace is touched
+    assert not list(tmp_path.rglob("manifests"))
 
 
 def test_config_file_not_found(tmp_path, capsys):
@@ -387,6 +402,34 @@ def test_broken_last_line_is_a_data_error(full_workspace, tmp_path, capsys, stag
     assert f"{name}:{len(lines)}:" in last_error(capsys)["message"]
 
 
+# the stage that writes each workspace file, written out by hand
+PRODUCERS = {
+    "corpus_ingested.jsonl": "ingest",
+    "cve_db.jsonl": "ingest",
+    "corpus_classified.jsonl": "classify",
+    "corpus_extracted.jsonl": "extract",
+    "links.jsonl": "link",
+    "corpus_completed.jsonl": "complete",
+    "completion_records.jsonl": "complete",
+}
+
+
+@pytest.mark.parametrize(
+    "stage, name",
+    [pytest.param(stage, name, id=f"{stage}-{name}")
+     for stage, name in [*STAGE_INPUTS, ("link", "cve_db.jsonl")]],
+)
+def test_each_missing_input_names_its_producer(full_workspace, tmp_path, capsys, stage, name):
+    ws = tmp_path / "ws"
+    shutil.copytree(full_workspace, ws)
+    (ws / name).unlink()
+    assert main([stage, "--workspace", str(ws)]) == 3
+    assert last_error(capsys)["message"] == (
+        f"workspace is missing {name}; run 'pocfusion {PRODUCERS[name]}' first"
+    )
+    assert not (ws / ".lock").exists()
+
+
 # --- pipeline stages ------------------------------------------------------------------
 
 
@@ -452,17 +495,44 @@ def test_rerun_is_byte_identical(tmp_path):
             assert snapshot[path.relative_to(ws)] == path.read_bytes(), path
 
 
+# (inputs, outputs) each stage's manifest hashes, written out by hand
+MANIFEST_FILES = {
+    "ingest": ({"cve", "source:exploitdb", "source:packetstorm"},
+               {"corpus_ingested.jsonl", "cve_db.jsonl"}),
+    "classify": ({"corpus_ingested.jsonl"}, {"corpus_classified.jsonl"}),
+    "extract": ({"corpus_classified.jsonl"}, {"corpus_extracted.jsonl"}),
+    "link": ({"corpus_extracted.jsonl", "cve_db.jsonl"},
+             {"links.jsonl", "embedding_model.json"}),
+    "complete": ({"corpus_extracted.jsonl", "links.jsonl", "cve_db.jsonl"},
+                 {"corpus_completed.jsonl", "completion_records.jsonl"}),
+    "stats": ({"corpus_extracted.jsonl", "corpus_completed.jsonl", "completion_records.jsonl"},
+              {"deficiency.md", "completion.md"}),
+}
+
+
 def test_manifest_contents(tmp_path):
     ws = tmp_path / "ws"
-    run_stage("ingest", tmp_path)
+    run_stage("run-all", tmp_path)
     manifest = json.loads((ws / "manifests" / "ingest.json").read_text())
     assert manifest["stage"] == "ingest"
     assert manifest["seed"] == 7
     assert manifest["reports"] == 3 and manifest["cve_entries"] == 1
-    assert sorted(manifest["inputs"]) == ["cve", "source:exploitdb", "source:packetstorm"]
-    for name, digest in manifest["outputs"].items():
-        assert digest == hashlib.sha256((ws / name).read_bytes()).hexdigest()
-    assert not any("time" in key or "date" in key for key in manifest)
+    for stage, (inputs, outputs) in MANIFEST_FILES.items():
+        manifest = json.loads((ws / "manifests" / f"{stage}.json").read_text())
+        assert manifest["stage"] == stage
+        assert set(manifest["inputs"]) == inputs, stage
+        assert set(manifest["outputs"]) == outputs, stage
+        hashed = {**manifest["outputs"], **{
+            name: digest for name, digest in manifest["inputs"].items() if name in PRODUCERS
+        }}
+        for name, digest in hashed.items():
+            assert digest == hashlib.sha256((ws / name).read_bytes()).hexdigest(), name
+        assert not any("time" in key or "date" in key for key in manifest)
+
+    run_stage("stats", tmp_path, fmt="csv")
+    manifest = json.loads((ws / "manifests" / "stats.json").read_text())
+    assert set(manifest["inputs"]) == MANIFEST_FILES["stats"][0]
+    assert set(manifest["outputs"]) == {"deficiency.csv", "completion.csv"}
 
 
 def test_config_hash_excludes_workspace(tmp_path):
