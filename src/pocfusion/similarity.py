@@ -158,6 +158,53 @@ class EmbeddingModel:
 
 _MIN_ALPHA = 1e-4
 _NEGATIVE_TABLE_POWER = 0.75
+# Consecutive whole sentences are trained in chunks of at least this many
+# tokens. A chunk's random draws and pair arrays are made at once, so
+# training memory is bounded by one chunk, not by the corpus.
+_CHUNK_TOKENS = 512
+
+
+def _skipgram_pairs(
+    lengths: np.ndarray, reaches: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(center, context) token positions of one chunk of whole sentences.
+
+    ``lengths`` are the chunk's sentence lengths and ``reaches`` the window
+    reach drawn for each of its tokens. A center pairs with every other token
+    of its own sentence at most its reach away. Pairs come grouped by center
+    in input order, contexts ascending.
+    """
+    ends = np.repeat(np.cumsum(lengths), lengths)
+    starts = ends - np.repeat(lengths, lengths)
+    positions = np.arange(len(reaches))
+    lo = np.maximum(starts, positions - reaches)
+    counts = np.minimum(ends, positions + reaches + 1) - lo - 1
+    centers = np.repeat(positions, counts)
+    contexts = np.arange(len(centers)) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+    contexts += contexts >= centers  # step over the center itself
+    return centers, contexts
+
+
+def _sentence_chunks(
+    texts: list[str], vocabulary: dict[str, int]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(token ids, sentence lengths) of consecutive in-vocabulary sentences,
+    at least ``_CHUNK_TOKENS`` tokens per chunk except the last."""
+    chunks = []
+    tokens: list[int] = []
+    lengths: list[int] = []
+    for text in texts:
+        sentence = [vocabulary[t] for t in tokenize_text(text) if t in vocabulary]
+        if not sentence:
+            continue
+        tokens.extend(sentence)
+        lengths.append(len(sentence))
+        if len(tokens) >= _CHUNK_TOKENS:
+            chunks.append((np.array(tokens), np.array(lengths)))
+            tokens, lengths = [], []
+    if tokens:
+        chunks.append((np.array(tokens), np.array(lengths)))
+    return chunks
 
 
 def train_embeddings(
@@ -165,14 +212,20 @@ def train_embeddings(
 ) -> EmbeddingModel:
     """Skip-gram with negative sampling, bit-reproducible for a fixed seed.
 
-    Sentences are visited in input order; the learning rate decays linearly
-    over all scheduled center words down to a small floor. Mean per-pair loss
-    is recorded for every epoch on the returned model.
+    Sentences are visited in input order. Each center word takes one SGD
+    step: all of its context words, each with its own ``negative_samples``
+    negatives, are scored against the center vector as it was before the
+    step (per-center batching, Ji et al., arXiv:1604.04661). Vectors and
+    losses therefore differ from versions that stepped once per (center,
+    context) pair. The learning rate decays linearly over all scheduled
+    center words down to a small floor. Mean per-pair loss is recorded for
+    every epoch on the returned model.
     """
     if not texts:
         raise ValueError("texts must be non-empty")
-    sentences = [tokenize_text(t) for t in texts]
-    counts = Counter(t for s in sentences for t in s)
+    counts: Counter = Counter()
+    for text in texts:
+        counts.update(tokenize_text(text))
     kept = sorted(
         (t for t, c in counts.items() if c >= params.min_count),
         key=lambda t: (-counts[t], t),
@@ -182,61 +235,76 @@ def train_embeddings(
             f"vocabulary empty after min_count={params.min_count} filtering"
         )
     vocabulary = {token: i for i, token in enumerate(kept)}
-    sentences = [[vocabulary[t] for t in s if t in vocabulary] for s in sentences]
-    sentences = [s for s in sentences if s]
+    chunks = _sentence_chunks(texts, vocabulary)
 
     rng = np.random.default_rng(seed)
     n = len(vocabulary)
     w_in = (rng.random((n, params.d)) - 0.5) / params.d
     w_out = np.zeros((n, params.d))
+    flat_out = w_out.reshape(-1)
+    columns = np.arange(params.d)
 
     weights = np.array(
         [counts[t] ** _NEGATIVE_TABLE_POWER for t in kept], dtype=np.float64
     )
     cumulative = np.cumsum(weights / weights.sum())
 
-    total_words = sum(len(s) for s in sentences) * params.epochs
+    total_words = sum(len(tokens) for tokens, _ in chunks) * params.epochs
     processed = 0
     k = params.negative_samples
-    labels = np.zeros(k + 1)
-    labels[0] = 1.0
+    width = k + 1
     epoch_losses: list[float] = []
 
     for _epoch in range(params.epochs):
         loss_sum = 0.0
         pair_count = 0
-        for sentence in sentences:
-            for center_pos, center in enumerate(sentence):
-                alpha = max(
-                    _MIN_ALPHA, params.learning_rate * (1.0 - processed / total_words)
+        for tokens, lengths in chunks:
+            reaches = rng.integers(1, params.window + 1, size=len(tokens))
+            centers, contexts = _skipgram_pairs(lengths, reaches)
+            alphas = np.maximum(
+                _MIN_ALPHA,
+                params.learning_rate
+                * (1.0 - (processed + np.arange(len(tokens))) / total_words),
+            )
+            processed += len(tokens)
+            # one row per pair: its context word, then its k negatives; a
+            # negative that equals the context word is masked out
+            targets = np.empty((len(centers), width), dtype=np.int64)
+            targets[:, 0] = tokens[contexts]
+            targets[:, 1:] = np.searchsorted(cumulative, rng.random((len(centers), k)))
+            mask = targets != targets[:, :1]
+            mask[:, 0] = True
+            rows, row_mask = targets.ravel(), mask.ravel()
+            labels = np.zeros(targets.size)
+            labels[::width] = 1.0
+            row_offsets = rows * params.d  # index of each row's first element in flat_out
+            scores = np.empty(targets.size)
+            step_ends = np.cumsum(np.bincount(centers, minlength=len(tokens))) * width
+            start = 0
+            for center, alpha, stop in zip(tokens.tolist(), alphas.tolist(), step_ends.tolist()):
+                if stop == start:
+                    continue
+                v = w_in[center]
+                u = w_out.take(rows[start:stop], axis=0)
+                s = u @ v
+                scores[start:stop] = s
+                sig = 0.5 + 0.5 * np.tanh(0.5 * s)  # sigmoid; cannot overflow
+                g = (sig - labels[start:stop]) * row_mask[start:stop]
+                # element-wise on the flat matrix: the same sums, in the same
+                # order, as np.subtract.at over rows, but much cheaper per call
+                np.subtract.at(
+                    flat_out,
+                    np.add.outer(row_offsets[start:stop], columns).ravel(),
+                    np.multiply.outer(alpha * g, v).ravel(),
                 )
-                processed += 1
-                reach = int(rng.integers(1, params.window + 1))
-                lo = max(0, center_pos - reach)
-                hi = min(len(sentence), center_pos + reach + 1)
-                for context_pos in range(lo, hi):
-                    if context_pos == center_pos:
-                        continue
-                    target = sentence[context_pos]
-                    negatives = np.searchsorted(cumulative, rng.random(k))
-                    targets = np.empty(k + 1, dtype=np.int64)
-                    targets[0] = target
-                    targets[1:] = negatives
-                    mask = np.ones(k + 1, dtype=bool)
-                    mask[1:] = negatives != target
-                    v = w_in[center]
-                    u = w_out[targets]
-                    scores = u @ v
-                    loss_sum += float(
-                        np.logaddexp(0.0, -scores[0])
-                        + np.logaddexp(0.0, scores[1:][mask[1:]]).sum()
-                    )
-                    pair_count += 1
-                    sig = 1.0 / (1.0 + np.exp(-np.clip(scores, -60.0, 60.0)))
-                    g = (sig - labels) * mask
-                    grad_v = g @ u
-                    np.subtract.at(w_out, targets, alpha * np.outer(g, v))
-                    w_in[center] = v - alpha * grad_v
+                w_in[center] = v - alpha * (g @ u)
+                start = stop
+            scores = scores.reshape(targets.shape)
+            loss_sum += float(
+                np.logaddexp(0.0, -scores[:, 0]).sum()
+                + np.logaddexp(0.0, scores[:, 1:])[mask[:, 1:]].sum()
+            )
+            pair_count += len(centers)
         epoch_losses.append(loss_sum / pair_count if pair_count else 0.0)
 
     model = EmbeddingModel(
@@ -246,7 +314,12 @@ def train_embeddings(
         seed=seed,
         epoch_losses=epoch_losses,
     )
-    if len(epoch_losses) > 1 and not any(
+    if not pair_count:
+        logger.warning(
+            "no skip-gram pairs: every kept sentence is one token long, "
+            "vectors keep their initial values"
+        )
+    elif len(epoch_losses) > 1 and not any(
         b < a for a, b in zip(epoch_losses, epoch_losses[1:])
     ):
         logger.warning("training loss never decreased across epochs: %s", epoch_losses)

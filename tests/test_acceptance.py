@@ -472,6 +472,6 @@ def test_demo_workspace_regression_pins(tmp_path, monkeypatch):
     records = (ws / "completion_records.jsonl").read_text(encoding="utf-8").splitlines()
     assert len(records) == 50
     manifest = json.loads((ws / "manifests" / "complete.json").read_text())
-    assert manifest["run_id"] == "run-06623900838b6911"
+    assert manifest["run_id"] == "run-1125fd8a8ff279ec"
     assert manifest["skipped_links"] == 0
     assert manifest["failed_associations"] == 0

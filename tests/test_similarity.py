@@ -1,5 +1,7 @@
+import logging
 import math
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -15,6 +17,7 @@ from pocfusion import (
     tokenize_text,
     train_embeddings,
 )
+from pocfusion.similarity import _CHUNK_TOKENS, _skipgram_pairs
 
 
 # Independent tokenizer: single left-to-right character walk, no regex.
@@ -259,3 +262,70 @@ def test_training_losses_finite(seed):
     model = train_embeddings(TOY_TEXTS[:6], small_params(epochs=1, d=8), seed=seed)
     assert all(math.isfinite(loss) for loss in model.epoch_losses)
     assert np.isfinite(model.vectors).all()
+
+
+def window_oracle(lengths, reaches):
+    """The skip-gram window rule as nested loops: each center pairs with every
+    other token of its own sentence at most its reach away, in input order."""
+    pairs = []
+    start = 0
+    for length in lengths:
+        for center in range(length):
+            reach = reaches[start + center]
+            for context in range(max(0, center - reach), min(length, center + reach + 1)):
+                if context != center:
+                    pairs.append((start + center, start + context))
+        start += length
+    return pairs
+
+
+@given(st.data())
+def test_skipgram_pairs_match_window_oracle_across_chunk_splits(data):
+    lengths = data.draw(st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=15))
+    total = sum(lengths)
+    reaches = data.draw(
+        st.lists(st.integers(min_value=1, max_value=6), min_size=total, max_size=total)
+    )
+    cuts = sorted(
+        c for c in data.draw(st.sets(st.integers(min_value=0, max_value=len(lengths))))
+        if 0 < c < len(lengths)
+    )
+    bounds = [0, *cuts, len(lengths)]
+    pairs = []
+    offset = 0
+    for lo, hi in zip(bounds, bounds[1:]):
+        size = sum(lengths[lo:hi])
+        centers, contexts = _skipgram_pairs(
+            np.array(lengths[lo:hi]), np.array(reaches[offset:offset + size])
+        )
+        pairs.extend(zip((centers + offset).tolist(), (contexts + offset).tolist()))
+        offset += size
+    assert pairs == window_oracle(lengths, reaches)
+
+
+def test_training_memory_is_bounded_by_one_chunk():
+    """Pair arrays are made one chunk of sentences at a time, so the same
+    texts replicated eightfold (same vocabulary) must not raise the traced
+    peak eightfold."""
+    texts = TOY_TEXTS * 6
+    assert sum(len(tokenize_text(t)) for t in texts) > _CHUNK_TOKENS
+    params = small_params(epochs=1)
+    train_embeddings(TOY_TEXTS, params)  # one-off allocations out of the measurement
+
+    def traced_peak(corpus):
+        tracemalloc.start()
+        try:
+            train_embeddings(corpus, params)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    once, eightfold = traced_peak(texts), traced_peak(texts * 8)
+    assert eightfold < 2 * once
+
+
+def test_training_without_pairs_warns_once(caplog):
+    model = train_embeddings(["aa", "aa"], small_params())
+    assert model.epoch_losses == [0.0, 0.0]
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1 and "no skip-gram pairs" in warnings[0]
