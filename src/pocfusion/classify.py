@@ -10,29 +10,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from importlib import resources
 from pathlib import Path
 
-from .corpus import (
-    TEXT,
-    Kind,
-    LanguageId,
-    PocReport,
-    code_kind,
-    format_mismatch,
-    json_object,
-    jsonl_lines,
-)
+from .corpus import TEXT, Kind, LanguageId, PocReport, code_kind, read_jsonl
 
 SIGNATURES_FORMAT = "language-signatures"
 SIGNATURES_VERSION = 1
 
 # One definitive construct is not enough evidence on its own unless weighted.
 DEFAULT_MIN_HITS = 2
-
-
-class SignatureError(Exception):
-    """Signature table file is unreadable or declares the wrong version."""
 
 
 @dataclass(frozen=True)
@@ -63,47 +49,25 @@ class LanguageSignature:
         )
 
 
-def _parse_signature_table(text: str, origin: str) -> tuple[LanguageSignature, ...]:
-    lines = jsonl_lines(text)
-    if not lines or lines[0][0] != 1:
-        raise SignatureError(f"{origin}: expected a format header on line 1")
-    try:
-        header = json_object(lines[0][1])
-    except ValueError as exc:
-        raise SignatureError(f"{origin}: unreadable header: {exc}") from exc
-    mismatch = format_mismatch(header, SIGNATURES_FORMAT, SIGNATURES_VERSION)
-    if mismatch is not None:
-        raise SignatureError(f"{origin}: {mismatch}")
-    min_hits = int(header.get("min_hits", DEFAULT_MIN_HITS))
-    grouped: dict[LanguageId, list[SignaturePattern]] = {}
-    for lineno, line in lines[1:]:
-        try:
-            record = json_object(line)
-            language = LanguageId(record["language"])
-            pattern = SignaturePattern(
-                re.compile(record["pattern"], re.MULTILINE),
-                int(record.get("weight", 1)),
-            )
-        except (KeyError, ValueError, re.error) as exc:
-            raise SignatureError(f"{origin}:{lineno}: broken signature record: {exc}") from exc
-        grouped.setdefault(language, []).append(pattern)
-    return tuple(
-        LanguageSignature(language, tuple(grouped[language]), min_hits)
-        for language in LanguageId
-        if language in grouped
-    )
+def _signature_record(record: dict) -> tuple[LanguageId, SignaturePattern]:
+    pattern = re.compile(record["pattern"], re.MULTILINE)
+    return LanguageId(record["language"]), SignaturePattern(pattern, int(record.get("weight", 1)))
 
 
 def load_signatures(path: str | Path | None = None) -> tuple[LanguageSignature, ...]:
     """Load a signature table; with no path, the bundled default table."""
     if path is None:
-        text = (
-            resources.files("pocfusion.data")
-            .joinpath("signatures.jsonl")
-            .read_text(encoding="utf-8")
-        )
-        return _parse_signature_table(text, "bundled signatures")
-    return _parse_signature_table(Path(path).read_text(encoding="utf-8"), str(path))
+        path = Path(__file__).parent / "data" / "signatures.jsonl"
+    header = {"format": SIGNATURES_FORMAT, "version": SIGNATURES_VERSION}
+    grouped: dict[LanguageId, list[SignaturePattern]] = {}
+    for language, pattern in read_jsonl(path, _signature_record, header):
+        grouped.setdefault(language, []).append(pattern)
+    min_hits = int(header.get("min_hits", DEFAULT_MIN_HITS))
+    return tuple(
+        LanguageSignature(language, tuple(grouped[language]), min_hits)
+        for language in LanguageId
+        if language in grouped
+    )
 
 
 _DEFAULT_SIGNATURES: tuple[LanguageSignature, ...] | None = None

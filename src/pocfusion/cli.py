@@ -38,12 +38,7 @@ from .corpus import (
     save_corpus,
     save_cve_db,
 )
-from .extract import (
-    DefaultStructuredExtractor,
-    ExternalStructuredExtractor,
-    ExtractionError,
-    extract_all,
-)
+from .extract import DefaultStructuredExtractor, ExternalStructuredExtractor, extract_all
 from .link import (
     ExternalPairClassifier,
     HeuristicPairClassifier,
@@ -479,7 +474,7 @@ def main(argv: list[str] | None = None) -> int:
         run_command(args.command, config)
     except PrerequisiteError as exc:
         return _fail(args.command, EXIT_PREREQ, str(exc))
-    except (CorpusError, ExtractionError, ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         return _fail(args.command, EXIT_DATA, str(exc))
     return EXIT_OK
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -46,7 +47,7 @@ _RECORD_SLOT_FIELDS = {
 }
 
 
-class CorpusError(Exception):
+class CorpusError(ValueError):
     """Fatal corpus-level failure (unreadable file, version mismatch, broken invariant)."""
 
 
@@ -451,12 +452,16 @@ class Corpus:
 # --- ingestion ---------------------------------------------------------------
 
 
-def _read_utf8_lines(path: Path) -> list[tuple[int, str]]:
-    try:
-        text = path.read_text(encoding="utf-8", errors="replace")
-    except OSError as exc:
-        raise CorpusError(f"cannot read {path}: {exc}") from exc
-    return jsonl_lines(text)
+def _source_records(path: Path) -> Iterator[tuple[int, dict]]:
+    """The JSON objects of a source file with their line numbers. Source
+    files are read leniently: bad UTF-8 bytes become U+FFFD, and a line that
+    is not a JSON object is skipped with a warning."""
+    text = path.read_text(encoding="utf-8", errors="replace")
+    for lineno, line in jsonl_lines(text):
+        try:
+            yield lineno, json_object(line)
+        except ValueError as exc:
+            logger.warning("%s:%d: skipping malformed record: %s", path, lineno, exc)
 
 
 def _record_error(record: dict) -> str | None:
@@ -488,12 +493,7 @@ def ingest_reports(path: str | Path, source: SourceId) -> list[PocReport]:
     path = Path(path)
     reports: list[PocReport] = []
     seen_ids: set[str] = set()
-    for lineno, line in _read_utf8_lines(path):
-        try:
-            record = json_object(line)
-        except ValueError as exc:
-            logger.warning("%s:%d: skipping malformed record: %s", path, lineno, exc)
-            continue
+    for lineno, record in _source_records(path):
         error = _record_error(record)
         if error is not None:
             logger.warning("%s:%d: skipping record: %s", path, lineno, error)
@@ -564,12 +564,7 @@ def ingest_cve_entries(path: str | Path) -> dict[str, CveEntry]:
     products: dict[str, dict[str, tuple[str, dict[str, None]]]] = {}
     platforms: dict[str, dict[str, None]] = {}
     order: dict[str, None] = {}
-    for lineno, line in _read_utf8_lines(path):
-        try:
-            record = json_object(line)
-        except ValueError as exc:
-            logger.warning("%s:%d: skipping malformed CVE record: %s", path, lineno, exc)
-            continue
+    for lineno, record in _source_records(path):
         cve_id = normalize_cve_id(str(record.get("cve_id", "")))
         if cve_id is None:
             logger.warning(
@@ -645,20 +640,43 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-# bad shape, field type or field value
-_DECODE_ERRORS = (KeyError, ValueError, TypeError, AttributeError, CorpusError)
+# bad shape, field type or field value, or a bad regular expression
+_DECODE_ERRORS = (KeyError, ValueError, TypeError, AttributeError, re.error)
 
 
-def read_jsonl(path: str | Path, decode: Callable[[dict], _T]) -> list[_T]:
-    """Decode every non-blank line of a file written by :func:`write_jsonl`;
-    a line that is not JSON, or that ``decode`` rejects, raises
-    ``ValueError`` naming ``path:lineno``."""
+def read_jsonl(
+    path: str | Path, decode: Callable[[dict], _T], header: dict | None = None
+) -> list[_T]:
+    """Decode every non-blank line of a file written by :func:`write_jsonl`.
+
+    With ``header`` (``{"format": ..., "version": ...}``), line 1 must be a
+    matching format header, and its other items are filled into ``header``.
+    Bytes that are not UTF-8, a header that does not match, a line that is
+    not a JSON object, or one that ``decode`` rejects raise
+    :class:`CorpusError` naming ``path:lineno``."""
+    data = Path(path).read_bytes()
+    try:
+        lines = jsonl_lines(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise CorpusError(f"{path}:{lineno}: not valid UTF-8: {exc.reason}") from exc
+    if header is not None:
+        if not lines or lines[0][0] != 1:
+            raise CorpusError(f"{path}:1: expected a format header")
+        try:
+            found = json_object(lines.pop(0)[1])
+        except ValueError as exc:
+            raise CorpusError(f"{path}:1: unreadable header: {exc}") from exc
+        mismatch = format_mismatch(found, header["format"], header["version"])
+        if mismatch is not None:
+            raise CorpusError(f"{path}:1: {mismatch}")
+        header.update(found)
     records = []
-    for lineno, line in jsonl_lines(Path(path).read_text(encoding="utf-8")):
+    for lineno, line in lines:
         try:
             records.append(decode(json_object(line)))
         except _DECODE_ERRORS as exc:
-            raise ValueError(f"{path}:{lineno}: broken record: {exc}") from exc
+            raise CorpusError(f"{path}:{lineno}: broken record: {exc}") from exc
     return records
 
 
@@ -670,27 +688,20 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
     write_jsonl(path, [header, *(report.encode() for report in corpus)])
 
 
+def _decode_report(data: dict) -> PocReport:
+    report = PocReport.decode(data)
+    report.aspects.validate()
+    return report
+
+
 def load_corpus(path: str | Path) -> Corpus:
     """Load a corpus saved by :func:`save_corpus`, checking the format version."""
-    path = Path(path)
-    lines = _read_utf8_lines(path)
-    if not lines or lines[0][0] != 1:
-        raise CorpusError(f"{path}: expected a format header on line 1")
+    header = {"format": CORPUS_FORMAT, "version": CORPUS_VERSION}
+    reports = read_jsonl(path, _decode_report, header)
     try:
-        mismatch = format_mismatch(json_object(lines[0][1]), CORPUS_FORMAT, CORPUS_VERSION)
-    except ValueError as exc:
-        raise CorpusError(f"{path}: unreadable header line: {exc}") from exc
-    if mismatch is not None:
-        raise CorpusError(f"{path}: {mismatch}")
-    reports = []
-    for lineno, line in lines[1:]:
-        try:
-            report = PocReport.decode(json_object(line))
-            report.aspects.validate()
-        except _DECODE_ERRORS as exc:
-            raise CorpusError(f"{path}:{lineno}: broken corpus record: {exc}") from exc
-        reports.append(report)
-    return Corpus(reports)
+        return Corpus(reports)
+    except CorpusError as exc:
+        raise CorpusError(f"{path}: {exc}") from None
 
 
 def save_cve_db(entries: dict[str, CveEntry], path: str | Path) -> None:

@@ -13,16 +13,15 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Protocol, Sequence
 
-import requests
-
 from .corpus import (
     ASPECT_SLOTS,
     Corpus,
     Kind,
     PocReport,
+    _strings,
     aspect_values,
     json_object,
-    jsonl_lines,
+    read_jsonl,
 )
 from .cveid import find_cve_ids
 
@@ -34,7 +33,7 @@ NER_SLOTS = ("test_platform", "software_version", "title", "author", "publish_ti
 _TRAILING_PUNCT = ".,;:!?'\"`)]}>"
 
 
-class ExtractionError(Exception):
+class ExtractionError(ValueError):
     """Fatal extraction failure (contract violation, evaluation id mismatch)."""
 
 
@@ -396,6 +395,8 @@ class ExternalStructuredExtractor:
         self.degraded_ids: list[str] = []
 
     def extract(self, report: PocReport) -> StructuredExtraction:
+        import requests  # only runs that call the service pay for the import
+
         try:
             response = requests.post(
                 self.url,
@@ -403,10 +404,10 @@ class ExternalStructuredExtractor:
                 timeout=self.deadline,
             )
             response.raise_for_status()
-            extraction = StructuredExtraction.decode(response.json())
+            extraction = StructuredExtraction.decode(json_object(response.text))
             extraction.validate(report.raw_content)
             return extraction
-        except (requests.RequestException, ExtractionError, ValueError, KeyError, TypeError) as exc:
+        except (requests.RequestException, ValueError, KeyError, TypeError) as exc:
             logger.warning(
                 "external extractor failed for report %s, using default: %s",
                 report.id,
@@ -481,17 +482,17 @@ class ExtractionScore:
 GoldAnnotations = dict[str, dict[str, list[str]]]
 
 
+def _gold_record(record: dict) -> tuple[str, dict[str, list[str]]]:
+    report_id = record.pop("id")
+    for slot in record:
+        if slot not in ASPECT_SLOTS:
+            raise ValueError(f"unknown gold slot {slot!r}")
+    return report_id, {slot: list(_strings(values)) for slot, values in record.items()}
+
+
 def load_gold_annotations(path: str | Path) -> GoldAnnotations:
     """Read a gold file: one JSON object per line, {"id": ..., "<slot>": [...]}."""
-    gold: GoldAnnotations = {}
-    for lineno, line in jsonl_lines(Path(path).read_text(encoding="utf-8")):
-        record = json_object(line)
-        report_id = record.pop("id")
-        for slot in record:
-            if slot not in ASPECT_SLOTS:
-                raise ExtractionError(f"{path}:{lineno}: unknown gold slot {slot!r}")
-        gold[report_id] = {slot: list(values) for slot, values in record.items()}
-    return gold
+    return dict(read_jsonl(path, _gold_record))
 
 
 def _norm_set(values: Sequence[str]) -> set[str]:

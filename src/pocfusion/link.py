@@ -13,9 +13,8 @@ from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
 import numpy as np
-import requests
 
-from .corpus import ContentKind, Corpus, PocReport, read_jsonl, write_jsonl
+from .corpus import ContentKind, Corpus, PocReport, json_object, read_jsonl, write_jsonl
 from .similarity import (
     EmbeddingModel,
     cosine_similarity,
@@ -287,6 +286,8 @@ class ExternalPairClassifier:
         self.degraded_pairs: list[tuple[str, str]] = []
 
     def classify(self, a: PocReport, b: PocReport) -> tuple[bool, float]:
+        import requests  # only runs that call the service pay for the import
+
         try:
             response = requests.post(
                 self.url,
@@ -299,12 +300,14 @@ class ExternalPairClassifier:
                 timeout=self.deadline,
             )
             response.raise_for_status()
-            data = response.json()
-            same = bool(data["same"])
-            confidence = float(data["confidence"])
+            data = json_object(response.text)
+            same, confidence = data["same"], data["confidence"]
+            # JSON gives exact int/float types, so this also refuses a boolean confidence
+            if not (isinstance(same, bool) and type(confidence) in (int, float)):
+                raise ValueError(f"verdict out of contract: {data}")
             if not 0.0 <= confidence <= 1.0:
                 raise ValueError(f"confidence out of range: {confidence}")
-            return same, confidence
+            return same, float(confidence)
         except (requests.RequestException, ValueError, KeyError, TypeError) as exc:
             logger.warning(
                 "external classifier failed for pair (%s, %s), using heuristic: %s",

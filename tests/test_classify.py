@@ -12,7 +12,8 @@ from pocfusion import (
     detect_language,
     load_signatures,
 )
-from pocfusion.classify import DEFAULT_MIN_HITS, SignatureError
+from pocfusion.classify import DEFAULT_MIN_HITS
+from pocfusion.corpus import CorpusError
 
 from classify_fixtures import CODE_FIXTURES, PROSE_FIXTURES
 
@@ -114,7 +115,7 @@ def test_signature_version_mismatch(tmp_path):
     table.write_text(
         json.dumps({"format": "language-signatures", "version": 3}) + "\n", encoding="utf-8"
     )
-    with pytest.raises(SignatureError) as err:
+    with pytest.raises(CorpusError) as err:
         load_signatures(table)
     assert "3" in str(err.value) and "1" in str(err.value)
 
@@ -126,10 +127,23 @@ def test_signature_unknown_language(tmp_path):
         {"language": "fortran", "pattern": "DIMENSION", "weight": 1},
     ]
     table.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
-    with pytest.raises(SignatureError):
+    with pytest.raises(CorpusError):
         load_signatures(table)
     # a line that is JSON but not an object, as the header or as a record
     for text in ("[1]\n", json.dumps(rows[0]) + "\n[1]\n"):
         table.write_text(text, encoding="utf-8")
-        with pytest.raises(SignatureError):
+        with pytest.raises(CorpusError):
             load_signatures(table)
+
+
+@pytest.mark.parametrize("field, value", [("pattern", 5), ("weight", None)])
+def test_signature_field_of_wrong_type_names_its_line(tmp_path, field, value):
+    table = tmp_path / "sigs.jsonl"
+    rows = [
+        {"format": "language-signatures", "version": 1},
+        {"language": "python", "pattern": "import", "weight": 1, field: value},
+    ]
+    table.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError) as err:
+        load_signatures(table)
+    assert str(err.value).startswith(f"{table}:2:")

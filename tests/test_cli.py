@@ -402,6 +402,25 @@ def test_broken_last_line_is_a_data_error(full_workspace, tmp_path, capsys, stag
     assert f"{name}:{len(lines)}:" in last_error(capsys)["message"]
 
 
+@pytest.mark.parametrize(
+    "stage, name, marker",
+    [
+        ("link", "corpus_extracted.jsonl", b'"content": "'),
+        ("complete", "cve_db.jsonl", b'"name": "'),
+    ],
+)
+def test_invalid_utf8_is_a_data_error(full_workspace, tmp_path, capsys, stage, name, marker):
+    ws = tmp_path / "ws"
+    shutil.copytree(full_workspace, ws)
+    path = ws / name
+    data = path.read_bytes()
+    at = data.index(marker) + len(marker)
+    path.write_bytes(data[:at] + b"\xff" + data[at:])
+    assert main([stage, "--workspace", str(ws)]) == 4
+    line = data[:at].count(b"\n") + 1
+    assert f"{name}:{line}: not valid UTF-8" in last_error(capsys)["message"]
+
+
 # the stage that writes each workspace file, written out by hand
 PRODUCERS = {
     "corpus_ingested.jsonl": "ingest",

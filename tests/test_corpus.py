@@ -1,3 +1,4 @@
+import functools
 import json
 import tempfile
 from pathlib import Path
@@ -34,7 +35,9 @@ from pocfusion import (
     save_corpus,
     save_cve_db,
 )
+from pocfusion.complete import CompletionRecord, load_completion_records, save_completion_records
 from pocfusion.corpus import read_jsonl, write_jsonl as write_records
+from pocfusion.link import PocLink, SharedCve, load_links, save_links
 
 # str.splitlines breaks at these; JSON strings hold them raw with ensure_ascii=False
 LINE_SEPARATORS = "a\u2028b\u2029c\u0085d"
@@ -464,3 +467,56 @@ def test_jsonl_roundtrip_property(content, value, records):
         path = Path(tmp) / "records.jsonl"
         write_records(path, records)
         assert read_jsonl(path, dict) == records
+
+
+TEXT_KIND = ContentKind.decode("text")
+# file name -> (saver, loader, a small value of that kind)
+SAVED_FILES = {
+    "corpus.jsonl": (save_corpus, load_corpus, Corpus([
+        make_report("a", content="é\u2028x", cve_ids=("CVE-2014-0160",),
+                    aspects=AspectSet().with_added("author", aspect_values(["mn0"]))),
+        make_report("b", kind=code_kind(LanguageId.PHP), aspects=AspectSet().with_added(
+            "title", [AspectValue("t", FromPoc("a", 0.5, "shared_cve:CVE-2014-0160"))])),
+    ])),
+    "links.jsonl": (save_links, load_links, [
+        PocLink("a", "b", SharedCve("CVE-2014-0160"), 0.75, TEXT_KIND),
+        PocLink("a", "c", None, 0.5, code_kind(LanguageId.PHP)),
+    ]),
+    "records.jsonl": (save_completion_records, load_completion_records, [
+        CompletionRecord("run-1", "a", "title", "t", FromCve("CVE-2014-0160")),
+        CompletionRecord("run-1", "b", "author", "mn0", FromPoc("a", 0.5, "classifier")),
+    ]),
+    "cve_db.jsonl": (save_cve_db, load_cve_db, {
+        "CVE-2014-0160": CveEntry("CVE-2014-0160", (CveProduct("OpenSSL", ("1.0.1f",)),),
+                                  ("Linux",)),
+    }),
+}
+
+
+@functools.cache
+def saved_bytes(name):
+    save, _load, value = SAVED_FILES[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        save(value, path)
+        return path.read_bytes()
+
+
+@settings(derandomize=True, max_examples=300)
+@given(
+    name=st.sampled_from(sorted(SAVED_FILES)),
+    position=st.integers(min_value=0, max_value=10_000),
+    mask=st.integers(min_value=1, max_value=255),
+)
+def test_flipped_byte_is_loaded_or_rejected_naming_the_file(name, position, mask):
+    """A workspace file with one byte changed either still loads or raises
+    CorpusError starting with its path; no other exception escapes."""
+    data = bytearray(saved_bytes(name))
+    data[position % len(data)] ^= mask
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_bytes(data)
+        try:
+            SAVED_FILES[name][1](path)
+        except CorpusError as exc:
+            assert str(exc).startswith(str(path))

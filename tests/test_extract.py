@@ -16,7 +16,7 @@ from pocfusion import (
     extract_trigger_step,
     extract_verification_oracle,
 )
-from pocfusion.corpus import ContentKind, LanguageId
+from pocfusion.corpus import ContentKind, CorpusError, LanguageId
 from pocfusion.extract import SlotSpan, load_gold_annotations
 
 EDB = SourceId.parse("ExploitDB")
@@ -399,5 +399,22 @@ def test_load_gold_annotations(tmp_path):
     path.write_text('{"id": "a", "author": ["x"]}\n\n', encoding="utf-8")
     assert load_gold_annotations(path) == {"a": {"author": ["x"]}}
     path.write_text('{"id": "a", "body": ["x"]}\n', encoding="utf-8")
-    with pytest.raises(ExtractionError):
+    with pytest.raises(CorpusError, match=":1:"):
         load_gold_annotations(path)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ('{"id": "a", "author": ["x"]}\n{broken\n', 2),
+        ('{"author": ["x"]}\n', 1),
+        # a string where the list of values belongs is not split into characters
+        ('{"id": "a", "author": "xy"}\n', 1),
+    ],
+)
+def test_load_gold_annotations_names_bad_line(tmp_path, text, line):
+    path = tmp_path / "gold.jsonl"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(CorpusError) as err:
+        load_gold_annotations(path)
+    assert str(err.value).startswith(f"{path}:{line}:")

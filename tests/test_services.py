@@ -2,8 +2,12 @@
 
 import http.server
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +143,14 @@ def test_extractor_service_garbage_body(service):
     assert client.degraded_ids == ["r1"]
 
 
+@pytest.mark.parametrize("body", [[1], None, "x"], ids=["list", "null", "string"])
+def test_extractor_service_non_object_body(service, body):
+    service.script = lambda payload: (200, body)
+    client = ExternalStructuredExtractor(service.url, fallback=StubExtractor())
+    client.extract(text_report("r1", CONTENT))
+    assert client.degraded_ids == ["r1"]
+
+
 def test_extractor_service_unreachable():
     client = ExternalStructuredExtractor(closed_port_url(), deadline=2.0)
     report = text_report("r1", CONTENT)
@@ -202,6 +214,19 @@ def test_classifier_service_confidence_out_of_range(service):
     assert fallback.calls == [("a1", "b1")]
 
 
+@pytest.mark.parametrize(
+    "body",
+    [{"same": "no", "confidence": 0.9}, {"same": True, "confidence": True}, [1]],
+    ids=["same-string", "confidence-bool", "list"],
+)
+def test_classifier_service_verdict_out_of_contract(service, body):
+    service.script = lambda payload: (200, body)
+    client = ExternalPairClassifier(service.url, fallback=StubClassifier())
+    a, b = pair()
+    assert client.classify(a, b) == (False, 0.25)
+    assert client.degraded_pairs == [("a1", "b1")]
+
+
 def test_classifier_service_missing_key(service):
     service.script = lambda payload: (200, {"same": True})
     client = ExternalPairClassifier(service.url, fallback=StubClassifier())
@@ -235,3 +260,24 @@ def test_classifier_service_via_classify_pair(service):
     with pytest.raises(ValueError):
         classify_pair(client, a, stranger)
     assert len(service.requests) == 1
+
+
+# --- import cost -----------------------------------------------------------------------
+
+
+def test_run_without_services_does_not_import_requests(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        "from pocfusion.cli import main\n"
+        "argv = ['run-all', '--config', 'demo/config.cfg', '--workspace', sys.argv[1]]\n"
+        "assert main(argv) == 0\n"
+        "print('requests' in sys.modules)\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith("POCFUSION_")}
+    env["PYTHONPATH"] = str(root / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "ws")],
+        cwd=root, env=env, capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "False"
