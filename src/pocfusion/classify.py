@@ -9,10 +9,15 @@ signature's minimum hit count. Anything below every minimum is prose.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .corpus import TEXT, Kind, LanguageId, PocReport, code_kind, read_jsonl
+try:
+    from re import _parser
+except ImportError:  # Python 3.10
+    import sre_parse as _parser
+
+from .corpus import TEXT, CorpusError, Kind, LanguageId, PocReport, code_kind, read_jsonl
 
 SIGNATURES_FORMAT = "language-signatures"
 SIGNATURES_VERSION = 1
@@ -21,14 +26,40 @@ SIGNATURES_VERSION = 1
 DEFAULT_MIN_HITS = 2
 
 
+def required_literal(pattern: re.Pattern[str]) -> str | None:
+    """A substring every match of ``pattern`` contains, or None.
+
+    It is the longest run of literal characters in the pattern's top-level
+    sequence: a match spans every top-level item in order, so it contains
+    each such run verbatim. Case-insensitive patterns have none, since
+    their literals match other cases too.
+    """
+    if pattern.flags & re.IGNORECASE:
+        return None
+    best = run = ""
+    for op, value in _parser.parse(pattern.pattern, pattern.flags):
+        run = run + chr(value) if op == _parser.LITERAL else ""
+        best = max(best, run, key=len)
+    return best or None
+
+
 @dataclass(frozen=True)
 class SignaturePattern:
     pattern: re.Pattern[str]
     weight: int
+    literal: str | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         if self.weight < 1:
             raise ValueError("pattern weight must be >= 1")
+        object.__setattr__(self, "literal", required_literal(self.pattern))
+
+    def hits(self, content: str) -> int:
+        """Number of non-overlapping matches in ``content``; a content that
+        lacks the required literal cannot match, so its regex is not run."""
+        if self.literal is not None and self.literal not in content:
+            return 0
+        return len(self.pattern.findall(content))
 
 
 @dataclass(frozen=True)
@@ -44,9 +75,7 @@ class LanguageSignature:
             raise ValueError("min_hits must be >= 1")
 
     def score(self, content: str) -> int:
-        return sum(
-            p.weight * len(p.pattern.findall(content)) for p in self.patterns
-        )
+        return sum(p.weight * p.hits(content) for p in self.patterns)
 
 
 def _signature_record(record: dict) -> tuple[LanguageId, SignaturePattern]:
@@ -62,7 +91,10 @@ def load_signatures(path: str | Path | None = None) -> tuple[LanguageSignature, 
     grouped: dict[LanguageId, list[SignaturePattern]] = {}
     for language, pattern in read_jsonl(path, _signature_record, header):
         grouped.setdefault(language, []).append(pattern)
-    min_hits = int(header.get("min_hits", DEFAULT_MIN_HITS))
+    min_hits = header.get("min_hits", DEFAULT_MIN_HITS)
+    # JSON gives exact types, so this also refuses a boolean
+    if type(min_hits) is not int or min_hits < 1:
+        raise CorpusError(f"{path}:1: min_hits must be an integer >= 1, got {min_hits!r}")
     return tuple(
         LanguageSignature(language, tuple(grouped[language]), min_hits)
         for language in LanguageId

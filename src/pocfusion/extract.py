@@ -482,17 +482,24 @@ class ExtractionScore:
 GoldAnnotations = dict[str, dict[str, list[str]]]
 
 
-def _gold_record(record: dict) -> tuple[str, dict[str, list[str]]]:
-    report_id = record.pop("id")
-    for slot in record:
-        if slot not in ASPECT_SLOTS:
-            raise ValueError(f"unknown gold slot {slot!r}")
-    return report_id, {slot: list(_strings(values)) for slot, values in record.items()}
-
-
 def load_gold_annotations(path: str | Path) -> GoldAnnotations:
-    """Read a gold file: one JSON object per line, {"id": ..., "<slot>": [...]}."""
-    return dict(read_jsonl(path, _gold_record))
+    """Read a gold file: one JSON object per line, {"id": ..., "<slot>": [...]}.
+    Report ids are strings, each on one line only."""
+    gold: GoldAnnotations = {}
+
+    def add(record: dict) -> None:
+        report_id = record.pop("id")
+        if not isinstance(report_id, str):
+            raise ValueError(f"gold id must be a string: {report_id!r}")
+        if report_id in gold:
+            raise ValueError(f"repeated gold id {report_id!r}")
+        for slot in record:
+            if slot not in ASPECT_SLOTS:
+                raise ValueError(f"unknown gold slot {slot!r}")
+        gold[report_id] = {slot: list(_strings(values)) for slot, values in record.items()}
+
+    read_jsonl(path, add)
+    return gold
 
 
 def _norm_set(values: Sequence[str]) -> set[str]:

@@ -17,6 +17,7 @@ import numpy as np
 from .corpus import ContentKind, Corpus, PocReport, json_object, read_jsonl, write_jsonl
 from .similarity import (
     EmbeddingModel,
+    cosine_from_gram,
     cosine_similarity,
     embed_text,
     tokenize_code,
@@ -124,24 +125,83 @@ def candidate_pairs_same_cve(
 # --- scoring -------------------------------------------------------------------
 
 
+# The token-count matrix of a block is multiplied in column slices of at most
+# this many entries, so its memory is bounded by the block's Gram matrix and
+# does not grow with the block's vocabulary.
+_GRAM_SLICE = 1 << 20
+
+
 def title_text(report: PocReport) -> str:
     titles = report.aspects.texts("title")
     return titles[0] if titles else ""
 
 
 class ScoringModels:
-    """Caches of per-report vector representations used in pair scoring."""
+    """Caches of per-report vector representations used in pair scoring.
+
+    Code cosines are read from the token Gram matrix of one block of reports
+    at a time (:meth:`index_code`), so each report's norm is computed once
+    per block instead of once per pair.
+    """
 
     def __init__(self, embedding: EmbeddingModel | None = None):
         self.embedding = embedding
         self._tokens: dict[str, dict] = {}
         self._content_vectors: dict[str, np.ndarray] = {}
         self._title_vectors: dict[str, np.ndarray] = {}
+        self._code_rows: dict[str, int] = {}
+        self._code_gram = np.zeros((0, 0))
 
     def token_vector(self, report: PocReport):
         if report.id not in self._tokens:
             self._tokens[report.id] = tokenize_code(report.raw_content)
         return self._tokens[report.id]
+
+    def _token_gram(
+        self, reports: Sequence[PocReport]
+    ) -> tuple[dict[str, int], np.ndarray]:
+        """Report id -> row, and the Gram matrix of the reports' token counts.
+
+        The counts are integers, so every product and partial sum is exact
+        (up to 2**53) whatever order the matrix product and the column slices
+        add them in: an entry equals the sparse dot product of
+        :func:`cosine_similarity` bit for bit, and a diagonal entry its
+        squared norm.
+        """
+        vectors = [self.token_vector(report) for report in reports]
+        index: dict[str, int] = {}  # token -> column
+        rows = np.repeat(np.arange(len(vectors)), [len(vector) for vector in vectors])
+        columns = np.array(
+            [index.setdefault(token, len(index)) for vector in vectors for token in vector],
+            dtype=np.intp,
+        )
+        counts = np.array(
+            [count for vector in vectors for count in vector.values()], dtype=np.float64
+        )
+        n = len(reports)
+        gram = np.zeros((n, n))
+        width = max(1, _GRAM_SLICE // max(n, 1))
+        for start in range(0, len(index), width):
+            part = (columns >= start) & (columns < start + width)
+            matrix = np.zeros((n, min(width, len(index) - start)))
+            matrix[rows[part], columns[part] - start] = counts[part]
+            gram += matrix @ matrix.T
+        return {report.id: row for row, report in enumerate(reports)}, gram
+
+    def index_code(self, reports: Sequence[PocReport]) -> None:
+        """Make ``reports`` the block code cosines are read from. The block
+        replaces the previous one, so one Gram matrix is kept at a time."""
+        self._code_rows, self._code_gram = self._token_gram(reports)
+
+    def code_cosine(self, a: PocReport, b: PocReport) -> float:
+        """Token-count cosine of two reports, equal to :func:`cosine_similarity`
+        of their token vectors. A pair outside the indexed block gets a Gram
+        matrix of its own, which leaves the block in place."""
+        rows, gram = self._code_rows, self._code_gram
+        if a.id not in rows or b.id not in rows:
+            rows, gram = self._token_gram([a, b])
+        i, j = rows[a.id], rows[b.id]
+        return cosine_from_gram(float(gram[i, j]), float(gram[i, i]), float(gram[j, j]))
 
     def _require_embedding(self) -> EmbeddingModel:
         if self.embedding is None:
@@ -175,11 +235,10 @@ def score_pair(
             f"{a.id} ({a.content_kind.encode()}) and {b.id} ({b.content_kind.encode()})"
         )
     if kind.is_code:
-        va, vb = models.token_vector(a), models.token_vector(b)
-        if not va and not vb:
+        if not models.token_vector(a) and not models.token_vector(b):
             logger.warning("both token vectors empty for pair (%s, %s)", a.id, b.id)
             return 0.0
-        return cosine_similarity(va, vb)
+        return models.code_cosine(a, b)
     score = cosine_similarity(models.content_vector(a), models.content_vector(b))
     if score < 0.0:
         logger.warning(
@@ -443,12 +502,18 @@ def build_link_graph(
     Same-CVE same-kind pairs link when their similarity clears the per-kind
     threshold. Pairs sharing no CVE id link when they name the same software
     and the classifier votes yes. One link per pair, shared-CVE basis first,
-    output sorted by pair key.
+    output sorted by pair key. The code reports of each CVE group and of each
+    software-name block are indexed for scoring before the group's or the
+    block's pairs are scored.
     """
     links: dict[tuple[str, str], PocLink] = {}
     groups = group_by_cve(corpus)
     for cve_id in sorted(groups):
-        for a_id, b_id, kind in candidate_pairs_same_cve(groups[cve_id], corpus):
+        pairs = candidate_pairs_same_cve(groups[cve_id], corpus)
+        if any(kind.is_code for _a, _b, kind in pairs):
+            group = (corpus.get(report_id) for report_id in groups[cve_id])
+            models.index_code([r for r in group if r.content_kind.is_code])
+        for a_id, b_id, kind in pairs:
             key = (a_id, b_id)
             if key in links:
                 continue
@@ -456,27 +521,29 @@ def build_link_graph(
             if score >= kind_threshold(kind, config):
                 links[key] = PocLink(a_id, b_id, SharedCve(cve_id), score, kind)
     if classifier is not None:
-        # software name -> report ids in corpus order (a dict as ordered set)
-        by_name: dict[str, dict[str, None]] = {}
+        # (software name, content kind) -> reports in corpus order; a report
+        # can only pair with reports of its own kind
+        blocks: dict[tuple[str, ContentKind], list[PocReport]] = {}
         for report in corpus:
-            for name in software_names(report):
-                by_name.setdefault(name.lower(), {})[report.id] = None
-        candidates: set[tuple[str, str]] = set()
-        for ids in by_name.values():
-            for pair in combinations(ids, 2):
-                candidates.add(tuple(sorted(pair)))
-        for key in sorted(candidates):
-            if key in links:
-                continue
-            a, b = corpus.get(key[0]), corpus.get(key[1])
-            if set(a.cve_ids) & set(b.cve_ids):
-                continue
-            kind = pair_kind_of(a, b)
-            if kind is None:
-                continue
-            same, confidence = classify_pair(classifier, a, b)
-            if same:
-                links[key] = PocLink(key[0], key[1], None, confidence, kind)
+            kind = report.content_kind
+            if kind.is_code or kind.is_text:
+                for name in software_names(report):
+                    blocks.setdefault((name.lower(), kind), []).append(report)
+        seen: set[tuple[str, str]] = set()  # a pair can share several names
+        for (_name, kind), block in blocks.items():
+            if kind.is_code and len(block) > 1:
+                models.index_code(block)
+            for a, b in combinations(block, 2):
+                if a.id > b.id:
+                    a, b = b, a
+                key = (a.id, b.id)
+                # a pair sharing a CVE id is left to the shared-CVE pass
+                if key in seen or set(a.cve_ids) & set(b.cve_ids):
+                    continue
+                seen.add(key)
+                same, confidence = classify_pair(classifier, a, b)
+                if same:
+                    links[key] = PocLink(a.id, b.id, None, confidence, kind)
     return [links[key] for key in sorted(links)]
 
 

@@ -1,6 +1,9 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pocfusion import (
     ContentKind,
@@ -12,7 +15,7 @@ from pocfusion import (
     detect_language,
     load_signatures,
 )
-from pocfusion.classify import DEFAULT_MIN_HITS
+from pocfusion.classify import DEFAULT_MIN_HITS, required_literal
 from pocfusion.corpus import CorpusError
 
 from classify_fixtures import CODE_FIXTURES, PROSE_FIXTURES
@@ -147,3 +150,96 @@ def test_signature_field_of_wrong_type_names_its_line(tmp_path, field, value):
     with pytest.raises(CorpusError) as err:
         load_signatures(table)
     assert str(err.value).startswith(f"{table}:2:")
+
+
+@pytest.mark.parametrize("min_hits", [None, "x", 0, True, 1.5])
+def test_signature_min_hits_of_wrong_value_names_the_header(tmp_path, min_hits):
+    table = tmp_path / "sigs.jsonl"
+    rows = [
+        {"format": "language-signatures", "version": 1, "min_hits": min_hits},
+        {"language": "python", "pattern": "import", "weight": 1},
+    ]
+    table.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError) as err:
+        load_signatures(table)
+    assert str(err.value).startswith(f"{table}:1: min_hits")
+
+
+# --- the literal gate: a pattern whose required literal is absent is not run ---
+
+BUNDLED_PATTERNS = [p for s in load_signatures() for p in s.patterns]
+DEMO = Path(__file__).resolve().parent.parent / "demo"
+
+
+def test_required_literal_is_the_longest_top_level_run():
+    cases = {
+        r"\bSystem\.(?:out|err)\.print": "System.",
+        r"^\s*from\s+[\w.]+\s+import\s+": "import",  # the longer of two runs
+        r"abc|abd": "ab",  # the parser factors out a common prefix
+        r"ab\bcd": "ab",  # a zero-width item ends a run
+        r"x{3}": None,  # a repeat is not a run of literals
+        r"foo|bar": None,
+        r"(foo)ba": "ba",  # only the top-level sequence counts
+        r"(?i)import": None,
+        r"(?i:im)port": "port",
+    }
+    for source, literal in cases.items():
+        assert required_literal(re.compile(source, re.MULTILINE)) == literal, source
+
+
+def test_bundled_patterns_without_a_gate():
+    ungated = [p.pattern.pattern for p in BUNDLED_PATTERNS if p.literal is None]
+    assert len(ungated) == 7
+    assert sum(p.startswith("(?i)") for p in ungated) == 5
+
+
+def _gate_fragments() -> list[str]:
+    """Each bundled literal, its halves, and the characters the patterns
+    are made of, so that generated text comes near to matching."""
+    fragments = {" ", "  ", "\n", "\t", "x", "_", "0", "9"}
+    for p in BUNDLED_PATTERNS:
+        if p.literal:
+            fragments |= {p.literal, p.literal[:-1], p.literal[1:]}
+        fragments |= {ch for ch in p.pattern.pattern if not ch.isalnum()}
+    return sorted(fragments)
+
+
+near_misses = st.lists(st.sampled_from(_gate_fragments()), max_size=20).map("".join)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.data())
+def test_gated_hits_equal_findall(data):
+    # text around a match of one pattern, so that each pattern is seen
+    # matching; the line breaks keep the match's anchors and word boundaries
+    matched = data.draw(st.sampled_from(BUNDLED_PATTERNS))
+    content = "\n".join(
+        data.draw(st.tuples(near_misses, st.from_regex(matched.pattern), near_misses))
+    )
+    assert matched.hits(content) >= 1
+    for p in BUNDLED_PATTERNS:
+        assert p.hits(content) == len(p.pattern.findall(content)), p.pattern.pattern
+
+
+def test_gated_hits_equal_findall_on_demo_and_fixtures():
+    texts = [doc for _lang, doc in CODE_FIXTURES] + list(PROSE_FIXTURES)
+    for path in sorted(DEMO.glob("*.jsonl")):
+        for line in path.read_text(encoding="utf-8").splitlines():
+            texts += [v for v in json.loads(line).values() if isinstance(v, str)]
+    for content in texts:
+        for p in BUNDLED_PATTERNS:
+            assert p.hits(content) == len(p.pattern.findall(content)), p.pattern.pattern
+
+
+def test_user_table_with_ignorecase_and_alternation(tmp_path):
+    table = tmp_path / "sigs.jsonl"
+    rows = [
+        {"format": "language-signatures", "version": 1, "min_hits": 1},
+        {"language": "python", "pattern": "(?i)import", "weight": 1},
+        {"language": "ruby", "pattern": "puts|gets", "weight": 1},
+    ]
+    table.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+    signatures = load_signatures(table)
+    assert [p.literal for s in signatures for p in s.patterns] == [None, None]
+    assert detect_language("IMPORT Import", signatures) == (LanguageId.PYTHON, 2)
+    assert detect_language("gets gets", signatures) == (LanguageId.RUBY, 2)

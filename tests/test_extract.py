@@ -410,6 +410,9 @@ def test_load_gold_annotations(tmp_path):
         ('{"author": ["x"]}\n', 1),
         # a string where the list of values belongs is not split into characters
         ('{"id": "a", "author": "xy"}\n', 1),
+        ('{"id": 5, "author": ["x"]}\n', 1),
+        # a repeated id is named at its second line
+        ('{"id": "a"}\n{"id": "b"}\n{"id": "a", "author": ["x"]}\n', 3),
     ],
 )
 def test_load_gold_annotations_names_bad_line(tmp_path, text, line):

@@ -1,8 +1,13 @@
 import json
 import math
+from collections import Counter
+from itertools import combinations
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pocfusion import (
     CompletionConfig,
@@ -31,8 +36,10 @@ from pocfusion import (
     score_pair,
     software_names,
 )
+import pocfusion.link as link_module
 from pocfusion.corpus import AspectSet, ContentKind, read_jsonl, write_jsonl
 from pocfusion.link import save_pair_samples, title_text
+from pocfusion.similarity import cosine_similarity, embed_text, tokenize_code
 
 EDB = SourceId.parse("ExploitDB")
 TEXT = ContentKind.decode("text")
@@ -158,6 +165,62 @@ def test_score_pair_code_cosine():
     b = report("b", content="x z", kind=PY)
     assert score_pair(a, b, code_kind(LanguageId.PYTHON), models) == 0.5
     assert score_pair(a, a, code_kind(LanguageId.PYTHON), models) == 1.0
+
+
+def code_report(rid, counts):
+    content = " ".join(token for token, n in sorted(counts.items()) for _ in range(n))
+    return report(rid, content=content, kind=PY)
+
+
+token_counts = st.dictionaries(
+    st.sampled_from(["x", "y", "z", "q", "w1", "_v"]),
+    st.integers(min_value=1, max_value=60),
+    max_size=6,
+)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(
+    token_counts,
+    token_counts,
+    st.lists(token_counts, max_size=4),
+    st.integers(0, 4),
+    st.sampled_from([1, 7, link_module._GRAM_SLICE]),
+)
+def test_code_cosine_equals_sparse_cosine_bit_for_bit(a_counts, b_counts, others, at, cells):
+    a, b = code_report("a", a_counts), code_report("b", b_counts)
+    assert tokenize_code(a.raw_content) == Counter(a_counts)
+    expected = cosine_similarity(Counter(a_counts), Counter(b_counts)).hex()
+    # a pair outside any indexed block
+    assert ScoringModels().code_cosine(a, b).hex() == expected
+    # the same pair inside a larger block, its counts multiplied in column
+    # slices of at most ``cells`` entries
+    block = [code_report(f"o{i}", counts) for i, counts in enumerate(others)]
+    block[at:at] = [a]
+    block.append(b)
+    models = ScoringModels()
+    with mock.patch.object(link_module, "_GRAM_SLICE", cells):
+        models.index_code(block)
+    assert models.code_cosine(a, b).hex() == expected
+    assert models.code_cosine(b, a).hex() == cosine_similarity(
+        Counter(b_counts), Counter(a_counts)
+    ).hex()
+
+
+def test_code_cosine_exact_half_in_a_block():
+    models = ScoringModels()
+    a, b = report("a", content="x y", kind=PY), report("b", content="x z", kind=PY)
+    models.index_code([report("c", content="x x y q", kind=PY), a, b])
+    assert models.code_cosine(a, b) == 0.5
+    assert score_pair(a, b, PY, models) == 0.5
+
+
+def test_code_cosine_zero_vector_logs(caplog):
+    models = ScoringModels()
+    a, b = report("a", content=" ", kind=PY), report("b", content="x", kind=PY)
+    models.index_code([a, b])
+    assert models.code_cosine(a, b) == 0.0
+    assert "zero vector" in caplog.text
 
 
 def test_score_pair_empty_code(caplog):
@@ -451,3 +514,90 @@ def test_save_pair_samples(tmp_path):
 def test_title_text_first_value():
     assert title_text(report("a", title="The Title")) == "The Title"
     assert title_text(report("b")) == ""
+
+
+# --- the per-pair oracle --------------------------------------------------------
+
+
+def oracle_link_graph(corpus, embedding, cutoff, config):
+    """Reference graph: each candidate pair scored on its own with
+    cosine_similarity, the classifier's candidates in sorted key order."""
+
+    def content_score(a, b, kind):
+        if kind.is_code:
+            va, vb = tokenize_code(a.raw_content), tokenize_code(b.raw_content)
+            if not va and not vb:
+                return 0.0
+            return cosine_similarity(va, vb)
+        score = cosine_similarity(
+            embed_text(embedding, a.raw_content), embed_text(embedding, b.raw_content)
+        )
+        return 0.0 if score < 0.0 else min(score, 1.0)
+
+    links = {}
+    groups = group_by_cve(corpus)
+    for cve_id in sorted(groups):
+        for a_id, b_id, kind in candidate_pairs_same_cve(groups[cve_id], corpus):
+            if (a_id, b_id) not in links:
+                score = content_score(corpus.get(a_id), corpus.get(b_id), kind)
+                if score >= kind_threshold(kind, config):
+                    links[(a_id, b_id)] = PocLink(a_id, b_id, SharedCve(cve_id), score, kind)
+    if cutoff is None:
+        return [links[key] for key in sorted(links)]
+    by_name = {}
+    for r in corpus:
+        for name in software_names(r):
+            by_name.setdefault(name.lower(), []).append(r.id)
+    candidates = {tuple(sorted(pair)) for ids in by_name.values() for pair in combinations(ids, 2)}
+    for key in sorted(candidates):
+        a, b = corpus.get(key[0]), corpus.get(key[1])
+        kind = pair_kind_of(a, b)
+        if key in links or set(a.cve_ids) & set(b.cve_ids) or kind is None:
+            continue
+        title = cosine_similarity(
+            embed_text(embedding, title_text(a)), embed_text(embedding, title_text(b))
+        )
+        combined = 0.5 * max(0.0, title) + 0.5 * content_score(a, b, kind)
+        combined = min(max(combined, 0.0), 1.0)
+        if combined >= cutoff:
+            links[key] = PocLink(key[0], key[1], None, combined, kind)
+    return [links[key] for key in sorted(links)]
+
+
+ORACLE_KINDS = [TEXT, PY, code_kind(LanguageId.C_CPP), ContentKind.decode("other")]
+ORACLE_TITLES = [None, "FooServ 1.0 - RCE", "fooserv 2.1 - DoS", "BarWare 3 - RCE"]
+
+
+@st.composite
+def linkable_corpora(draw):
+    """Small corpora where names, kinds and CVE ids overlap often."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    ids = draw(st.permutations([f"r{i}" for i in range(n)]))
+    words = st.sampled_from(["x", "y", "z", "aa", "bb", "dos"])
+    reports = [
+        report(
+            rid,
+            content=" ".join(draw(st.lists(words, max_size=6))),
+            kind=draw(st.sampled_from(ORACLE_KINDS)),
+            cve_ids=tuple(draw(st.lists(st.sampled_from(["CVE-2020-0001", "CVE-2020-0002"]), unique=True, max_size=2))),
+            title=draw(st.sampled_from(ORACLE_TITLES)),
+            version=draw(st.sampled_from([None, "BarWare 3.1"])),
+        )
+        for rid in ids
+    ]
+    return Corpus(reports)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    linkable_corpora(),
+    st.sampled_from([None, 0.3, 0.6, 0.85]),
+    st.sampled_from([(0.5, 0.95), (0.2, 0.5)]),
+)
+def test_build_link_graph_equals_per_pair_oracle(corpus, cutoff, thresholds):
+    embedding = planted_model({"barware": [4.0, 3.0], "dos": [-1.0, 0.5]})
+    config = SimpleNamespace(code_threshold=thresholds[0], text_threshold=thresholds[1])
+    models = ScoringModels(embedding)
+    classifier = None if cutoff is None else HeuristicPairClassifier(models, cutoff)
+    links = build_link_graph(corpus, models, classifier, config)
+    assert links == oracle_link_graph(corpus, embedding, cutoff, config)
