@@ -43,21 +43,55 @@ def required_literal(pattern: re.Pattern[str]) -> str | None:
     return best or None
 
 
+def branch_heads(pattern: re.Pattern[str]) -> tuple[str, ...] | None:
+    """Substrings one of which every match of ``pattern`` contains, or None.
+
+    They are the leading literal runs of the branches of the first
+    alternation in the pattern's top-level sequence whose branches all
+    start with a literal: a match passes through one branch of it, so it
+    contains that branch's head verbatim. Case-insensitive patterns have
+    none, for the same reason as in :func:`required_literal`.
+    """
+    if pattern.flags & re.IGNORECASE:
+        return None
+    for op, value in _parser.parse(pattern.pattern, pattern.flags):
+        if op != _parser.BRANCH:
+            continue
+        heads = []
+        for branch in value[1]:
+            head = ""
+            for item_op, item_value in branch:
+                if item_op != _parser.LITERAL:
+                    break
+                head += chr(item_value)
+            if not head:
+                break
+            heads.append(head)
+        else:
+            return tuple(heads)
+    return None
+
+
 @dataclass(frozen=True)
 class SignaturePattern:
     pattern: re.Pattern[str]
     weight: int
     literal: str | None = field(init=False, default=None)
+    heads: tuple[str, ...] | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         if self.weight < 1:
             raise ValueError("pattern weight must be >= 1")
         object.__setattr__(self, "literal", required_literal(self.pattern))
+        object.__setattr__(self, "heads", branch_heads(self.pattern))
 
     def hits(self, content: str) -> int:
         """Number of non-overlapping matches in ``content``; a content that
-        lacks the required literal cannot match, so its regex is not run."""
+        lacks the required literal, or every head of the gated alternation,
+        cannot match, so its regex is not run."""
         if self.literal is not None and self.literal not in content:
+            return 0
+        if self.heads is not None and not any(head in content for head in self.heads):
             return 0
         return len(self.pattern.findall(content))
 

@@ -37,21 +37,21 @@ class ExtractionError(ValueError):
     """Fatal extraction failure (contract violation, evaluation id mismatch)."""
 
 
-def _keyword_regexes(*keywords: str) -> list[re.Pattern[str]]:
-    return [
-        re.compile(r"\b" + re.escape(kw) + r"\b", re.IGNORECASE) for kw in keywords
-    ]
+def _keyword_regex(*keywords: str) -> re.Pattern[str]:
+    """One pattern matching any of ``keywords`` as whole words, any case."""
+    alternatives = "|".join(re.escape(kw) for kw in keywords)
+    return re.compile(r"\b(?:" + alternatives + r")\b", re.IGNORECASE)
 
 
 # Keyword and pattern inventory of the rule-based extractors.
-_TRIGGER_KEYWORDS = _keyword_regexes(
+_TRIGGER_KEYWORDS = _keyword_regex(
     "steps",
     "reproduce",
     # the historical misspelling appears verbatim in real reports
     "complie with",
     "compile with",
 )
-_ORACLE_KEYWORDS = _keyword_regexes("expected output", "poc output")
+_ORACLE_KEYWORDS = _keyword_regex("expected output", "poc output")
 _STEP_LIST_PATTERNS = (
     re.compile(r"^[ \t]{0,8}(\d{1,3})[.)][ \t]+"),
     re.compile(r"^[ \t]{0,8}([a-z])\)[ \t]+"),
@@ -128,6 +128,24 @@ def _find_step_runs(lines: list[str]) -> list[tuple[int, int, int]]:
     return runs
 
 
+def _keyword_lines(keywords: re.Pattern[str], content: str) -> list[int]:
+    """Sorted, distinct numbers of the lines of ``content`` holding a keyword.
+
+    One scan of the whole content finds the same lines as a search of each
+    line: no keyword holds a line break, and a line break is a non-word
+    character, so a word boundary falls at a line's edge exactly when it
+    falls at the edge of that line on its own.
+    """
+    numbers: list[int] = []
+    lineno = position = 0
+    for match in keywords.finditer(content):
+        lineno += content.count("\n", position, match.start())
+        position = match.start()
+        if not numbers or numbers[-1] != lineno:
+            numbers.append(lineno)
+    return numbers
+
+
 def _resolve_regions(candidates: list[tuple[int, int]], lines: list[str]) -> list[str]:
     """Non-overlapping selection, longest region first, emitted in document order."""
     chosen: list[tuple[int, int]] = []
@@ -147,9 +165,7 @@ def extract_trigger_step(content: str) -> list[str]:
     candidates: list[tuple[int, int]] = [
         (first, last) for first, last, n in runs if n >= 2
     ]
-    for lineno, line in enumerate(lines):
-        if not any(r.search(line) for r in _TRIGGER_KEYWORDS):
-            continue
+    for lineno in _keyword_lines(_TRIGGER_KEYWORDS, content):
         end = lineno
         # a list starting just below the keyword line belongs to it
         for first, last, _n in runs:
@@ -168,9 +184,7 @@ def extract_verification_oracle(content: str) -> list[str]:
     """
     lines = content.split("\n")
     candidates: list[tuple[int, int]] = []
-    for lineno, line in enumerate(lines):
-        if not any(r.search(line) for r in _ORACLE_KEYWORDS):
-            continue
+    for lineno in _keyword_lines(_ORACLE_KEYWORDS, content):
         end = lineno
         nxt = lineno + 1
         if nxt < len(lines) and not lines[nxt].strip():

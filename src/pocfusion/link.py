@@ -10,7 +10,7 @@ import re
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -377,14 +377,23 @@ class ExternalPairClassifier:
 
 
 def classify_pair(
-    classifier: PairClassifier, a: PocReport, b: PocReport
+    classifier: PairClassifier,
+    a: PocReport,
+    b: PocReport,
+    names: Mapping[str, Sequence[str]] | None = None,
 ) -> tuple[bool, float]:
     """Same-vulnerability verdict for two reports naming the same software.
 
     The software match is a hard precondition; callers generate candidates
-    through it.
+    through it. ``names`` maps report ids to their distinct lowered software
+    names, as :func:`build_link_graph` has them already; without it the
+    names are derived here.
     """
-    if not match_software(a, b):
+    if names is not None:
+        shared = any(name in names[b.id] for name in names[a.id])
+    else:
+        shared = match_software(a, b)
+    if not shared:
         raise ValueError(
             f"classify_pair precondition violated: {a.id} and {b.id} "
             "do not name the same software"
@@ -522,13 +531,18 @@ def build_link_graph(
                 links[key] = PocLink(a_id, b_id, SharedCve(cve_id), score, kind)
     if classifier is not None:
         # (software name, content kind) -> reports in corpus order; a report
-        # can only pair with reports of its own kind
+        # can only pair with reports of its own kind. Each report's names are
+        # derived once here and kept, as a tuple of the one or few names a
+        # report has, for the classifier's precondition.
         blocks: dict[tuple[str, ContentKind], list[PocReport]] = {}
+        names: dict[str, tuple[str, ...]] = {}
         for report in corpus:
             kind = report.content_kind
             if kind.is_code or kind.is_text:
-                for name in software_names(report):
-                    blocks.setdefault((name.lower(), kind), []).append(report)
+                lowered = tuple(name.lower() for name in software_names(report))
+                names[report.id] = lowered
+                for name in lowered:
+                    blocks.setdefault((name, kind), []).append(report)
         seen: set[tuple[str, str]] = set()  # a pair can share several names
         for (_name, kind), block in blocks.items():
             if kind.is_code and len(block) > 1:
@@ -541,7 +555,7 @@ def build_link_graph(
                 if key in seen or set(a.cve_ids) & set(b.cve_ids):
                     continue
                 seen.add(key)
-                same, confidence = classify_pair(classifier, a, b)
+                same, confidence = classify_pair(classifier, a, b, names)
                 if same:
                     links[key] = PocLink(a.id, b.id, None, confidence, kind)
     return [links[key] for key in sorted(links)]

@@ -127,16 +127,26 @@ class EmbeddingModel:
         return cosine_similarity(va, vb)
 
     def save(self, path: str | Path) -> None:
-        payload = {
+        """Write the model as one JSON object, the text ``json.dumps`` gives
+        for it. The vectors are written a row at a time, so the whole matrix
+        is never held as Python floats or as text at once."""
+        header = {
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
             "params": self.params.encode(),
             "seed": self.seed,
             "vocabulary": list(self.vocabulary),
-            "vectors": self.vectors.tolist(),
-            "epoch_losses": self.epoch_losses,
         }
-        Path(path).write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+        with Path(path).open("w", encoding="utf-8") as handle:
+            handle.write(json.dumps(header, ensure_ascii=False)[:-1])
+            handle.write(', "vectors": [')
+            for index, row in enumerate(self.vectors):
+                if index:
+                    handle.write(", ")
+                handle.write(json.dumps(row.tolist()))
+            handle.write('], "epoch_losses": ')
+            handle.write(json.dumps(self.epoch_losses))
+            handle.write("}")
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingModel":

@@ -15,7 +15,7 @@ from pocfusion import (
     detect_language,
     load_signatures,
 )
-from pocfusion.classify import DEFAULT_MIN_HITS, required_literal
+from pocfusion.classify import DEFAULT_MIN_HITS, branch_heads, required_literal
 from pocfusion.corpus import CorpusError
 
 from classify_fixtures import CODE_FIXTURES, PROSE_FIXTURES
@@ -193,13 +193,46 @@ def test_bundled_patterns_without_a_gate():
     assert sum(p.startswith("(?i)") for p in ungated) == 5
 
 
+def test_branch_heads_of_a_top_level_alternation():
+    cases = {
+        r"\b(?:curl|wget)\s": ("curl", "wget"),
+        r"^\s*(?:fi|done|esac)\s*$": ("fi", "done", "esac"),
+        r"puts|gets": ("puts", "gets"),
+        r"\$_(?:GET|POST)\b": ("GET", "POST"),  # a later item of the sequence
+        r"(?:a\d|bc)": ("a", "bc"),  # a head ends at the first non-literal
+        r"(?:ab|\dc)": None,  # a branch without a literal head
+        r"(?:(?:ab|cd)|ef)": None,  # a nested group is not a literal head
+        r"(?:|ab)": None,  # an empty branch
+        r"(curl|wget)": None,  # a capturing group is not top-level
+        r"(?i)(?:curl|wget)": None,
+        r"(?i:curl|wget)": None,
+        r"x(?:\d|ab)y": None,  # the parser turns this alternation into a class
+    }
+    for source, heads in cases.items():
+        assert branch_heads(re.compile(source, re.MULTILINE)) == heads, source
+
+
+def test_bundled_alternations_are_gated():
+    gated = {p.pattern.pattern: p.heads for p in BUNDLED_PATTERNS if p.heads}
+    assert len(gated) == 11
+    assert gated[r"\b(?:curl|wget)\s+-{1,2}\w+"] == ("curl", "wget")
+    # only the case-insensitive patterns are left with no gate at all
+    ungated = [p for p in BUNDLED_PATTERNS if p.literal is None and p.heads is None]
+    assert ungated == [p for p in BUNDLED_PATTERNS if p.pattern.flags & re.IGNORECASE]
+    for p in BUNDLED_PATTERNS:
+        if p.heads:
+            assert p.hits(" ".join(h[1:] for h in p.heads)) == 0
+
+
 def _gate_fragments() -> list[str]:
-    """Each bundled literal, its halves, and the characters the patterns
-    are made of, so that generated text comes near to matching."""
+    """Each bundled literal and alternation head, their halves, and the
+    characters the patterns are made of, so that generated text comes near
+    to matching."""
     fragments = {" ", "  ", "\n", "\t", "x", "_", "0", "9"}
     for p in BUNDLED_PATTERNS:
-        if p.literal:
-            fragments |= {p.literal, p.literal[:-1], p.literal[1:]}
+        for gate in (p.literal,) + (p.heads or ()):
+            if gate:
+                fragments |= {gate, gate[:-1], gate[1:]}
         fragments |= {ch for ch in p.pattern.pattern if not ch.isalnum()}
     return sorted(fragments)
 
@@ -218,6 +251,22 @@ def test_gated_hits_equal_findall(data):
     )
     assert matched.hits(content) >= 1
     for p in BUNDLED_PATTERNS:
+        assert p.hits(content) == len(p.pattern.findall(content)), p.pattern.pattern
+
+
+ALTERNATIONS = [p for p in BUNDLED_PATTERNS if p.heads]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.data())
+def test_alternation_gated_hits_equal_findall(data):
+    # every bundled alternation, seen matching through each of its branches
+    matched = data.draw(st.sampled_from(ALTERNATIONS))
+    content = "\n".join(
+        data.draw(st.tuples(near_misses, st.from_regex(matched.pattern), near_misses))
+    )
+    assert matched.hits(content) >= 1
+    for p in ALTERNATIONS:
         assert p.hits(content) == len(p.pattern.findall(content)), p.pattern.pattern
 
 
@@ -243,3 +292,21 @@ def test_user_table_with_ignorecase_and_alternation(tmp_path):
     assert [p.literal for s in signatures for p in s.patterns] == [None, None]
     assert detect_language("IMPORT Import", signatures) == (LanguageId.PYTHON, 2)
     assert detect_language("gets gets", signatures) == (LanguageId.RUBY, 2)
+
+
+def test_user_table_alternation_hits(tmp_path):
+    table = tmp_path / "sigs.jsonl"
+    rows = [
+        {"format": "language-signatures", "version": 1, "min_hits": 2},
+        {"language": "shell", "pattern": "\\b(?:curl|wget)\\s+http", "weight": 1},
+        {"language": "ruby", "pattern": "(?:puts|gets)\\b", "weight": 1},
+    ]
+    table.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+    signatures = load_signatures(table)
+    assert [p.heads for s in signatures for p in s.patterns] == [
+        ("puts", "gets"),
+        ("curl", "wget"),
+    ]
+    content = "wget http://a/x\ncurl  https://b/y\nxcurl http://c\n"
+    assert detect_language(content, signatures) == (LanguageId.SHELL, 2)
+    assert detect_language("curl -s http://a", signatures) is None

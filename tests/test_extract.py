@@ -1,4 +1,10 @@
+import hashlib
+import json
+import re
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pocfusion import (
     Corpus,
@@ -17,7 +23,10 @@ from pocfusion import (
     extract_verification_oracle,
 )
 from pocfusion.corpus import ContentKind, CorpusError, LanguageId
+from pocfusion import extract
 from pocfusion.extract import SlotSpan, load_gold_annotations
+
+from gold_corpus import GOLD_FIXTURES
 
 EDB = SourceId.parse("ExploitDB")
 TEXT = ContentKind.decode("text")
@@ -156,6 +165,85 @@ def test_oracle_ignores_unindented_following_text():
 
 def test_no_oracle_keyword():
     assert extract_verification_oracle("the server crashes\n") == []
+
+
+# --- the keyword scan: one pass over the content finds the per-line matches ----
+
+TRIGGER_WORDS = ("steps", "reproduce", "complie with", "compile with")
+ORACLE_WORDS = ("expected output", "poc output")
+DEMO = Path(__file__).resolve().parent.parent / "demo"
+
+
+def per_line_keyword_lines(words, content):
+    """The per-line scan the one-pass helper replaces: a search of every line
+    for every keyword on its own."""
+    regexes = [re.compile(r"\b" + re.escape(w) + r"\b", re.IGNORECASE) for w in words]
+    return [
+        lineno
+        for lineno, line in enumerate(content.split("\n"))
+        if any(r.search(line) for r in regexes)
+    ]
+
+
+def _keyword_fragments() -> list[str]:
+    """Keywords in several cases, their halves, characters that match a
+    keyword's letters only case-insensitively (long s, Kelvin sign), line
+    ends, and word characters that can touch a keyword."""
+    fragments = {"\n", "\r\n", "\r", " ", "_", "0", "7", "a", "x", "ſ", "K", "-", ":"}
+    for word in TRIGGER_WORDS + ORACLE_WORDS:
+        half = len(word) // 2
+        fragments |= {word, word.upper(), word.title(), word[:half], word[half:]}
+    fragments |= {"ſteps", "STEPſ", "poc outpuT", "compile\nwith"}
+    return sorted(fragments)
+
+
+keyword_texts = st.lists(st.sampled_from(_keyword_fragments()), max_size=30).map("".join)
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(keyword_texts)
+def test_keyword_lines_equal_per_line_search(content):
+    for pattern, words in (
+        (extract._TRIGGER_KEYWORDS, TRIGGER_WORDS),
+        (extract._ORACLE_KEYWORDS, ORACLE_WORDS),
+    ):
+        assert extract._keyword_lines(pattern, content) == per_line_keyword_lines(
+            words, content
+        )
+
+
+def test_keyword_lines_at_line_edges():
+    # a "\r" before the line break is no word character; "_" is one; the long
+    # s matches "s" case-insensitively; a keyword does not span two lines
+    content = "steps\r\nxsteps\nsteps_\nſTEPS 1\nPoC Output\n\nexpected\noutput"
+    assert extract._keyword_lines(extract._TRIGGER_KEYWORDS, content) == [0, 3]
+    assert extract._keyword_lines(extract._ORACLE_KEYWORDS, content) == [4]
+
+
+def _demo_and_fixture_texts() -> list[str]:
+    texts = []
+    for path in sorted(DEMO.glob("*.jsonl")):
+        for line in path.read_text(encoding="utf-8").splitlines():
+            texts += [v for v in json.loads(line).values() if isinstance(v, str)]
+    return texts + [fixture["content"] for fixture in GOLD_FIXTURES]
+
+
+def test_regions_on_demo_and_fixtures_are_pinned(monkeypatch):
+    texts = _demo_and_fixture_texts()
+    regions = [[extract_trigger_step(t), extract_verification_oracle(t)] for t in texts]
+    assert len(texts) == 120
+    assert sum(len(trigger) for trigger, _oracle in regions) == 26
+    assert sum(len(oracle) for _trigger, oracle in regions) == 18
+    digest = hashlib.sha256(json.dumps(regions).encode()).hexdigest()
+    assert digest == "a729e98a4c08cf339b8afe78e00e2426b97903e53293e742a27ccc0436fb6f44"
+    # the same regions when the keyword lines come from the per-line scan
+    words = {extract._TRIGGER_KEYWORDS: TRIGGER_WORDS, extract._ORACLE_KEYWORDS: ORACLE_WORDS}
+    monkeypatch.setattr(
+        extract,
+        "_keyword_lines",
+        lambda pattern, content: per_line_keyword_lines(words[pattern], content),
+    )
+    assert regions == [[extract_trigger_step(t), extract_verification_oracle(t)] for t in texts]
 
 
 # --- references -----------------------------------------------------------------

@@ -378,6 +378,47 @@ def test_build_link_graph_without_classifier():
     assert all(isinstance(l.basis, SharedCve) for l in links)
 
 
+def test_build_link_graph_derives_software_names_once_per_report(monkeypatch):
+    corpus = Corpus(
+        list(build_demo_corpus())
+        + [report("ot1", kind=ContentKind.decode("other"), title="FooServ 2.0 - RCE")]
+    )
+
+    def graph():
+        models = ScoringModels(planted_model())
+        return build_link_graph(
+            corpus, models, HeuristicPairClassifier(models), CompletionConfig()
+        )
+
+    expected = graph()
+    calls = Counter()
+
+    def counted(r, original_only=False):
+        calls[r.id] += 1
+        return software_names(r, original_only)
+
+    def refused(a, b):
+        raise AssertionError("the graph rederives names through match_software")
+
+    monkeypatch.setattr(link_module, "software_names", counted)
+    monkeypatch.setattr(link_module, "match_software", refused)
+    assert graph() == expected
+    # once for each text or code report; the report of another kind has no block
+    assert calls == Counter({r.id: 1 for r in corpus if r.id != "ot1"})
+
+
+def test_classify_pair_precondition_with_precomputed_names():
+    classifier = HeuristicPairClassifier(ScoringModels())
+    a = report("a", content="q w", kind=PY, title="FooServ 1.0 - RCE")
+    b = report("b", content="q w", kind=PY, title="FooServ 1.1 - RCE")
+    names = {"a": ("fooserv",), "b": ("barware",)}
+    # the names passed in decide, not the reports' own titles
+    with pytest.raises(ValueError, match="precondition"):
+        classify_pair(classifier, a, b, names)
+    names["b"] = ("barware", "fooserv")
+    assert classify_pair(classifier, a, b, names) == classify_pair(classifier, a, b)
+
+
 def test_shared_cve_basis_wins_over_classifier():
     # same CVE and same software: the link must carry the shared-CVE basis
     corpus = Corpus(

@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 import re
@@ -17,7 +18,7 @@ from pocfusion import (
     tokenize_text,
     train_embeddings,
 )
-from pocfusion.similarity import _CHUNK_TOKENS, _skipgram_pairs
+from pocfusion.similarity import MODEL_FORMAT, MODEL_VERSION, _CHUNK_TOKENS, _skipgram_pairs
 
 
 # Independent tokenizer: single left-to-right character walk, no regex.
@@ -215,6 +216,41 @@ def test_model_roundtrip(tmp_path):
     assert np.array_equal(again.vectors, model.vectors)
     assert again.params == model.params
     assert again.seed == 9
+    assert again.epoch_losses == model.epoch_losses
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[-0.5, 1e-300], [1.7976931348623157e308, -2.5e-17], [0.0, -0.0]],
+        [[1.0 / 3.0, -123456789.123], [5e-324, 1e22]],
+        [],
+    ],
+)
+def test_model_saved_row_by_row_is_one_json_dump(tmp_path, rows):
+    vocabulary = {f"tok{i}é": i for i in range(len(rows))}
+    model = EmbeddingModel(
+        vocabulary=vocabulary,
+        vectors=np.array(rows, dtype=np.float64).reshape(len(rows), 2),
+        params=EmbeddingParams(d=2),
+        seed=3,
+        epoch_losses=[2.5, 1e-9],
+    )
+    payload = {
+        "format": MODEL_FORMAT,
+        "version": MODEL_VERSION,
+        "params": model.params.encode(),
+        "seed": 3,
+        "vocabulary": list(vocabulary),
+        "vectors": model.vectors.tolist(),
+        "epoch_losses": [2.5, 1e-9],
+    }
+    path = tmp_path / "model.json"
+    model.save(path)
+    assert path.read_bytes() == json.dumps(payload, ensure_ascii=False).encode("utf-8")
+    again = EmbeddingModel.load(path)
+    assert again.vocabulary == vocabulary
+    assert np.array_equal(again.vectors, model.vectors)
     assert again.epoch_losses == model.epoch_losses
 
 
