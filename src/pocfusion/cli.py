@@ -48,7 +48,10 @@ from .link import (
     save_links,
 )
 from .report import completion_stats, deficiency_stats, render_report
-from .similarity import EmbeddingParams, train_embeddings
+
+# Not called by the pipeline: bench/tracing.py wraps this module attribute
+# (its similarity.train layer), so it stays importable.
+from .similarity import train_embeddings  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -61,7 +64,6 @@ INGESTED = "corpus_ingested.jsonl"
 CVE_DB = "cve_db.jsonl"
 CLASSIFIED = "corpus_classified.jsonl"
 EXTRACTED = "corpus_extracted.jsonl"
-EMBEDDING = "embedding_model.json"
 LINKS = "links.jsonl"
 COMPLETED = "corpus_completed.jsonl"
 RECORDS = "completion_records.jsonl"
@@ -88,7 +90,7 @@ class PipelineConfig:
     workspace: str | None = None
     code_threshold: float = CompletionConfig.code_threshold
     text_threshold: float = CompletionConfig.text_threshold
-    seed: int = 0
+    seed: int = 0  # accepted and recorded in the manifests; no stage draws from it
     extractor_url: str | None = None
     classifier_url: str | None = None
     jobs: int = 8
@@ -321,24 +323,9 @@ def stage_extract(config: PipelineConfig, ws: Path, inputs: dict[str, Path]) -> 
     return [EXTRACTED], {"degraded": {"extractor": degraded}}
 
 
-def _training_texts(corpus: Corpus) -> list[str]:
-    texts = [r.raw_content for r in corpus if r.content_kind.is_text]
-    texts.extend(t for r in corpus for t in r.aspects.texts("title"))
-    return [t for t in texts if t.strip()]
-
-
 def stage_link(config: PipelineConfig, ws: Path, inputs: dict[str, Path]) -> _StageResult:
     corpus = load_corpus(inputs[EXTRACTED])
-    texts = _training_texts(corpus)
-    embedding = None
-    outputs = [LINKS]
-    if texts:
-        embedding = train_embeddings(texts, EmbeddingParams(), seed=config.seed)
-        embedding.save(ws / EMBEDDING)
-        outputs.append(EMBEDDING)
-    else:
-        logger.warning("no text content to train embeddings on; text pairs unscorable")
-    models = ScoringModels(embedding)
+    models = ScoringModels()
     heuristic = HeuristicPairClassifier(models)
     external = (
         ExternalPairClassifier(config.classifier_url, heuristic)
@@ -348,7 +335,7 @@ def stage_link(config: PipelineConfig, ws: Path, inputs: dict[str, Path]) -> _St
     links = build_link_graph(corpus, models, external or heuristic, config)
     degraded = len(external.degraded_pairs) if external else 0
     save_links(links, ws / LINKS)
-    return outputs, {"links": len(links), "degraded": {"classifier": degraded}}
+    return [LINKS], {"links": len(links), "degraded": {"classifier": degraded}}
 
 
 def stage_complete(config: PipelineConfig, ws: Path, inputs: dict[str, Path]) -> _StageResult:
@@ -403,7 +390,7 @@ STAGES = tuple(_STAGES)
 # workspace file -> the stage that writes it
 _PRODUCERS = {
     INGESTED: "ingest", CVE_DB: "ingest", CLASSIFIED: "classify", EXTRACTED: "extract",
-    EMBEDDING: "link", LINKS: "link", COMPLETED: "complete", RECORDS: "complete",
+    LINKS: "link", COMPLETED: "complete", RECORDS: "complete",
 }
 
 

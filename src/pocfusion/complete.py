@@ -33,7 +33,7 @@ from .link import (
     PocLink,
     SharedCve,
     ThresholdConfig,
-    kind_threshold,
+    below_threshold,
     software_names,
 )
 
@@ -43,7 +43,7 @@ logger = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class CompletionConfig:
     code_threshold: float = 0.5
-    text_threshold: float = 0.95
+    text_threshold: float = 0.65
 
     def __post_init__(self) -> None:
         for name in ("code_threshold", "text_threshold"):
@@ -160,9 +160,7 @@ def complete_from_poc(
         raise ValueError(
             f"link ({link.a}, {link.b}) does not connect {target.id} and {donor.id}"
         )
-    if isinstance(link.basis, SharedCve) and link.similarity < kind_threshold(
-        link.kind, config
-    ):
+    if below_threshold(link, config):
         raise ValueError(
             f"link similarity {link.similarity} below the "
             f"{link.kind.encode()} threshold"
@@ -254,9 +252,7 @@ def run_completion(
     skipped = 0
     ordered = sorted(links, key=lambda l: (-l.similarity, l.a, l.b))
     for link in ordered:
-        if isinstance(link.basis, SharedCve) and link.similarity < kind_threshold(
-            link.kind, config
-        ):
+        if below_threshold(link, config):
             skipped += 1
             continue
         for target_id, donor_id in ((link.a, link.b), (link.b, link.a)):

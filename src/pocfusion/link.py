@@ -7,21 +7,20 @@ from __future__ import annotations
 import logging
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
 from .corpus import ContentKind, Corpus, PocReport, json_object, read_jsonl, write_jsonl
-from .similarity import (
-    EmbeddingModel,
-    cosine_from_gram,
-    cosine_similarity,
-    embed_text,
-    tokenize_code,
-)
+from .similarity import cosine_from_gram, tokenize_code, tokenize_text
+
+# Not called by the pipeline: bench/tracing.py wraps these module attributes
+# (its similarity.embed and similarity.cosine layers), so they stay importable.
+from .similarity import cosine_similarity, embed_text  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -86,6 +85,15 @@ def kind_threshold(kind: ContentKind, config: ThresholdConfig) -> float:
     return config.code_threshold if kind.is_code else config.text_threshold
 
 
+def below_threshold(link: PocLink, config: ThresholdConfig) -> bool:
+    """True for a shared-CVE link scoring under its kind's threshold.
+    A classifier link carries the classifier's confidence, not a cosine, and
+    is never below."""
+    return isinstance(link.basis, SharedCve) and link.similarity < kind_threshold(
+        link.kind, config
+    )
+
+
 # --- grouping and candidates -------------------------------------------------
 
 
@@ -137,30 +145,44 @@ def title_text(report: PocReport) -> str:
 
 
 class ScoringModels:
-    """Caches of per-report vector representations used in pair scoring.
+    """Per-report token counts and the cosines read from them.
 
-    Code cosines are read from the token Gram matrix of one block of reports
-    at a time (:meth:`index_code`), so each report's norm is computed once
-    per block instead of once per pair.
+    A report's content vector counts its code tokens (:func:`tokenize_code`)
+    when it is code and its words (:func:`tokenize_text`) otherwise; its
+    title vector counts the words of its first title. Cosines are read from
+    the Gram matrices of one block of reports at a time (:meth:`index`), so
+    each report's norm is computed once per block instead of once per pair.
     """
 
-    def __init__(self, embedding: EmbeddingModel | None = None):
-        self.embedding = embedding
-        self._tokens: dict[str, dict] = {}
-        self._content_vectors: dict[str, np.ndarray] = {}
-        self._title_vectors: dict[str, np.ndarray] = {}
-        self._code_rows: dict[str, int] = {}
-        self._code_gram = np.zeros((0, 0))
+    def __init__(self) -> None:
+        self._content: dict[str, Counter] = {}
+        self._titles: dict[str, Counter] = {}
+        self._block: list[PocReport] = []
+        self._rows: dict[str, int] = {}
+        # token-count function -> Gram matrix of the block, made on first use
+        self._grams: dict[Callable[[PocReport], Counter], np.ndarray] = {}
 
-    def token_vector(self, report: PocReport):
-        if report.id not in self._tokens:
-            self._tokens[report.id] = tokenize_code(report.raw_content)
-        return self._tokens[report.id]
+    def content_tokens(self, report: PocReport) -> Counter:
+        tokens = self._content.get(report.id)
+        if tokens is None:
+            if report.content_kind.is_code:
+                tokens = tokenize_code(report.raw_content)
+            else:
+                tokens = Counter(tokenize_text(report.raw_content))
+            self._content[report.id] = tokens
+        return tokens
 
+    def title_tokens(self, report: PocReport) -> Counter:
+        tokens = self._titles.get(report.id)
+        if tokens is None:
+            tokens = self._titles[report.id] = Counter(tokenize_text(title_text(report)))
+        return tokens
+
+    @staticmethod
     def _token_gram(
-        self, reports: Sequence[PocReport]
-    ) -> tuple[dict[str, int], np.ndarray]:
-        """Report id -> row, and the Gram matrix of the reports' token counts.
+        reports: Sequence[PocReport], tokens: Callable[[PocReport], Counter]
+    ) -> np.ndarray:
+        """The Gram matrix of the reports' token counts, rows in input order.
 
         The counts are integers, so every product and partial sum is exact
         (up to 2**53) whatever order the matrix product and the column slices
@@ -168,7 +190,7 @@ class ScoringModels:
         :func:`cosine_similarity` bit for bit, and a diagonal entry its
         squared norm.
         """
-        vectors = [self.token_vector(report) for report in reports]
+        vectors = [tokens(report) for report in reports]
         index: dict[str, int] = {}  # token -> column
         rows = np.repeat(np.arange(len(vectors)), [len(vector) for vector in vectors])
         columns = np.array(
@@ -186,67 +208,54 @@ class ScoringModels:
             matrix = np.zeros((n, min(width, len(index) - start)))
             matrix[rows[part], columns[part] - start] = counts[part]
             gram += matrix @ matrix.T
-        return {report.id: row for row, report in enumerate(reports)}, gram
+        return gram
 
-    def index_code(self, reports: Sequence[PocReport]) -> None:
-        """Make ``reports`` the block code cosines are read from. The block
-        replaces the previous one, so one Gram matrix is kept at a time."""
-        self._code_rows, self._code_gram = self._token_gram(reports)
+    def index(self, reports: Sequence[PocReport]) -> None:
+        """Make ``reports`` the block cosines are read from. The block
+        replaces the previous one, so only one block's Gram matrices are kept;
+        each is computed when the first cosine needs it."""
+        self._block = list(reports)
+        self._rows = {report.id: row for row, report in enumerate(self._block)}
+        self._grams = {}
 
-    def code_cosine(self, a: PocReport, b: PocReport) -> float:
-        """Token-count cosine of two reports, equal to :func:`cosine_similarity`
-        of their token vectors. A pair outside the indexed block gets a Gram
-        matrix of its own, which leaves the block in place."""
-        rows, gram = self._code_rows, self._code_gram
-        if a.id not in rows or b.id not in rows:
-            rows, gram = self._token_gram([a, b])
+    def _cosine(
+        self, a: PocReport, b: PocReport, tokens: Callable[[PocReport], Counter]
+    ) -> float:
+        """Cosine of two reports' ``tokens``, equal to :func:`cosine_similarity`
+        of the two counts. A pair outside the indexed block gets a Gram matrix
+        of its own, which leaves the block in place."""
+        rows = self._rows
+        if a.id in rows and b.id in rows:
+            gram = self._grams.get(tokens)
+            if gram is None:
+                gram = self._grams[tokens] = self._token_gram(self._block, tokens)
+        else:
+            rows, gram = {a.id: 0, b.id: 1}, self._token_gram([a, b], tokens)
         i, j = rows[a.id], rows[b.id]
         return cosine_from_gram(float(gram[i, j]), float(gram[i, i]), float(gram[j, j]))
 
-    def _require_embedding(self) -> EmbeddingModel:
-        if self.embedding is None:
-            raise ValueError("text scoring requires an embedding model")
-        return self.embedding
+    def content_cosine(self, a: PocReport, b: PocReport) -> float:
+        return self._cosine(a, b, self.content_tokens)
 
-    def content_vector(self, report: PocReport) -> np.ndarray:
-        if report.id not in self._content_vectors:
-            self._content_vectors[report.id] = embed_text(
-                self._require_embedding(), report.raw_content
-            )
-        return self._content_vectors[report.id]
-
-    def title_vector(self, report: PocReport) -> np.ndarray:
-        if report.id not in self._title_vectors:
-            self._title_vectors[report.id] = embed_text(
-                self._require_embedding(), title_text(report)
-            )
-        return self._title_vectors[report.id]
+    def title_cosine(self, a: PocReport, b: PocReport) -> float:
+        return self._cosine(a, b, self.title_tokens)
 
 
 def score_pair(
     a: PocReport, b: PocReport, kind: ContentKind, models: ScoringModels
 ) -> float:
-    """Similarity in [0, 1]: token cosine for code pairs, embedding cosine
-    (clamped at zero) for text pairs."""
+    """Similarity in [0, 1]: the cosine of the two reports' content token
+    counts, code tokens for code pairs and words for text pairs."""
     actual = pair_kind_of(a, b)
     if actual != kind:
         raise ValueError(
             f"pair kind {kind.encode()} inconsistent with reports "
             f"{a.id} ({a.content_kind.encode()}) and {b.id} ({b.content_kind.encode()})"
         )
-    if kind.is_code:
-        if not models.token_vector(a) and not models.token_vector(b):
-            logger.warning("both token vectors empty for pair (%s, %s)", a.id, b.id)
-            return 0.0
-        return models.code_cosine(a, b)
-    score = cosine_similarity(models.content_vector(a), models.content_vector(b))
-    if score < 0.0:
-        logger.warning(
-            "negative text similarity %.4f for pair (%s, %s) clamped to 0",
-            score, a.id, b.id,
-        )
+    if not models.content_tokens(a) and not models.content_tokens(b):
+        logger.warning("both token vectors empty for pair (%s, %s)", a.id, b.id)
         return 0.0
-    return min(score, 1.0)
+    return models.content_cosine(a, b)
 
 
 # --- software names ---------------------------------------------------------
@@ -300,8 +309,8 @@ class PairClassifier(Protocol):
 
 
 class HeuristicPairClassifier:
-    """Default same-vulnerability verdict: combined title/content cosine
-    against a cutoff. Confidence is the combined cosine itself."""
+    """Default same-vulnerability verdict: the mean of the title and content
+    token-count cosines against a cutoff. Confidence is that mean itself."""
 
     def __init__(self, models: ScoringModels, cutoff: float = 0.85):
         if not 0.0 <= cutoff <= 1.0:
@@ -316,17 +325,7 @@ class HeuristicPairClassifier:
         return score_pair(a, b, kind, self.models)
 
     def classify(self, a: PocReport, b: PocReport) -> tuple[bool, float]:
-        if self.models.embedding is None:
-            title_sim = 0.0
-        else:
-            title_sim = max(
-                0.0,
-                cosine_similarity(
-                    self.models.title_vector(a), self.models.title_vector(b)
-                ),
-            )
-        combined = 0.5 * title_sim + 0.5 * self._content_similarity(a, b)
-        combined = min(max(combined, 0.0), 1.0)
+        combined = 0.5 * self.models.title_cosine(a, b) + 0.5 * self._content_similarity(a, b)
         return combined >= self.cutoff, combined
 
 
@@ -511,17 +510,19 @@ def build_link_graph(
     Same-CVE same-kind pairs link when their similarity clears the per-kind
     threshold. Pairs sharing no CVE id link when they name the same software
     and the classifier votes yes. One link per pair, shared-CVE basis first,
-    output sorted by pair key. The code reports of each CVE group and of each
-    software-name block are indexed for scoring before the group's or the
-    block's pairs are scored.
+    output sorted by pair key. The code and text reports of each CVE group
+    and each software-name block are indexed for scoring before the group's
+    or the block's pairs are scored.
     """
     links: dict[tuple[str, str], PocLink] = {}
     groups = group_by_cve(corpus)
     for cve_id in sorted(groups):
         pairs = candidate_pairs_same_cve(groups[cve_id], corpus)
-        if any(kind.is_code for _a, _b, kind in pairs):
+        if pairs:
             group = (corpus.get(report_id) for report_id in groups[cve_id])
-            models.index_code([r for r in group if r.content_kind.is_code])
+            models.index(
+                [r for r in group if r.content_kind.is_code or r.content_kind.is_text]
+            )
         for a_id, b_id, kind in pairs:
             key = (a_id, b_id)
             if key in links:
@@ -545,8 +546,8 @@ def build_link_graph(
                     blocks.setdefault((name, kind), []).append(report)
         seen: set[tuple[str, str]] = set()  # a pair can share several names
         for (_name, kind), block in blocks.items():
-            if kind.is_code and len(block) > 1:
-                models.index_code(block)
+            if len(block) > 1:
+                models.index(block)
             for a, b in combinations(block, 2):
                 if a.id > b.id:
                     a, b = b, a

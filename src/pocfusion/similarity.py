@@ -1,28 +1,22 @@
-"""Vector representations and cosine similarity for code and text PoCs.
+"""Token counts and cosine similarity for code and text PoCs.
 
-Code documents become token-frequency vectors; text documents become mean
-word-embedding vectors from a small skip-gram model with negative sampling,
-trained on the corpus itself.
+Pair scoring compares token-frequency vectors: code tokens for code reports,
+lowercased word tokens for prose and titles. A small skip-gram model with
+negative sampling (:func:`train_embeddings`, :func:`embed_text`) remains as
+a library function; the pipeline trains none.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .corpus import format_mismatch, json_object
-
 logger = logging.getLogger(__name__)
-
-MODEL_FORMAT = "embedding-model"
-MODEL_VERSION = 1
 
 _CODE_TOKEN = re.compile(r"[A-Za-z0-9_]+|[^\sA-Za-z0-9_]")
 _TEXT_TOKEN = re.compile(r"[a-z0-9]+")
@@ -37,7 +31,8 @@ def tokenize_code(content: str) -> Counter:
 
 
 def tokenize_text(content: str) -> list[str]:
-    """Lowercased alphanumeric tokens of length >= 2, for embedding training."""
+    """Lowercased alphanumeric tokens of length >= 2: the words whose counts
+    score text contents and titles, and the sentences of embedding training."""
     return [t for t in _TEXT_TOKEN.findall(content.lower()) if len(t) >= 2]
 
 
@@ -90,16 +85,6 @@ class EmbeddingParams:
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
 
-    def encode(self) -> dict:
-        return {
-            "d": self.d,
-            "window": self.window,
-            "negative_samples": self.negative_samples,
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "min_count": self.min_count,
-        }
-
 
 @dataclass
 class EmbeddingModel:
@@ -125,47 +110,6 @@ class EmbeddingModel:
         if va is None or vb is None:
             raise KeyError(f"token not in vocabulary: {token_a if va is None else token_b!r}")
         return cosine_similarity(va, vb)
-
-    def save(self, path: str | Path) -> None:
-        """Write the model as one JSON object, the text ``json.dumps`` gives
-        for it. The vectors are written a row at a time, so the whole matrix
-        is never held as Python floats or as text at once."""
-        header = {
-            "format": MODEL_FORMAT,
-            "version": MODEL_VERSION,
-            "params": self.params.encode(),
-            "seed": self.seed,
-            "vocabulary": list(self.vocabulary),
-        }
-        with Path(path).open("w", encoding="utf-8") as handle:
-            handle.write(json.dumps(header, ensure_ascii=False)[:-1])
-            handle.write(', "vectors": [')
-            for index, row in enumerate(self.vectors):
-                if index:
-                    handle.write(", ")
-                handle.write(json.dumps(row.tolist()))
-            handle.write('], "epoch_losses": ')
-            handle.write(json.dumps(self.epoch_losses))
-            handle.write("}")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "EmbeddingModel":
-        data = json_object(Path(path).read_text(encoding="utf-8"))
-        mismatch = format_mismatch(data, MODEL_FORMAT, MODEL_VERSION)
-        if mismatch is not None:
-            raise ValueError(f"{path}: {mismatch}")
-        params = EmbeddingParams(**data["params"])
-        vocabulary = {token: i for i, token in enumerate(data["vocabulary"])}
-        vectors = np.array(data["vectors"], dtype=np.float64).reshape(
-            len(vocabulary), params.d
-        )
-        return cls(
-            vocabulary=vocabulary,
-            vectors=vectors,
-            params=params,
-            seed=data.get("seed", 0),
-            epoch_losses=list(data.get("epoch_losses", [])),
-        )
 
 
 _MIN_ALPHA = 1e-4

@@ -4,7 +4,6 @@ directly. A rename there would only surface when the benchmark runs, so the
 names are checked here."""
 
 import importlib
-import json
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -36,8 +35,8 @@ def test_traced_demo_run_reaches_every_hook(tmp_path, monkeypatch):
     )
     metrics = tracing.layer_metrics(tracing.traced_pipeline(cli.resolve_config(args), "demo"))
     assert metrics["cli.bytes_hashed"][0] > 0
-    assert metrics["link.links"][0] == 9
+    assert metrics["link.links"][0] == 7
     assert all(metrics[f"cli.{stage}_s"][0] > 0 for stage in cli.STAGES)
-    assert metrics["similarity.train_tokens"][0] > 0
-    model = json.loads((tmp_path / "ws" / "embedding_model.json").read_text(encoding="utf-8"))
-    assert metrics["similarity.final_loss"][0] == model["epoch_losses"][-1]
+    # the link stage trains no embedding model and embeds no text
+    assert metrics["similarity.train_s"][0] == 0
+    assert metrics["similarity.embed_calls"][0] == 0

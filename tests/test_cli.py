@@ -135,7 +135,7 @@ def test_config_precedence(tmp_path, monkeypatch):
     config = resolve(["stats", "--config", str(cfg), "--workspace", "from-flag"])
     assert config.workspace == "from-flag"
     # defaults fill whatever nothing set
-    assert config.text_threshold == 0.95 and config.seed == 0
+    assert config.text_threshold == 0.65 and config.seed == 0
 
     # the service URLs: flag > non-empty environment variable > file
     cfg.write_text(
@@ -466,7 +466,6 @@ def test_staged_pipeline(tmp_path):
         "cve_db.jsonl",
         "corpus_classified.jsonl",
         "corpus_extracted.jsonl",
-        "embedding_model.json",
         "links.jsonl",
         "corpus_completed.jsonl",
         "completion_records.jsonl",
@@ -520,8 +519,7 @@ MANIFEST_FILES = {
                {"corpus_ingested.jsonl", "cve_db.jsonl"}),
     "classify": ({"corpus_ingested.jsonl"}, {"corpus_classified.jsonl"}),
     "extract": ({"corpus_classified.jsonl"}, {"corpus_extracted.jsonl"}),
-    "link": ({"corpus_extracted.jsonl", "cve_db.jsonl"},
-             {"links.jsonl", "embedding_model.json"}),
+    "link": ({"corpus_extracted.jsonl", "cve_db.jsonl"}, {"links.jsonl"}),
     "complete": ({"corpus_extracted.jsonl", "links.jsonl", "cve_db.jsonl"},
                  {"corpus_completed.jsonl", "completion_records.jsonl"}),
     "stats": ({"corpus_extracted.jsonl", "corpus_completed.jsonl", "completion_records.jsonl"},
@@ -567,7 +565,7 @@ def test_config_hash_excludes_workspace(tmp_path):
 
     # pinned so a change to how settings are declared cannot move the hash
     assert config_hash(resolve(["stats", "--workspace", "w"])) == (
-        "50f78ae1cd298e567a06cd6e9932dcb9a2f19e6c9ee7a111555f907049f79e1d"
+        "150b868d9c79683d017d62f75a2853f301bc9aa8320a4fb2649f2192c73a3e25"
     )
     argv = [
         "stats", "--workspace", "w", "--cve", "c.jsonl", "--seed", "3",
@@ -575,7 +573,7 @@ def test_config_hash_excludes_workspace(tmp_path):
         "--source", "exploitdb=e.jsonl", "--jobs", "2", "--format", "csv",
     ]
     assert config_hash(resolve(argv)) == (
-        "e3f6e1bc09226098f7424317bf1555fc68de8f071f76038b84dd5030f232fcbe"
+        "d189a080e1a75117b84e10fa32c9a997a9cb97b95e14022b8e993a6e5f0dd568"
     )
 
 

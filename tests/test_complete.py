@@ -178,10 +178,11 @@ def test_complete_from_poc_donates_original_values_only():
 def test_complete_from_poc_rejects_weak_shared_cve_link():
     donor = report("d", author=["alice"])
     target = report("a")
-    weak = link("a", "d", SharedCve("CVE-2020-0001"), 0.9)
+    # 0.6 is under the text threshold (0.65) and over the code one (0.5)
+    weak = link("a", "d", SharedCve("CVE-2020-0001"), 0.6)
     with pytest.raises(ValueError):
         complete_from_poc(target, donor, weak)
-    code_ok = PocLink("a", "d", SharedCve("CVE-2020-0001"), 0.9, code_kind(LanguageId.PYTHON))
+    code_ok = PocLink("a", "d", SharedCve("CVE-2020-0001"), 0.6, code_kind(LanguageId.PYTHON))
     _, records = complete_from_poc(target, donor, code_ok)
     assert len(records) == 1
 

@@ -5,15 +5,12 @@ from itertools import combinations
 from types import SimpleNamespace
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pocfusion import (
     CompletionConfig,
     Corpus,
-    EmbeddingModel,
-    EmbeddingParams,
     HeuristicPairClassifier,
     LanguageId,
     PocLink,
@@ -22,6 +19,7 @@ from pocfusion import (
     SharedCve,
     SourceId,
     aspect_values,
+    below_threshold,
     build_link_graph,
     build_pair_training_set,
     candidate_pairs_same_cve,
@@ -39,7 +37,7 @@ from pocfusion import (
 import pocfusion.link as link_module
 from pocfusion.corpus import AspectSet, ContentKind, read_jsonl, write_jsonl
 from pocfusion.link import save_pair_samples, title_text
-from pocfusion.similarity import cosine_similarity, embed_text, tokenize_code
+from pocfusion.similarity import cosine_similarity, tokenize_code, tokenize_text
 
 EDB = SourceId.parse("ExploitDB")
 TEXT = ContentKind.decode("text")
@@ -59,17 +57,6 @@ def report(rid, content="x", kind=TEXT, cve_ids=(), title=None, version=None):
         content_kind=kind,
         cve_ids=cve_ids,
         aspects=aspects,
-    )
-
-
-def planted_model(extra=None):
-    """Embedding with hand-set vectors so text cosines are predictable."""
-    vocab = {"aa": [1.0, 0.0], "bb": [0.0, 1.0], "fooserv": [3.0, 4.0], "rce": [3.0, 4.0]}
-    vocab.update(extra or {})
-    return EmbeddingModel(
-        vocabulary={t: i for i, t in enumerate(vocab)},
-        vectors=np.array(list(vocab.values())),
-        params=EmbeddingParams(d=2),
     )
 
 
@@ -108,7 +95,15 @@ def test_link_encode_decode():
 def test_kind_threshold():
     config = CompletionConfig()
     assert kind_threshold(code_kind(LanguageId.PHP), config) == 0.5
-    assert kind_threshold(TEXT, config) == 0.95
+    assert kind_threshold(TEXT, config) == 0.65
+    shared = SharedCve("CVE-2020-1111")
+    # a shared-CVE link is below when under its own kind's threshold
+    assert below_threshold(PocLink("a", "b", shared, 0.64, TEXT), config)
+    assert not below_threshold(PocLink("a", "b", shared, 0.65, TEXT), config)
+    assert not below_threshold(PocLink("a", "b", shared, 0.64, PY), config)
+    assert below_threshold(PocLink("a", "b", shared, 0.49, PY), config)
+    # a classifier link carries a confidence, never checked against a threshold
+    assert not below_threshold(PocLink("a", "b", None, 0.1, TEXT), config)
 
 
 def test_group_by_cve_keeps_singletons():
@@ -192,34 +187,87 @@ def test_code_cosine_equals_sparse_cosine_bit_for_bit(a_counts, b_counts, others
     assert tokenize_code(a.raw_content) == Counter(a_counts)
     expected = cosine_similarity(Counter(a_counts), Counter(b_counts)).hex()
     # a pair outside any indexed block
-    assert ScoringModels().code_cosine(a, b).hex() == expected
+    assert ScoringModels().content_cosine(a, b).hex() == expected
     # the same pair inside a larger block, its counts multiplied in column
     # slices of at most ``cells`` entries
     block = [code_report(f"o{i}", counts) for i, counts in enumerate(others)]
     block[at:at] = [a]
     block.append(b)
     models = ScoringModels()
+    models.index(block)
     with mock.patch.object(link_module, "_GRAM_SLICE", cells):
-        models.index_code(block)
-    assert models.code_cosine(a, b).hex() == expected
-    assert models.code_cosine(b, a).hex() == cosine_similarity(
+        assert models.content_cosine(a, b).hex() == expected
+    assert models.content_cosine(b, a).hex() == cosine_similarity(
         Counter(b_counts), Counter(a_counts)
     ).hex()
+
+
+def words_of(counts):
+    return " ".join(word for word, n in sorted(counts.items()) for _ in range(n))
+
+
+def text_report(rid, content_counts, title_counts):
+    return report(rid, content=words_of(content_counts), title=words_of(title_counts) or None)
+
+
+word_count_maps = st.dictionaries(
+    st.sampled_from(["aa", "bb", "dos", "rce", "fooserv", "x9"]),
+    st.integers(min_value=1, max_value=60),
+    max_size=6,
+)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(
+    st.tuples(word_count_maps, word_count_maps),
+    st.tuples(word_count_maps, word_count_maps),
+    st.lists(st.tuples(word_count_maps, word_count_maps), max_size=4),
+    st.integers(0, 4),
+    st.sampled_from([1, 7, link_module._GRAM_SLICE]),
+)
+def test_text_and_title_cosines_equal_sparse_cosine_bit_for_bit(
+    a_counts, b_counts, others, at, cells
+):
+    a, b = text_report("a", *a_counts), text_report("b", *b_counts)
+    assert Counter(tokenize_text(a.raw_content)) == Counter(a_counts[0])
+    assert Counter(tokenize_text(title_text(a))) == Counter(a_counts[1])
+    expected = [
+        cosine_similarity(Counter(a_counts[0]), Counter(b_counts[0])),
+        cosine_similarity(Counter(a_counts[1]), Counter(b_counts[1])),
+    ]
+    assert all(0.0 <= value <= 1.0 for value in expected)
+    expected_hex = [value.hex() for value in expected]
+
+    def cosines(models, x, y):
+        return [models.content_cosine(x, y).hex(), models.title_cosine(x, y).hex()]
+
+    # a pair outside any indexed block
+    assert cosines(ScoringModels(), a, b) == expected_hex
+    # the same pair inside a larger block, its counts multiplied in column
+    # slices of at most ``cells`` entries
+    block = [text_report(f"o{i}", *counts) for i, counts in enumerate(others)]
+    block[at:at] = [a]
+    block.append(b)
+    models = ScoringModels()
+    models.index(block)
+    with mock.patch.object(link_module, "_GRAM_SLICE", cells):
+        assert cosines(models, a, b) == expected_hex
+    assert cosines(models, b, a) == expected_hex
 
 
 def test_code_cosine_exact_half_in_a_block():
     models = ScoringModels()
     a, b = report("a", content="x y", kind=PY), report("b", content="x z", kind=PY)
-    models.index_code([report("c", content="x x y q", kind=PY), a, b])
-    assert models.code_cosine(a, b) == 0.5
+    models.index([report("c", content="x x y q", kind=PY), a, b])
+    assert models.content_cosine(a, b) == 0.5
     assert score_pair(a, b, PY, models) == 0.5
 
 
 def test_code_cosine_zero_vector_logs(caplog):
     models = ScoringModels()
     a, b = report("a", content=" ", kind=PY), report("b", content="x", kind=PY)
-    models.index_code([a, b])
-    assert models.code_cosine(a, b) == 0.0
+    models.index([a, b])
+    assert models.content_cosine(a, b) == 0.0
     assert "zero vector" in caplog.text
 
 
@@ -241,17 +289,21 @@ def test_score_pair_kind_mismatch():
         score_pair(a, report("c", kind=PY), TEXT, models)
 
 
-def test_score_pair_text_uses_embedding():
-    models = ScoringModels(planted_model())
-    same = score_pair(report("a", "aa aa"), report("b", "aa"), TEXT, models)
+def test_score_pair_text_uses_token_counts():
+    models = ScoringModels()
+    same = score_pair(report("a", "aa aa"), report("b", "AA"), TEXT, models)
     assert same == 1.0
     mixed = score_pair(report("c", "aa"), report("d", "aa bb"), TEXT, models)
-    assert mixed == pytest.approx(1 / math.sqrt(2))
+    assert mixed == 1 / math.sqrt(2)
+    # words are lowercased; one-character words and punctuation do not count
+    counted = score_pair(report("e", "aa, b. bb!"), report("f", "Aa x bB c"), TEXT, models)
+    assert counted == 1.0
 
 
-def test_score_pair_text_requires_model():
-    with pytest.raises(ValueError):
-        score_pair(report("a"), report("b"), TEXT, ScoringModels())
+def test_score_pair_empty_text(caplog):
+    # no word of two or more characters on either side
+    assert score_pair(report("a", "x ."), report("b", ""), TEXT, ScoringModels()) == 0.0
+    assert "empty" in caplog.text
 
 
 def test_software_names_from_title_and_versions():
@@ -304,19 +356,30 @@ def test_classify_pair_requires_software_match():
         classify_pair(classifier, report("a"), report("b"))
 
 
-def test_heuristic_classifier_without_embedding():
-    # no embedding: title term is zero, identical code alone stays below the cutoff
+def test_heuristic_classifier_without_titles():
+    # names from versions only: the title term is zero, and identical code
+    # alone stays below the cutoff
     models = ScoringModels()
     clf = HeuristicPairClassifier(models)
-    a = report("a", content="q w", kind=PY, title="FooServ 1.0 - RCE")
-    b = report("b", content="q w", kind=PY, title="FooServ 1.1 - RCE")
+    a = report("a", content="q w", kind=PY, version="FooServ 1.0")
+    b = report("b", content="q w", kind=PY, version="FooServ 1.1")
     same, confidence = classify_pair(clf, a, b)
     assert not same
     assert confidence == 0.5
 
 
+def test_heuristic_classifier_title_counts():
+    # title words {fooserv, rce} against {fooserv, dos}: cosine 1/2
+    models = ScoringModels()
+    clf = HeuristicPairClassifier(models, cutoff=0.75)
+    a = report("a", content="q w", kind=PY, title="FooServ 1.0 - RCE")
+    b = report("b", content="q w", kind=PY, title="fooserv 2.1 - DoS")
+    assert classify_pair(clf, a, b) == (True, 0.75)
+    assert classify_pair(HeuristicPairClassifier(models, cutoff=0.76), a, b) == (False, 0.75)
+
+
 def test_heuristic_classifier_with_matching_titles():
-    models = ScoringModels(planted_model())
+    models = ScoringModels()
     clf = HeuristicPairClassifier(models)
     a = report("a", content="q w", kind=PY, title="FooServ 1.0 - RCE")
     b = report("b", content="q w", kind=PY, title="FooServ 1.1 - RCE")
@@ -342,11 +405,11 @@ def build_demo_corpus():
                 kind=code_kind(LanguageId.C_CPP),
                 cve_ids=("CVE-2019-7008",),
             ),
-            # text pair above the 0.95 threshold
+            # text pair above the 0.65 threshold (cosine 1)
             report("tx1", content="aa aa", cve_ids=("CVE-2014-0160",)),
             report("tx2", content="aa", cve_ids=("CVE-2014-0160",)),
-            # text pair beneath it
-            report("tx3", content="aa bb", cve_ids=("CVE-2014-0160",)),
+            # text pairs beneath it (cosine 1/sqrt(3) with each)
+            report("tx3", content="aa bb cc", cve_ids=("CVE-2014-0160",)),
             # classifier territory: same software, no shared CVE
             report("cl1", content="q w", kind=PY, title="FooServ 1.0 - RCE", cve_ids=("CVE-2021-1111",)),
             report("cl2", content="q w", kind=PY, title="FooServ 1.1 - RCE"),
@@ -356,7 +419,7 @@ def build_demo_corpus():
 
 def test_build_link_graph():
     corpus = build_demo_corpus()
-    models = ScoringModels(planted_model())
+    models = ScoringModels()
     clf = HeuristicPairClassifier(models)
     links = build_link_graph(corpus, models, clf, CompletionConfig())
     as_tuples = [(l.a, l.b, l.basis, l.kind) for l in links]
@@ -373,7 +436,7 @@ def test_build_link_graph():
 
 def test_build_link_graph_without_classifier():
     corpus = build_demo_corpus()
-    models = ScoringModels(planted_model())
+    models = ScoringModels()
     links = build_link_graph(corpus, models, None, CompletionConfig())
     assert all(isinstance(l.basis, SharedCve) for l in links)
 
@@ -385,7 +448,7 @@ def test_build_link_graph_derives_software_names_once_per_report(monkeypatch):
     )
 
     def graph():
-        models = ScoringModels(planted_model())
+        models = ScoringModels()
         return build_link_graph(
             corpus, models, HeuristicPairClassifier(models), CompletionConfig()
         )
@@ -427,7 +490,7 @@ def test_shared_cve_basis_wins_over_classifier():
             report("b1", content="q w", kind=PY, title="FooServ 1.1 - RCE", cve_ids=("CVE-2021-1111",)),
         ]
     )
-    models = ScoringModels(planted_model())
+    models = ScoringModels()
     clf = HeuristicPairClassifier(models)
     (link,) = build_link_graph(corpus, models, clf, CompletionConfig())
     assert link.basis == SharedCve("CVE-2021-1111")
@@ -442,7 +505,7 @@ def test_pair_sharing_two_cves_links_once():
             report("b1", content="q w", kind=PY, cve_ids=cve_ids),
         ]
     )
-    models = ScoringModels(planted_model())
+    models = ScoringModels()
     (link,) = build_link_graph(corpus, models, None, CompletionConfig())
     assert (link.a, link.b, link.basis) == ("a1", "b1", SharedCve("CVE-2020-2222"))
 
@@ -455,7 +518,7 @@ def test_below_threshold_shared_cve_not_rescued_by_classifier():
             report("b1", content="e r", kind=PY, title="FooServ 1.1 - RCE", cve_ids=("CVE-2021-1111",)),
         ]
     )
-    models = ScoringModels(planted_model())
+    models = ScoringModels()
     clf = HeuristicPairClassifier(models)
     assert build_link_graph(corpus, models, clf, CompletionConfig()) == []
 
@@ -560,20 +623,21 @@ def test_title_text_first_value():
 # --- the per-pair oracle --------------------------------------------------------
 
 
-def oracle_link_graph(corpus, embedding, cutoff, config):
+def word_counts(text):
+    return Counter(tokenize_text(text))
+
+
+def oracle_link_graph(corpus, cutoff, config):
     """Reference graph: each candidate pair scored on its own with
-    cosine_similarity, the classifier's candidates in sorted key order."""
+    cosine_similarity of its token counts, the classifier's candidates in
+    sorted key order."""
 
     def content_score(a, b, kind):
-        if kind.is_code:
-            va, vb = tokenize_code(a.raw_content), tokenize_code(b.raw_content)
-            if not va and not vb:
-                return 0.0
-            return cosine_similarity(va, vb)
-        score = cosine_similarity(
-            embed_text(embedding, a.raw_content), embed_text(embedding, b.raw_content)
-        )
-        return 0.0 if score < 0.0 else min(score, 1.0)
+        counts = tokenize_code if kind.is_code else word_counts
+        va, vb = counts(a.raw_content), counts(b.raw_content)
+        if not va and not vb:
+            return 0.0
+        return cosine_similarity(va, vb)
 
     links = {}
     groups = group_by_cve(corpus)
@@ -595,9 +659,7 @@ def oracle_link_graph(corpus, embedding, cutoff, config):
         kind = pair_kind_of(a, b)
         if key in links or set(a.cve_ids) & set(b.cve_ids) or kind is None:
             continue
-        title = cosine_similarity(
-            embed_text(embedding, title_text(a)), embed_text(embedding, title_text(b))
-        )
+        title = cosine_similarity(word_counts(title_text(a)), word_counts(title_text(b)))
         combined = 0.5 * max(0.0, title) + 0.5 * content_score(a, b, kind)
         combined = min(max(combined, 0.0), 1.0)
         if combined >= cutoff:
@@ -633,12 +695,11 @@ def linkable_corpora(draw):
 @given(
     linkable_corpora(),
     st.sampled_from([None, 0.3, 0.6, 0.85]),
-    st.sampled_from([(0.5, 0.95), (0.2, 0.5)]),
+    st.sampled_from([(0.5, 0.65), (0.5, 0.95), (0.2, 0.5)]),
 )
 def test_build_link_graph_equals_per_pair_oracle(corpus, cutoff, thresholds):
-    embedding = planted_model({"barware": [4.0, 3.0], "dos": [-1.0, 0.5]})
     config = SimpleNamespace(code_threshold=thresholds[0], text_threshold=thresholds[1])
-    models = ScoringModels(embedding)
+    models = ScoringModels()
     classifier = None if cutoff is None else HeuristicPairClassifier(models, cutoff)
     links = build_link_graph(corpus, models, classifier, config)
-    assert links == oracle_link_graph(corpus, embedding, cutoff, config)
+    assert links == oracle_link_graph(corpus, cutoff, config)

@@ -1,7 +1,5 @@
-import json
 import logging
 import math
-import re
 import tracemalloc
 from collections import Counter
 
@@ -10,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pocfusion import (
-    EmbeddingModel,
     EmbeddingParams,
     cosine_similarity,
     embed_text,
@@ -18,7 +15,7 @@ from pocfusion import (
     tokenize_text,
     train_embeddings,
 )
-from pocfusion.similarity import MODEL_FORMAT, MODEL_VERSION, _CHUNK_TOKENS, _skipgram_pairs
+from pocfusion.similarity import _CHUNK_TOKENS, _skipgram_pairs
 
 
 # Independent tokenizer: single left-to-right character walk, no regex.
@@ -205,67 +202,6 @@ def test_epoch_losses_per_epoch():
     model = train_embeddings(TOY_TEXTS, small_params(epochs=3))
     assert len(model.epoch_losses) == 3
     assert all(loss > 0 for loss in model.epoch_losses)
-
-
-def test_model_roundtrip(tmp_path):
-    model = train_embeddings(TOY_TEXTS, small_params(), seed=9)
-    path = tmp_path / "model.json"
-    model.save(path)
-    again = EmbeddingModel.load(path)
-    assert again.vocabulary == model.vocabulary
-    assert np.array_equal(again.vectors, model.vectors)
-    assert again.params == model.params
-    assert again.seed == 9
-    assert again.epoch_losses == model.epoch_losses
-
-
-@pytest.mark.parametrize(
-    "rows",
-    [
-        [[-0.5, 1e-300], [1.7976931348623157e308, -2.5e-17], [0.0, -0.0]],
-        [[1.0 / 3.0, -123456789.123], [5e-324, 1e22]],
-        [],
-    ],
-)
-def test_model_saved_row_by_row_is_one_json_dump(tmp_path, rows):
-    vocabulary = {f"tok{i}é": i for i in range(len(rows))}
-    model = EmbeddingModel(
-        vocabulary=vocabulary,
-        vectors=np.array(rows, dtype=np.float64).reshape(len(rows), 2),
-        params=EmbeddingParams(d=2),
-        seed=3,
-        epoch_losses=[2.5, 1e-9],
-    )
-    payload = {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
-        "params": model.params.encode(),
-        "seed": 3,
-        "vocabulary": list(vocabulary),
-        "vectors": model.vectors.tolist(),
-        "epoch_losses": [2.5, 1e-9],
-    }
-    path = tmp_path / "model.json"
-    model.save(path)
-    assert path.read_bytes() == json.dumps(payload, ensure_ascii=False).encode("utf-8")
-    again = EmbeddingModel.load(path)
-    assert again.vocabulary == vocabulary
-    assert np.array_equal(again.vectors, model.vectors)
-    assert again.epoch_losses == model.epoch_losses
-
-
-def test_model_version_check(tmp_path):
-    model = train_embeddings(TOY_TEXTS, small_params())
-    path = tmp_path / "model.json"
-    model.save(path)
-    tampered = re.sub(r'"version": 1', '"version": 2', path.read_text(encoding="utf-8"))
-    path.write_text(tampered, encoding="utf-8")
-    with pytest.raises(ValueError) as err:
-        EmbeddingModel.load(path)
-    assert "2" in str(err.value) and "1" in str(err.value)
-    path.write_text("[1]", encoding="utf-8")
-    with pytest.raises(ValueError):
-        EmbeddingModel.load(path)
 
 
 def test_model_similarity_oov():
