@@ -46,15 +46,7 @@ from .extract import (
     extract_verification_oracle,
     load_gold_annotations,
 )
-from .similarity import (
-    EmbeddingModel,
-    EmbeddingParams,
-    cosine_similarity,
-    embed_text,
-    tokenize_code,
-    tokenize_text,
-    train_embeddings,
-)
+from .similarity import cosine_similarity, tokenize_code, tokenize_text
 from .link import (
     ExternalPairClassifier,
     HeuristicPairClassifier,
@@ -62,6 +54,7 @@ from .link import (
     PocLink,
     ScoringModels,
     SharedCve,
+    below_threshold,
     build_link_graph,
     build_pair_training_set,
     candidate_pairs_same_cve,

@@ -50,7 +50,7 @@ from .link import (
 from .report import completion_stats, deficiency_stats, render_report
 
 # Not called by the pipeline: bench/tracing.py wraps this module attribute
-# (its similarity.train layer), so it stays importable.
+# (its similarity.train layer), so it stays importable until that layer goes.
 from .similarity import train_embeddings  # noqa: F401
 
 logger = logging.getLogger(__name__)
@@ -90,7 +90,6 @@ class PipelineConfig:
     workspace: str | None = None
     code_threshold: float = CompletionConfig.code_threshold
     text_threshold: float = CompletionConfig.text_threshold
-    seed: int = 0  # accepted and recorded in the manifests; no stage draws from it
     extractor_url: str | None = None
     classifier_url: str | None = None
     jobs: int = 8
@@ -126,8 +125,6 @@ _SETTINGS: dict[str, tuple[str | None, type, Callable[..., str | None] | None]] 
     "workspace": (ENV_WORKSPACE, str, None),
     "code_threshold": (None, float, _unit_interval),
     "text_threshold": (None, float, _unit_interval),
-    "seed": (None, int, lambda v: None if 0 <= v < 2**63
-             else f"must fit in a 63-bit nonnegative integer: {v}"),
     "extractor_url": ("POCFUSION_EXTRACTOR_URL", str, None),
     "classifier_url": ("POCFUSION_CLASSIFIER_URL", str, None),
     "jobs": (None, int, lambda v: None if v >= 1 else f"must be >= 1, got {v}"),
@@ -135,6 +132,9 @@ _SETTINGS: dict[str, tuple[str | None, type, Callable[..., str | None] | None]] 
                else f"must be markdown or csv, got {v!r}"),
 }
 _TYPE_NAMES = {float: "a number", int: "an integer"}
+# Accepted as a config key and a flag so that existing configuration files
+# keep working, then ignored with a warning: no stage draws random numbers.
+_IGNORED = ("seed",)
 
 
 def resolve_config(args: argparse.Namespace) -> PipelineConfig:
@@ -148,8 +148,11 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
             raise ConfigurationError([f"config file not found: {config_path}"])
         file_values = parse_config_file(config_path)
         for key in file_values:
-            if key not in _SETTINGS and not key.startswith("source."):
+            if key not in _SETTINGS and key not in _IGNORED and not key.startswith("source."):
                 errors.append(f"unknown config key: {key}")
+    for name in _IGNORED:
+        if getattr(args, name) is not None or name in file_values:
+            logger.warning("%s has no effect and is ignored", name)
 
     sources: list[tuple[str, str]] = [
         (key.split(".", 1)[1], value)
@@ -237,7 +240,6 @@ def write_manifest(
     manifest = {
         "stage": stage,
         "config_hash": config_hash(config),
-        "seed": config.seed,
         "inputs": {name: _sha256_file(path) for name, path in sorted(inputs.items())},
         "outputs": {name: _sha256_file(ws / name) for name in sorted(outputs)},
     }
@@ -432,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="NAME=PATH",
             help="report source file, repeatable",
         )
-        for name in _SETTINGS:
+        for name in (*_SETTINGS, *_IGNORED):
             sub.add_argument("--" + name.replace("_", "-"))
     return parser
 

@@ -19,7 +19,8 @@ from .corpus import ContentKind, Corpus, PocReport, json_object, read_jsonl, wri
 from .similarity import cosine_from_gram, tokenize_code, tokenize_text
 
 # Not called by the pipeline: bench/tracing.py wraps these module attributes
-# (its similarity.embed and similarity.cosine layers), so they stay importable.
+# (its similarity.embed and similarity.cosine layers), so they stay importable
+# until those layers go.
 from .similarity import cosine_similarity, embed_text  # noqa: F401
 
 logger = logging.getLogger(__name__)

@@ -1,9 +1,11 @@
 """Token counts and cosine similarity for code and text PoCs.
 
 Pair scoring compares token-frequency vectors: code tokens for code reports,
-lowercased word tokens for prose and titles. A small skip-gram model with
-negative sampling (:func:`train_embeddings`, :func:`embed_text`) remains as
-a library function; the pipeline trains none.
+lowercased word tokens for prose and titles. The skip-gram model with
+negative sampling (:func:`train_embeddings`, :func:`embed_text`) is not used
+by the pipeline and is not exported from the package. It stays only while
+``bench/tracing.py`` wraps it and acceptance criterion 8 tests it; it is to be
+deleted together with those (ROADMAP item 1).
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ from pocfusion import (
     ASPECT_SLOTS,
     CompletionConfig,
     Corpus,
-    EmbeddingParams,
     HeuristicPairClassifier,
     LanguageId,
     PocLink,
@@ -41,11 +40,10 @@ from pocfusion import (
     save_corpus,
     score_pair,
     tokenize_code,
-    train_embeddings,
 )
 from pocfusion.cli import main as cli_main
 from pocfusion.corpus import TEXT, AspectSet, ContentKind
-from pocfusion.similarity import cosine_similarity
+from pocfusion.similarity import EmbeddingParams, cosine_similarity, train_embeddings
 
 import classify_fixtures
 import fusion_fixture
@@ -475,11 +473,14 @@ def test_demo_workspace_regression_pins(tmp_path, monkeypatch):
 
 def test_demo_outputs_do_not_depend_on_seed(tmp_path, monkeypatch):
     monkeypatch.chdir(Path(__file__).resolve().parent.parent)
-    ws_a, ws_b = tmp_path / "seed7", tmp_path / "seed8"
-    _run_demo(ws_a)  # demo/config.cfg sets seed = 7
+    ws_a, ws_b = tmp_path / "unset", tmp_path / "seed8"
+    _run_demo(ws_a)  # demo/config.cfg sets no seed
     assert cli_main(
         ["run-all", "--config", "demo/config.cfg", "--workspace", str(ws_b), "--seed", "8"]
     ) == 0
-    assert json.loads((ws_b / "manifests" / "link.json").read_text())["seed"] == 8
-    for name in ("links.jsonl", "completion_records.jsonl", "corpus_completed.jsonl"):
+    # every file, the manifests and their config hashes too
+    files_a = sorted(p.relative_to(ws_a) for p in ws_a.rglob("*") if p.is_file())
+    files_b = sorted(p.relative_to(ws_b) for p in ws_b.rglob("*") if p.is_file())
+    assert files_a == files_b and Path("links.jsonl") in files_a
+    for name in files_a:
         assert (ws_a / name).read_bytes() == (ws_b / name).read_bytes(), name

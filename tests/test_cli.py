@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import shutil
 from pathlib import Path
 
@@ -135,7 +136,7 @@ def test_config_precedence(tmp_path, monkeypatch):
     config = resolve(["stats", "--config", str(cfg), "--workspace", "from-flag"])
     assert config.workspace == "from-flag"
     # defaults fill whatever nothing set
-    assert config.text_threshold == 0.65 and config.seed == 0
+    assert config.text_threshold == 0.65
 
     # the service URLs: flag > non-empty environment variable > file
     cfg.write_text(
@@ -167,11 +168,11 @@ def test_config_errors_are_enumerated(tmp_path, capsys):
     error = last_error(capsys)
     assert error["code"] == 2 and error["command"] == "ingest"
     message = error["message"]
+    assert "seed" not in message  # ignored, so never invalid
     for fragment in (
         "--source expects NAME=PATH",
         "code-threshold is not a number",
         "text-threshold must be in [0, 1]",
-        "seed must fit",
         "jobs must be >= 1",
         "workspace is required",
         "requires at least one --source",
@@ -186,7 +187,6 @@ def test_config_errors_are_enumerated(tmp_path, capsys):
             "workspace = ws\nseed = x\njobs = x\nformat = xml\n",
             ["ingest", "--source", "e=e.jsonl", "--cve", "missing.jsonl"],
             (
-                "seed is not an integer: 'x'",
                 "jobs is not an integer: 'x'",
                 "format must be markdown or csv, got 'xml'",
                 "cve file not found: missing.jsonl",
@@ -532,7 +532,7 @@ def test_manifest_contents(tmp_path):
     run_stage("run-all", tmp_path)
     manifest = json.loads((ws / "manifests" / "ingest.json").read_text())
     assert manifest["stage"] == "ingest"
-    assert manifest["seed"] == 7
+    assert "seed" not in manifest
     assert manifest["reports"] == 3 and manifest["cve_entries"] == 1
     for stage, (inputs, outputs) in MANIFEST_FILES.items():
         manifest = json.loads((ws / "manifests" / f"{stage}.json").read_text())
@@ -565,7 +565,7 @@ def test_config_hash_excludes_workspace(tmp_path):
 
     # pinned so a change to how settings are declared cannot move the hash
     assert config_hash(resolve(["stats", "--workspace", "w"])) == (
-        "150b868d9c79683d017d62f75a2853f301bc9aa8320a4fb2649f2192c73a3e25"
+        "b66af31e15fa9bcb06cb47ae52b2a8ecfb1e4b54207677e61d5037d6f1f13148"
     )
     argv = [
         "stats", "--workspace", "w", "--cve", "c.jsonl", "--seed", "3",
@@ -573,8 +573,24 @@ def test_config_hash_excludes_workspace(tmp_path):
         "--source", "exploitdb=e.jsonl", "--jobs", "2", "--format", "csv",
     ]
     assert config_hash(resolve(argv)) == (
-        "d189a080e1a75117b84e10fa32c9a997a9cb97b95e14022b8e993a6e5f0dd568"
+        "1fd73be5b63b868d414eb7ed7730cd610cdcb7c3cfb049fd8ebf064a8c2206d5"
     )
+    # seed is ignored, so it does not move the hash
+    without_seed = [x for x in argv if x not in ("--seed", "3")]
+    assert config_hash(resolve(without_seed)) == config_hash(resolve(argv))
+
+
+def test_seed_is_accepted_and_ignored(tmp_path, caplog):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("workspace = w\nseed = x\n", encoding="utf-8")
+    with caplog.at_level(logging.WARNING):
+        config = resolve(["stats", "--config", str(cfg)])
+    assert not hasattr(config, "seed")
+    assert caplog.messages == ["seed has no effect and is ignored"]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        resolve(["stats", "--workspace", "w", "--seed", "-2"])
+    assert caplog.messages == ["seed has no effect and is ignored"]
 
 
 def test_env_workspace(tmp_path, monkeypatch):

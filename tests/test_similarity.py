@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pocfusion import (
+from pocfusion import cosine_similarity, tokenize_code, tokenize_text
+from pocfusion.similarity import (
+    _CHUNK_TOKENS,
     EmbeddingParams,
-    cosine_similarity,
+    _skipgram_pairs,
     embed_text,
-    tokenize_code,
-    tokenize_text,
     train_embeddings,
 )
-from pocfusion.similarity import _CHUNK_TOKENS, _skipgram_pairs
 
 
 # Independent tokenizer: single left-to-right character walk, no regex.
