@@ -98,19 +98,36 @@ class PipelineConfig:
 
 def parse_config_file(path: Path) -> dict[str, str]:
     """Read the key=value configuration format. ``#`` starts a comment;
-    ``source.<name> = <path>`` declares a report source."""
+    ``source.<name> = <path>`` declares a report source. A malformed line or
+    a key set twice is a configuration error naming its lines."""
+    values, errors = _read_config_file(path)
+    if errors:
+        raise ConfigurationError(errors)
+    return values
+
+
+def _read_config_file(path: Path) -> tuple[dict[str, str], list[str]]:
+    """The values of a config file, and its malformed lines and repeated keys."""
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}  # key -> line that first set it
+    errors: list[str] = []
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigurationError(
-                [f"{path}:{lineno}: expected key = value, got {raw!r}"]
-            )
+            errors.append(f"{path}:{lineno}: expected key = value, got {raw!r}")
+            continue
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    return values
+        key = key.strip()
+        if key in lines:
+            errors.append(
+                f"{path}:{lineno}: repeated config key {key}, first set on line {lines[key]}"
+            )
+            continue
+        lines[key] = lineno
+        values[key] = value.strip()
+    return values, errors
 
 
 def _unit_interval(value: float) -> str | None:
@@ -146,7 +163,7 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
         config_path = Path(args.config)
         if not config_path.is_file():
             raise ConfigurationError([f"config file not found: {config_path}"])
-        file_values = parse_config_file(config_path)
+        file_values, errors = _read_config_file(config_path)
         for key in file_values:
             if key not in _SETTINGS and key not in _IGNORED and not key.startswith("source."):
                 errors.append(f"unknown config key: {key}")

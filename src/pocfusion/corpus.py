@@ -470,8 +470,9 @@ def _record_error(record: dict) -> str | None:
             return f"missing required field {key!r}"
         if not isinstance(record[key], str):
             return f"field {key!r} is not a string"
-    if not record["id"].strip():
-        return "empty id"
+    for key in ("id", "source"):
+        if not record[key].strip():
+            return f"empty {key}"
     return None
 
 
@@ -493,13 +494,15 @@ def ingest_reports(path: str | Path, source: SourceId) -> list[PocReport]:
     path = Path(path)
     reports: list[PocReport] = []
     seen_ids: set[str] = set()
+    # the labels of other sources match case-insensitively, as platform names do
+    declared = (source.name, source.label.lower())
     for lineno, record in _source_records(path):
         error = _record_error(record)
         if error is not None:
             logger.warning("%s:%d: skipping record: %s", path, lineno, error)
             continue
         record_source = SourceId.parse(record["source"])
-        if record_source != source:
+        if (record_source.name, record_source.label.lower()) != declared:
             logger.warning(
                 "%s:%d: skipping record %r: source %r does not match declared %r",
                 path, lineno, record["id"], record["source"], source.display(),

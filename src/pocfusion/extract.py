@@ -236,6 +236,11 @@ class SlotSpan:
     start: int
     end: int
 
+    def __post_init__(self) -> None:
+        # exact types, so that a service's boolean, real or string offset is refused
+        if not (type(self.text) is str and type(self.start) is int and type(self.end) is int):
+            raise ExtractionError(f"span out of contract: {self}")
+
     def encode(self) -> dict:
         return {"text": self.text, "start": self.start, "end": self.end}
 
@@ -271,13 +276,10 @@ class StructuredExtraction:
 
     @classmethod
     def decode(cls, data: dict) -> "StructuredExtraction":
-        spans = {}
-        for slot, raw_spans in data.items():
-            spans[slot] = tuple(
-                SlotSpan(str(s["text"]), int(s["start"]), int(s["end"]))
-                for s in raw_spans
-            )
-        return cls(spans)
+        return cls({
+            slot: tuple(SlotSpan(s["text"], s["start"], s["end"]) for s in raw_spans)
+            for slot, raw_spans in data.items()
+        })
 
 
 class StructuredExtractor(Protocol):

@@ -11,12 +11,12 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Protocol, Sequence
+from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
 from .corpus import ContentKind, Corpus, PocReport, json_object, read_jsonl, write_jsonl
-from .similarity import cosine_from_gram, tokenize_code, tokenize_text
+from .similarity import tokenize_code, tokenize_text
 
 # Not called by the pipeline: bench/tracing.py wraps these module attributes
 # (its similarity.embed and similarity.cosine layers), so they stay importable
@@ -140,6 +140,41 @@ def candidate_pairs_same_cve(
 _GRAM_SLICE = 1 << 20
 
 
+def cosine_matrix(vectors: Sequence[Counter]) -> np.ndarray:
+    """Cosines of every pair of token counts, rows and columns in input order.
+
+    The counts are integers, so every product and partial sum of their Gram
+    matrix is exact (up to 2**53) whatever order the matrix product and the
+    column slices add them in. Each row is then divided in place by
+    ``sqrt(G[i,i] * G[j,j])``, and square root and division are correctly
+    rounded, so an entry equals :func:`cosine_similarity` of the two counts
+    bit for bit. Where a norm is 0 the entry stays at its dot product, 0.
+    """
+    index: dict[str, int] = {}  # token -> column
+    rows = np.repeat(np.arange(len(vectors)), [len(vector) for vector in vectors])
+    columns = np.array(
+        [index.setdefault(token, len(index)) for vector in vectors for token in vector],
+        dtype=np.intp,
+    )
+    counts = np.array([count for vector in vectors for count in vector.values()], dtype=np.float64)
+    n = len(vectors)
+    width = max(1, _GRAM_SLICE // max(n, 1))
+    # at least one slice, so that vectors without any token get a zero matrix
+    for start in range(0, max(len(index), 1), width):
+        part = (columns >= start) & (columns < start + width)
+        matrix = np.zeros((n, min(width, len(index) - start)))
+        matrix[rows[part], columns[part] - start] = counts[part]
+        if start:
+            gram += matrix @ matrix.T
+        else:
+            gram = matrix @ matrix.T
+    norms = gram.diagonal().copy()
+    for i, row in enumerate(gram):
+        scale = np.sqrt(norms[i] * norms)
+        np.divide(row, scale, out=row, where=scale > 0)
+    return gram
+
+
 def title_text(report: PocReport) -> str:
     titles = report.aspects.texts("title")
     return titles[0] if titles else ""
@@ -150,96 +185,50 @@ class ScoringModels:
 
     A report's content vector counts its code tokens (:func:`tokenize_code`)
     when it is code and its words (:func:`tokenize_text`) otherwise; its
-    title vector counts the words of its first title. Cosines are read from
-    the Gram matrices of one block of reports at a time (:meth:`index`), so
-    each report's norm is computed once per block instead of once per pair.
+    title vector counts the words of its first title. :meth:`index` makes the
+    content and title :func:`cosine_matrix` of one block of reports, and
+    cosines of the block's pairs are read from them.
     """
 
     def __init__(self) -> None:
-        self._content: dict[str, Counter] = {}
-        self._titles: dict[str, Counter] = {}
-        self._block: list[PocReport] = []
+        self._counts: dict[str, tuple[Counter, Counter]] = {}  # id -> (content, title)
         self._rows: dict[str, int] = {}
-        # token-count function -> Gram matrix of the block, made on first use
-        self._grams: dict[Callable[[PocReport], Counter], np.ndarray] = {}
+        self._matrices: tuple[np.ndarray, ...] = ()  # (content, title) of the block
 
-    def content_tokens(self, report: PocReport) -> Counter:
-        tokens = self._content.get(report.id)
-        if tokens is None:
+    def _counts_of(self, report: PocReport) -> tuple[Counter, Counter]:
+        counts = self._counts.get(report.id)
+        if counts is None:
             if report.content_kind.is_code:
-                tokens = tokenize_code(report.raw_content)
+                content = tokenize_code(report.raw_content)
             else:
-                tokens = Counter(tokenize_text(report.raw_content))
-            self._content[report.id] = tokens
-        return tokens
-
-    def title_tokens(self, report: PocReport) -> Counter:
-        tokens = self._titles.get(report.id)
-        if tokens is None:
-            tokens = self._titles[report.id] = Counter(tokenize_text(title_text(report)))
-        return tokens
-
-    @staticmethod
-    def _token_gram(
-        reports: Sequence[PocReport], tokens: Callable[[PocReport], Counter]
-    ) -> np.ndarray:
-        """The Gram matrix of the reports' token counts, rows in input order.
-
-        The counts are integers, so every product and partial sum is exact
-        (up to 2**53) whatever order the matrix product and the column slices
-        add them in: an entry equals the sparse dot product of
-        :func:`cosine_similarity` bit for bit, and a diagonal entry its
-        squared norm.
-        """
-        vectors = [tokens(report) for report in reports]
-        index: dict[str, int] = {}  # token -> column
-        rows = np.repeat(np.arange(len(vectors)), [len(vector) for vector in vectors])
-        columns = np.array(
-            [index.setdefault(token, len(index)) for vector in vectors for token in vector],
-            dtype=np.intp,
-        )
-        counts = np.array(
-            [count for vector in vectors for count in vector.values()], dtype=np.float64
-        )
-        n = len(reports)
-        gram = np.zeros((n, n))
-        width = max(1, _GRAM_SLICE // max(n, 1))
-        for start in range(0, len(index), width):
-            part = (columns >= start) & (columns < start + width)
-            matrix = np.zeros((n, min(width, len(index) - start)))
-            matrix[rows[part], columns[part] - start] = counts[part]
-            gram += matrix @ matrix.T
-        return gram
+                content = Counter(tokenize_text(report.raw_content))
+            if not content:
+                logger.warning("report %s has no content tokens, scored 0", report.id)
+            title = Counter(tokenize_text(title_text(report)))
+            counts = self._counts[report.id] = (content, title)
+        return counts
 
     def index(self, reports: Sequence[PocReport]) -> None:
-        """Make ``reports`` the block cosines are read from. The block
-        replaces the previous one, so only one block's Gram matrices are kept;
-        each is computed when the first cosine needs it."""
-        self._block = list(reports)
-        self._rows = {report.id: row for row, report in enumerate(self._block)}
-        self._grams = {}
+        """Make ``reports`` the block cosines are read from, replacing the
+        previous block, and compute its content and title cosine matrices."""
+        counts = [self._counts_of(report) for report in reports]
+        self._rows = {report.id: row for row, report in enumerate(reports)}
+        self._matrices = ()  # release the previous block's matrices first
+        self._matrices = tuple(cosine_matrix(part) for part in zip(*counts))
 
-    def _cosine(
-        self, a: PocReport, b: PocReport, tokens: Callable[[PocReport], Counter]
-    ) -> float:
-        """Cosine of two reports' ``tokens``, equal to :func:`cosine_similarity`
-        of the two counts. A pair outside the indexed block gets a Gram matrix
-        of its own, which leaves the block in place."""
+    def _cosine(self, a: PocReport, b: PocReport, part: int) -> float:
         rows = self._rows
         if a.id in rows and b.id in rows:
-            gram = self._grams.get(tokens)
-            if gram is None:
-                gram = self._grams[tokens] = self._token_gram(self._block, tokens)
-        else:
-            rows, gram = {a.id: 0, b.id: 1}, self._token_gram([a, b], tokens)
-        i, j = rows[a.id], rows[b.id]
-        return cosine_from_gram(float(gram[i, j]), float(gram[i, i]), float(gram[j, j]))
+            return float(self._matrices[part][rows[a.id], rows[b.id]])
+        # a pair outside the block is scored as a block of two
+        pair = cosine_matrix([self._counts_of(a)[part], self._counts_of(b)[part]])
+        return float(pair[0, 1])
 
     def content_cosine(self, a: PocReport, b: PocReport) -> float:
-        return self._cosine(a, b, self.content_tokens)
+        return self._cosine(a, b, 0)
 
     def title_cosine(self, a: PocReport, b: PocReport) -> float:
-        return self._cosine(a, b, self.title_tokens)
+        return self._cosine(a, b, 1)
 
 
 def score_pair(
@@ -247,15 +236,11 @@ def score_pair(
 ) -> float:
     """Similarity in [0, 1]: the cosine of the two reports' content token
     counts, code tokens for code pairs and words for text pairs."""
-    actual = pair_kind_of(a, b)
-    if actual != kind:
+    if pair_kind_of(a, b) != kind:
         raise ValueError(
             f"pair kind {kind.encode()} inconsistent with reports "
             f"{a.id} ({a.content_kind.encode()}) and {b.id} ({b.content_kind.encode()})"
         )
-    if not models.content_tokens(a) and not models.content_tokens(b):
-        logger.warning("both token vectors empty for pair (%s, %s)", a.id, b.id)
-        return 0.0
     return models.content_cosine(a, b)
 
 
@@ -319,14 +304,10 @@ class HeuristicPairClassifier:
         self.models = models
         self.cutoff = cutoff
 
-    def _content_similarity(self, a: PocReport, b: PocReport) -> float:
-        kind = pair_kind_of(a, b)
-        if kind is None:
-            return 0.0
-        return score_pair(a, b, kind, self.models)
-
     def classify(self, a: PocReport, b: PocReport) -> tuple[bool, float]:
-        combined = 0.5 * self.models.title_cosine(a, b) + 0.5 * self._content_similarity(a, b)
+        models = self.models
+        content = models.content_cosine(a, b) if pair_kind_of(a, b) is not None else 0.0
+        combined = 0.5 * models.title_cosine(a, b) + 0.5 * content
         return combined >= self.cutoff, combined
 
 

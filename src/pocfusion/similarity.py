@@ -38,36 +38,29 @@ def tokenize_text(content: str) -> list[str]:
     return [t for t in _TEXT_TOKEN.findall(content.lower()) if len(t) >= 2]
 
 
-def cosine_from_gram(dot: float, norm_sq_a: float, norm_sq_b: float) -> float:
-    """Cosine from a dot product and the two squared norms. A zero norm
-    gives 0 with a warning."""
-    norm_sq = norm_sq_a * norm_sq_b
-    if norm_sq == 0.0:
-        logger.warning("cosine of zero vector requested, returning 0")
-        return 0.0
-    # single square root of the norm product keeps exact halves exact
-    return dot / math.sqrt(norm_sq)
-
-
 def cosine_similarity(a, b) -> float:
     """Cosine of two vectors, sparse (mapping token -> count) or dense
-    (numpy arrays of equal dimension). Both-zero input is defined as 0.
+    (numpy arrays of equal dimension). A zero vector gives 0 with a warning.
     """
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         a = np.asarray(a, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
         if a.shape != b.shape:
             raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-        return cosine_from_gram(float(a @ b), float(a @ a), float(b @ b))
-    dot = 0.0
-    small, large = (a, b) if len(a) <= len(b) else (b, a)
-    for token, count in small.items():
-        other = large.get(token)
-        if other:
-            dot += count * other
-    return cosine_from_gram(
-        dot, float(sum(v * v for v in a.values())), float(sum(v * v for v in b.values()))
-    )
+        dot, norm_sq = float(a @ b), float(a @ a) * float(b @ b)
+    else:
+        dot = 0.0
+        small, large = (a, b) if len(a) <= len(b) else (b, a)
+        for token, count in small.items():
+            other = large.get(token)
+            if other:
+                dot += count * other
+        norm_sq = float(sum(v * v for v in a.values())) * float(sum(v * v for v in b.values()))
+    if norm_sq == 0.0:
+        logger.warning("cosine of zero vector requested, returning 0")
+        return 0.0
+    # single square root of the norm product keeps exact halves exact
+    return dot / math.sqrt(norm_sq)
 
 
 @dataclass(frozen=True)

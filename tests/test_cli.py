@@ -245,6 +245,31 @@ def test_unknown_config_key(tmp_path, capsys):
     assert "unknown config key: thresold" in last_error(capsys)["message"]
 
 
+def test_repeated_config_key_is_a_configuration_error(tmp_path, capsys):
+    edb, _, _ = write_sources(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"workspace = ws\ntext_threshold = 0.5\nsource.exploitdb = {edb}\n"
+        f"# a comment\ntext_threshold = 0.7\nsource.exploitdb = {edb}\n",
+        encoding="utf-8",
+    )
+    assert main(["ingest", "--config", str(cfg), "--jobs", "0"]) == 2
+    error = last_error(capsys)
+    assert error["code"] == 2
+    # listed with the other configuration errors
+    assert error["message"] == "; ".join(
+        [
+            f"{cfg}:5: repeated config key text_threshold, first set on line 2",
+            f"{cfg}:6: repeated config key source.exploitdb, first set on line 3",
+            "jobs must be >= 1, got 0",
+        ]
+    )
+    assert not (tmp_path / "ws").exists()
+    with pytest.raises(ConfigurationError) as err:
+        parse_config_file(cfg)
+    assert len(err.value.errors) == 2
+
+
 def test_duplicate_and_missing_sources(tmp_path, capsys):
     edb, _, _ = write_sources(tmp_path)
     code = main(
@@ -626,3 +651,33 @@ def test_unreachable_extractor_degrades_but_succeeds(tmp_path):
     assert main(argv) == 0
     manifest = json.loads((ws / "manifests" / "extract.json").read_text())
     assert manifest["degraded"] == {"extractor": 3}
+
+
+def test_unreachable_classifier_degrades_to_the_same_links(tmp_path, monkeypatch):
+    import socket
+
+    from pocfusion import link as link_module
+
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        port = s.getsockname()[1]
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    calls = []
+    classify_pair = link_module.classify_pair
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].id)
+        return classify_pair(*args, **kwargs)
+
+    monkeypatch.setattr(link_module, "classify_pair", counted)
+    argv = ["run-all", "--config", "demo/config.cfg", "--workspace"]
+    assert main([*argv, str(tmp_path / "plain")]) == 0
+    candidates = len(calls)
+    assert candidates == 1  # on the demo corpus
+    url = f"http://127.0.0.1:{port}/"
+    assert main([*argv, str(tmp_path / "down"), "--classifier-url", url]) == 0
+    manifest = json.loads((tmp_path / "down" / "manifests" / "link.json").read_text())
+    assert manifest["degraded"] == {"classifier": candidates}
+    # the fallback heuristic scores every candidate from the block indexed for it
+    links = [(tmp_path / ws / "links.jsonl").read_bytes() for ws in ("plain", "down")]
+    assert links[0] == links[1]

@@ -520,3 +520,34 @@ def test_flipped_byte_is_loaded_or_rejected_naming_the_file(name, position, mask
             SAVED_FILES[name][1](path)
         except CorpusError as exc:
             assert str(exc).startswith(str(path))
+
+
+def test_ingest_reports_skips_blank_source(tmp_path, caplog):
+    path = tmp_path / "src.jsonl"
+    write_jsonl(
+        path,
+        [
+            {"id": "a", "source": " ", "content": "x"},
+            {"id": "b", "source": "ExploitDB", "content": "y"},
+        ],
+    )
+    assert [r.id for r in ingest_reports(path, EDB)] == ["b"]
+    assert f"{path}:1: skipping record: empty source" in caplog.text
+
+
+def test_ingest_reports_matches_other_source_labels_case_insensitively(tmp_path, caplog):
+    path = tmp_path / "src.jsonl"
+    write_jsonl(
+        path,
+        [
+            {"id": "a", "source": "NVD", "content": "x"},
+            {"id": "b", "source": "nvd", "content": "y"},
+            {"id": "c", "source": "osv", "content": "z"},
+        ],
+    )
+    declared = SourceId.parse("nvd")
+    reports = ingest_reports(path, declared)
+    assert [r.id for r in reports] == ["a", "b"]
+    # every report carries the declared source
+    assert {r.source for r in reports} == {declared}
+    assert "'osv' does not match declared 'nvd'" in caplog.text

@@ -194,9 +194,9 @@ def test_code_cosine_equals_sparse_cosine_bit_for_bit(a_counts, b_counts, others
     block[at:at] = [a]
     block.append(b)
     models = ScoringModels()
-    models.index(block)
     with mock.patch.object(link_module, "_GRAM_SLICE", cells):
-        assert models.content_cosine(a, b).hex() == expected
+        models.index(block)
+    assert models.content_cosine(a, b).hex() == expected
     assert models.content_cosine(b, a).hex() == cosine_similarity(
         Counter(b_counts), Counter(a_counts)
     ).hex()
@@ -249,9 +249,9 @@ def test_text_and_title_cosines_equal_sparse_cosine_bit_for_bit(
     block[at:at] = [a]
     block.append(b)
     models = ScoringModels()
-    models.index(block)
     with mock.patch.object(link_module, "_GRAM_SLICE", cells):
-        assert cosines(models, a, b) == expected_hex
+        models.index(block)
+    assert cosines(models, a, b) == expected_hex
     assert cosines(models, b, a) == expected_hex
 
 
@@ -263,12 +263,21 @@ def test_code_cosine_exact_half_in_a_block():
     assert score_pair(a, b, PY, models) == 0.5
 
 
+def empty_content_warnings(caplog):
+    return [r.getMessage() for r in caplog.records if "no content tokens" in r.getMessage()]
+
+
 def test_code_cosine_zero_vector_logs(caplog):
     models = ScoringModels()
     a, b = report("a", content=" ", kind=PY), report("b", content="x", kind=PY)
-    models.index([a, b])
+    c = report("c", content="x y", kind=PY)
+    models.index([a, b, c])
     assert models.content_cosine(a, b) == 0.0
-    assert "zero vector" in caplog.text
+    assert models.content_cosine(c, a) == 0.0
+    models.index([a, c])
+    assert models.content_cosine(a, c) == 0.0
+    # one warning for the empty report, however many of its pairs are scored
+    assert empty_content_warnings(caplog) == ["report a has no content tokens, scored 0"]
 
 
 def test_score_pair_empty_code(caplog):
@@ -276,7 +285,8 @@ def test_score_pair_empty_code(caplog):
     a = report("a", content="  ", kind=PY)
     b = report("b", content="\n", kind=PY)
     assert score_pair(a, b, code_kind(LanguageId.PYTHON), models) == 0.0
-    assert "empty" in caplog.text
+    assert score_pair(b, a, code_kind(LanguageId.PYTHON), models) == 0.0
+    assert len(empty_content_warnings(caplog)) == 2
 
 
 def test_score_pair_kind_mismatch():
@@ -303,7 +313,10 @@ def test_score_pair_text_uses_token_counts():
 def test_score_pair_empty_text(caplog):
     # no word of two or more characters on either side
     assert score_pair(report("a", "x ."), report("b", ""), TEXT, ScoringModels()) == 0.0
-    assert "empty" in caplog.text
+    warnings = empty_content_warnings(caplog)
+    assert len(warnings) == 2 and "report a " in warnings[0] and "report b " in warnings[1]
+    # a missing title logs nothing
+    assert len(caplog.records) == 2
 
 
 def test_software_names_from_title_and_versions():

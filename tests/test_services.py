@@ -12,11 +12,16 @@ from pathlib import Path
 import pytest
 
 from pocfusion import (
+    CompletionConfig,
+    Corpus,
     ExternalPairClassifier,
     ExternalStructuredExtractor,
+    HeuristicPairClassifier,
     PocReport,
+    ScoringModels,
     SourceId,
     aspect_values,
+    build_link_graph,
     classify_pair,
 )
 from pocfusion.corpus import AspectSet, ContentKind
@@ -127,6 +132,30 @@ def test_extractor_service_rejects_unknown_slot(service):
     client = ExternalStructuredExtractor(service.url, fallback=StubExtractor())
     client.extract(text_report("r1", CONTENT))
     assert client.degraded_ids == ["r1"]
+
+
+@pytest.mark.parametrize(
+    "span, typed",
+    [
+        ({"text": "b", "start": True, "end": 2}, {"text": "b", "start": 1, "end": 2}),
+        ({"text": "ab", "start": "0", "end": 2}, {"text": "ab", "start": 0, "end": 2}),
+        ({"text": "a", "start": 0, "end": 1.9}, {"text": "a", "start": 0, "end": 1}),
+        ({"text": 7, "start": 2, "end": 3}, {"text": "7", "start": 2, "end": 3}),
+    ],
+    ids=["start-bool", "start-string", "end-real", "text-number"],
+)
+def test_extractor_service_rejects_wrong_json_types(service, span, typed):
+    # each span would match the content once converted; the typed form is accepted
+    report = text_report("r1", "ab7")
+    service.script = lambda payload: (200, {"title": [typed]})
+    client = ExternalStructuredExtractor(service.url, fallback=StubExtractor())
+    assert client.extract(report).texts("title") == [typed["text"]]
+    service.script = lambda payload: (200, {"title": [span]})
+    fallback = StubExtractor()
+    client = ExternalStructuredExtractor(service.url, fallback=fallback)
+    client.extract(report)
+    assert client.degraded_ids == ["r1"]
+    assert fallback.calls == ["r1"]
 
 
 def test_extractor_service_http_error(service):
@@ -259,6 +288,21 @@ def test_classifier_service_via_classify_pair(service):
     stranger = text_report("c1", "gamma", title="Unrelated 9 - RCE")
     with pytest.raises(ValueError):
         classify_pair(client, a, stranger)
+    assert len(service.requests) == 1
+
+
+def test_classifier_service_verdict_links_at_any_confidence(service):
+    # a service verdict links the pair whatever its confidence, and the
+    # confidence becomes the link's similarity
+    service.script = lambda payload: (200, {"same": True, "confidence": 0.2})
+    a, b = pair()
+    models = ScoringModels()
+    client = ExternalPairClassifier(service.url, fallback=HeuristicPairClassifier(models))
+    links = build_link_graph(Corpus([a, b]), models, client, CompletionConfig())
+    assert [(link.a, link.b, link.basis, link.similarity) for link in links] == [
+        ("a1", "b1", None, 0.2)
+    ]
+    assert client.degraded_pairs == []
     assert len(service.requests) == 1
 
 
