@@ -174,6 +174,16 @@ class FromCve:
         return {"kind": "from_cve", "cve_id": self.cve_id}
 
 
+def check_unit_number(name: str, value: object) -> None:
+    """``ValueError`` unless ``value`` is a number in [0, 1]: an int or a
+    float, as JSON decodes a number. A bool, which Python counts as an int,
+    is refused."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} is not a number: {value!r}")
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} out of range: {value}")
+
+
 @dataclass(frozen=True)
 class FromPoc:
     """Value donated by a related PoC report.
@@ -187,8 +197,7 @@ class FromPoc:
     basis: str
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.similarity <= 1.0:
-            raise ValueError(f"similarity out of range: {self.similarity}")
+        check_unit_number("similarity", self.similarity)
 
     def encode(self) -> dict:
         return {

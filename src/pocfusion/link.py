@@ -5,17 +5,25 @@ pairs, and classifier-based links for reports without a shared CVE id.
 from __future__ import annotations
 
 import logging
+import math
 import random
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
 
-import numpy as np
-
-from .corpus import ContentKind, Corpus, PocReport, json_object, read_jsonl, write_jsonl
+from .corpus import (
+    ContentKind,
+    Corpus,
+    PocReport,
+    check_unit_number,
+    json_object,
+    read_jsonl,
+    write_jsonl,
+)
 from .similarity import tokenize_code, tokenize_text
 
 # Not called by the pipeline: bench/tracing.py wraps these module attributes
@@ -46,8 +54,7 @@ class PocLink:
             raise ValueError(f"self-link on {self.a}")
         if self.a > self.b:
             raise ValueError(f"link endpoints not in canonical order: {self.a!r} > {self.b!r}")
-        if not 0.0 <= self.similarity <= 1.0:
-            raise ValueError(f"similarity out of range: {self.similarity}")
+        check_unit_number("similarity", self.similarity)
 
     def encode(self) -> dict:
         record = {"a": self.a, "b": self.b}
@@ -134,45 +141,35 @@ def candidate_pairs_same_cve(
 # --- scoring -------------------------------------------------------------------
 
 
-# The token-count matrix of a block is multiplied in column slices of at most
-# this many entries, so its memory is bounded by the block's Gram matrix and
-# does not grow with the block's vocabulary.
-_GRAM_SLICE = 1 << 20
+def cosine_matrix(vectors: Sequence[Counter]) -> list[array]:
+    """Cosines of every pair of token counts as a lower triangle: row ``i``
+    holds the cosines of vector ``i`` with vectors ``0..i``, in input order.
 
-
-def cosine_matrix(vectors: Sequence[Counter]) -> np.ndarray:
-    """Cosines of every pair of token counts, rows and columns in input order.
-
-    The counts are integers, so every product and partial sum of their Gram
-    matrix is exact (up to 2**53) whatever order the matrix product and the
-    column slices add them in. Each row is then divided in place by
-    ``sqrt(G[i,i] * G[j,j])``, and square root and division are correctly
-    rounded, so an entry equals :func:`cosine_similarity` of the two counts
-    bit for bit. Where a norm is 0 the entry stays at its dot product, 0.
+    The vectors are walked in order, keeping each token's ``(row, count)``
+    pairs from earlier rows, so row ``i``'s dot products are summed over the
+    tokens it shares with each earlier row, in Python integers, exact at any
+    size. Each entry is ``dot / sqrt(norm_i * norm_j)``; the norm product is
+    an exact integer rounded once to a float, and square root and division
+    are correctly rounded, so an entry equals :func:`cosine_similarity` of
+    the two counts bit for bit while the sums stay below 2**53. Where a norm
+    is 0 the entry is 0.
     """
-    index: dict[str, int] = {}  # token -> column
-    rows = np.repeat(np.arange(len(vectors)), [len(vector) for vector in vectors])
-    columns = np.array(
-        [index.setdefault(token, len(index)) for vector in vectors for token in vector],
-        dtype=np.intp,
-    )
-    counts = np.array([count for vector in vectors for count in vector.values()], dtype=np.float64)
-    n = len(vectors)
-    width = max(1, _GRAM_SLICE // max(n, 1))
-    # at least one slice, so that vectors without any token get a zero matrix
-    for start in range(0, max(len(index), 1), width):
-        part = (columns >= start) & (columns < start + width)
-        matrix = np.zeros((n, min(width, len(index) - start)))
-        matrix[rows[part], columns[part] - start] = counts[part]
-        if start:
-            gram += matrix @ matrix.T
-        else:
-            gram = matrix @ matrix.T
-    norms = gram.diagonal().copy()
-    for i, row in enumerate(gram):
-        scale = np.sqrt(norms[i] * norms)
-        np.divide(row, scale, out=row, where=scale > 0)
-    return gram
+    postings: dict[str, list[tuple[int, int]]] = {}  # token -> (row, count) of rows so far
+    norms: list[int] = []
+    matrix = []
+    for i, vector in enumerate(vectors):
+        dots = [0] * (i + 1)
+        for token, count in vector.items():
+            earlier = postings.setdefault(token, [])
+            for j, other in earlier:
+                dots[j] += count * other
+            earlier.append((i, count))
+        norm = dots[i] = sum(count * count for count in vector.values())
+        norms.append(norm)
+        # a dot product is 0 wherever a norm is, and its cosine is then 0
+        row = [dot / math.sqrt(norm * other) if dot else 0.0 for dot, other in zip(dots, norms)]
+        matrix.append(array("d", row))
+    return matrix
 
 
 def title_text(report: PocReport) -> str:
@@ -193,7 +190,7 @@ class ScoringModels:
     def __init__(self) -> None:
         self._counts: dict[str, tuple[Counter, Counter]] = {}  # id -> (content, title)
         self._rows: dict[str, int] = {}
-        self._matrices: tuple[np.ndarray, ...] = ()  # (content, title) of the block
+        self._matrices: tuple[list[array], ...] = ()  # (content[, title]) of the block
 
     def _counts_of(self, report: PocReport) -> tuple[Counter, Counter]:
         counts = self._counts.get(report.id)
@@ -208,21 +205,24 @@ class ScoringModels:
             counts = self._counts[report.id] = (content, title)
         return counts
 
-    def index(self, reports: Sequence[PocReport]) -> None:
+    def index(self, reports: Sequence[PocReport], titles: bool = True) -> None:
         """Make ``reports`` the block cosines are read from, replacing the
-        previous block, and compute its content and title cosine matrices."""
+        previous block, and compute its content cosine matrix and, with
+        ``titles``, its title cosine matrix. Without it, title cosines of the
+        block's pairs are scored as pairs outside the block."""
         counts = [self._counts_of(report) for report in reports]
         self._rows = {report.id: row for row, report in enumerate(reports)}
         self._matrices = ()  # release the previous block's matrices first
-        self._matrices = tuple(cosine_matrix(part) for part in zip(*counts))
+        parts = list(zip(*counts))[: 2 if titles else 1]
+        self._matrices = tuple(cosine_matrix(part) for part in parts)
 
     def _cosine(self, a: PocReport, b: PocReport, part: int) -> float:
-        rows = self._rows
-        if a.id in rows and b.id in rows:
-            return float(self._matrices[part][rows[a.id], rows[b.id]])
+        i, j = self._rows.get(a.id), self._rows.get(b.id)
+        if i is not None and j is not None and part < len(self._matrices):
+            matrix = self._matrices[part]
+            return matrix[i][j] if i > j else matrix[j][i]
         # a pair outside the block is scored as a block of two
-        pair = cosine_matrix([self._counts_of(a)[part], self._counts_of(b)[part]])
-        return float(pair[0, 1])
+        return cosine_matrix([self._counts_of(a)[part], self._counts_of(b)[part]])[1][0]
 
     def content_cosine(self, a: PocReport, b: PocReport) -> float:
         return self._cosine(a, b, 0)
@@ -342,11 +342,9 @@ class ExternalPairClassifier:
             response.raise_for_status()
             data = json_object(response.text)
             same, confidence = data["same"], data["confidence"]
-            # JSON gives exact int/float types, so this also refuses a boolean confidence
-            if not (isinstance(same, bool) and type(confidence) in (int, float)):
+            if not isinstance(same, bool):
                 raise ValueError(f"verdict out of contract: {data}")
-            if not 0.0 <= confidence <= 1.0:
-                raise ValueError(f"confidence out of range: {confidence}")
+            check_unit_number("confidence", confidence)
             return same, float(confidence)
         except (requests.RequestException, ValueError, KeyError, TypeError) as exc:
             logger.warning(
@@ -493,8 +491,9 @@ def build_link_graph(
     threshold. Pairs sharing no CVE id link when they name the same software
     and the classifier votes yes. One link per pair, shared-CVE basis first,
     output sorted by pair key. The code and text reports of each CVE group
-    and each software-name block are indexed for scoring before the group's
-    or the block's pairs are scored.
+    (content only: the shared-CVE pass reads no titles) and each
+    software-name block are indexed for scoring before the group's or the
+    block's pairs are scored.
     """
     links: dict[tuple[str, str], PocLink] = {}
     groups = group_by_cve(corpus)
@@ -503,7 +502,8 @@ def build_link_graph(
         if pairs:
             group = (corpus.get(report_id) for report_id in groups[cve_id])
             models.index(
-                [r for r in group if r.content_kind.is_code or r.content_kind.is_text]
+                [r for r in group if r.content_kind.is_code or r.content_kind.is_text],
+                titles=False,
             )
         for a_id, b_id, kind in pairs:
             key = (a_id, b_id)

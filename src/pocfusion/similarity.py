@@ -1,11 +1,13 @@
 """Token counts and cosine similarity for code and text PoCs.
 
 Pair scoring compares token-frequency vectors: code tokens for code reports,
-lowercased word tokens for prose and titles. The skip-gram model with
-negative sampling (:func:`train_embeddings`, :func:`embed_text`) is not used
-by the pipeline and is not exported from the package. It stays only while
-``bench/tracing.py`` wraps it and acceptance criterion 8 tests it; it is to be
-deleted together with those (ROADMAP item 1).
+lowercased word tokens for prose and titles, in pure Python. The skip-gram
+model with negative sampling (:func:`train_embeddings`, :func:`embed_text`) is
+not used by the pipeline and is not exported from the package. It stays only
+while ``bench/tracing.py`` wraps it and acceptance criterion 8 tests it; it is
+to be deleted together with those (ROADMAP item 1). It is the only code that
+uses numpy, and imports it inside its functions, so importing this module, or
+running any pipeline stage, does not load numpy.
 """
 
 from __future__ import annotations
@@ -14,9 +16,12 @@ import logging
 import math
 import re
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -42,7 +47,9 @@ def cosine_similarity(a, b) -> float:
     """Cosine of two vectors, sparse (mapping token -> count) or dense
     (numpy arrays of equal dimension). A zero vector gives 0 with a warning.
     """
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+    if not (isinstance(a, Mapping) and isinstance(b, Mapping)):
+        import numpy as np
+
         a = np.asarray(a, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
         if a.shape != b.shape:
@@ -125,6 +132,8 @@ def _skipgram_pairs(
     of its own sentence at most its reach away. Pairs come grouped by center
     in input order, contexts ascending.
     """
+    import numpy as np
+
     ends = np.repeat(np.cumsum(lengths), lengths)
     starts = ends - np.repeat(lengths, lengths)
     positions = np.arange(len(reaches))
@@ -141,6 +150,8 @@ def _sentence_chunks(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """(token ids, sentence lengths) of consecutive in-vocabulary sentences,
     at least ``_CHUNK_TOKENS`` tokens per chunk except the last."""
+    import numpy as np
+
     chunks = []
     tokens: list[int] = []
     lengths: list[int] = []
@@ -172,6 +183,8 @@ def train_embeddings(
     center words down to a small floor. Mean per-pair loss is recorded for
     every epoch on the returned model.
     """
+    import numpy as np
+
     if not texts:
         raise ValueError("texts must be non-empty")
     counts: Counter = Counter()
@@ -280,6 +293,8 @@ def train_embeddings(
 def embed_text(model: EmbeddingModel, content: str) -> np.ndarray:
     """Mean of in-vocabulary token vectors; zero vector when every token is
     out of vocabulary."""
+    import numpy as np
+
     rows = [
         model.vocabulary[t] for t in tokenize_text(content) if t in model.vocabulary
     ]

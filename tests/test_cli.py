@@ -1,7 +1,10 @@
 import hashlib
 import json
 import logging
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -404,6 +407,8 @@ STAGE_INPUTS = [
                      id="link-aspects-list"),
         pytest.param("complete", "links.jsonl", set_field("similarity", "x"),
                      id="complete-similarity-string"),
+        pytest.param("complete", "links.jsonl", set_field("similarity", True),
+                     id="complete-similarity-bool"),
         pytest.param("stats", "completion_records.jsonl", set_field("origin", []),
                      id="stats-origin-list"),
         pytest.param("complete", "cve_db.jsonl", set_field("platforms", "Linux"),
@@ -412,6 +417,10 @@ STAGE_INPUTS = [
                      id="link-unknown-slot"),
         pytest.param("stats", "completion_records.jsonl", set_field("origin", {"kind": "bogus"}),
                      id="stats-unknown-origin-kind"),
+        pytest.param("stats", "completion_records.jsonl",
+                     set_field("origin", {"kind": "from_poc", "donor_id": "e1",
+                                          "similarity": True, "basis": "classifier"}),
+                     id="stats-similarity-bool"),
         pytest.param("link", "corpus_extracted.jsonl", set_aspect("title", ["Foo", " foo"]),
                      id="link-duplicate-values"),
     ],
@@ -681,3 +690,24 @@ def test_unreachable_classifier_degrades_to_the_same_links(tmp_path, monkeypatch
     # the fallback heuristic scores every candidate from the block indexed for it
     links = [(tmp_path / ws / "links.jsonl").read_bytes() for ws in ("plain", "down")]
     assert links[0] == links[1]
+
+
+def test_pipeline_runs_without_numpy(tmp_path):
+    # numpy's import (with its BLAS threads) would be the largest piece of
+    # every stage's start-up; only the unused skip-gram trainer may load it
+    root = Path(__file__).resolve().parent.parent
+    script = f"""
+import sys
+import pocfusion
+from pocfusion.cli import main
+assert "numpy" not in sys.modules, "import pocfusion loaded numpy"
+code = main(["run-all", "--config", "demo/config.cfg", "--workspace", {str(tmp_path / "ws")!r}])
+assert code == 0, code
+assert "numpy" not in sys.modules, "run-all loaded numpy"
+"""
+    paths = [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    result = subprocess.run(
+        [sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr

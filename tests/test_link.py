@@ -3,7 +3,6 @@ import math
 from collections import Counter
 from itertools import combinations
 from types import SimpleNamespace
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -178,28 +177,27 @@ token_counts = st.dictionaries(
 @given(
     token_counts,
     token_counts,
-    st.lists(token_counts, max_size=4),
-    st.integers(0, 4),
-    st.sampled_from([1, 7, link_module._GRAM_SLICE]),
+    st.lists(token_counts, max_size=10),
+    st.integers(0, 10),
 )
-def test_code_cosine_equals_sparse_cosine_bit_for_bit(a_counts, b_counts, others, at, cells):
+def test_code_cosine_equals_sparse_cosine_bit_for_bit(a_counts, b_counts, others, at):
     a, b = code_report("a", a_counts), code_report("b", b_counts)
     assert tokenize_code(a.raw_content) == Counter(a_counts)
     expected = cosine_similarity(Counter(a_counts), Counter(b_counts)).hex()
     # a pair outside any indexed block
     assert ScoringModels().content_cosine(a, b).hex() == expected
-    # the same pair inside a larger block, its counts multiplied in column
-    # slices of at most ``cells`` entries
+    # the same pair inside a block of up to 12 reports, and every other pair
+    # of that block, read in both row orders
     block = [code_report(f"o{i}", counts) for i, counts in enumerate(others)]
     block[at:at] = [a]
     block.append(b)
     models = ScoringModels()
-    with mock.patch.object(link_module, "_GRAM_SLICE", cells):
-        models.index(block)
+    models.index(block)
     assert models.content_cosine(a, b).hex() == expected
-    assert models.content_cosine(b, a).hex() == cosine_similarity(
-        Counter(b_counts), Counter(a_counts)
-    ).hex()
+    for x, y in combinations(block, 2):
+        for u, v in ((x, y), (y, x)):
+            oracle = cosine_similarity(tokenize_code(u.raw_content), tokenize_code(v.raw_content))
+            assert models.content_cosine(u, v).hex() == oracle.hex()
 
 
 def words_of(counts):
@@ -221,13 +219,10 @@ word_count_maps = st.dictionaries(
 @given(
     st.tuples(word_count_maps, word_count_maps),
     st.tuples(word_count_maps, word_count_maps),
-    st.lists(st.tuples(word_count_maps, word_count_maps), max_size=4),
-    st.integers(0, 4),
-    st.sampled_from([1, 7, link_module._GRAM_SLICE]),
+    st.lists(st.tuples(word_count_maps, word_count_maps), max_size=10),
+    st.integers(0, 10),
 )
-def test_text_and_title_cosines_equal_sparse_cosine_bit_for_bit(
-    a_counts, b_counts, others, at, cells
-):
+def test_text_and_title_cosines_equal_sparse_cosine_bit_for_bit(a_counts, b_counts, others, at):
     a, b = text_report("a", *a_counts), text_report("b", *b_counts)
     assert Counter(tokenize_text(a.raw_content)) == Counter(a_counts[0])
     assert Counter(tokenize_text(title_text(a))) == Counter(a_counts[1])
@@ -241,18 +236,29 @@ def test_text_and_title_cosines_equal_sparse_cosine_bit_for_bit(
     def cosines(models, x, y):
         return [models.content_cosine(x, y).hex(), models.title_cosine(x, y).hex()]
 
+    def oracle(x, y):
+        return [
+            cosine_similarity(Counter(tokenize_text(u)), Counter(tokenize_text(v))).hex()
+            for u, v in ((x.raw_content, y.raw_content), (title_text(x), title_text(y)))
+        ]
+
     # a pair outside any indexed block
     assert cosines(ScoringModels(), a, b) == expected_hex
-    # the same pair inside a larger block, its counts multiplied in column
-    # slices of at most ``cells`` entries
+    # the same pair inside a block of up to 12 reports, and every other pair
+    # of that block, read in both row orders
     block = [text_report(f"o{i}", *counts) for i, counts in enumerate(others)]
     block[at:at] = [a]
     block.append(b)
     models = ScoringModels()
-    with mock.patch.object(link_module, "_GRAM_SLICE", cells):
-        models.index(block)
+    models.index(block)
     assert cosines(models, a, b) == expected_hex
     assert cosines(models, b, a) == expected_hex
+    for x, y in combinations(block, 2):
+        assert cosines(models, x, y) == oracle(x, y)
+        assert cosines(models, y, x) == oracle(y, x)
+    # a block indexed without titles scores its title cosines as pairs
+    models.index(block, titles=False)
+    assert cosines(models, a, b) == expected_hex
 
 
 def test_code_cosine_exact_half_in_a_block():
