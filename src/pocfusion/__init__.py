@@ -81,12 +81,6 @@ from .complete import (
     save_completion_records,
     verify_association,
 )
-from .report import (
-    CompletionTable,
-    DeficiencyTable,
-    completion_stats,
-    deficiency_stats,
-    render_report,
-)
+from .report import completion_stats, deficiency_stats, render_report
 
 __version__ = "0.1.0"

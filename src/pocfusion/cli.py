@@ -344,6 +344,8 @@ def stage_extract(config: PipelineConfig, ws: Path, inputs: dict[str, Path]) -> 
 
 def stage_link(config: PipelineConfig, ws: Path, inputs: dict[str, Path]) -> _StageResult:
     corpus = load_corpus(inputs[EXTRACTED])
+    # parsed only so that a broken CVE db stops the run here, not at complete
+    load_cve_db(inputs[CVE_DB])
     models = ScoringModels()
     heuristic = HeuristicPairClassifier(models)
     external = (
@@ -377,7 +379,7 @@ def stage_stats(config: PipelineConfig, ws: Path, inputs: dict[str, Path]) -> _S
     completed = load_corpus(inputs[COMPLETED])
     records = load_completion_records(inputs[RECORDS])
     deficiency = deficiency_stats(extracted)
-    if deficiency.empty:
+    if len(extracted) == 0:
         logger.warning("deficiency table computed over an empty corpus")
     completion = completion_stats(records, completed)
     extension = "md" if config.format == "markdown" else "csv"
@@ -396,8 +398,9 @@ _STAGES = {
                  "categorize reports as code (with language) or text"),
     "extract": (stage_extract, (CLASSIFIED,),
                 "populate aspect slots by rule-based and structured extraction"),
-    # link reads no CVE entries; the CVE db is still required and hashed so
-    # the manifest ties the links to the ingest run that produced both
+    # link uses no CVE entries; it parses the CVE db so that a broken file
+    # fails here, and hashes it so the manifest ties the links to the ingest
+    # run that produced both
     "link": (stage_link, (EXTRACTED, CVE_DB),
              "build the cross-source association graph"),
     "complete": (stage_complete, (EXTRACTED, LINKS, CVE_DB),

@@ -31,7 +31,6 @@ from .corpus import (
 )
 from .link import (
     PocLink,
-    SharedCve,
     ThresholdConfig,
     below_threshold,
     software_names,
@@ -139,12 +138,6 @@ def complete_from_cve(
     return report, version_records + platform_records
 
 
-def _basis_string(link: PocLink) -> str:
-    if isinstance(link.basis, SharedCve):
-        return f"shared_cve:{link.basis.cve_id}"
-    return "classifier"
-
-
 def complete_from_poc(
     target: PocReport,
     donor: PocReport,
@@ -165,7 +158,7 @@ def complete_from_poc(
             f"link similarity {link.similarity} below the "
             f"{link.kind.encode()} threshold"
         )
-    origin = FromPoc(donor.id, link.similarity, _basis_string(link))
+    origin = FromPoc(donor.id, link.similarity, link.basis_text)
     records: list[CompletionRecord] = []
     for slot in ASPECT_SLOTS:
         if target.aspects.values(slot):

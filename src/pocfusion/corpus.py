@@ -209,6 +209,8 @@ class FromPoc:
 
 
 Provenance = Original | FromCve | FromPoc
+# the encoded kinds of a completed value's provenance, in table order
+ORIGIN_KINDS = ("from_cve", "from_poc")
 
 ORIGINAL = Original()
 

@@ -67,6 +67,14 @@ class PocLink:
         record["kind"] = self.kind.encode()
         return record
 
+    @property
+    def basis_text(self) -> str:
+        """The basis as a donated value's provenance records it:
+        ``shared_cve:<CVE-ID>`` or ``classifier``."""
+        if isinstance(self.basis, SharedCve):
+            return f"shared_cve:{self.basis.cve_id}"
+        return "classifier"
+
     @classmethod
     def decode(cls, data: dict) -> "PocLink":
         if data["basis"] == "shared_cve":

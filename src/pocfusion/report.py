@@ -1,124 +1,21 @@
 """Deficiency and completion statistics with markdown/CSV rendering.
 
-Deficiency counts only values the reports arrived with (Original
-provenance), so enriching a corpus never changes its deficiency table.
+A statistics table is its column names and its rows of string cells, in
+render order. Deficiency counts only values the reports arrived with
+(Original provenance), so enriching a corpus never changes its deficiency
+table.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from typing import Sequence
 
-from .corpus import ASPECT_SLOTS, Corpus, FromCve, FromPoc
+from .corpus import ASPECT_SLOTS, ORIGIN_KINDS, Corpus
 from .complete import CompletionRecord
 
-ORIGIN_KINDS = ("from_cve", "from_poc")
-
-
-@dataclass(frozen=True)
-class DeficiencyTable:
-    """Per (source, aspect) presence counts plus the overall mean rate."""
-
-    sources: tuple[str, ...]
-    present: dict[tuple[str, str], int]  # (source, slot) -> reports with the slot
-    totals: dict[str, int]  # source -> report count
-    empty: bool
-
-    def presence_rate(self, source: str, slot: str) -> float:
-        total = self.totals[source]
-        return self.present[(source, slot)] / total if total else 0.0
-
-    def overall_present(self, slot: str) -> int:
-        return sum(self.present[(source, slot)] for source in self.sources)
-
-    def overall_total(self) -> int:
-        return sum(self.totals.values())
-
-    def overall_rate(self, slot: str) -> float:
-        total = self.overall_total()
-        return self.overall_present(slot) / total if total else 0.0
-
-    @property
-    def mean_presence(self) -> float:
-        return sum(self.overall_rate(slot) for slot in ASPECT_SLOTS) / len(ASPECT_SLOTS)
-
-
-def deficiency_stats(corpus: Corpus) -> DeficiencyTable:
-    """How often each aspect is present per source, counting Original values only."""
-    sources: list[str] = []
-    present: dict[tuple[str, str], int] = {}
-    totals: dict[str, int] = {}
-    for report in corpus:
-        source = report.source.display()
-        if source not in totals:
-            sources.append(source)
-            totals[source] = 0
-            for slot in ASPECT_SLOTS:
-                present[(source, slot)] = 0
-        totals[source] += 1
-        for slot in ASPECT_SLOTS:
-            if report.aspects.original_values(slot):
-                present[(source, slot)] += 1
-    return DeficiencyTable(
-        sources=tuple(sources),
-        present=present,
-        totals=totals,
-        empty=len(corpus) == 0,
-    )
-
-
-@dataclass(frozen=True)
-class CompletionTable:
-    """Distinct-PoC and value counts per (source, slot, origin kind)."""
-
-    sources: tuple[str, ...]
-    pocs: dict[tuple[str, str, str], int]  # (source, slot, origin) -> distinct targets
-    values: dict[tuple[str, str, str], int]  # (source, slot, origin) -> record count
-
-    def row(self, source: str, slot: str, origin: str) -> tuple[int, int]:
-        key = (source, slot, origin)
-        return self.pocs.get(key, 0), self.values.get(key, 0)
-
-    def overall(self, origin: str) -> tuple[int, int]:
-        pocs = sum(v for k, v in self.pocs.items() if k[2] == origin)
-        values = sum(v for k, v in self.values.items() if k[2] == origin)
-        return pocs, values
-
-
-def _origin_kind(record: CompletionRecord) -> str:
-    return "from_cve" if isinstance(record.origin, FromCve) else "from_poc"
-
-
-def completion_stats(
-    records: Sequence[CompletionRecord], corpus: Corpus
-) -> CompletionTable:
-    """Aggregate audit records; every record must target a corpus report."""
-    unknown = sorted({r.target for r in records if r.target not in corpus})
-    if unknown:
-        raise ValueError(f"completion records target unknown report ids: {unknown}")
-    sources: list[str] = []
-    for report in corpus:
-        source = report.source.display()
-        if source not in sources:
-            sources.append(source)
-    targets: dict[tuple[str, str, str], set[str]] = {}
-    values: dict[tuple[str, str, str], int] = {}
-    for record in records:
-        source = corpus.get(record.target).source.display()
-        key = (source, record.slot, _origin_kind(record))
-        targets.setdefault(key, set()).add(record.target)
-        values[key] = values.get(key, 0) + 1
-    return CompletionTable(
-        sources=tuple(sources),
-        pocs={key: len(ids) for key, ids in targets.items()},
-        values=values,
-    )
-
-
-# --- rendering -------------------------------------------------------------------
-
+Table = tuple[tuple[str, ...], list[tuple[str, ...]]]
 
 DEFICIENCY_COLUMNS = ("source", "aspect", "present", "total", "presence_rate")
 COMPLETION_COLUMNS = (
@@ -130,58 +27,77 @@ COMPLETION_COLUMNS = (
 )
 
 
-def _rate(value: float) -> str:
-    return f"{value:.4f}"
+def _rate(present: int, total: int) -> float:
+    return present / total if total else 0.0
 
 
-def _deficiency_rows(table: DeficiencyTable) -> list[tuple[str, ...]]:
+def deficiency_stats(corpus: Corpus) -> Table:
+    """How often each aspect is present per source, counting Original values
+    only: one row per (source, aspect) in source encounter order, one overall
+    row per aspect, then the mean of the overall rates."""
+    present: dict[str, list[int]] = {}  # source -> reports with each slot
+    totals: dict[str, int] = {}  # source -> report count
+    for report in corpus:
+        source = report.source.display()
+        counts = present.setdefault(source, [0] * len(ASPECT_SLOTS))
+        totals[source] = totals.get(source, 0) + 1
+        for index, slot in enumerate(ASPECT_SLOTS):
+            if report.aspects.original_values(slot):
+                counts[index] += 1
     rows = []
-    for source in table.sources:
-        for slot in ASPECT_SLOTS:
-            rows.append(
-                (
-                    source,
-                    slot,
-                    str(table.present[(source, slot)]),
-                    str(table.totals[source]),
-                    _rate(table.presence_rate(source, slot)),
-                )
-            )
-    for slot in ASPECT_SLOTS:
-        rows.append(
-            (
-                "(all)",
-                slot,
-                str(table.overall_present(slot)),
-                str(table.overall_total()),
-                _rate(table.overall_rate(slot)),
-            )
-        )
-    rows.append(("(all)", "(mean)", "", "", _rate(table.mean_presence)))
-    return rows
+    for source, counts in present.items():
+        total = totals[source]
+        for slot, count in zip(ASPECT_SLOTS, counts):
+            rows.append((source, slot, str(count), str(total), f"{_rate(count, total):.4f}"))
+    total = sum(totals.values())
+    rates = []
+    for index, slot in enumerate(ASPECT_SLOTS):
+        count = sum(counts[index] for counts in present.values())
+        rate = _rate(count, total)
+        rates.append(rate)
+        rows.append(("(all)", slot, str(count), str(total), f"{rate:.4f}"))
+    rows.append(("(all)", "(mean)", "", "", f"{sum(rates) / len(ASPECT_SLOTS):.4f}"))
+    return DEFICIENCY_COLUMNS, rows
 
 
-def _completion_rows(table: CompletionTable) -> list[tuple[str, ...]]:
+def completion_stats(records: Sequence[CompletionRecord], corpus: Corpus) -> Table:
+    """Distinct-PoC and value counts per (source, aspect, origin kind) that
+    has a record, in source encounter, slot and origin order, then one
+    overall row per origin kind. Every record must target a corpus report."""
+    unknown = sorted({r.target for r in records if r.target not in corpus})
+    if unknown:
+        raise ValueError(f"completion records target unknown report ids: {unknown}")
+    targets: dict[tuple[str, str, str], set[str]] = {}
+    values: dict[tuple[str, str, str], int] = {}
+    for record in records:
+        source = corpus.get(record.target).source.display()
+        key = (source, record.slot, record.origin.encode()["kind"])
+        targets.setdefault(key, set()).add(record.target)
+        values[key] = values.get(key, 0) + 1
     rows = []
-    for source in table.sources:
+    for source in dict.fromkeys(report.source.display() for report in corpus):
         for slot in ASPECT_SLOTS:
             for origin in ORIGIN_KINDS:
-                pocs, values = table.row(source, slot, origin)
-                if pocs == 0 and values == 0:
-                    continue
-                rows.append((source, slot, origin, str(pocs), str(values)))
+                key = (source, slot, origin)
+                if key in values:
+                    rows.append((source, slot, origin, str(len(targets[key])), str(values[key])))
     for origin in ORIGIN_KINDS:
-        pocs, values = table.overall(origin)
-        rows.append(("(all)", "(all)", origin, str(pocs), str(values)))
-    return rows
+        pocs = sum(len(ids) for key, ids in targets.items() if key[2] == origin)
+        count = sum(n for key, n in values.items() if key[2] == origin)
+        rows.append(("(all)", "(all)", origin, str(pocs), str(count)))
+    return COMPLETION_COLUMNS, rows
+
+
+# --- rendering -------------------------------------------------------------------
 
 
 def _render_markdown(columns: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
-    lines = [
-        "| " + " | ".join(columns) + " |",
-        "| " + " | ".join("---" for _ in columns) + " |",
-    ]
-    lines.extend("| " + " | ".join(row) + " |" for row in rows)
+    def line(cells: tuple[str, ...]) -> str:
+        # a "|" inside a cell would end it; source labels come from the user
+        return "| " + " | ".join(cell.replace("|", "\\|") for cell in cells) + " |"
+
+    lines = [line(columns), line(tuple("---" for _ in columns))]
+    lines.extend(line(row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -193,14 +109,9 @@ def _render_csv(columns: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
     return buffer.getvalue()
 
 
-def render_report(table: DeficiencyTable | CompletionTable, format: str) -> str:
-    """Render a statistics table; formats are ``markdown`` and ``csv``."""
-    if isinstance(table, DeficiencyTable):
-        columns, rows = DEFICIENCY_COLUMNS, _deficiency_rows(table)
-    elif isinstance(table, CompletionTable):
-        columns, rows = COMPLETION_COLUMNS, _completion_rows(table)
-    else:
-        raise ValueError(f"cannot render object of type {type(table).__name__}")
+def render_report(table: Table, format: str) -> str:
+    """Render a ``(columns, rows)`` table; formats are ``markdown`` and ``csv``."""
+    columns, rows = table
     if format == "markdown":
         return _render_markdown(columns, rows)
     if format == "csv":

@@ -384,11 +384,12 @@ def set_aspect(slot, texts):
     return damage
 
 
-# every JSON-lines file each stage reads (link hashes cve_db.jsonl but does not read it)
+# every JSON-lines file each stage reads
 STAGE_INPUTS = [
     ("classify", "corpus_ingested.jsonl"),
     ("extract", "corpus_classified.jsonl"),
     ("link", "corpus_extracted.jsonl"),
+    ("link", "cve_db.jsonl"),
     ("complete", "corpus_extracted.jsonl"),
     ("complete", "links.jsonl"),
     ("complete", "cve_db.jsonl"),
@@ -470,7 +471,7 @@ PRODUCERS = {
 @pytest.mark.parametrize(
     "stage, name",
     [pytest.param(stage, name, id=f"{stage}-{name}")
-     for stage, name in [*STAGE_INPUTS, ("link", "cve_db.jsonl")]],
+     for stage, name in STAGE_INPUTS],
 )
 def test_each_missing_input_names_its_producer(full_workspace, tmp_path, capsys, stage, name):
     ws = tmp_path / "ws"
@@ -711,3 +712,22 @@ assert "numpy" not in sys.modules, "run-all loaded numpy"
         [sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(root)
+    workspace = tmp_path / "demo-workspace"
+    assert main(["run-all", "--config", "demo/config.cfg", "--workspace", str(workspace)]) == 0
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    exec(compile(example, "README.md", "exec"), {})
+    # the example repeats the link, complete and stats stages in process
+    complete = json.loads((workspace / "manifests" / "complete.json").read_text())
+    deficiency = (workspace / "deficiency.md").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == (
+        f"{complete['records']} {complete['run_id']}\n{deficiency}\n"
+    )

@@ -48,19 +48,26 @@ def two_source_corpus():
 
 
 def test_deficiency_counts_original_values_only():
-    table = deficiency_stats(two_source_corpus())
-    assert table.sources == ("ExploitDB", "PacketStorm")
-    assert table.totals == {"ExploitDB": 2, "PacketStorm": 1}
-    assert table.present[("ExploitDB", "title")] == 2
-    assert table.present[("ExploitDB", "author")] == 1
-    assert table.present[("PacketStorm", "trigger_step")] == 1
+    columns, rows = deficiency_stats(two_source_corpus())
+    assert columns == ("source", "aspect", "present", "total", "presence_rate")
+    # 8 slot rows per source in encounter order, 8 overall rows, one mean row
+    assert [row[:2] for row in rows] == [
+        *((source, slot) for source in ("ExploitDB", "PacketStorm", "(all)")
+          for slot in ASPECT_SLOTS),
+        ("(all)", "(mean)"),
+    ]
+    cells = {row[:2]: row[2:] for row in rows}
+    assert {cells[("ExploitDB", slot)][1] for slot in ASPECT_SLOTS} == {"2"}
+    assert {cells[("PacketStorm", slot)][1] for slot in ASPECT_SLOTS} == {"1"}
+    assert cells[("ExploitDB", "title")] == ("2", "2", "1.0000")
+    assert cells[("ExploitDB", "author")] == ("1", "2", "0.5000")
+    assert cells[("PacketStorm", "trigger_step")] == ("1", "1", "1.0000")
     # completed platform value does not count as present
-    assert table.present[("PacketStorm", "test_platform")] == 0
-    assert table.presence_rate("ExploitDB", "author") == 0.5
-    assert table.overall_present("title") == 3
-    assert table.overall_total() == 3
-    assert table.overall_rate("title") == 1.0
-    assert table.mean_presence == pytest.approx(5 / 24)
+    assert cells[("PacketStorm", "test_platform")] == ("0", "1", "0.0000")
+    assert cells[("(all)", "title")] == ("3", "3", "1.0000")
+    assert cells[("(all)", "author")] == ("1", "3", "0.3333")
+    # mean of the overall rates: (3 + 1 + 1) / 3 / 8
+    assert cells[("(all)", "(mean)")] == ("", "", f"{5 / 24:.4f}")
 
 
 def test_deficiency_unchanged_by_completion():
@@ -71,26 +78,29 @@ def test_deficiency_unchanged_by_completion():
 
 
 def test_deficiency_empty_corpus():
-    table = deficiency_stats(Corpus([]))
-    assert table.empty
-    assert table.sources == ()
-    assert table.overall_rate("title") == 0.0
-    assert table.mean_presence == 0.0
+    _columns, rows = deficiency_stats(Corpus([]))
+    assert rows == [
+        *(("(all)", slot, "0", "0", "0.0000") for slot in ASPECT_SLOTS),
+        ("(all)", "(mean)", "", "", "0.0000"),
+    ]
 
 
 def test_completion_stats_counts():
     result = run_completion(build_reports(), build_entries(), build_links())
-    table = completion_stats(result.records, result.corpus)
-    assert table.sources == ("ExploitDB",)
-    assert table.row("ExploitDB", "software_version", "from_cve") == (4, 5)
-    assert table.row("ExploitDB", "test_platform", "from_cve") == (2, 2)
-    assert table.row("ExploitDB", "trigger_step", "from_poc") == (3, 3)
-    assert table.row("ExploitDB", "author", "from_poc") == (3, 3)
-    assert table.row("ExploitDB", "title", "from_poc") == (1, 1)
-    assert table.row("ExploitDB", "title", "from_cve") == (0, 0)
-    assert table.overall("from_cve") == (6, 7)
-    assert table.overall("from_poc") == (13, 13)
-    assert sum(table.values.values()) == len(result.records) == 20
+    columns, rows = completion_stats(result.records, result.corpus)
+    assert columns == ("source", "aspect", "origin", "pocs_completed", "aspects_completed")
+    counts = {row[:3]: (int(row[3]), int(row[4])) for row in rows}
+    assert {source for source, _slot, _origin in counts} == {"ExploitDB", "(all)"}
+    assert counts[("ExploitDB", "software_version", "from_cve")] == (4, 5)
+    assert counts[("ExploitDB", "test_platform", "from_cve")] == (2, 2)
+    assert counts[("ExploitDB", "trigger_step", "from_poc")] == (3, 3)
+    assert counts[("ExploitDB", "author", "from_poc")] == (3, 3)
+    assert counts[("ExploitDB", "title", "from_poc")] == (1, 1)
+    assert ("ExploitDB", "title", "from_cve") not in counts
+    assert counts[("(all)", "(all)", "from_cve")] == (6, 7)
+    assert counts[("(all)", "(all)", "from_poc")] == (13, 13)
+    per_slot = [n for (source, _, _), (_, n) in counts.items() if source != "(all)"]
+    assert sum(per_slot) == len(result.records) == 20
 
 
 def test_completion_stats_rejects_unknown_targets():
@@ -152,9 +162,17 @@ def test_completion_render_row_order():
     assert slots == sorted(slots, key=order.__getitem__)
 
 
-def test_render_rejects_unknown_format_and_type():
+def test_render_rejects_unknown_format():
     table = deficiency_stats(Corpus([]))
     with pytest.raises(ValueError):
         render_report(table, "html")
-    with pytest.raises(ValueError):
-        render_report({"not": "a table"}, "markdown")
+
+
+def test_markdown_escapes_pipe_in_cells():
+    # source labels come from the user; "|" is a CSV cell's plain text but
+    # would end a Markdown cell
+    table = deficiency_stats(Corpus([report("l1", "Lab|One", title=["T"])]))
+    md = render_report(table, "markdown").splitlines()
+    assert "| Lab\\|One | title | 1 | 1 | 1.0000 |" in md
+    assert all(line.replace("\\|", "").count("|") == 6 for line in md)
+    assert "Lab|One,title,1,1,1.0000" in render_report(table, "csv").splitlines()
