@@ -3,7 +3,8 @@
 Each stage reads the previous stage's persisted corpus, writes its own
 artifacts plus a manifest of input/output content hashes, and never embeds
 timestamps or machine state, so reruns with unchanged inputs are
-byte-identical.
+byte-identical. Within one ``run-all`` a stage is handed the objects earlier
+stages wrote, so nothing written in the run is decoded again.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .corpus import (
     load_cve_db,
     save_corpus,
     save_cve_db,
+    write_atomic,
 )
 from .extract import DefaultStructuredExtractor, ExternalStructuredExtractor, extract_all
 from .link import (
@@ -262,8 +264,8 @@ def write_manifest(
     }
     if extra:
         manifest.update(extra)
-    (ws / MANIFEST_DIR / f"{stage}.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    write_atomic(
+        ws / MANIFEST_DIR / f"{stage}.json", [json.dumps(manifest, indent=2, sort_keys=True) + "\n"]
     )
 
 
@@ -271,7 +273,7 @@ def _require(ws: Path, filename: str) -> Path:
     path = ws / filename
     if not path.is_file():
         raise PrerequisiteError(
-            f"workspace is missing {filename}; run 'pocfusion {_PRODUCERS[filename]}' first"
+            f"workspace is missing {filename}; run 'pocfusion {_FILES[filename][0]}' first"
         )
     return path
 
@@ -298,37 +300,41 @@ class WorkspaceLock:
 
 # --- stages ---------------------------------------------------------------------
 #
-# A stage gets the config, the workspace and its inputs (name -> path, its
-# declared workspace files already checked); it returns the workspace files it
-# wrote and the extra manifest counters.
-_StageResult = tuple[list[str], dict | None]
+# A stage gets the config, the workspace and its declared workspace files,
+# decoded (name -> object). It writes its outputs and returns them (name ->
+# the object written) with the extra manifest counters.
+_StageResult = tuple[dict[str, object], dict | None]
 
 
-def stage_ingest(config: PipelineConfig, ws: Path, inputs: dict[str, Path]) -> _StageResult:
-    groups = []
-    for name, path in config.sources:
-        source = SourceId.parse(name)
-        groups.append(ingest_reports(path, source))
-        inputs[f"source:{name}"] = Path(path)
+def _source_files(config: PipelineConfig) -> dict[str, Path]:
+    """The files outside the workspace that ingest reads, by manifest name."""
+    files = {f"source:{name}": Path(path) for name, path in config.sources}
+    if config.cve:
+        files["cve"] = Path(config.cve)
+    return files
+
+
+def stage_ingest(config: PipelineConfig, ws: Path, inputs: dict) -> _StageResult:
+    groups = [ingest_reports(path, SourceId.parse(name)) for name, path in config.sources]
     corpus = build_corpus(groups)
     if len(corpus) == 0:
         raise CorpusError("no reports survived ingestion")
     save_corpus(corpus, ws / INGESTED)
     entries = ingest_cve_entries(config.cve) if config.cve else {}
-    if config.cve:
-        inputs["cve"] = Path(config.cve)
     save_cve_db(entries, ws / CVE_DB)
-    return [INGESTED, CVE_DB], {"reports": len(corpus), "cve_entries": len(entries)}
+    return {INGESTED: corpus, CVE_DB: entries}, {
+        "reports": len(corpus), "cve_entries": len(entries),
+    }
 
 
-def stage_classify(config: PipelineConfig, ws: Path, inputs: dict[str, Path]) -> _StageResult:
-    corpus = load_corpus(inputs[INGESTED])
-    save_corpus(Corpus(categorize(report) for report in corpus), ws / CLASSIFIED)
-    return [CLASSIFIED], None
+def stage_classify(config: PipelineConfig, ws: Path, inputs: dict) -> _StageResult:
+    corpus = Corpus(categorize(report) for report in inputs[INGESTED])
+    save_corpus(corpus, ws / CLASSIFIED)
+    return {CLASSIFIED: corpus}, None
 
 
-def stage_extract(config: PipelineConfig, ws: Path, inputs: dict[str, Path]) -> _StageResult:
-    corpus = load_corpus(inputs[CLASSIFIED])
+def stage_extract(config: PipelineConfig, ws: Path, inputs: dict) -> _StageResult:
+    corpus = inputs[CLASSIFIED]
     degraded = 0
     if config.extractor_url:
         extractor = ExternalStructuredExtractor(config.extractor_url)
@@ -338,14 +344,12 @@ def stage_extract(config: PipelineConfig, ws: Path, inputs: dict[str, Path]) -> 
     else:
         default = DefaultStructuredExtractor()
         reports = [extract_all(report, extractor=default) for report in corpus]
-    save_corpus(Corpus(reports), ws / EXTRACTED)
-    return [EXTRACTED], {"degraded": {"extractor": degraded}}
+    extracted = Corpus(reports)
+    save_corpus(extracted, ws / EXTRACTED)
+    return {EXTRACTED: extracted}, {"degraded": {"extractor": degraded}}
 
 
-def stage_link(config: PipelineConfig, ws: Path, inputs: dict[str, Path]) -> _StageResult:
-    corpus = load_corpus(inputs[EXTRACTED])
-    # parsed only so that a broken CVE db stops the run here, not at complete
-    load_cve_db(inputs[CVE_DB])
+def stage_link(config: PipelineConfig, ws: Path, inputs: dict) -> _StageResult:
     models = ScoringModels()
     heuristic = HeuristicPairClassifier(models)
     external = (
@@ -353,20 +357,17 @@ def stage_link(config: PipelineConfig, ws: Path, inputs: dict[str, Path]) -> _St
         if config.classifier_url
         else None
     )
-    links = build_link_graph(corpus, models, external or heuristic, config)
+    links = build_link_graph(inputs[EXTRACTED], models, external or heuristic, config)
     degraded = len(external.degraded_pairs) if external else 0
     save_links(links, ws / LINKS)
-    return [LINKS], {"links": len(links), "degraded": {"classifier": degraded}}
+    return {LINKS: links}, {"links": len(links), "degraded": {"classifier": degraded}}
 
 
-def stage_complete(config: PipelineConfig, ws: Path, inputs: dict[str, Path]) -> _StageResult:
-    corpus = load_corpus(inputs[EXTRACTED])
-    cve_db = load_cve_db(inputs[CVE_DB])
-    links = load_links(inputs[LINKS])
-    result = run_completion(corpus, cve_db, links, config)
+def stage_complete(config: PipelineConfig, ws: Path, inputs: dict) -> _StageResult:
+    result = run_completion(inputs[EXTRACTED], inputs[CVE_DB], inputs[LINKS], config)
     save_corpus(result.corpus, ws / COMPLETED)
     save_completion_records(result.records, ws / RECORDS)
-    return [COMPLETED, RECORDS], {
+    return {COMPLETED: result.corpus, RECORDS: result.records}, {
         "run_id": result.run_id,
         "records": len(result.records),
         "skipped_links": result.skipped_links,
@@ -374,23 +375,24 @@ def stage_complete(config: PipelineConfig, ws: Path, inputs: dict[str, Path]) ->
     }
 
 
-def stage_stats(config: PipelineConfig, ws: Path, inputs: dict[str, Path]) -> _StageResult:
-    extracted = load_corpus(inputs[EXTRACTED])
-    completed = load_corpus(inputs[COMPLETED])
-    records = load_completion_records(inputs[RECORDS])
+def stage_stats(config: PipelineConfig, ws: Path, inputs: dict) -> _StageResult:
+    extracted = inputs[EXTRACTED]
     deficiency = deficiency_stats(extracted)
     if len(extracted) == 0:
         logger.warning("deficiency table computed over an empty corpus")
-    completion = completion_stats(records, completed)
+    completion = completion_stats(inputs[RECORDS], inputs[COMPLETED])
     extension = "md" if config.format == "markdown" else "csv"
-    outputs = [f"deficiency.{extension}", f"completion.{extension}"]
-    for name, table in zip(outputs, (deficiency, completion)):
-        (ws / name).write_text(render_report(table, config.format), encoding="utf-8")
-    return outputs, None
+    written = {
+        f"deficiency.{extension}": render_report(deficiency, config.format),
+        f"completion.{extension}": render_report(completion, config.format),
+    }
+    for name, text in written.items():
+        write_atomic(ws / name, [text])
+    return written, None
 
 
 # stage name -> (function, workspace files it reads, help text), in run order;
-# a missing input is reported in the order listed
+# a missing input is reported, and a present one decoded, in the order listed
 _STAGES = {
     "ingest": (stage_ingest, (),
                "load source report files and the CVE dump into the workspace"),
@@ -398,7 +400,7 @@ _STAGES = {
                  "categorize reports as code (with language) or text"),
     "extract": (stage_extract, (CLASSIFIED,),
                 "populate aspect slots by rule-based and structured extraction"),
-    # link uses no CVE entries; it parses the CVE db so that a broken file
+    # link uses no CVE entries; it reads the CVE db so that a broken file
     # fails here, and hashes it so the manifest ties the links to the ingest
     # run that produced both
     "link": (stage_link, (EXTRACTED, CVE_DB),
@@ -409,26 +411,47 @@ _STAGES = {
               "compute deficiency and completion tables"),
 }
 STAGES = tuple(_STAGES)
-# workspace file -> the stage that writes it
-_PRODUCERS = {
-    INGESTED: "ingest", CVE_DB: "ingest", CLASSIFIED: "classify", EXTRACTED: "extract",
-    LINKS: "link", COMPLETED: "complete", RECORDS: "complete",
+# workspace file -> (the stage that writes it, its loader). A loader looks its
+# function up in this module when it is called, so that a wrapper installed on
+# the module attribute sees every load.
+_FILES: dict[str, tuple[str, Callable[[Path], object]]] = {
+    INGESTED: ("ingest", lambda path: load_corpus(path)),
+    CVE_DB: ("ingest", lambda path: load_cve_db(path)),
+    CLASSIFIED: ("classify", lambda path: load_corpus(path)),
+    EXTRACTED: ("extract", lambda path: load_corpus(path)),
+    LINKS: ("link", lambda path: load_links(path)),
+    COMPLETED: ("complete", lambda path: load_corpus(path)),
+    RECORDS: ("complete", lambda path: load_completion_records(path)),
 }
 
 
 def run_command(command: str, config: PipelineConfig) -> None:
     """Run one stage, or every stage for ``run-all``: check its declared
-    inputs, run it, then write its manifest."""
+    inputs, run it, then write its manifest.
+
+    A stage gets its inputs decoded. An input that an earlier stage of this
+    command wrote is handed over as the object that stage saved, and is
+    dropped after its last reader; any other input is loaded from disk."""
     ws = Path(config.workspace)
     ws.mkdir(parents=True, exist_ok=True)
     (ws / MANIFEST_DIR).mkdir(exist_ok=True)
+    stages = STAGES if command == "run-all" else (command,)
+    kept: dict[str, object] = {}  # written by this command, read by a later stage
     with WorkspaceLock(ws):
-        for stage in STAGES if command == "run-all" else (command,):
+        for at, stage in enumerate(stages):
             logger.info("running stage %s", stage)
             run, reads, _help = _STAGES[stage]
-            inputs = {name: _require(ws, name) for name in reads}
-            outputs, extra = run(config, ws, inputs)
-            write_manifest(ws, stage, config, inputs, outputs, extra)
+            paths = {name: _require(ws, name) for name in reads}
+            inputs = {
+                name: kept[name] if name in kept else _FILES[name][1](path)
+                for name, path in paths.items()
+            }
+            written, extra = run(config, ws, inputs)
+            if stage == "ingest":
+                paths.update(_source_files(config))
+            write_manifest(ws, stage, config, paths, list(written), extra)
+            later = {name for after in stages[at + 1:] for name in _STAGES[after][1]}
+            kept = {name: value for name, value in {**kept, **written}.items() if name in later}
 
 
 # --- entry point -------------------------------------------------------------------

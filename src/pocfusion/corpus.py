@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -646,12 +647,29 @@ def format_mismatch(header: dict, fmt: str, version: int) -> str | None:
     )
 
 
+def write_atomic(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write the UTF-8 encoding of ``chunks`` to ``<name>.tmp`` beside
+    ``path``, then move it onto ``path``. A reader never sees a half-written
+    file: if anything raises, the previous file keeps its bytes and the
+    ``.tmp`` file is removed. Every output a stage writes into a workspace
+    goes through here."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("wb") as handle:
+            for chunk in chunks:
+                handle.write(chunk.encode("utf-8"))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
     """Write one JSON object per line, every line newline-terminated; no
     records give an empty file. Every JSONL file the pipeline writes goes
     through here."""
-    text = "".join(json.dumps(record, ensure_ascii=False) + "\n" for record in records)
-    Path(path).write_text(text, encoding="utf-8")
+    write_atomic(path, (json.dumps(record, ensure_ascii=False) + "\n" for record in records))
 
 
 # bad shape, field type or field value, or a bad regular expression

@@ -5,10 +5,12 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from pocfusion import cli
 from pocfusion.cli import (
     ENV_WORKSPACE,
     build_parser,
@@ -520,19 +522,34 @@ def test_staged_pipeline(tmp_path):
     assert (ws / "deficiency.md").read_text(encoding="utf-8").startswith("| source |")
 
 
-def test_run_all_matches_staged_runs(tmp_path):
-    run_stage("run-all", tmp_path, ws="all-at-once")
+@pytest.mark.parametrize("fmt", ["markdown", "csv"])
+def test_run_all_matches_staged_runs(tmp_path, fmt):
+    """run-all hands each stage the objects the earlier stages wrote; the six
+    single-stage commands decode them from disk. Every file, manifests
+    included, is the same byte for byte."""
+    run_stage("run-all", tmp_path, ws="all-at-once", fmt=fmt)
     for command in ("ingest", "classify", "extract", "link", "complete", "stats"):
-        run_stage(command, tmp_path, ws="staged")
+        run_stage(command, tmp_path, ws="staged", fmt=fmt)
     ws_a, ws_b = tmp_path / "all-at-once", tmp_path / "staged"
-    files_a = sorted(p.name for p in ws_a.iterdir() if p.is_file())
-    assert files_a == sorted(p.name for p in ws_b.iterdir() if p.is_file())
+    files_a = sorted(p.relative_to(ws_a) for p in ws_a.rglob("*") if p.is_file())
+    assert files_a == sorted(p.relative_to(ws_b) for p in ws_b.rglob("*") if p.is_file())
+    assert sum(name.parent.name == "manifests" for name in files_a) == 6
     for name in files_a:
         assert (ws_a / name).read_bytes() == (ws_b / name).read_bytes(), name
-    for name in ("ingest.json", "stats.json"):
-        assert (ws_a / "manifests" / name).read_bytes() == (
-            ws_b / "manifests" / name
-        ).read_bytes()
+
+
+def test_run_all_decodes_nothing_it_wrote(tmp_path, monkeypatch):
+    calls = Counter()
+    for name in ("load_corpus", "load_cve_db", "load_links", "load_completion_records"):
+        def counted(path, name=name, load=getattr(cli, name)):
+            calls[name] += 1
+            return load(path)
+        monkeypatch.setattr(cli, name, counted)
+    run_stage("run-all", tmp_path)
+    assert calls == Counter()
+    # a single stage reads its inputs from the workspace
+    assert main(["stats", "--workspace", str(tmp_path / "ws")]) == 0
+    assert calls == Counter({"load_corpus": 2, "load_completion_records": 1})
 
 
 def test_rerun_is_byte_identical(tmp_path):

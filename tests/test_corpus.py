@@ -522,6 +522,157 @@ def test_flipped_byte_is_loaded_or_rejected_naming_the_file(name, position, mask
             assert str(exc).startswith(str(path))
 
 
+# --- round trips of every kind a run-all stage hands to the next in memory ------
+#
+# run-all passes a stage the object the previous stage saved instead of
+# loading the file back, which is only the same when load(save(x)) == x.
+
+report_ids = st.text(min_size=1, max_size=6)
+cve_ids = st.builds("CVE-{}-{:04d}".format, st.integers(1999, 2030), st.integers(0, 99_999))
+# JSON gives an int for 0 or 1 written without a fraction, a float otherwise
+similarities = st.integers(0, 1) | st.floats(0.0, 1.0)
+link_bases = st.just("classifier") | cve_ids.map("shared_cve:{}".format)
+completed_origins = st.builds(FromCve, cve_ids) | st.builds(
+    FromPoc, report_ids, similarities, link_bases
+)
+CONTENT_KINDS = [ContentKind(kind) for kind in (Kind.TEXT, Kind.OTHER, Kind.UNCLASSIFIED)] + [
+    code_kind(lang) for lang in LanguageId
+]
+LINK_KINDS = [TEXT_KIND] + [code_kind(lang) for lang in LanguageId]
+
+
+@st.composite
+def aspect_sets(draw):
+    values = st.builds(AspectValue, aspect_text, st.just(ORIGINAL) | completed_origins)
+    aspects = AspectSet()
+    for slot in ASPECT_SLOTS:
+        aspects = aspects.with_added(slot, draw(st.lists(values, max_size=3)))
+    return aspects
+
+
+reports = st.builds(
+    PocReport,
+    id=report_ids,
+    # parsing a name gives the source a report is saved and loaded as
+    source=st.text(min_size=1, max_size=10).filter(str.strip).map(SourceId.parse),
+    raw_content=st.text(),
+    content_kind=st.sampled_from(CONTENT_KINDS),
+    cve_ids=st.lists(cve_ids, unique=True, max_size=3).map(tuple),
+    aspects=aspect_sets(),
+)
+corpora = st.lists(reports, max_size=5, unique_by=lambda r: r.id).map(Corpus)
+link_lists = st.lists(
+    st.builds(
+        lambda ends, basis, similarity, kind: PocLink(*sorted(ends), basis, similarity, kind),
+        st.lists(report_ids, min_size=2, max_size=2, unique=True),
+        st.none() | st.builds(SharedCve, cve_ids),
+        similarities,
+        st.sampled_from(LINK_KINDS),
+    ),
+    max_size=5,
+)
+record_lists = st.lists(
+    st.builds(
+        CompletionRecord, st.text(), report_ids, st.sampled_from(ASPECT_SLOTS), st.text(),
+        completed_origins,
+    ),
+    max_size=5,
+)
+cve_maps = st.lists(
+    st.builds(
+        CveEntry,
+        cve_ids,
+        st.lists(
+            st.builds(CveProduct, aspect_text, st.lists(st.text(), max_size=3).map(tuple)),
+            min_size=1, max_size=3,
+        ).map(tuple),
+        st.lists(st.text(), max_size=3).map(tuple),
+    ),
+    max_size=4,
+    unique_by=lambda entry: entry.cve_id,
+).map(lambda entries: {entry.cve_id: entry for entry in entries})
+
+EVERY_KIND = Corpus(
+    make_report(
+        f"r{n}",
+        kind=kind,
+        aspects=AspectSet().with_added("title", [
+            AspectValue("t"),
+            AspectValue("u", FromCve("CVE-2014-0160")),
+            AspectValue("v", FromPoc("r0", 0.3125, "classifier")),
+        ]),
+    )
+    for n, kind in enumerate(CONTENT_KINDS)
+)
+
+
+def assert_round_trip(name, value):
+    """Save then load is the identity, and saving again gives the same bytes."""
+    save, load, _example = SAVED_FILES[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        save(value, path)
+        data = path.read_bytes()
+        assert load(path) == value
+        save(load(path), path)
+        assert path.read_bytes() == data
+
+
+@settings(derandomize=True, max_examples=40)
+@given(corpora)
+@example(EVERY_KIND)
+def test_corpus_round_trip_property(corpus):
+    assert_round_trip("corpus.jsonl", corpus)
+
+
+@settings(derandomize=True, max_examples=40)
+@given(link_lists)
+@example(SAVED_FILES["links.jsonl"][2])
+def test_links_round_trip_property(links):
+    assert_round_trip("links.jsonl", links)
+
+
+@settings(derandomize=True, max_examples=40)
+@given(record_lists)
+@example(SAVED_FILES["records.jsonl"][2])
+def test_records_round_trip_property(records):
+    assert_round_trip("records.jsonl", records)
+
+
+@settings(derandomize=True, max_examples=40)
+@given(cve_maps)
+@example(SAVED_FILES["cve_db.jsonl"][2])
+def test_cve_map_round_trip_property(entries):
+    assert_round_trip("cve_db.jsonl", entries)
+
+
+class Unencodable:
+    def encode(self):
+        raise ValueError("cannot encode")
+
+
+def test_failed_write_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "links.jsonl"
+    links = SAVED_FILES["links.jsonl"][2]
+    save_links(links, path)
+    data = path.read_bytes()
+    # the encoder raises on the second record, after the first is written
+    with pytest.raises(ValueError, match="cannot encode"):
+        save_links([links[0], Unencodable()], path)
+    assert path.read_bytes() == data
+    assert [p.name for p in tmp_path.iterdir()] == ["links.jsonl"]
+    # a lone surrogate has no UTF-8 encoding; the failure comes after the
+    # file is opened for writing
+    with pytest.raises(UnicodeEncodeError):
+        write_records(path, [{"a": 1}, {"b": "\ud800"}])
+    assert path.read_bytes() == data
+    assert [p.name for p in tmp_path.iterdir()] == ["links.jsonl"]
+    # without a previous file, nothing is left either
+    with pytest.raises(TypeError):
+        write_records(tmp_path / "new.jsonl", [{"a": 1}, {"b": object()}])
+    assert [p.name for p in tmp_path.iterdir()] == ["links.jsonl"]
+
+
 def test_ingest_reports_skips_blank_source(tmp_path, caplog):
     path = tmp_path / "src.jsonl"
     write_jsonl(
