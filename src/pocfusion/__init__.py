@@ -36,7 +36,6 @@ from .extract import (
     DefaultStructuredExtractor,
     ExternalStructuredExtractor,
     ExtractionError,
-    ExtractionScore,
     StructuredExtraction,
     evaluate_extraction,
     extract_all,
@@ -45,12 +44,12 @@ from .extract import (
     extract_trigger_step,
     extract_verification_oracle,
     load_gold_annotations,
+    precision_recall,
 )
 from .similarity import cosine_similarity, tokenize_code, tokenize_text
 from .link import (
     ExternalPairClassifier,
     HeuristicPairClassifier,
-    PairSample,
     PocLink,
     ScoringModels,
     SharedCve,

@@ -100,8 +100,9 @@ class PipelineConfig:
 
 def parse_config_file(path: Path) -> dict[str, str]:
     """Read the key=value configuration format. ``#`` starts a comment;
-    ``source.<name> = <path>`` declares a report source. A malformed line or
-    a key set twice is a configuration error naming its lines."""
+    ``source.<name> = <path>`` declares a report source. A malformed line,
+    a key set twice or a byte that is not UTF-8 is a configuration error
+    naming its lines."""
     values, errors = _read_config_file(path)
     if errors:
         raise ConfigurationError(errors)
@@ -109,11 +110,18 @@ def parse_config_file(path: Path) -> dict[str, str]:
 
 
 def _read_config_file(path: Path) -> tuple[dict[str, str], list[str]]:
-    """The values of a config file, and its malformed lines and repeated keys."""
+    """The values of a config file, and its malformed lines and repeated keys.
+    A file that is not UTF-8 raises :class:`ConfigurationError`."""
     values: dict[str, str] = {}
     lines: dict[str, int] = {}  # key -> line that first set it
     errors: list[str] = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigurationError([f"{path}:{lineno}: not valid UTF-8: {exc.reason}"]) from exc
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -173,15 +181,18 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
         if getattr(args, name) is not None or name in file_values:
             logger.warning("%s has no effect and is ignored", name)
 
-    sources: list[tuple[str, str]] = [
-        (key.split(".", 1)[1], value)
+    # a config file's source.NAME = PATH is checked as --source NAME=PATH is
+    declared = [
+        ("config key source.NAME", f"{key.split('.', 1)[1]}={value}")
         for key, value in file_values.items()
         if key.startswith("source.")
     ]
-    for item in args.source or []:
+    declared += [("--source", item) for item in args.source or []]
+    sources: list[tuple[str, str]] = []
+    for origin, item in declared:
         name, sep, path = item.partition("=")
         if not sep or not name.strip() or not path.strip():
-            errors.append(f"--source expects NAME=PATH, got {item!r}")
+            errors.append(f"{origin} expects NAME=PATH, got {item!r}")
         else:
             sources.append((name.strip(), path.strip()))
 

@@ -488,11 +488,21 @@ def _record_error(record: dict) -> str | None:
     return None
 
 
-def _as_list(raw: object) -> list:
-    """An optional ingest field holds one value or a list of values."""
-    if raw is None:
-        return []
-    return raw if isinstance(raw, list) else [raw]
+def _field_values(record: dict, field_name: str, path: Path, lineno: int) -> list:
+    """The values of an optional ingest field, which holds one value or a
+    list of values. Strings and numbers are kept, nulls are dropped, and an
+    object, array or boolean is skipped with a warning."""
+    raw = record.get(field_name)
+    values = []
+    for value in raw if isinstance(raw, list) else [raw]:
+        if isinstance(value, (dict, list, bool)):
+            logger.warning(
+                "%s:%d: skipping %s value %r: not a string or a number",
+                path, lineno, field_name, value,
+            )
+        elif value is not None:
+            values.append(value)
+    return values
 
 
 def ingest_reports(path: str | Path, source: SourceId) -> list[PocReport]:
@@ -526,11 +536,11 @@ def ingest_reports(path: str | Path, source: SourceId) -> list[PocReport]:
 
         aspects = AspectSet()
         for field_name, slot in _RECORD_SLOT_FIELDS.items():
-            values = _as_list(record.get(field_name))
+            values = _field_values(record, field_name, path, lineno)
             aspects = aspects.with_added(slot, aspect_values(str(v) for v in values))
 
         cve_ids: list[str] = []
-        for raw_id in _as_list(record.get("cve_ids")):
+        for raw_id in _field_values(record, "cve_ids", path, lineno):
             normalized = normalize_cve_id(str(raw_id))
             if normalized is None:
                 logger.warning(
@@ -599,10 +609,10 @@ def ingest_cve_entries(path: str | Path) -> dict[str, CveEntry]:
         for product in raw_products:
             name = str(product["name"]).strip()
             display, versions = by_name.setdefault(name.lower(), (name, {}))
-            for version in _as_list(product.get("versions")):
+            for version in _field_values(product, "versions", path, lineno):
                 versions.setdefault(str(version).strip(), None)
         plats = platforms.setdefault(cve_id, {})
-        for platform in _as_list(record.get("platforms")):
+        for platform in _field_values(record, "platforms", path, lineno):
             text = str(platform).strip()
             if text:
                 plats.setdefault(text, None)

@@ -64,25 +64,17 @@ def _indent_of(line: str) -> int:
     return len(line) - len(line.lstrip(" \t"))
 
 
-@dataclass(frozen=True)
-class _StepItem:
-    lineno: int
-    pattern_index: int
-    marker: str
-    indent: int
-
-
-def _sequence_value(marker: str) -> int:
-    return int(marker) if marker.isdigit() else ord(marker)
-
-
-def _find_step_items(lines: list[str]) -> list[_StepItem]:
+def _find_step_items(lines: list[str]) -> list[tuple[int, int, int, int]]:
+    """Enumerated list items: (line number, pattern index, sequence value of
+    the marker, indent)."""
     items = []
     for lineno, line in enumerate(lines):
         for index, pattern in enumerate(_STEP_LIST_PATTERNS):
             m = pattern.match(line)
             if m:
-                items.append(_StepItem(lineno, index, m.group(1), _indent_of(line)))
+                marker = m.group(1)
+                value = int(marker) if marker.isdigit() else ord(marker)
+                items.append((lineno, index, value, _indent_of(line)))
                 break
     return items
 
@@ -101,29 +93,29 @@ def _find_step_runs(lines: list[str]) -> list[tuple[int, int, int]]:
         run = [items[i]]
         j = i + 1
         while j < len(items):
-            prev, nxt = run[-1], items[j]
+            prev_line, prev_pattern, prev_value, prev_indent = run[-1]
+            nxt_line, nxt_pattern, nxt_value, _ = items[j]
             if (
-                nxt.pattern_index == prev.pattern_index
-                and _sequence_value(nxt.marker) == _sequence_value(prev.marker) + 1
-                and nxt.lineno - prev.lineno <= 5
+                nxt_pattern == prev_pattern
+                and nxt_value == prev_value + 1
+                and nxt_line - prev_line <= 5
                 and all(
-                    not lines[k].strip() or _indent_of(lines[k]) > prev.indent
-                    for k in range(prev.lineno + 1, nxt.lineno)
+                    not lines[k].strip() or _indent_of(lines[k]) > prev_indent
+                    for k in range(prev_line + 1, nxt_line)
                 )
             ):
-                run.append(nxt)
+                run.append(items[j])
                 j += 1
             else:
                 break
-        last = run[-1]
-        end = last.lineno
+        end, _, _, indent = run[-1]
         while (
             end + 1 < len(lines)
             and lines[end + 1].strip()
-            and _indent_of(lines[end + 1]) > last.indent
+            and _indent_of(lines[end + 1]) > indent
         ):
             end += 1
-        runs.append((run[0].lineno, end, len(run)))
+        runs.append((run[0][0], end, len(run)))
         i = j
     return runs
 
@@ -241,9 +233,6 @@ class SlotSpan:
         if not (type(self.text) is str and type(self.start) is int and type(self.end) is int):
             raise ExtractionError(f"span out of contract: {self}")
 
-    def encode(self) -> dict:
-        return {"text": self.text, "start": self.start, "end": self.end}
-
 
 @dataclass(frozen=True)
 class StructuredExtraction:
@@ -270,9 +259,6 @@ class StructuredExtraction:
 
     def texts(self, slot: str) -> list[str]:
         return [span.text for span in self.spans.get(slot, ())]
-
-    def encode(self) -> dict:
-        return {slot: [s.encode() for s in spans] for slot, spans in self.spans.items()}
 
     @classmethod
     def decode(cls, data: dict) -> "StructuredExtraction":
@@ -467,32 +453,12 @@ def extract_all(
 # --- evaluation -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SlotScore:
-    slot: str
-    true_positives: int
-    false_positives: int
-    false_negatives: int
-    zero_predictions: bool = False
-    zero_gold: bool = False
-
-    @property
-    def precision(self) -> float:
-        denom = self.true_positives + self.false_positives
-        return self.true_positives / denom if denom else 0.0
-
-    @property
-    def recall(self) -> float:
-        denom = self.true_positives + self.false_negatives
-        return self.true_positives / denom if denom else 0.0
-
-
-@dataclass(frozen=True)
-class ExtractionScore:
-    slots: dict[str, SlotScore]
-    overall_precision: float
-    overall_recall: float
-    zero_predictions: bool = False
+def precision_recall(tp: int, fp: int, fn: int) -> tuple[float, float]:
+    """Precision and recall of true-positive, false-positive and
+    false-negative counts; each is 0.0 where its base is empty."""
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    return precision, recall
 
 
 GoldAnnotations = dict[str, dict[str, list[str]]]
@@ -522,8 +488,12 @@ def _norm_set(values: Sequence[str]) -> set[str]:
     return {v.strip().lower() for v in values if v.strip()}
 
 
-def evaluate_extraction(gold: GoldAnnotations, predicted: Corpus) -> ExtractionScore:
-    """Micro-averaged precision/recall of predicted aspects against gold.
+def evaluate_extraction(
+    gold: GoldAnnotations, predicted: Corpus
+) -> dict[str, tuple[int, int, int]]:
+    """Per-slot (true positive, false positive, false negative) counts of
+    predicted aspects against gold, in ``ASPECT_SLOTS`` order; the overall
+    counts are the column sums, see :func:`precision_recall`.
 
     Matching is case-insensitive on trimmed text. The gold and predicted
     report id sets must be identical.
@@ -537,36 +507,13 @@ def evaluate_extraction(gold: GoldAnnotations, predicted: Corpus) -> ExtractionS
             f"gold/predicted id mismatch: missing from predicted {missing}, "
             f"not annotated {extra}"
         )
-    counts = {slot: [0, 0, 0] for slot in ASPECT_SLOTS}  # tp, fp, fn
-    gold_totals = {slot: 0 for slot in ASPECT_SLOTS}
-    pred_totals = {slot: 0 for slot in ASPECT_SLOTS}
+    counts = {slot: [0, 0, 0] for slot in ASPECT_SLOTS}
     for report in predicted:
         annotations = gold[report.id]
-        for slot in ASPECT_SLOTS:
+        for slot, slot_counts in counts.items():
             gold_set = _norm_set(annotations.get(slot, []))
             pred_set = _norm_set(report.aspects.texts(slot))
-            gold_totals[slot] += len(gold_set)
-            pred_totals[slot] += len(pred_set)
-            counts[slot][0] += len(gold_set & pred_set)
-            counts[slot][1] += len(pred_set - gold_set)
-            counts[slot][2] += len(gold_set - pred_set)
-    slots = {}
-    for slot in ASPECT_SLOTS:
-        tp, fp, fn = counts[slot]
-        slots[slot] = SlotScore(
-            slot,
-            tp,
-            fp,
-            fn,
-            zero_predictions=pred_totals[slot] == 0,
-            zero_gold=gold_totals[slot] == 0,
-        )
-    tp = sum(c[0] for c in counts.values())
-    fp = sum(c[1] for c in counts.values())
-    fn = sum(c[2] for c in counts.values())
-    return ExtractionScore(
-        slots=slots,
-        overall_precision=tp / (tp + fp) if tp + fp else 0.0,
-        overall_recall=tp / (tp + fn) if tp + fn else 0.0,
-        zero_predictions=sum(pred_totals.values()) == 0,
-    )
+            slot_counts[0] += len(gold_set & pred_set)
+            slot_counts[1] += len(pred_set - gold_set)
+            slot_counts[2] += len(gold_set - pred_set)
+    return {slot: (tp, fp, fn) for slot, (tp, fp, fn) in counts.items()}

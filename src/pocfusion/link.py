@@ -394,42 +394,23 @@ def classify_pair(
 # --- training-set construction -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PairSample:
-    a: str
-    b: str
-    label: str  # same_vulnerability | different
-    title_a: str
-    title_b: str
-    content_a: str
-    content_b: str
-    partition: str = ""  # train | dev | test
-
-    def encode(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "title_a": self.title_a,
-            "title_b": self.title_b,
-            "content_a": self.content_a,
-            "content_b": self.content_b,
-            "label": self.label,
-            "partition": self.partition,
-        }
-
-
 def build_pair_training_set(
     corpus: Corpus,
     n_pos: int,
     n_neg: int,
     split: tuple[float, float, float] = (0.8, 0.1, 0.1),
     seed: int = 0,
-) -> list[PairSample]:
+) -> list[dict]:
     """Sample labelled report pairs for an external same-vulnerability trainer.
 
-    Positives share at least one CVE id; negatives are CVE-tagged on both
-    sides with disjoint id sets. Partition sizes: floor(train), floor(dev),
-    remainder to test. Deterministic for a fixed seed.
+    A sample is a dict of the pair's ids ``a`` and ``b``, their titles and
+    contents (``title_a`` … ``content_b``), its ``label``
+    (``same_vulnerability`` or ``different``) and its ``partition`` (``train``,
+    ``dev`` or ``test``). Positives share at least one CVE id; negatives are
+    CVE-tagged on both sides with disjoint id sets. Partition sizes:
+    floor(train), floor(dev), remainder to test, each ratio times the total
+    rounded to 6 decimals first, so that 0.29 of 100 is 29, not the 28 of
+    ``int(28.999999999999996)``. Deterministic for a fixed seed.
     """
     if abs(sum(split) - 1.0) > 1e-9 or any(r < 0 for r in split):
         raise ValueError(f"split ratios must be nonnegative and sum to 1: {split}")
@@ -457,31 +438,29 @@ def build_pair_training_set(
     chosen += [(key, "different") for key in rng.sample(negatives, n_neg)]
     rng.shuffle(chosen)
     total = len(chosen)
-    n_train = int(split[0] * total)
-    n_dev = int(split[1] * total)
+    n_train = int(round(split[0] * total, 6))
+    n_dev = int(round(split[1] * total, 6))
     samples = []
     for index, ((a_id, b_id), label) in enumerate(chosen):
         partition = (
             "train" if index < n_train else "dev" if index < n_train + n_dev else "test"
         )
         a, b = corpus.get(a_id), corpus.get(b_id)
-        samples.append(
-            PairSample(
-                a=a_id,
-                b=b_id,
-                label=label,
-                title_a=title_text(a),
-                title_b=title_text(b),
-                content_a=a.raw_content,
-                content_b=b.raw_content,
-                partition=partition,
-            )
-        )
+        samples.append({
+            "a": a_id,
+            "b": b_id,
+            "title_a": title_text(a),
+            "title_b": title_text(b),
+            "content_a": a.raw_content,
+            "content_b": b.raw_content,
+            "label": label,
+            "partition": partition,
+        })
     return samples
 
 
-def save_pair_samples(samples: Iterable[PairSample], path: str | Path) -> None:
-    write_jsonl(path, (s.encode() for s in samples))
+def save_pair_samples(samples: Iterable[dict], path: str | Path) -> None:
+    write_jsonl(path, samples)
 
 
 # --- graph assembly --------------------------------------------------------------

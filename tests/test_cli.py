@@ -275,6 +275,33 @@ def test_repeated_config_key_is_a_configuration_error(tmp_path, capsys):
     assert len(err.value.errors) == 2
 
 
+def test_config_file_that_is_not_utf8_is_a_configuration_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"workspace = ws\n# caf\xff\n")
+    assert main(["classify", "--config", str(cfg)]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    errors = [json.loads(line)["error"] for line in lines if line.startswith("{")]
+    assert len(errors) == 1
+    assert errors[0]["code"] == 2 and errors[0]["command"] == "classify"
+    assert errors[0]["message"].startswith(f"{cfg}:2: not valid UTF-8")
+    with pytest.raises(ConfigurationError) as err:
+        parse_config_file(cfg)
+    assert err.value.errors == [errors[0]["message"]]
+
+
+@pytest.mark.parametrize("line", ["source. = {edb}", "source.  = {edb}", "source.exploitdb ="])
+def test_blank_source_in_config_file_is_a_configuration_error(tmp_path, capsys, line):
+    edb, _, _ = write_sources(tmp_path)
+    ws = tmp_path / "ws"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"workspace = {ws}\n{line.format(edb=edb)}\n", encoding="utf-8")
+    assert main(["ingest", "--config", str(cfg)]) == 2
+    error = last_error(capsys)
+    assert error["code"] == 2
+    assert "config key source.NAME expects NAME=PATH" in error["message"]
+    assert not ws.exists()
+
+
 def test_duplicate_and_missing_sources(tmp_path, capsys):
     edb, _, _ = write_sources(tmp_path)
     code = main(

@@ -277,6 +277,68 @@ def test_ingest_reports_optional_fields(tmp_path):
     )
 
 
+def test_ingest_reports_drops_nulls_and_skips_non_scalar_items(tmp_path, caplog):
+    path = tmp_path / "src.jsonl"
+    write_jsonl(
+        path,
+        [
+            {
+                "id": "a",
+                "source": "ExploitDB",
+                "content": "x",
+                "references": [None, "http://e.com", ["http://nested.com"]],
+                "title": {"k": 1},
+                "author": True,
+                "version": [2, None],
+                "publish_time": None,
+                "cve_ids": [None, False, "CVE-2020-1111"],
+            },
+        ],
+    )
+    (report,) = ingest_reports(path, EDB)
+    assert report.aspects.texts("reference") == ["http://e.com"]
+    assert report.aspects.texts("title") == []
+    assert report.aspects.texts("author") == []
+    assert report.aspects.texts("software_version") == ["2"]
+    assert report.aspects.texts("publish_time") == []
+    assert report.cve_ids == ("CVE-2020-1111",)
+    skipped = [m for m in caplog.messages if "not a string or a number" in m]
+    assert [m.split(" value ")[0] for m in skipped] == [
+        f"{path}:1: skipping {name}"
+        for name in ("title", "author", "references", "cve_ids")
+    ]
+    assert "None" not in caplog.text
+
+
+def test_ingest_cve_entries_drops_nulls_and_skips_non_scalar_items(tmp_path, caplog):
+    path = tmp_path / "cves.jsonl"
+    write_jsonl(
+        path,
+        [
+            {
+                "cve_id": "CVE-2020-11001",
+                "products": [{"name": "Solo", "versions": [None, "1.0", {"v": 2}]}],
+                "platforms": [None],
+            },
+            {
+                "cve_id": "CVE-2020-11002",
+                "products": [{"name": "Duo", "versions": True}],
+                "platforms": [["Linux"], "Windows"],
+            },
+        ],
+    )
+    db = ingest_cve_entries(path)
+    first, second = db["CVE-2020-11001"], db["CVE-2020-11002"]
+    assert first.all_versions() == ["1.0"] and first.platforms == ()
+    assert second.all_versions() == [] and second.platforms == ("Windows",)
+    skipped = [m for m in caplog.messages if "not a string or a number" in m]
+    assert [m.split(" value ")[0] for m in skipped] == [
+        f"{path}:1: skipping versions",
+        f"{path}:2: skipping versions",
+        f"{path}:2: skipping platforms",
+    ]
+
+
 def test_build_corpus_cross_file_dedup(caplog):
     a = [make_report("x"), make_report("y")]
     b = [make_report("x", content="other copy")]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pocfusion import (
+    ASPECT_SLOTS,
     Corpus,
     DefaultStructuredExtractor,
     ExtractionError,
@@ -21,6 +22,7 @@ from pocfusion import (
     extract_references,
     extract_trigger_step,
     extract_verification_oracle,
+    precision_recall,
 )
 from pocfusion.corpus import ContentKind, CorpusError, LanguageId
 from pocfusion import extract
@@ -369,11 +371,14 @@ def test_unknown_slot_rejected():
         StructuredExtraction({"exploit_code": (SlotSpan("x", 0, 1),)})
 
 
-def test_structured_extraction_roundtrip():
-    extraction = StructuredExtraction(
+def test_structured_extraction_decode():
+    data = {
+        "title": [{"text": "A - B", "start": 0, "end": 5}],
+        "author": [{"text": "z", "start": 9, "end": 10}],
+    }
+    assert StructuredExtraction.decode(data) == StructuredExtraction(
         {"title": (SlotSpan("A - B", 0, 5),), "author": (SlotSpan("z", 9, 10),)}
     )
-    assert StructuredExtraction.decode(extraction.encode()) == extraction
 
 
 # --- composition ------------------------------------------------------------------
@@ -467,19 +472,28 @@ def test_evaluate_counts():
         "a": {"author": ["right"], "software_version": ["1.0"]},
         "b": {"author": ["someone else"], "publish_time": ["2020-01-01"]},
     }
-    score = evaluate_extraction(gold, predicted)
-    author = score.slots["author"]
-    assert (author.true_positives, author.false_positives, author.false_negatives) == (1, 1, 1)
+    counts = evaluate_extraction(gold, predicted)
+    assert list(counts) == list(ASPECT_SLOTS)
+    assert counts["author"] == (1, 1, 1)
     # titles: both docs have headers, so no fallback fires; no gold titles either
-    assert score.slots["title"].zero_predictions and score.slots["title"].zero_gold
-    assert score.overall_precision == pytest.approx(2 / 3)
-    assert score.overall_recall == pytest.approx(2 / 4)
+    tp, fp, fn = counts["title"]
+    assert tp + fp == 0 and tp + fn == 0
+    precision, recall = precision_recall(*map(sum, zip(*counts.values())))
+    assert precision == pytest.approx(2 / 3)
+    assert recall == pytest.approx(2 / 4)
+
+
+def test_precision_recall_of_empty_bases():
+    assert precision_recall(0, 0, 0) == (0.0, 0.0)
+    assert precision_recall(0, 0, 3) == (0.0, 0.0)
+    assert precision_recall(0, 2, 0) == (0.0, 0.0)
+    assert precision_recall(3, 1, 2) == (3 / 4, 3 / 5)
 
 
 def test_evaluate_matching_is_trimmed_case_insensitive():
     predicted = Corpus([extract_all(text_report("Author: JoeyJ\n", rid="a"))])
-    score = evaluate_extraction({"a": {"author": ["  joeyj "]}}, predicted)
-    assert score.slots["author"].true_positives == 1
+    counts = evaluate_extraction({"a": {"author": ["  joeyj "]}}, predicted)
+    assert counts["author"][0] == 1
 
 
 def test_load_gold_annotations(tmp_path):

@@ -576,15 +576,24 @@ def test_training_set_labels_and_split():
     corpus = tagged_corpus()
     samples = build_pair_training_set(corpus, n_pos=8, n_neg=12, seed=1)
     assert len(samples) == 20
-    assert [s.partition for s in samples] == ["train"] * 16 + ["dev"] * 2 + ["test"] * 2
+    assert [s["partition"] for s in samples] == ["train"] * 16 + ["dev"] * 2 + ["test"] * 2
     for s in samples:
-        a, b = corpus.get(s.a), corpus.get(s.b)
+        a, b = corpus.get(s["a"]), corpus.get(s["b"])
         shared = set(a.cve_ids) & set(b.cve_ids)
-        assert s.label == ("same_vulnerability" if shared else "different")
-        assert s.a < s.b
-        assert "untagged" not in (s.a, s.b)
-    keys = [(s.a, s.b) for s in samples]
+        assert s["label"] == ("same_vulnerability" if shared else "different")
+        assert s["a"] < s["b"]
+        assert "untagged" not in (s["a"], s["b"])
+    keys = [(s["a"], s["b"]) for s in samples]
     assert len(set(keys)) == len(keys)
+
+
+def test_training_split_is_not_moved_by_float_error():
+    # 0.29 * 100 is 28.999999999999996 in floating point
+    corpus = Corpus(
+        report(f"r{i:02d}", cve_ids=(f"CVE-2020-{1000 + i // 2}",)) for i in range(30)
+    )
+    samples = build_pair_training_set(corpus, 10, 90, split=(0.29, 0.71, 0.0))
+    assert Counter(s["partition"] for s in samples) == {"train": 29, "dev": 71}
 
 
 def test_training_set_deterministic():
