@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from heapq import heapify, heappop, heapreplace
+from itertools import dropwhile
 from pathlib import Path
+from typing import Iterator, Sequence
 
 try:
     from re import _parser
@@ -26,50 +29,93 @@ SIGNATURES_VERSION = 1
 DEFAULT_MIN_HITS = 2
 
 
-def required_literal(pattern: re.Pattern[str]) -> str | None:
-    """A substring every match of ``pattern`` contains, or None.
+def _leading_run(items) -> str:
+    """The literal characters at the start of a parsed sequence."""
+    run = ""
+    for op, value in items:
+        if op != _parser.LITERAL:
+            break
+        run += chr(value)
+    return run
 
-    It is the longest run of literal characters in the pattern's top-level
-    sequence: a match spans every top-level item in order, so it contains
-    each such run verbatim. Case-insensitive patterns have none, since
-    their literals match other cases too.
+
+def _branch_heads(branches) -> tuple[str, ...] | None:
+    """The leading literal run of each branch of a parsed alternation, or
+    None when a branch has none."""
+    heads = tuple(_leading_run(branch) for branch in branches)
+    return heads if all(heads) else None
+
+
+def pattern_literals(
+    pattern: re.Pattern[str],
+) -> tuple[str | None, tuple[str, ...] | None, tuple[str, ...] | None]:
+    """What every match of ``pattern`` contains, from one parse of it:
+    ``(literal, branch heads, match heads)``, each None when there is none.
+
+    All three come from the pattern's top-level sequence, which a match
+    spans item by item, in order:
+
+    - the literal is the longest run of literal characters in it, which a
+      match contains verbatim;
+    - the branch heads are the leading literal runs of the branches of its
+      first alternation whose branches all start with a literal, one of
+      which a match contains;
+    - the match heads are what a match starts with: past the leading
+      zero-width assertions (``\\b``, ``^``), the literal run that follows
+      or the branch heads of an alternation there.
+
+    Case-insensitive patterns have none, since their literals match other
+    cases too.
     """
     if pattern.flags & re.IGNORECASE:
-        return None
-    best = run = ""
-    for op, value in _parser.parse(pattern.pattern, pattern.flags):
+        return None, None, None
+    items = _parser.parse(pattern.pattern, pattern.flags).data
+    literal = run = ""
+    for op, value in items:
         run = run + chr(value) if op == _parser.LITERAL else ""
-        best = max(best, run, key=len)
-    return best or None
+        literal = max(literal, run, key=len)
+    alternations = (_branch_heads(value[1]) for op, value in items if op == _parser.BRANCH)
+    heads = next(filter(None, alternations), None)
+    rest = list(dropwhile(lambda item: item[0] == _parser.AT, items))
+    if rest and rest[0][0] == _parser.BRANCH:
+        starts = _branch_heads(rest[0][1][1])
+    else:
+        run = _leading_run(rest)
+        starts = (run,) if run else None
+    return literal or None, heads, starts
 
 
-def branch_heads(pattern: re.Pattern[str]) -> tuple[str, ...] | None:
-    """Substrings one of which every match of ``pattern`` contains, or None.
+def head_matches(
+    pattern: re.Pattern[str], heads: Sequence[str], content: str
+) -> Iterator[re.Match[str]]:
+    """The matches ``pattern.finditer(content)`` yields, for a pattern
+    whose every match starts with one of ``heads`` (its match heads from
+    :func:`pattern_literals`).
 
-    They are the leading literal runs of the branches of the first
-    alternation in the pattern's top-level sequence whose branches all
-    start with a literal: a match passes through one branch of it, so it
-    contains that branch's head verbatim. Case-insensitive patterns have
-    none, for the same reason as in :func:`required_literal`.
+    The pattern is tried only where a head occurs, in increasing order, and
+    from the end of each match on, as ``finditer`` resumes. ``match`` at a
+    position still sees the whole string, so word boundaries, ``^`` and
+    lookbehinds read the characters before it; heads are not empty, so no
+    match is.
     """
-    if pattern.flags & re.IGNORECASE:
-        return None
-    for op, value in _parser.parse(pattern.pattern, pattern.flags):
-        if op != _parser.BRANCH:
+    upcoming = [(at, head) for head in heads if (at := content.find(head)) >= 0]
+    heapify(upcoming)
+    end = 0
+    while upcoming:
+        at, head = upcoming[0]
+        if at < end:
+            at = content.find(head, end)
+            if at < 0:
+                heappop(upcoming)
+            else:
+                heapreplace(upcoming, (at, head))
             continue
-        heads = []
-        for branch in value[1]:
-            head = ""
-            for item_op, item_value in branch:
-                if item_op != _parser.LITERAL:
-                    break
-                head += chr(item_value)
-            if not head:
-                break
-            heads.append(head)
+        m = pattern.match(content, at)
+        if m is None:
+            end = at + 1
         else:
-            return tuple(heads)
-    return None
+            yield m
+            end = m.end()
 
 
 @dataclass(frozen=True)
@@ -78,22 +124,30 @@ class SignaturePattern:
     weight: int
     literal: str | None = field(init=False, default=None)
     heads: tuple[str, ...] | None = field(init=False, default=None)
+    starts: tuple[str, ...] | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         if self.weight < 1:
             raise ValueError("pattern weight must be >= 1")
-        object.__setattr__(self, "literal", required_literal(self.pattern))
-        object.__setattr__(self, "heads", branch_heads(self.pattern))
+        literal, heads, starts = pattern_literals(self.pattern)
+        object.__setattr__(self, "literal", literal)
+        object.__setattr__(self, "heads", heads)
+        object.__setattr__(self, "starts", starts)
 
     def hits(self, content: str) -> int:
-        """Number of non-overlapping matches in ``content``; a content that
-        lacks the required literal, or every head of the gated alternation,
-        cannot match, so its regex is not run."""
+        """Number of non-overlapping matches in ``content``, as ``findall``
+        counts them. A content that lacks the required literal, or every
+        head of the gated alternation, cannot match, so its regex is not
+        run; an alternation whose heads are the match heads is not tested,
+        since the head scan's first searches are that test. A pattern with
+        match heads is tried only where they occur (:func:`head_matches`)."""
         if self.literal is not None and self.literal not in content:
             return 0
-        if self.heads is not None and not any(head in content for head in self.heads):
+        if self.heads not in (None, self.starts) and not any(h in content for h in self.heads):
             return 0
-        return len(self.pattern.findall(content))
+        if self.starts is None:
+            return len(self.pattern.findall(content))
+        return sum(1 for _m in head_matches(self.pattern, self.starts, content))
 
 
 @dataclass(frozen=True)

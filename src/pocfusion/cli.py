@@ -121,7 +121,9 @@ def _read_config_file(path: Path) -> tuple[dict[str, str], list[str]]:
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise ConfigurationError([f"{path}:{lineno}: not valid UTF-8: {exc.reason}"]) from exc
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    # lines end at "\n" only, as the not-UTF-8 error above counts them
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        raw = raw.removesuffix("\r")
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

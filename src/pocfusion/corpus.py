@@ -581,8 +581,9 @@ def ingest_cve_entries(path: str | Path) -> dict[str, CveEntry]:
     """Load a CVE dump file into a map keyed by canonical CVE id.
 
     Lines repeating a CVE id are merged by order-preserving set union of
-    products, versions, and platforms. Entries with no products or a
-    malformed id are skipped with a warning.
+    products, versions, and platforms. A product name that is not a string
+    is skipped with a warning, and so are entries with no named products or
+    a malformed id.
     """
     path = Path(path)
     # cve_id -> (product key -> (display name, version order-set)), platform order-set
@@ -597,17 +598,21 @@ def ingest_cve_entries(path: str | Path) -> dict[str, CveEntry]:
                 path, lineno, record.get("cve_id"),
             )
             continue
-        raw_products = [
-            p for p in record.get("products") or []
-            if isinstance(p, dict) and str(p.get("name", "")).strip()
-        ]
-        if not raw_products:
+        named = []  # (name, product) of the products with a name
+        for product in record.get("products") or []:
+            name = product.get("name") if isinstance(product, dict) else None
+            if name is not None and not isinstance(name, str):
+                logger.warning(
+                    "%s:%d: skipping product name %r: not a string", path, lineno, name
+                )
+            elif name and name.strip():
+                named.append((name.strip(), product))
+        if not named:
             logger.warning("%s:%d: skipping %s: empty products list", path, lineno, cve_id)
             continue
         order.setdefault(cve_id, None)
         by_name = products.setdefault(cve_id, {})
-        for product in raw_products:
-            name = str(product["name"]).strip()
+        for name, product in named:
             display, versions = by_name.setdefault(name.lower(), (name, {}))
             for version in _field_values(product, "versions", path, lineno):
                 versions.setdefault(str(version).strip(), None)

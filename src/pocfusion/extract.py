@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Protocol, Sequence
 
+from .classify import head_matches, pattern_literals
 from .corpus import (
     ASPECT_SLOTS,
     Corpus,
@@ -58,6 +59,7 @@ _STEP_LIST_PATTERNS = (
     re.compile(r"^[ \t]{0,8}[Ss][Tt][Ee][Pp][ \t]+(\d{1,3})[ \t]*[:.)][ \t]*"),
 )
 _URL_PATTERN = re.compile(r"\b(?:https?|ftp)://[^\s<>\"']+")
+_URL_HEADS = pattern_literals(_URL_PATTERN)[2]  # where a URL can start
 
 
 def _indent_of(line: str) -> int:
@@ -203,7 +205,7 @@ def extract_references(content: str) -> list[str]:
     """All web/ftp URLs in document order, first occurrence kept, trailing
     punctuation stripped."""
     seen: dict[str, None] = {}
-    for match in _URL_PATTERN.finditer(content):
+    for match in head_matches(_URL_PATTERN, _URL_HEADS, content):
         url = match.group(0).rstrip(_TRAILING_PUNCT)
         host = url.split("://", 1)[1]
         if host and host[0].isalnum():

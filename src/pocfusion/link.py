@@ -191,14 +191,16 @@ class ScoringModels:
     A report's content vector counts its code tokens (:func:`tokenize_code`)
     when it is code and its words (:func:`tokenize_text`) otherwise; its
     title vector counts the words of its first title. :meth:`index` makes the
-    content and title :func:`cosine_matrix` of one block of reports, and
-    cosines of the block's pairs are read from them.
+    content and title :func:`cosine_matrix` of one block of reports, or one
+    of them, and cosines of the block's pairs are read from them; any other
+    cosine is the same expression computed for the one pair.
     """
 
     def __init__(self) -> None:
         self._counts: dict[str, tuple[Counter, Counter]] = {}  # id -> (content, title)
+        self._norms: dict[tuple[str, int], int] = {}  # (id, part) -> squared norm
         self._rows: dict[str, int] = {}
-        self._matrices: tuple[list[array], ...] = ()  # (content[, title]) of the block
+        self._matrices: tuple[list[array] | None, ...] = ()  # (content, title) of the block
 
     def _counts_of(self, report: PocReport) -> tuple[Counter, Counter]:
         counts = self._counts.get(report.id)
@@ -213,24 +215,40 @@ class ScoringModels:
             counts = self._counts[report.id] = (content, title)
         return counts
 
-    def index(self, reports: Sequence[PocReport], titles: bool = True) -> None:
+    def index(
+        self, reports: Sequence[PocReport], content: bool = True, titles: bool = True
+    ) -> None:
         """Make ``reports`` the block cosines are read from, replacing the
-        previous block, and compute its content cosine matrix and, with
-        ``titles``, its title cosine matrix. Without it, title cosines of the
-        block's pairs are scored as pairs outside the block."""
+        previous block, and compute its content cosine matrix and its title
+        cosine matrix, each unless switched off. Cosines of a part without
+        a matrix are scored pair by pair, as for pairs outside the block."""
         counts = [self._counts_of(report) for report in reports]
         self._rows = {report.id: row for row, report in enumerate(reports)}
         self._matrices = ()  # release the previous block's matrices first
-        parts = list(zip(*counts))[: 2 if titles else 1]
-        self._matrices = tuple(cosine_matrix(part) for part in parts)
+        self._matrices = tuple(
+            cosine_matrix(part) if wanted else None
+            for part, wanted in zip(zip(*counts), (content, titles))
+        )
+
+    def _norm(self, report: PocReport, part: int) -> int:
+        key = (report.id, part)
+        norm = self._norms.get(key)
+        if norm is None:
+            norm = self._norms[key] = sum(c * c for c in self._counts_of(report)[part].values())
+        return norm
 
     def _cosine(self, a: PocReport, b: PocReport, part: int) -> float:
         i, j = self._rows.get(a.id), self._rows.get(b.id)
-        if i is not None and j is not None and part < len(self._matrices):
-            matrix = self._matrices[part]
+        matrix = self._matrices[part] if i is not None and j is not None else None
+        if matrix is not None:
             return matrix[i][j] if i > j else matrix[j][i]
-        # a pair outside the block is scored as a block of two
-        return cosine_matrix([self._counts_of(a)[part], self._counts_of(b)[part]])[1][0]
+        # cosine_matrix's entry for the pair: the same exact integer dot
+        # product, summed over the smaller count, and the same expression
+        small, large = sorted((self._counts_of(a)[part], self._counts_of(b)[part]), key=len)
+        dot = sum(count * large[token] for token, count in small.items() if token in large)
+        if not dot:
+            return 0.0
+        return dot / math.sqrt(self._norm(a, part) * self._norm(b, part))
 
     def content_cosine(self, a: PocReport, b: PocReport) -> float:
         return self._cosine(a, b, 0)
@@ -481,6 +499,14 @@ def build_link_graph(
     (content only: the shared-CVE pass reads no titles) and each
     software-name block are indexed for scoring before the group's or the
     block's pairs are scored.
+
+    With the :class:`HeuristicPairClassifier`, a block is indexed by title
+    only, and a pair is classified only when its title cosine ``t`` leaves
+    room to link: its verdict is ``0.5·t + 0.5·c >= cutoff`` with a content
+    cosine ``c <= 1.0``, and in floats ``0.5·t + 0.5·c <= 0.5·t + 0.5``
+    (the halving is exact and rounded addition is monotone), so a pair with
+    ``0.5·t + 0.5 < cutoff`` cannot link, and its content cosine is not
+    computed. Any other classifier sees every candidate.
     """
     links: dict[tuple[str, str], PocLink] = {}
     groups = group_by_cve(corpus)
@@ -514,9 +540,10 @@ def build_link_graph(
                 for name in lowered:
                     blocks.setdefault((name, kind), []).append(report)
         seen: set[tuple[str, str]] = set()  # a pair can share several names
+        cutoff = classifier.cutoff if type(classifier) is HeuristicPairClassifier else None
         for (_name, kind), block in blocks.items():
             if len(block) > 1:
-                models.index(block)
+                models.index(block, content=cutoff is None)
             for a, b in combinations(block, 2):
                 if a.id > b.id:
                     a, b = b, a
@@ -525,6 +552,8 @@ def build_link_graph(
                 if key in seen or set(a.cve_ids) & set(b.cve_ids):
                     continue
                 seen.add(key)
+                if cutoff is not None and 0.5 * models.title_cosine(a, b) + 0.5 < cutoff:
+                    continue
                 same, confidence = classify_pair(classifier, a, b, names)
                 if same:
                     links[key] = PocLink(a.id, b.id, None, confidence, kind)

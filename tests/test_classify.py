@@ -15,7 +15,7 @@ from pocfusion import (
     detect_language,
     load_signatures,
 )
-from pocfusion.classify import DEFAULT_MIN_HITS, branch_heads, required_literal
+from pocfusion.classify import DEFAULT_MIN_HITS, head_matches, pattern_literals
 from pocfusion.corpus import CorpusError
 
 from classify_fixtures import CODE_FIXTURES, PROSE_FIXTURES
@@ -184,7 +184,7 @@ def test_required_literal_is_the_longest_top_level_run():
         r"(?i:im)port": "port",
     }
     for source, literal in cases.items():
-        assert required_literal(re.compile(source, re.MULTILINE)) == literal, source
+        assert pattern_literals(re.compile(source, re.MULTILINE))[0] == literal, source
 
 
 def test_bundled_patterns_without_a_gate():
@@ -209,7 +209,7 @@ def test_branch_heads_of_a_top_level_alternation():
         r"x(?:\d|ab)y": None,  # the parser turns this alternation into a class
     }
     for source, heads in cases.items():
-        assert branch_heads(re.compile(source, re.MULTILINE)) == heads, source
+        assert pattern_literals(re.compile(source, re.MULTILINE))[1] == heads, source
 
 
 def test_bundled_alternations_are_gated():
@@ -310,3 +310,88 @@ def test_user_table_alternation_hits(tmp_path):
     content = "wget http://a/x\ncurl  https://b/y\nxcurl http://c\n"
     assert detect_language(content, signatures) == (LanguageId.SHELL, 2)
     assert detect_language("curl -s http://a", signatures) is None
+
+
+# --- match heads: a pattern is tried only where a match can start ----------------
+
+
+def test_match_heads_of_a_pattern():
+    cases = {
+        r"\bint\s+main\s*\(": ("int",),  # past a word boundary
+        r"^#!.*\bperl\b": ("#!",),  # past a line start
+        r"\b\B-\w": ("-",),  # past several zero-width assertions
+        r"<\?php": ("<?php",),  # no assertion at all
+        r"\b(?:curl|wget)\s": ("curl", "wget"),  # a leading alternation
+        r"\b(?:https?|ftp)://": ("http", "ftp"),  # a head ends at the first non-literal
+        r"(?:abc|abd)x": ("ab",),  # the parser factors out a common prefix
+        r"\b(?:printf|fprintf|sprintf)\(": ("printf", "fprintf", "sprintf"),
+        r"\b(?:unsigned\s+)?char": None,  # an optional group first
+        r"\b(?:ab|\dc)": None,  # a branch without a literal head
+        r"(?:a|b)c": None,  # the parser turns this alternation into a class
+        r"^\s*import": None,
+        r"(?<=x)yz": None,  # a lookbehind is not a zero-width AT item
+        r"(foo)": None,  # a capturing group
+        r"\b": None,
+        r"(?i)\bfoo": None,
+        r"(?i:f)oo": None,
+    }
+    for source, heads in cases.items():
+        assert pattern_literals(re.compile(source, re.MULTILINE))[2] == heads, source
+
+
+def test_bundled_patterns_with_match_heads():
+    anchored = [p for p in BUNDLED_PATTERNS if p.starts]
+    assert len(BUNDLED_PATTERNS) == 57 and len(anchored) == 37
+    assert all(not p.pattern.flags & re.IGNORECASE for p in anchored)
+    assert all(p.starts is None for p in BUNDLED_PATTERNS if p.pattern.flags & re.IGNORECASE)
+
+
+# patterns the bundled table lacks: a line start, lookbehinds, heads that
+# contain one another, heads that overlap themselves, a head-less pattern
+HAND_WRITTEN = [
+    re.compile(source, re.MULTILINE)
+    for source in (
+        r"^foo\d",
+        r"\Afoo",
+        r"\B-\w+",
+        r"\bprint(?<!fprint)f\b",
+        r"\b(?:printf|fprintf|sprintf)\s*\(",
+        r"(?:ab|b)a",
+        r"aa",
+        r"\bſ\w",
+        r"(?<=x)yz",
+        r"\b(?:unsigned\s+)?char",
+    )
+]
+SCANNED = [p.pattern for p in BUNDLED_PATTERNS] + HAND_WRITTEN
+
+
+def _scan_fragments() -> list[str]:
+    """The heads of every scanned pattern, their halves, the characters the
+    patterns are made of, and letters that are word characters outside
+    ASCII and fold to ASCII ones under IGNORECASE."""
+    fragments = {" ", "\n", "\t", "x", "_", "0", "ſ", "K", "é"}
+    for pattern in SCANNED:
+        for head in pattern_literals(pattern)[2] or ():
+            fragments |= {head, head[:-1], head[1:]}
+        fragments |= {ch for ch in pattern.pattern if not ch.isalnum()}
+    return sorted(fragments)
+
+
+scan_texts = st.lists(st.sampled_from(_scan_fragments()), max_size=20).map("".join)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.data())
+def test_head_matches_equal_finditer(data):
+    matched = data.draw(st.sampled_from(SCANNED))
+    content = "\n".join(data.draw(st.tuples(scan_texts, st.from_regex(matched), scan_texts)))
+    for pattern in SCANNED:
+        heads = pattern_literals(pattern)[2]
+        if heads is None:
+            continue
+        spans = [m.span() for m in head_matches(pattern, heads, content)]
+        assert spans == [m.span() for m in pattern.finditer(content)], pattern.pattern
+        assert len(spans) == len(pattern.findall(content)), pattern.pattern
+    for p in BUNDLED_PATTERNS:
+        assert p.hits(content) == len(p.pattern.findall(content)), p.pattern.pattern

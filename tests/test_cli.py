@@ -121,6 +121,32 @@ def test_parse_config_file_reports_line_number(tmp_path):
     assert ":2:" in err.value.errors[0]
 
 
+def test_config_lines_end_at_newline_only(tmp_path):
+    # a U+2028 inside a value does not end line 1, so the malformed line
+    # after it is line 2, as the not-UTF-8 error and read_jsonl count lines
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("workspace = ws\u2028x\nnonsense\n", encoding="utf-8")
+    with pytest.raises(ConfigurationError) as err:
+        parse_config_file(cfg)
+    assert err.value.errors == [f"{cfg}:2: expected key = value, got 'nonsense'"]
+    cfg.write_text("workspace = ws\u2028x\n", encoding="utf-8")
+    assert parse_config_file(cfg) == {"workspace": "ws\u2028x"}
+    cfg.write_text("workspace = ws\u2028\n", encoding="utf-8")
+    assert parse_config_file(cfg) == {"workspace": "ws"}
+    # a CRLF file parses as an LF file, malformed lines named the same way
+    lf = "# comment\n\nworkspace = out\nsource.exploitdb = a.jsonl\nseed=3\n"
+    cfg.write_bytes(lf.replace("\n", "\r\n").encode("utf-8"))
+    assert parse_config_file(cfg) == {
+        "workspace": "out",
+        "source.exploitdb": "a.jsonl",
+        "seed": "3",
+    }
+    cfg.write_bytes(b"workspace = out\r\nnonsense\r\n")
+    with pytest.raises(ConfigurationError) as err:
+        parse_config_file(cfg)
+    assert err.value.errors == [f"{cfg}:2: expected key = value, got 'nonsense'"]
+
+
 def resolve(argv):
     return resolve_config(build_parser().parse_args(argv))
 

@@ -339,6 +339,32 @@ def test_ingest_cve_entries_drops_nulls_and_skips_non_scalar_items(tmp_path, cap
     ]
 
 
+def test_ingest_cve_entries_skips_product_names_that_are_not_strings(tmp_path, caplog):
+    # a number or boolean name is not a product: "5" would pass for any
+    # report whose software name contains a 5
+    path = tmp_path / "cves.jsonl"
+    write_jsonl(
+        path,
+        [
+            {"cve_id": "CVE-2020-11003", "products": [{"name": True, "versions": ["1"]}, {"name": 5}]},
+            {"cve_id": "CVE-2020-11004", "products": [{"name": 5.5}, {"name": " Kept ", "versions": "2"}]},
+            {"cve_id": "CVE-2020-11005", "products": [{"name": None}, {"name": ["x"]}, {"versions": "3"}]},
+        ],
+    )
+    db = ingest_cve_entries(path)
+    assert list(db) == ["CVE-2020-11004"]
+    assert [(p.name, p.versions) for p in db["CVE-2020-11004"].products] == [("Kept", ("2",))]
+    skipped = [m for m in caplog.messages if "not a string" in m]
+    assert skipped == [
+        f"{path}:1: skipping product name True: not a string",
+        f"{path}:1: skipping product name 5: not a string",
+        f"{path}:2: skipping product name 5.5: not a string",
+        f"{path}:3: skipping product name ['x']: not a string",
+    ]
+    assert f"{path}:1: skipping CVE-2020-11003: empty products list" in caplog.messages
+    assert f"{path}:3: skipping CVE-2020-11005: empty products list" in caplog.messages
+
+
 def test_build_corpus_cross_file_dedup(caplog):
     a = [make_report("x"), make_report("y")]
     b = [make_report("x", content="other copy")]

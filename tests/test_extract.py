@@ -276,6 +276,30 @@ def test_reference_parenthesized():
     assert extract_references("(https://x.example/a).") == ["https://x.example/a"]
 
 
+def finditer_references(content):
+    """extract_references as a plain finditer scan of the URL pattern."""
+    seen = {}
+    for match in extract._URL_PATTERN.finditer(content):
+        url = match.group(0).rstrip(extract._TRAILING_PUNCT)
+        host = url.split("://", 1)[1]
+        if host and host[0].isalnum():
+            seen.setdefault(url, None)
+    return list(seen)
+
+
+URL_FRAGMENTS = [
+    "http", "https", "ftp", "ftps", "://", "ht", "tp", ":/", "//", "x.example",
+    "/a", ".", ")", "<", '"', " ", "\n", "_", "0", "é", "ſ", "K",
+]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(URL_FRAGMENTS), max_size=30).map("".join))
+def test_references_equal_their_finditer_form(content):
+    assert extract._URL_HEADS == ("http", "ftp")
+    assert extract_references(content) == finditer_references(content)
+
+
 # --- cve ids ----------------------------------------------------------------------
 
 

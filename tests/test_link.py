@@ -501,6 +501,69 @@ def test_classify_pair_precondition_with_precomputed_names():
     assert classify_pair(classifier, a, b, names) == classify_pair(classifier, a, b)
 
 
+def gate_corpus():
+    # one name block; 0.5·t + 0.5 >= 0.85 needs a title cosine t >= 0.7.
+    # Titles: t = 1 among f1, f2 and f5, t = 1/2 between f3 and each of
+    # them, and t = 0 for f4, named by its version only.
+    return Corpus(
+        [
+            report("f1", content="q w", kind=PY, title="FooServ 1.0 - RCE"),
+            report("f2", content="q w", kind=PY, title="FooServ 1.1 - RCE"),
+            report("f3", content="q w", kind=PY, title="fooserv 2.1 - DoS"),
+            report("f4", content="q w", kind=PY, version="FooServ 3"),
+            report("f5", content="e r", kind=PY, title="FooServ 2.0 - RCE"),
+        ]
+    )
+
+
+def test_heuristic_classifies_only_pairs_the_title_gate_lets_in(monkeypatch):
+    import socket
+
+    from pocfusion import ExternalPairClassifier
+
+    calls = []
+    classify = link_module.classify_pair
+
+    def counted(classifier, a, b, names=None):
+        calls.append((a.id, b.id))
+        return classify(classifier, a, b, names)
+
+    monkeypatch.setattr(link_module, "classify_pair", counted)
+    corpus = gate_corpus()
+    models = ScoringModels()
+    heuristic = HeuristicPairClassifier(models)
+    links = build_link_graph(corpus, models, heuristic, CompletionConfig())
+    # f5's pairs with f1 and f2 pass the gate, and fail the cutoff at 0.5
+    assert calls == [("f1", "f2"), ("f1", "f5"), ("f2", "f5")]
+    assert [(l.a, l.b, l.basis, l.similarity) for l in links] == [("f1", "f2", None, 1.0)]
+    # an external classifier that cannot be reached sees every candidate,
+    # falls back to the heuristic on each, and links the same pairs
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        port = s.getsockname()[1]
+    calls.clear()
+    models = ScoringModels()
+    external = ExternalPairClassifier(
+        f"http://127.0.0.1:{port}/", HeuristicPairClassifier(models), deadline=5.0
+    )
+    assert build_link_graph(corpus, models, external, CompletionConfig()) == links
+    candidates = list(combinations(["f1", "f2", "f3", "f4", "f5"], 2))
+    assert calls == candidates
+    assert external.degraded_pairs == candidates
+
+
+@pytest.mark.parametrize("cutoff, n_links", [(0.5, 8), (0.75, 3), (0.85, 1), (1.0, 1)])
+def test_title_gate_at_its_edges_equals_the_oracle(cutoff, n_links):
+    # at 0.5 a pair with t == 0 and equal contents still links (f4 with f1,
+    # f2 and f3); at 1.0 only pairs with t == 1.0 pass the gate
+    corpus = gate_corpus()
+    models = ScoringModels()
+    classifier = HeuristicPairClassifier(models, cutoff)
+    links = build_link_graph(corpus, models, classifier, CompletionConfig())
+    assert links == oracle_link_graph(corpus, cutoff, CompletionConfig())
+    assert len(links) == n_links
+
+
 def test_shared_cve_basis_wins_over_classifier():
     # same CVE and same software: the link must carry the shared-CVE basis
     corpus = Corpus(
@@ -722,7 +785,8 @@ def linkable_corpora(draw):
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(
     linkable_corpora(),
-    st.sampled_from([None, 0.3, 0.6, 0.85]),
+    # at 0.5 the title gate passes every pair; at 1.0 only pairs with t == 1.0
+    st.sampled_from([None, 0.3, 0.5, 0.6, 0.85, 1.0]),
     st.sampled_from([(0.5, 0.65), (0.5, 0.95), (0.2, 0.5)]),
 )
 def test_build_link_graph_equals_per_pair_oracle(corpus, cutoff, thresholds):
