@@ -121,10 +121,14 @@ def _read_config_file(path: Path) -> tuple[dict[str, str], list[str]]:
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise ConfigurationError([f"{path}:{lineno}: not valid UTF-8: {exc.reason}"]) from exc
-    # lines end at "\n" only, as the not-UTF-8 error above counts them
+    # lines end at "\n" only, as the not-UTF-8 error above counts them; any
+    # other break str.splitlines knows, inside a line, makes it malformed
     for lineno, raw in enumerate(text.split("\n"), 1):
         raw = raw.removesuffix("\r")
         line = raw.strip()
+        if len(line.splitlines()) > 1:
+            errors.append(f"{path}:{lineno}: line break inside a line: {raw!r}")
+            continue
         if not line or line.startswith("#"):
             continue
         if "=" not in line:

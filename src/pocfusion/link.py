@@ -191,18 +191,19 @@ class ScoringModels:
     A report's content vector counts its code tokens (:func:`tokenize_code`)
     when it is code and its words (:func:`tokenize_text`) otherwise; its
     title vector counts the words of its first title. :meth:`index` makes the
-    content and title :func:`cosine_matrix` of one block of reports, or one
-    of them, and cosines of the block's pairs are read from them; any other
+    content or the title :func:`cosine_matrix` of one block of reports, and
+    that part's cosines of the block's pairs are read from it; any other
     cosine is the same expression computed for the one pair.
     """
 
     def __init__(self) -> None:
-        self._counts: dict[str, tuple[Counter, Counter]] = {}  # id -> (content, title)
-        self._norms: dict[tuple[str, int], int] = {}  # (id, part) -> squared norm
+        # id -> ((content, squared norm), (title, squared norm))
+        self._counts: dict[str, tuple[tuple[Counter, int], tuple[Counter, int]]] = {}
         self._rows: dict[str, int] = {}
-        self._matrices: tuple[list[array] | None, ...] = ()  # (content, title) of the block
+        self._part = 0  # the part the block's matrix holds: 0 content, 1 title
+        self._matrix: list[array] = []
 
-    def _counts_of(self, report: PocReport) -> tuple[Counter, Counter]:
+    def _counts_of(self, report: PocReport) -> tuple[tuple[Counter, int], tuple[Counter, int]]:
         counts = self._counts.get(report.id)
         if counts is None:
             if report.content_kind.is_code:
@@ -212,43 +213,35 @@ class ScoringModels:
             if not content:
                 logger.warning("report %s has no content tokens, scored 0", report.id)
             title = Counter(tokenize_text(title_text(report)))
-            counts = self._counts[report.id] = (content, title)
+            counts = self._counts[report.id] = tuple(
+                (part, sum(count * count for count in part.values())) for part in (content, title)
+            )
         return counts
 
-    def index(
-        self, reports: Sequence[PocReport], content: bool = True, titles: bool = True
-    ) -> None:
+    def index(self, reports: Sequence[PocReport], titles: bool = False) -> None:
         """Make ``reports`` the block cosines are read from, replacing the
-        previous block, and compute its content cosine matrix and its title
-        cosine matrix, each unless switched off. Cosines of a part without
-        a matrix are scored pair by pair, as for pairs outside the block."""
-        counts = [self._counts_of(report) for report in reports]
+        previous block, and compute its content cosine matrix, or with
+        ``titles`` its title cosine matrix. Cosines of the other part are
+        scored pair by pair, as for pairs outside the block."""
+        part = 1 if titles else 0
+        vectors = [self._counts_of(report)[part][0] for report in reports]
         self._rows = {report.id: row for row, report in enumerate(reports)}
-        self._matrices = ()  # release the previous block's matrices first
-        self._matrices = tuple(
-            cosine_matrix(part) if wanted else None
-            for part, wanted in zip(zip(*counts), (content, titles))
-        )
-
-    def _norm(self, report: PocReport, part: int) -> int:
-        key = (report.id, part)
-        norm = self._norms.get(key)
-        if norm is None:
-            norm = self._norms[key] = sum(c * c for c in self._counts_of(report)[part].values())
-        return norm
+        self._matrix = []  # release the previous block's matrix first
+        self._part = part
+        self._matrix = cosine_matrix(vectors)
 
     def _cosine(self, a: PocReport, b: PocReport, part: int) -> float:
         i, j = self._rows.get(a.id), self._rows.get(b.id)
-        matrix = self._matrices[part] if i is not None and j is not None else None
-        if matrix is not None:
-            return matrix[i][j] if i > j else matrix[j][i]
+        if part == self._part and i is not None and j is not None:
+            return self._matrix[i][j] if i > j else self._matrix[j][i]
         # cosine_matrix's entry for the pair: the same exact integer dot
         # product, summed over the smaller count, and the same expression
-        small, large = sorted((self._counts_of(a)[part], self._counts_of(b)[part]), key=len)
+        (a_counts, a_norm), (b_counts, b_norm) = self._counts_of(a)[part], self._counts_of(b)[part]
+        small, large = sorted((a_counts, b_counts), key=len)
         dot = sum(count * large[token] for token, count in small.items() if token in large)
         if not dot:
             return 0.0
-        return dot / math.sqrt(self._norm(a, part) * self._norm(b, part))
+        return dot / math.sqrt(a_norm * b_norm)
 
     def content_cosine(self, a: PocReport, b: PocReport) -> float:
         return self._cosine(a, b, 0)
@@ -496,17 +489,17 @@ def build_link_graph(
     threshold. Pairs sharing no CVE id link when they name the same software
     and the classifier votes yes. One link per pair, shared-CVE basis first,
     output sorted by pair key. The code and text reports of each CVE group
-    (content only: the shared-CVE pass reads no titles) and each
-    software-name block are indexed for scoring before the group's or the
-    block's pairs are scored.
+    are indexed by content, and each software-name block by title, before
+    the group's or the block's pairs are scored; a classifier pair's content
+    cosine, when read, is computed for the pair.
 
-    With the :class:`HeuristicPairClassifier`, a block is indexed by title
-    only, and a pair is classified only when its title cosine ``t`` leaves
-    room to link: its verdict is ``0.5·t + 0.5·c >= cutoff`` with a content
-    cosine ``c <= 1.0``, and in floats ``0.5·t + 0.5·c <= 0.5·t + 0.5``
-    (the halving is exact and rounded addition is monotone), so a pair with
-    ``0.5·t + 0.5 < cutoff`` cannot link, and its content cosine is not
-    computed. Any other classifier sees every candidate.
+    With the :class:`HeuristicPairClassifier`, a pair is classified only
+    when its title cosine ``t`` leaves room to link: its verdict is
+    ``0.5·t + 0.5·c >= cutoff`` with a content cosine ``c <= 1.0``, and in
+    floats ``0.5·t + 0.5·c <= 0.5·t + 0.5`` (the halving is exact and
+    rounded addition is monotone), so a pair with ``0.5·t + 0.5 < cutoff``
+    cannot link, and its content cosine is not computed. Any other
+    classifier sees every candidate.
     """
     links: dict[tuple[str, str], PocLink] = {}
     groups = group_by_cve(corpus)
@@ -514,10 +507,7 @@ def build_link_graph(
         pairs = candidate_pairs_same_cve(groups[cve_id], corpus)
         if pairs:
             group = (corpus.get(report_id) for report_id in groups[cve_id])
-            models.index(
-                [r for r in group if r.content_kind.is_code or r.content_kind.is_text],
-                titles=False,
-            )
+            models.index([r for r in group if r.content_kind.is_code or r.content_kind.is_text])
         for a_id, b_id, kind in pairs:
             key = (a_id, b_id)
             if key in links:
@@ -543,7 +533,7 @@ def build_link_graph(
         cutoff = classifier.cutoff if type(classifier) is HeuristicPairClassifier else None
         for (_name, kind), block in blocks.items():
             if len(block) > 1:
-                models.index(block, content=cutoff is None)
+                models.index(block, titles=True)
             for a, b in combinations(block, 2):
                 if a.id > b.id:
                     a, b = b, a

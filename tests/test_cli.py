@@ -122,15 +122,27 @@ def test_parse_config_file_reports_line_number(tmp_path):
 
 
 def test_config_lines_end_at_newline_only(tmp_path):
-    # a U+2028 inside a value does not end line 1, so the malformed line
-    # after it is line 2, as the not-UTF-8 error and read_jsonl count lines
+    # a U+2028 or a lone "\r" does not end line 1: the line is malformed,
+    # and the line after it is line 2, as the not-UTF-8 error and
+    # read_jsonl count lines
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("workspace = ws\u2028x\nnonsense\n", encoding="utf-8")
-    with pytest.raises(ConfigurationError) as err:
-        parse_config_file(cfg)
-    assert err.value.errors == [f"{cfg}:2: expected key = value, got 'nonsense'"]
-    cfg.write_text("workspace = ws\u2028x\n", encoding="utf-8")
-    assert parse_config_file(cfg) == {"workspace": "ws\u2028x"}
+
+    def errors(data):
+        cfg.write_bytes(data.encode("utf-8"))
+        with pytest.raises(ConfigurationError) as err:
+            parse_config_file(cfg)
+        return err.value.errors
+
+    def broken(lineno, line):
+        return f"{cfg}:{lineno}: line break inside a line: {line!r}"
+
+    assert errors("workspace = ws\u2028x\nnonsense\n") == [
+        broken(1, "workspace = ws\u2028x"),
+        f"{cfg}:2: expected key = value, got 'nonsense'",
+    ]
+    assert errors("workspace = out\rseed = 3\r") == [broken(1, "workspace = out\rseed = 3")]
+    assert errors("# a comment\rworkspace = out\n") == [broken(1, "# a comment\rworkspace = out")]
+    # a break at the end of a line is whitespace around its value
     cfg.write_text("workspace = ws\u2028\n", encoding="utf-8")
     assert parse_config_file(cfg) == {"workspace": "ws"}
     # a CRLF file parses as an LF file, malformed lines named the same way
@@ -752,13 +764,15 @@ def test_unreachable_classifier_degrades_to_the_same_links(tmp_path, monkeypatch
     monkeypatch.setattr(link_module, "classify_pair", counted)
     argv = ["run-all", "--config", "demo/config.cfg", "--workspace"]
     assert main([*argv, str(tmp_path / "plain")]) == 0
-    candidates = len(calls)
-    assert candidates == 1  # on the demo corpus
+    assert len(calls) == 1  # the demo's pairs that pass the heuristic's title gate
+    calls.clear()
     url = f"http://127.0.0.1:{port}/"
     assert main([*argv, str(tmp_path / "down"), "--classifier-url", url]) == 0
+    candidates = len(calls)  # the external classifier sees every candidate
+    assert candidates >= 1
     manifest = json.loads((tmp_path / "down" / "manifests" / "link.json").read_text())
     assert manifest["degraded"] == {"classifier": candidates}
-    # the fallback heuristic scores every candidate from the block indexed for it
+    # the fallback heuristic gives every candidate the plain run's verdict
     links = [(tmp_path / ws / "links.jsonl").read_bytes() for ws in ("plain", "down")]
     assert links[0] == links[1]
 

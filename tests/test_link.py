@@ -249,16 +249,16 @@ def test_text_and_title_cosines_equal_sparse_cosine_bit_for_bit(a_counts, b_coun
     block = [text_report(f"o{i}", *counts) for i, counts in enumerate(others)]
     block[at:at] = [a]
     block.append(b)
+    # indexed by content, its title cosines are scored pair by pair, and
+    # indexed by title, its content cosines are
     models = ScoringModels()
-    models.index(block)
-    assert cosines(models, a, b) == expected_hex
-    assert cosines(models, b, a) == expected_hex
-    for x, y in combinations(block, 2):
-        assert cosines(models, x, y) == oracle(x, y)
-        assert cosines(models, y, x) == oracle(y, x)
-    # a block indexed without titles scores its title cosines as pairs
-    models.index(block, titles=False)
-    assert cosines(models, a, b) == expected_hex
+    for titles in (False, True):
+        models.index(block, titles=titles)
+        assert cosines(models, a, b) == expected_hex
+        assert cosines(models, b, a) == expected_hex
+        for x, y in combinations(block, 2):
+            assert cosines(models, x, y) == oracle(x, y)
+            assert cosines(models, y, x) == oracle(y, x)
 
 
 def test_code_cosine_exact_half_in_a_block():
