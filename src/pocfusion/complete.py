@@ -108,7 +108,7 @@ def _append_missing(
     run_id: str,
 ) -> tuple[PocReport, list[CompletionRecord]]:
     before = len(report.aspects.values(slot))
-    aspects = report.aspects.with_added(slot, aspect_values(values, origin))
+    aspects = report.aspects.with_added(**{slot: aspect_values(values, origin)})
     added = aspects.values(slot)[before:]
     if not added:
         return report, []
@@ -270,7 +270,7 @@ def replay_completion(corpus: Corpus, records: Iterable[CompletionRecord]) -> Co
         current[record.target] = replace(
             report,
             aspects=report.aspects.with_added(
-                record.slot, [AspectValue(record.value, record.origin)]
+                **{record.slot: [AspectValue(record.value, record.origin)]}
             ),
         )
     return Corpus(current[report.id] for report in corpus)

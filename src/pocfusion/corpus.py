@@ -279,17 +279,23 @@ class AspectSet:
     def texts(self, slot: str) -> list[str]:
         return [v.text for v in self.values(slot)]
 
-    def with_added(self, slot: str, values: Iterable[AspectValue]) -> "AspectSet":
-        """Append values to a slot, skipping case-insensitive trim duplicates."""
-        current = list(self.values(slot))
-        seen = {_dedup_key(v.text) for v in current}
-        for value in values:
-            key = _dedup_key(value.text)
-            if key in seen:
-                continue
-            seen.add(key)
-            current.append(value)
-        return replace(self, **{slot: tuple(current)})
+    def with_added(self, /, **additions: Iterable[AspectValue]) -> "AspectSet":
+        """Append values to slots, given as one keyword argument per slot,
+        skipping case-insensitive trim duplicates. One new set holds every
+        slot's additions; ``self`` is returned when none is new."""
+        changed = {}
+        for slot, values in additions.items():
+            current = self.values(slot)
+            seen = {_dedup_key(v.text) for v in current}
+            added = []
+            for value in values:
+                key = _dedup_key(value.text)
+                if key not in seen:
+                    seen.add(key)
+                    added.append(value)
+            if added:
+                changed[slot] = current + tuple(added)
+        return replace(self, **changed) if changed else self
 
     def filled_slots(self) -> list[str]:
         return [slot for slot in ASPECT_SLOTS if self.values(slot)]
@@ -534,10 +540,10 @@ def ingest_reports(path: str | Path, source: SourceId) -> list[PocReport]:
             logger.warning("%s:%d: skipping duplicate report id %r", path, lineno, record["id"])
             continue
 
-        aspects = AspectSet()
-        for field_name, slot in _RECORD_SLOT_FIELDS.items():
-            values = _field_values(record, field_name, path, lineno)
-            aspects = aspects.with_added(slot, aspect_values(str(v) for v in values))
+        aspects = AspectSet().with_added(**{
+            slot: aspect_values(str(v) for v in _field_values(record, field_name, path, lineno))
+            for field_name, slot in _RECORD_SLOT_FIELDS.items()
+        })
 
         cve_ids: list[str] = []
         for raw_id in _field_values(record, "cve_ids", path, lineno):

@@ -38,10 +38,27 @@ class ExtractionError(ValueError):
     """Fatal extraction failure (contract violation, evaluation id mismatch)."""
 
 
+def fold_case(text: str) -> str:
+    """``text`` with each character that ``re.IGNORECASE`` equates with an
+    ASCII letter replaced by that lowercase letter, and other cased letters
+    lowered.
+
+    A case-sensitive pattern of lowercase ASCII letters and non-letters
+    matches the fold where, and with the spans that, its ``re.IGNORECASE``
+    form matches ``text``: the fold has the same length and keeps every
+    character's ``\\w`` and ``\\s`` membership. ``İ``, whose lowercase is two
+    characters, is mapped first; ``ı`` and ``ſ`` have no lowercase form, but
+    match ``i`` and ``s`` ignoring case. A ``str.translate`` table doing the
+    same is slower on non-ASCII text.
+    """
+    return text.replace("İ", "i").lower().replace("ı", "i").replace("ſ", "s")
+
+
 def _keyword_regex(*keywords: str) -> re.Pattern[str]:
-    """One pattern matching any of ``keywords`` as whole words, any case."""
+    """One pattern matching any of the lowercase ``keywords`` as whole
+    words; run it over a :func:`fold_case` fold to match any case."""
     alternatives = "|".join(re.escape(kw) for kw in keywords)
-    return re.compile(r"\b(?:" + alternatives + r")\b", re.IGNORECASE)
+    return re.compile(r"\b(?:" + alternatives + r")\b")
 
 
 # Keyword and pattern inventory of the rule-based extractors.
@@ -53,6 +70,10 @@ _TRIGGER_KEYWORDS = _keyword_regex(
     "compile with",
 )
 _ORACLE_KEYWORDS = _keyword_regex("expected output", "poc output")
+# where a keyword can start
+_KEYWORD_HEADS = {
+    pattern: pattern_literals(pattern)[2] for pattern in (_TRIGGER_KEYWORDS, _ORACLE_KEYWORDS)
+}
 _STEP_LIST_PATTERNS = (
     re.compile(r"^[ \t]{0,8}(\d{1,3})[.)][ \t]+"),
     re.compile(r"^[ \t]{0,8}([a-z])\)[ \t]+"),
@@ -123,16 +144,18 @@ def _find_step_runs(lines: list[str]) -> list[tuple[int, int, int]]:
 
 
 def _keyword_lines(keywords: re.Pattern[str], content: str) -> list[int]:
-    """Sorted, distinct numbers of the lines of ``content`` holding a keyword.
+    """Sorted, distinct numbers of the lines of ``content`` holding a keyword,
+    in any case.
 
     One scan of the whole content finds the same lines as a search of each
     line: no keyword holds a line break, and a line break is a non-word
     character, so a word boundary falls at a line's edge exactly when it
-    falls at the edge of that line on its own.
+    falls at the edge of that line on its own. The scan runs over the
+    content's fold, where the keywords are tried only where one starts.
     """
     numbers: list[int] = []
     lineno = position = 0
-    for match in keywords.finditer(content):
+    for match in head_matches(keywords, _KEYWORD_HEADS[keywords], fold_case(content)):
         lineno += content.count("\n", position, match.start())
         position = match.start()
         if not numbers or numbers[-1] != lineno:
@@ -311,7 +334,7 @@ def _header_regex() -> re.Pattern[str]:
     # headers often sit inside comments: "#", "//", "/*", "<!--", "*", "--"
     return re.compile(
         r"^[ \t]*[#;*/<!-]{0,8}[ \t]*(" + alternation + r")[ \t]*:[ \t]*(\S.*)$",
-        re.IGNORECASE | re.MULTILINE,
+        re.MULTILINE,
     )
 
 
@@ -349,9 +372,10 @@ class DefaultStructuredExtractor:
         content = report.raw_content
         spans: dict[str, list[SlotSpan]] = {}
         matched_any = False
-        for m in _HEADER_RE.finditer(content):
+        # labels match in any case on the fold; values come from the content
+        for m in _HEADER_RE.finditer(fold_case(content)):
             matched_any = True
-            slot = _LABEL_TO_SLOT[m.group(1).lower()]
+            slot = _LABEL_TO_SLOT[m.group(1)]
             value_start, value_end = m.span(2)
             trimmed = _trim_span(content, value_start, value_end)
             if trimmed is None:
@@ -430,24 +454,18 @@ def extract_all(
     """Populate every slot a match exists for; idempotent, dedup-preserving."""
     if report.content_kind.kind is Kind.UNCLASSIFIED:
         raise ValueError(f"report {report.id} must be categorized before extraction")
-    aspects = report.aspects
-    aspects = aspects.with_added(
-        "trigger_step", aspect_values(extract_trigger_step(report.raw_content))
-    )
-    aspects = aspects.with_added(
-        "verification_oracle",
-        aspect_values(extract_verification_oracle(report.raw_content)),
-    )
-    aspects = aspects.with_added(
-        "reference", aspect_values(extract_references(report.raw_content))
-    )
+    content = report.raw_content
     if extractor is None:
         extractor = DefaultStructuredExtractor()
     structured = extractor.extract(report)
     # every extractor, the default included, must return verbatim spans
-    structured.validate(report.raw_content)
-    for slot in NER_SLOTS:
-        aspects = aspects.with_added(slot, aspect_values(structured.texts(slot)))
+    structured.validate(content)
+    aspects = report.aspects.with_added(
+        trigger_step=aspect_values(extract_trigger_step(content)),
+        verification_oracle=aspect_values(extract_verification_oracle(content)),
+        reference=aspect_values(extract_references(content)),
+        **{slot: aspect_values(structured.texts(slot)) for slot in NER_SLOTS},
+    )
     cve_ids = tuple(extract_cve_ids(report))
     return replace(report, cve_ids=cve_ids, aspects=aspects)
 

@@ -31,7 +31,7 @@ TEXT = ContentKind.decode("text")
 def _aspects(**slots):
     out = AspectSet()
     for slot, texts in slots.items():
-        out = out.with_added(slot, aspect_values(texts))
+        out = out.with_added(**{slot: aspect_values(texts)})
     return out
 
 

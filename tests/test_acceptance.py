@@ -264,7 +264,7 @@ def test_criterion_06_links_and_donations_respect_thresholds():
             raw_content="body",
             content_kind=text,
             cve_ids=(cve,),
-            aspects=AspectSet().with_added("author", aspect_values([f"by-{donor_id}"])),
+            aspects=AspectSet().with_added(author=aspect_values([f"by-{donor_id}"])),
         )
         return empty, full
 

@@ -416,6 +416,22 @@ def test_partial_ingestion_succeeds(tmp_path):
     assert main(["classify", "--workspace", str(ws)]) == 0
 
 
+def test_case_variant_header_labels_fill_their_slots(tmp_path):
+    # each label matches ignoring case, though its lowercase is no label
+    source = tmp_path / "edb.jsonl"
+    content = "# Tıtle: Foo\nPubliſhed: 2020-01-01\nTİTLE: x\nsome words\n"
+    source.write_text(
+        json.dumps({"id": "v1", "source": "ExploitDB", "content": content}) + "\n",
+        encoding="utf-8",
+    )
+    ws = tmp_path / "ws"
+    assert main(["run-all", "--workspace", str(ws), "--source", f"exploitdb={source}"]) == 0
+    (line,) = (ws / "corpus_extracted.jsonl").read_text(encoding="utf-8").splitlines()[1:]
+    aspects = json.loads(line)["aspects"]
+    assert [v["text"] for v in aspects["title"]] == ["Foo", "x"]
+    assert [v["text"] for v in aspects["publish_time"]] == ["2020-01-01"]
+
+
 def test_non_object_corpus_line_is_a_data_error(tmp_path, capsys):
     ws = tmp_path / "ws"
     assert main(base_argv("ingest", tmp_path)) == 0
@@ -628,6 +644,24 @@ def test_rerun_is_byte_identical(tmp_path):
     for path in ws.rglob("*"):
         if path.is_file():
             assert snapshot[path.relative_to(ws)] == path.read_bytes(), path
+
+
+def test_leftover_tmp_files_do_not_change_a_run(tmp_path):
+    """A run cut off mid-write leaves ``<name>.tmp`` beside its outputs; the
+    next run writes over them and leaves the workspace a clean run writes."""
+    run_stage("run-all", tmp_path, ws="clean")
+    clean = tmp_path / "clean"
+    files = {path.relative_to(clean): path.read_bytes() for path in clean.rglob("*") if path.is_file()}
+    assert sum(name.parent.name == "manifests" for name in files) == 6
+    dirty = tmp_path / "dirty"
+    for name in files:
+        leftover = dirty / name.with_name(name.name + ".tmp")
+        leftover.parent.mkdir(parents=True, exist_ok=True)
+        leftover.write_bytes(b'{"half a line\xff')
+    run_stage("run-all", tmp_path, ws="dirty")
+    assert {
+        path.relative_to(dirty): path.read_bytes() for path in dirty.rglob("*") if path.is_file()
+    } == files
 
 
 # (inputs, outputs) each stage's manifest hashes, written out by hand

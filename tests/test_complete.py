@@ -46,9 +46,9 @@ def report(rid, cve_ids=(), **slots):
     aspects = AspectSet()
     for slot, values in slots.items():
         if values and isinstance(values[0], AspectValue):
-            aspects = aspects.with_added(slot, values)
+            aspects = aspects.with_added(**{slot: values})
         else:
-            aspects = aspects.with_added(slot, aspect_values(values))
+            aspects = aspects.with_added(**{slot: aspect_values(values)})
     return PocReport(
         id=rid,
         source=EDB,

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import tempfile
@@ -125,29 +126,33 @@ def test_aspect_value_requires_text():
 
 
 def test_with_added_dedup_case_insensitive():
-    aspects = AspectSet().with_added("author", aspect_values(["Bob", " bob ", "alice"]))
+    aspects = AspectSet().with_added(author=aspect_values(["Bob", " bob ", "alice"]))
     assert aspects.texts("author") == ["Bob", "alice"]
     # a later duplicate with different provenance is still a duplicate
-    again = aspects.with_added("author", [AspectValue("BOB", FromCve("CVE-2020-1"))])
+    again = aspects.with_added(author=[AspectValue("BOB", FromCve("CVE-2020-1"))])
     assert again.texts("author") == ["Bob", "alice"]
 
 
 def test_with_added_unknown_slot():
     with pytest.raises(KeyError):
-        AspectSet().with_added("exploit_code", aspect_values(["x"]))
+        AspectSet().with_added(exploit_code=aspect_values(["x"]))
+    # also beside a known slot, or named like the set itself
+    with pytest.raises(KeyError):
+        AspectSet().with_added(title=aspect_values(["t"]), exploit_code=aspect_values(["x"]))
+    with pytest.raises(KeyError):
+        AspectSet().with_added(self=aspect_values(["x"]))
 
 
 def test_original_values_filters_provenance():
     aspects = AspectSet().with_added(
-        "title",
-        [AspectValue("mine", ORIGINAL), AspectValue("donated", FromPoc("p2", 0.9, "classifier"))],
+        title=[AspectValue("mine", ORIGINAL), AspectValue("donated", FromPoc("p2", 0.9, "classifier"))],
     )
     assert [v.text for v in aspects.original_values("title")] == ["mine"]
     assert aspects.filled_slots() == ["title"]
 
 
 def test_aspect_set_encode_skips_empty_slots():
-    aspects = AspectSet().with_added("reference", aspect_values(["https://a.example"]))
+    aspects = AspectSet().with_added(reference=aspect_values(["https://a.example"]))
     payload = aspects.encode()
     assert list(payload) == ["reference"]
     assert AspectSet.decode(payload) == aspects
@@ -165,7 +170,7 @@ def test_report_roundtrip():
         rid="rt",
         kind=code_kind(LanguageId.PHP),
         cve_ids=("CVE-2019-16113",),
-        aspects=AspectSet().with_added("author", aspect_values(["mn0"])),
+        aspects=AspectSet().with_added(author=aspect_values(["mn0"])),
     )
     again = PocReport.decode(report.encode())
     assert again == report
@@ -424,14 +429,14 @@ def test_corpus_save_load_roundtrip(tmp_path):
                 kind=code_kind(LanguageId.PYTHON),
                 cve_ids=("CVE-2014-0160",),
                 aspects=AspectSet().with_added(
-                    "title", [AspectValue("t", FromPoc("b", 0.5, "shared_cve:CVE-2014-0160"))]
+                    title=[AspectValue("t", FromPoc("b", 0.5, "shared_cve:CVE-2014-0160"))]
                 ),
             ),
             make_report("b", content="unicode éè"),
             make_report(
                 "c",
                 content=LINE_SEPARATORS,
-                aspects=AspectSet().with_added("author", [AspectValue(LINE_SEPARATORS)]),
+                aspects=AspectSet().with_added(author=[AspectValue(LINE_SEPARATORS)]),
             ),
         ]
     )
@@ -515,8 +520,8 @@ aspect_text = st.text(
 
 @given(st.lists(aspect_text, min_size=0, max_size=12))
 def test_with_added_idempotent(texts):
-    aspects = AspectSet().with_added("reference", aspect_values(texts))
-    again = aspects.with_added("reference", aspect_values(texts))
+    aspects = AspectSet().with_added(reference=aspect_values(texts))
+    again = aspects.with_added(reference=aspect_values(texts))
     assert again == aspects
     seen = [v.strip().lower() for v in aspects.texts("reference")]
     assert len(seen) == len(set(seen))
@@ -543,7 +548,7 @@ json_values = st.recursive(
 @example(content="\r\n \n", value="\u2028x\u0085", records=[{}, {"\u2029": ["\n"]}])
 def test_jsonl_roundtrip_property(content, value, records):
     """Save then load is the identity, and saving again gives the same bytes."""
-    aspects = AspectSet().with_added("title", [AspectValue(value)])
+    aspects = AspectSet().with_added(title=[AspectValue(value)])
     corpus = Corpus([make_report("a", content=content, aspects=aspects)])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "corpus.jsonl"
@@ -562,9 +567,9 @@ TEXT_KIND = ContentKind.decode("text")
 SAVED_FILES = {
     "corpus.jsonl": (save_corpus, load_corpus, Corpus([
         make_report("a", content="é\u2028x", cve_ids=("CVE-2014-0160",),
-                    aspects=AspectSet().with_added("author", aspect_values(["mn0"]))),
+                    aspects=AspectSet().with_added(author=aspect_values(["mn0"]))),
         make_report("b", kind=code_kind(LanguageId.PHP), aspects=AspectSet().with_added(
-            "title", [AspectValue("t", FromPoc("a", 0.5, "shared_cve:CVE-2014-0160"))])),
+            title=[AspectValue("t", FromPoc("a", 0.5, "shared_cve:CVE-2014-0160"))])),
     ])),
     "links.jsonl": (save_links, load_links, [
         PocLink("a", "b", SharedCve("CVE-2014-0160"), 0.75, TEXT_KIND),
@@ -634,8 +639,49 @@ def aspect_sets(draw):
     values = st.builds(AspectValue, aspect_text, st.just(ORIGINAL) | completed_origins)
     aspects = AspectSet()
     for slot in ASPECT_SLOTS:
-        aspects = aspects.with_added(slot, draw(st.lists(values, max_size=3)))
+        aspects = aspects.with_added(**{slot: draw(st.lists(values, max_size=3))})
     return aspects
+
+
+def added_to_one_slot(aspects, slot, values):
+    """``with_added`` as it was, one slot per call and one new set per call:
+    the reference the one-call form must equal."""
+    current = list(aspects.values(slot))
+    seen = {v.text.strip().lower() for v in current}
+    for value in values:
+        key = value.text.strip().lower()
+        if key in seen:
+            continue
+        seen.add(key)
+        current.append(value)
+    return dataclasses.replace(aspects, **{slot: tuple(current)})
+
+
+# few texts, so that values repeat up to case and surrounding blanks
+near_duplicates = st.builds(
+    AspectValue, st.sampled_from(["a", "A", " a ", "a\t", "ß", "SS", "b", "ab"]),
+    st.just(ORIGINAL) | completed_origins,
+)
+additions = st.dictionaries(st.sampled_from(ASPECT_SLOTS), st.lists(near_duplicates, max_size=4))
+
+
+@settings(derandomize=True, max_examples=150)
+@given(aspect_sets(), st.lists(additions, min_size=1, max_size=3))
+def test_with_added_equals_slot_by_slot_chain(aspects, calls):
+    expected = got = aspects
+    for call in calls:
+        for slot, values in call.items():
+            expected = added_to_one_slot(expected, slot, values)
+        got = got.with_added(**call)
+        assert got == expected
+    got.validate()
+
+
+def test_with_added_returns_self_when_nothing_is_new():
+    aspects = AspectSet().with_added(author=aspect_values(["Bob"]), title=aspect_values(["T"]))
+    assert aspects.with_added() is aspects
+    assert aspects.with_added(author=aspect_values([" bob "]), title=[], reference=[]) is aspects
+    assert aspects.with_added(author=aspect_values(["alice"])) is not aspects
 
 
 reports = st.builds(
@@ -684,7 +730,7 @@ EVERY_KIND = Corpus(
     make_report(
         f"r{n}",
         kind=kind,
-        aspects=AspectSet().with_added("title", [
+        aspects=AspectSet().with_added(title=[
             AspectValue("t"),
             AspectValue("u", FromCve("CVE-2014-0160")),
             AspectValue("v", FromPoc("r0", 0.3125, "classifier")),

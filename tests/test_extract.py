@@ -1,6 +1,8 @@
 import hashlib
 import json
 import re
+import string
+import sys
 from pathlib import Path
 
 import pytest
@@ -192,10 +194,13 @@ def _keyword_fragments() -> list[str]:
     keyword's letters only case-insensitively (long s, Kelvin sign), line
     ends, and word characters that can touch a keyword."""
     fragments = {"\n", "\r\n", "\r", " ", "_", "0", "7", "a", "x", "ſ", "K", "-", ":"}
+    # dotted capital and dotless i match "i" ignoring case; the others do
+    # not match an ASCII letter, and capital sigma lowers by context
+    fragments |= {"İ", "ı", "é", "ß", "Σ"}
     for word in TRIGGER_WORDS + ORACLE_WORDS:
         half = len(word) // 2
         fragments |= {word, word.upper(), word.title(), word[:half], word[half:]}
-    fragments |= {"ſteps", "STEPſ", "poc outpuT", "compile\nwith"}
+    fragments |= {"ſteps", "STEPſ", "poc outpuT", "compile\nwith", "COMPİLE WİTH", "complıe wıth"}
     return sorted(fragments)
 
 
@@ -220,6 +225,32 @@ def test_keyword_lines_at_line_edges():
     content = "steps\r\nxsteps\nsteps_\nſTEPS 1\nPoC Output\n\nexpected\noutput"
     assert extract._keyword_lines(extract._TRIGGER_KEYWORDS, content) == [0, 3]
     assert extract._keyword_lines(extract._ORACLE_KEYWORDS, content) == [4]
+
+
+# --- the case fold: case-sensitive scans of it match as re.IGNORECASE does ---------
+
+
+def test_fold_keeps_length_classes_and_ascii_letter_matches():
+    """For every code point, the fold is one character with the same ``\\w``
+    and ``\\s`` membership, a line break only for a line break, and ASCII
+    letter L exactly where L matches the code point ignoring case."""
+    step = 0x10000
+    for low in range(0, sys.maxunicode + 1, step):
+        chars = [chr(cp) for cp in range(low, min(low + step, sys.maxunicode + 1))]
+        folds = [extract.fold_case(ch) for ch in chars]
+        assert all(len(fold) == 1 for fold in folds), hex(low)
+        text, folded = "".join(chars), "".join(folds)
+        for pattern, flags in [(r"\w", 0), (r"\s", 0), ("\n", 0)] + [
+            (letter, re.IGNORECASE) for letter in string.ascii_lowercase
+        ]:
+            expected = [m.start() for m in re.finditer(pattern, text, flags)]
+            assert [m.start() for m in re.finditer(pattern, folded)] == expected, (hex(low), pattern)
+
+
+def test_fold_of_a_final_sigma_keeps_its_length():
+    # str.lower maps capital sigma by its context, to one letter either way
+    assert extract.fold_case("ΑΣ Σ") == "ας σ"
+    assert extract.fold_case("# TİTLE: ΑΣ") == "# title: ας"
 
 
 def _demo_and_fixture_texts() -> list[str]:
@@ -343,6 +374,62 @@ def test_header_comment_prefixes():
 def test_header_labels_case_insensitive():
     report = text_report("EXPLOIT TITLE: Big Bad Bug\n")
     assert extract_default(report).texts("title") == ["Big Bad Bug"]
+    # dotless i, long s and dotted capital I match ASCII letters ignoring case
+    report = text_report("# Tıtle: Foo\nPubliſhed: 2020-01-01\nTİTLE: x\n")
+    spans = extract_default(report)
+    assert spans.texts("title") == ["Foo", "x"]
+    assert spans.texts("publish_time") == ["2020-01-01"]
+
+
+# the header pattern as matched before the fold: case-insensitive over the
+# content itself
+IGNORECASE_HEADER_RE = re.compile(
+    r"^[ \t]*[#;*/<!-]{0,8}[ \t]*("
+    + "|".join(re.escape(label) for label in sorted(extract._LABEL_TO_SLOT))
+    + r")[ \t]*:[ \t]*(\S.*)$",
+    re.IGNORECASE | re.MULTILINE,
+)
+
+
+def _label_variants() -> list[str]:
+    """Every label in several cases and with letters that match an ASCII
+    letter only ignoring case, and words that are no label."""
+    variants = {"titl", "authors", "Σ", "K", "é"}
+    for label in extract._LABEL_TO_SLOT:
+        variants |= {label, label.upper(), label.title(), label.replace("s", "ſ")}
+        variants |= {label.replace("i", "ı"), label.upper().replace("I", "İ")}
+    return sorted(variants)
+
+
+# lines made of a comment prefix, a label, a separator and a value, or parts
+# of them, ended by a line break or run into the next
+header_line = st.tuples(
+    st.sampled_from(["", " ", "\t", "#", "# ", "//", "/* ", "<!-- ", "* ", "-- ", "x", "é"]),
+    st.sampled_from(_label_variants()),
+    st.sampled_from([":", " : ", "\t:", "", " ", "_:"]),
+    st.sampled_from(["Foo", "x, y", " Foo */", " -->", "", " ", "é", "ß Σ", "K"]),
+    st.sampled_from(["\n", "\r\n", " ", ""]),
+).map("".join)
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(st.lists(header_line, max_size=6).map("".join))
+def test_header_matches_equal_ignorecase_matches(content):
+    def label_of(text):
+        (label,) = [
+            label for label in extract._LABEL_TO_SLOT
+            if re.fullmatch(re.escape(label), text, re.IGNORECASE)
+        ]
+        return label
+
+    expected = [
+        (label_of(m.group(1)), m.span(1), m.span(2)) for m in IGNORECASE_HEADER_RE.finditer(content)
+    ]
+    folded = extract.fold_case(content)
+    assert [
+        (m.group(1), m.span(1), m.span(2)) for m in extract._HEADER_RE.finditer(folded)
+    ] == expected
+    extract_default(text_report(content))
 
 
 def test_split_slots_comma():
@@ -468,7 +555,7 @@ def test_extract_all_preserves_ingested_values():
         source=report.source,
         raw_content=report.raw_content,
         content_kind=report.content_kind,
-        aspects=report.aspects.with_added("title", aspect_values(["from header"])),
+        aspects=report.aspects.with_added(title=aspect_values(["from header"])),
     )
     out = extract_all(seeded)
     # extracted duplicate differs only by case and is folded away

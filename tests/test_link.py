@@ -46,9 +46,9 @@ PY = code_kind(LanguageId.PYTHON)
 def report(rid, content="x", kind=TEXT, cve_ids=(), title=None, version=None):
     aspects = AspectSet()
     if title:
-        aspects = aspects.with_added("title", aspect_values([title]))
+        aspects = aspects.with_added(title=aspect_values([title]))
     if version:
-        aspects = aspects.with_added("software_version", aspect_values([version]))
+        aspects = aspects.with_added(software_version=aspect_values([version]))
     return PocReport(
         id=rid,
         source=EDB,
@@ -352,7 +352,7 @@ def test_software_names_original_only():
         raw_content=r.raw_content,
         content_kind=r.content_kind,
         aspects=r.aspects.with_added(
-            "title", [AspectValue("OtherTool 9 - x", FromPoc("d", 0.9, "classifier"))]
+            title=[AspectValue("OtherTool 9 - x", FromPoc("d", 0.9, "classifier"))]
         ),
     )
     assert software_names(enriched) == ("NetLine Mail", "OtherTool")

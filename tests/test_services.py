@@ -71,7 +71,7 @@ def closed_port_url():
 def text_report(rid, content, title=None):
     aspects = AspectSet()
     if title:
-        aspects = aspects.with_added("title", aspect_values([title]))
+        aspects = aspects.with_added(title=aspect_values([title]))
     return PocReport(
         id=rid,
         source=EDB,
