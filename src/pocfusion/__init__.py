@@ -17,8 +17,6 @@ from .corpus import (
     LanguageId,
     Original,
     PocReport,
-    SourceId,
-    SourceName,
     aspect_values,
     build_corpus,
     code_kind,
@@ -29,6 +27,7 @@ from .corpus import (
     load_cve_db,
     save_corpus,
     save_cve_db,
+    source_name,
 )
 from .cveid import find_cve_ids, normalize_cve_id
 from .classify import LanguageSignature, categorize, detect_language, load_signatures

@@ -30,10 +30,10 @@ from .complete import (
 from .corpus import (
     Corpus,
     CorpusError,
-    SourceId,
     build_corpus,
     ingest_cve_entries,
     ingest_reports,
+    json_object,
     load_corpus,
     load_cve_db,
     save_corpus,
@@ -272,18 +272,26 @@ def write_manifest(
     inputs: dict[str, Path],
     outputs: list[str],
     extra: dict | None = None,
-) -> None:
+    digests: dict[str, str] | None = None,
+) -> dict[str, str]:
+    """Write a stage's manifest and return the SHA-256 of each output, by
+    name. An input whose digest ``digests`` holds is not hashed again."""
+    digests = digests or {}
+    written = {name: _sha256_file(ws / name) for name in sorted(outputs)}
     manifest = {
         "stage": stage,
         "config_hash": config_hash(config),
-        "inputs": {name: _sha256_file(path) for name, path in sorted(inputs.items())},
-        "outputs": {name: _sha256_file(ws / name) for name in sorted(outputs)},
+        "inputs": {
+            name: digests.get(name) or _sha256_file(path) for name, path in sorted(inputs.items())
+        },
+        "outputs": written,
     }
     if extra:
         manifest.update(extra)
     write_atomic(
         ws / MANIFEST_DIR / f"{stage}.json", [json.dumps(manifest, indent=2, sort_keys=True) + "\n"]
     )
+    return written
 
 
 def _require(ws: Path, filename: str) -> Path:
@@ -293,6 +301,29 @@ def _require(ws: Path, filename: str) -> Path:
             f"workspace is missing {filename}; run 'pocfusion {_FILES[filename][0]}' first"
         )
     return path
+
+
+def _verified_digest(ws: Path, filename: str) -> str:
+    """The SHA-256 of a workspace file, which must be the digest its
+    writer's manifest lists for it: a file cut or changed since its stage
+    ran is refused."""
+    writer = _FILES[filename][0]
+    manifest = ws / MANIFEST_DIR / f"{writer}.json"
+    if not manifest.is_file():
+        raise PrerequisiteError(
+            f"workspace is missing {MANIFEST_DIR}/{writer}.json; run 'pocfusion {writer}' again"
+        )
+    try:
+        outputs = json_object(manifest.read_text(encoding="utf-8")).get("outputs")
+    except ValueError as exc:
+        raise CorpusError(f"{manifest}: unreadable manifest: {exc}") from exc
+    digest = _sha256_file(ws / filename)
+    if not isinstance(outputs, dict) or outputs.get(filename) != digest:
+        raise CorpusError(
+            f"{ws / filename} does not match its digest in {manifest}; "
+            f"run 'pocfusion {writer}' again"
+        )
+    return digest
 
 
 class WorkspaceLock:
@@ -332,7 +363,7 @@ def _source_files(config: PipelineConfig) -> dict[str, Path]:
 
 
 def stage_ingest(config: PipelineConfig, ws: Path, inputs: dict) -> _StageResult:
-    groups = [ingest_reports(path, SourceId.parse(name)) for name, path in config.sources]
+    groups = [ingest_reports(path, name) for name, path in config.sources]
     corpus = build_corpus(groups)
     if len(corpus) == 0:
         raise CorpusError("no reports survived ingestion")
@@ -448,12 +479,14 @@ def run_command(command: str, config: PipelineConfig) -> None:
 
     A stage gets its inputs decoded. An input that an earlier stage of this
     command wrote is handed over as the object that stage saved, and is
-    dropped after its last reader; any other input is loaded from disk."""
+    dropped after its last reader; any other input is loaded from disk, then
+    checked against the digest its writer's manifest lists."""
     ws = Path(config.workspace)
     ws.mkdir(parents=True, exist_ok=True)
     (ws / MANIFEST_DIR).mkdir(exist_ok=True)
     stages = STAGES if command == "run-all" else (command,)
     kept: dict[str, object] = {}  # written by this command, read by a later stage
+    digests: dict[str, str] = {}  # workspace file -> SHA-256, as its manifest lists it
     with WorkspaceLock(ws):
         for at, stage in enumerate(stages):
             logger.info("running stage %s", stage)
@@ -463,10 +496,13 @@ def run_command(command: str, config: PipelineConfig) -> None:
                 name: kept[name] if name in kept else _FILES[name][1](path)
                 for name, path in paths.items()
             }
+            for name in reads:
+                if name not in digests:
+                    digests[name] = _verified_digest(ws, name)
             written, extra = run(config, ws, inputs)
             if stage == "ingest":
                 paths.update(_source_files(config))
-            write_manifest(ws, stage, config, paths, list(written), extra)
+            digests.update(write_manifest(ws, stage, config, paths, list(written), extra, digests))
             later = {name for after in stages[at + 1:] for name in _STAGES[after][1]}
             kept = {name: value for name, value in {**kept, **written}.items() if name in later}
 

@@ -100,19 +100,23 @@ def verify_association(report: PocReport, entry: CveEntry) -> bool:
     return any(n in p or p in n for n in names for p in products)
 
 
-def _append_missing(
-    report: PocReport,
-    slot: str,
-    values: Sequence[str],
-    origin: Provenance,
-    run_id: str,
+def _fill(
+    report: PocReport, origin: Provenance, run_id: str, /, **texts: Iterable[str]
 ) -> tuple[PocReport, list[CompletionRecord]]:
-    before = len(report.aspects.values(slot))
-    aspects = report.aspects.with_added(**{slot: aspect_values(values, origin)})
-    added = aspects.values(slot)[before:]
-    if not added:
+    """Add values to slots in one step, given as one keyword argument per
+    slot: the report holding them, and one record per value it lacked, slot
+    by slot in argument order."""
+    before = report.aspects
+    aspects = before.with_added(
+        **{slot: aspect_values(values, origin) for slot, values in texts.items()}
+    )
+    if aspects is before:
         return report, []
-    records = [CompletionRecord(run_id, report.id, slot, v.text, origin) for v in added]
+    records = [
+        CompletionRecord(run_id, report.id, slot, value.text, origin)
+        for slot in texts
+        for value in aspects.values(slot)[len(before.values(slot)):]
+    ]
     return replace(report, aspects=aspects), records
 
 
@@ -128,14 +132,13 @@ def complete_from_cve(
         raise ValueError(
             f"association between {report.id} and {entry.cve_id} failed verification"
         )
-    origin = FromCve(entry.cve_id)
-    report, version_records = _append_missing(
-        report, "software_version", entry.all_versions(), origin, run_id
+    return _fill(
+        report,
+        FromCve(entry.cve_id),
+        run_id,
+        software_version=entry.all_versions(),
+        test_platform=entry.platforms,
     )
-    report, platform_records = _append_missing(
-        report, "test_platform", list(entry.platforms), origin, run_id
-    )
-    return report, version_records + platform_records
 
 
 def complete_from_poc(
@@ -158,19 +161,15 @@ def complete_from_poc(
             f"link similarity {link.similarity} below the "
             f"{link.kind.encode()} threshold"
         )
-    origin = FromPoc(donor.id, link.similarity, link.basis_text)
-    records: list[CompletionRecord] = []
+    donated = {}
     for slot in ASPECT_SLOTS:
-        if target.aspects.values(slot):
-            continue
-        donated = donor.aspects.original_values(slot)
-        if not donated:
-            continue
-        target, slot_records = _append_missing(
-            target, slot, [v.text for v in donated], origin, run_id
-        )
-        records.extend(slot_records)
-    return target, records
+        if not target.aspects.values(slot):
+            texts = [value.text for value in donor.aspects.original_values(slot)]
+            if texts:
+                donated[slot] = texts
+    if not donated:
+        return target, []
+    return _fill(target, FromPoc(donor.id, link.similarity, link.basis_text), run_id, **donated)
 
 
 def _derive_run_id(

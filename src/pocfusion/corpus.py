@@ -52,47 +52,33 @@ class CorpusError(ValueError):
     """Fatal corpus-level failure (unreadable file, version mismatch, broken invariant)."""
 
 
-class SourceName(str, Enum):
-    EXPLOITDB = "ExploitDB"
-    PACKETSTORM = "PacketStorm"
-    SEEBUG = "Seebug"
-    CXSECURITY = "CXSecurity"
-    OTHER = "Other"
-
-
+# every alias, each display name lowercased among them, -> the display name
 _SOURCE_ALIASES = {
-    "exploitdb": SourceName.EXPLOITDB,
-    "exploit-db": SourceName.EXPLOITDB,
-    "packetstorm": SourceName.PACKETSTORM,
-    "packet storm": SourceName.PACKETSTORM,
-    "packet_storm": SourceName.PACKETSTORM,
-    "seebug": SourceName.SEEBUG,
-    "cxsecurity": SourceName.CXSECURITY,
+    "exploitdb": "ExploitDB",
+    "exploit-db": "ExploitDB",
+    "packetstorm": "PacketStorm",
+    "packet storm": "PacketStorm",
+    "packet_storm": "PacketStorm",
+    "seebug": "Seebug",
+    "cxsecurity": "CXSecurity",
 }
 
 
-@dataclass(frozen=True)
+def source_name(text: str) -> str:
+    """The canonical name of a report's source: the display name of one of
+    the four supported platforms for any of its aliases, in any case and
+    padding, else the text itself, stripped. Blank text is a ``ValueError``."""
+    stripped = text.strip()
+    if not stripped:
+        raise ValueError("source name is empty")
+    return _SOURCE_ALIASES.get(stripped.lower(), stripped)
+
+
 class SourceId:
-    """One of the four supported report platforms, or a labelled extra source."""
+    """``bench/tests/test_bench.py`` still imports this name: ``parse`` is
+    :func:`source_name`. It goes with that benchmark's next change."""
 
-    name: SourceName
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        if self.name is SourceName.OTHER and not self.label.strip():
-            raise ValueError("Other source requires a non-empty label")
-        if self.name is not SourceName.OTHER and self.label:
-            raise ValueError(f"label is only valid for Other sources, got {self.label!r}")
-
-    @classmethod
-    def parse(cls, text: str) -> "SourceId":
-        known = _SOURCE_ALIASES.get(text.strip().lower())
-        if known is not None:
-            return cls(known)
-        return cls(SourceName.OTHER, label=text.strip())
-
-    def display(self) -> str:
-        return self.label if self.name is SourceName.OTHER else self.name.value
+    parse = staticmethod(source_name)
 
 
 class Kind(str, Enum):
@@ -344,7 +330,7 @@ class PocReport:
     """A single PoC document and everything derived from it."""
 
     id: str
-    source: SourceId
+    source: str
     raw_content: str
     content_kind: ContentKind = UNCLASSIFIED
     cve_ids: tuple[str, ...] = ()
@@ -353,6 +339,8 @@ class PocReport:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("report id is empty")
+        if source_name(self.source) != self.source:
+            raise ValueError(f"non-canonical source on report {self.id}: {self.source!r}")
         for cve_id in self.cve_ids:
             if normalize_cve_id(cve_id) != cve_id:
                 raise ValueError(f"non-canonical CVE id on report {self.id}: {cve_id!r}")
@@ -360,7 +348,7 @@ class PocReport:
     def encode(self) -> dict:
         return {
             "id": self.id,
-            "source": self.source.display(),
+            "source": self.source,
             "content": self.raw_content,
             "content_kind": self.content_kind.encode(),
             "cve_ids": list(self.cve_ids),
@@ -371,7 +359,7 @@ class PocReport:
     def decode(cls, data: dict) -> "PocReport":
         return cls(
             id=data["id"],
-            source=SourceId.parse(data["source"]),
+            source=source_name(data["source"]),
             raw_content=data["content"],
             content_kind=ContentKind.decode(data["content_kind"]),
             cve_ids=tuple(data["cve_ids"]),
@@ -511,8 +499,11 @@ def _field_values(record: dict, field_name: str, path: Path, lineno: int) -> lis
     return values
 
 
-def ingest_reports(path: str | Path, source: SourceId) -> list[PocReport]:
+def ingest_reports(path: str | Path, source: str) -> list[PocReport]:
     """Load one source's report file into unclassified reports.
+
+    A record is kept when its ``source`` names the declared source: both
+    canonicalize by :func:`source_name` to the same name, ignoring case.
 
     Pre-extracted optional fields (title, author, publish_time, platform,
     version, references, cve_ids) are mapped into aspect slots with Original
@@ -522,18 +513,17 @@ def ingest_reports(path: str | Path, source: SourceId) -> list[PocReport]:
     path = Path(path)
     reports: list[PocReport] = []
     seen_ids: set[str] = set()
-    # the labels of other sources match case-insensitively, as platform names do
-    declared = (source.name, source.label.lower())
+    source = source_name(source)
+    declared = source.lower()
     for lineno, record in _source_records(path):
         error = _record_error(record)
         if error is not None:
             logger.warning("%s:%d: skipping record: %s", path, lineno, error)
             continue
-        record_source = SourceId.parse(record["source"])
-        if (record_source.name, record_source.label.lower()) != declared:
+        if source_name(record["source"]).lower() != declared:
             logger.warning(
                 "%s:%d: skipping record %r: source %r does not match declared %r",
-                path, lineno, record["id"], record["source"], source.display(),
+                path, lineno, record["id"], record["source"], source,
             )
             continue
         if record["id"] in seen_ids:

@@ -92,12 +92,24 @@ def _find_step_items(lines: list[str]) -> list[tuple[int, int, int, int]]:
     the marker, indent)."""
     items = []
     for lineno, line in enumerate(lines):
+        # skip a line no pattern can match: after at most 8 blanks a marker
+        # starts with a digit (str.isdigit holds for every \d), the "s" of
+        # "step", or a letter and ")"; a tuple, as "" is in any string
+        head = line.lstrip(" \t")
+        indent = len(line) - len(head)
+        first = head[:1]
+        if indent > 8 or not (
+            first.isdigit()
+            or first in ("S", "s")
+            or ("a" <= first <= "z" and head[1:2] == ")")
+        ):
+            continue
         for index, pattern in enumerate(_STEP_LIST_PATTERNS):
             m = pattern.match(line)
             if m:
                 marker = m.group(1)
                 value = int(marker) if marker.isdigit() else ord(marker)
-                items.append((lineno, index, value, _indent_of(line)))
+                items.append((lineno, index, value, indent))
                 break
     return items
 

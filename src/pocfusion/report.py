@@ -38,7 +38,7 @@ def deficiency_stats(corpus: Corpus) -> Table:
     present: dict[str, list[int]] = {}  # source -> reports with each slot
     totals: dict[str, int] = {}  # source -> report count
     for report in corpus:
-        source = report.source.display()
+        source = report.source
         counts = present.setdefault(source, [0] * len(ASPECT_SLOTS))
         totals[source] = totals.get(source, 0) + 1
         for index, slot in enumerate(ASPECT_SLOTS):
@@ -70,12 +70,12 @@ def completion_stats(records: Sequence[CompletionRecord], corpus: Corpus) -> Tab
     targets: dict[tuple[str, str, str], set[str]] = {}
     values: dict[tuple[str, str, str], int] = {}
     for record in records:
-        source = corpus.get(record.target).source.display()
+        source = corpus.get(record.target).source
         key = (source, record.slot, record.origin.encode()["kind"])
         targets.setdefault(key, set()).add(record.target)
         values[key] = values.get(key, 0) + 1
     rows = []
-    for source in dict.fromkeys(report.source.display() for report in corpus):
+    for source in dict.fromkeys(report.source for report in corpus):
         for slot in ASPECT_SLOTS:
             for origin in ORIGIN_KINDS:
                 key = (source, slot, origin)

@@ -17,7 +17,6 @@ from pocfusion import (
     PocLink,
     PocReport,
     SharedCve,
-    SourceId,
     aspect_values,
     code_kind,
 )
@@ -36,7 +35,7 @@ def _aspects(**slots):
 
 
 def build_reports() -> Corpus:
-    src = SourceId.parse("ExploitDB")
+    src = "ExploitDB"
     return Corpus(
         [
             PocReport(

@@ -11,7 +11,7 @@ of contents, placeholder header values).
 import json
 from pathlib import Path
 
-from pocfusion import AspectSet, ContentKind, Corpus, PocReport, SourceId
+from pocfusion import AspectSet, ContentKind, Corpus, PocReport
 
 # fixture = {id, source, kind, content, gold}; absent gold slots mean "none"
 GOLD_FIXTURES = [
@@ -1368,7 +1368,7 @@ def build_reports() -> list[PocReport]:
     return [
         PocReport(
             id=f["id"],
-            source=SourceId.parse(f["source"]),
+            source=f["source"],
             raw_content=f["content"],
             content_kind=ContentKind.decode(f["kind"]),
         )

@@ -25,7 +25,6 @@ from pocfusion import (
     PocReport,
     ScoringModels,
     SharedCve,
-    SourceId,
     aspect_values,
     build_link_graph,
     build_pair_training_set,
@@ -206,7 +205,7 @@ def test_criterion_05_fusion_matches_hand_computed_output():
 def _straddle_report(rid, content, kind, cve):
     return PocReport(
         id=rid,
-        source=SourceId.parse("ExploitDB"),
+        source="ExploitDB",
         raw_content=content,
         content_kind=kind,
         cve_ids=(cve,),
@@ -260,7 +259,7 @@ def test_criterion_06_links_and_donations_respect_thresholds():
         empty = _straddle_report(rid, "body", text, cve)
         full = PocReport(
             id=donor_id,
-            source=SourceId.parse("ExploitDB"),
+            source="ExploitDB",
             raw_content="body",
             content_kind=text,
             cve_ids=(cve,),
@@ -357,7 +356,7 @@ def test_criterion_09_training_set_builder():
             reports.append(
                 PocReport(
                     id=f"g{group:02d}r{member}",
-                    source=SourceId.parse("ExploitDB"),
+                    source="ExploitDB",
                     raw_content="body",
                     content_kind=text,
                     cve_ids=(f"CVE-2020-{1000 + group}",),

@@ -10,7 +10,6 @@ from pocfusion import (
     Kind,
     LanguageId,
     PocReport,
-    SourceId,
     categorize,
     detect_language,
     load_signatures,
@@ -30,7 +29,7 @@ affected service to trusted networks only and monitor the audit log.
 
 
 def unclassified(content, rid="p1"):
-    return PocReport(id=rid, source=SourceId.parse("ExploitDB"), raw_content=content)
+    return PocReport(id=rid, source="ExploitDB", raw_content=content)
 
 
 def test_signature_table_covers_all_languages():

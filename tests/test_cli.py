@@ -567,6 +567,55 @@ def test_each_missing_input_names_its_producer(full_workspace, tmp_path, capsys,
     assert not (ws / ".lock").exists()
 
 
+@pytest.mark.parametrize(
+    "stage, name",
+    [pytest.param(stage, name, id=f"{stage}-{name}")
+     for stage, name in STAGE_INPUTS],
+)
+def test_input_cut_on_a_line_boundary_is_a_data_error(
+    full_workspace, tmp_path, capsys, stage, name
+):
+    ws = tmp_path / "ws"
+    shutil.copytree(full_workspace, ws)
+    path = ws / name
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    assert lines
+    # every line that is left decodes: only the writer's digest shows the cut
+    path.write_text("".join(line + "\n" for line in lines[:-1]), encoding="utf-8")
+    assert main([stage, "--workspace", str(ws)]) == 4
+    message = last_error(capsys)["message"]
+    assert str(path) in message
+    assert str(ws / "manifests" / f"{PRODUCERS[name]}.json") in message
+    assert not (ws / ".lock").exists()
+
+
+@pytest.mark.parametrize(
+    "stage, name",
+    [pytest.param(stage, name, id=f"{stage}-{name}")
+     for stage, name in STAGE_INPUTS],
+)
+def test_missing_writer_manifest_names_the_stage_to_rerun(
+    full_workspace, tmp_path, capsys, stage, name
+):
+    ws = tmp_path / "ws"
+    shutil.copytree(full_workspace, ws)
+    (ws / "manifests" / f"{PRODUCERS[name]}.json").unlink()
+    assert main([stage, "--workspace", str(ws)]) == 3
+    assert last_error(capsys)["message"] == (
+        f"workspace is missing manifests/{PRODUCERS[name]}.json; "
+        f"run 'pocfusion {PRODUCERS[name]}' again"
+    )
+
+
+def test_unreadable_writer_manifest_is_a_data_error(full_workspace, tmp_path, capsys):
+    ws = tmp_path / "ws"
+    shutil.copytree(full_workspace, ws)
+    manifest = ws / "manifests" / "link.json"
+    manifest.write_text("[]\n", encoding="utf-8")
+    assert main(["complete", "--workspace", str(ws)]) == 4
+    assert f"{manifest}: unreadable manifest" in last_error(capsys)["message"]
+
+
 # --- pipeline stages ------------------------------------------------------------------
 
 

@@ -14,7 +14,6 @@ from pocfusion import (
     PocLink,
     PocReport,
     SharedCve,
-    SourceId,
     aspect_values,
     code_kind,
     complete_from_cve,
@@ -38,7 +37,7 @@ from fusion_fixture import (
     check_enriched,
 )
 
-EDB = SourceId.parse("ExploitDB")
+EDB = "ExploitDB"
 TEXT = ContentKind.decode("text")
 
 

@@ -23,8 +23,6 @@ from pocfusion import (
     ORIGINAL,
     Original,
     PocReport,
-    SourceId,
-    SourceName,
     aspect_values,
     build_corpus,
     code_kind,
@@ -35,6 +33,7 @@ from pocfusion import (
     load_cve_db,
     save_corpus,
     save_cve_db,
+    source_name,
 )
 from pocfusion.complete import CompletionRecord, load_completion_records, save_completion_records
 from pocfusion.corpus import read_jsonl, write_jsonl as write_records
@@ -43,7 +42,7 @@ from pocfusion.link import PocLink, SharedCve, load_links, save_links
 # str.splitlines breaks at these; JSON strings hold them raw with ensure_ascii=False
 LINE_SEPARATORS = "a\u2028b\u2029c\u0085d"
 
-EDB = SourceId.parse("ExploitDB")
+EDB = "ExploitDB"
 
 
 def make_report(rid="r1", content="x", kind=ContentKind.decode("text"), **kw):
@@ -77,21 +76,57 @@ def test_language_enum_order():
     ]
 
 
-def test_source_parse_aliases():
-    assert SourceId.parse("exploit-db") == EDB
-    assert SourceId.parse("PACKETSTORM").name is SourceName.PACKETSTORM
-    other = SourceId.parse("0day.today")
-    assert other.name is SourceName.OTHER
-    assert other.label == "0day.today"
-    assert other.display() == "0day.today"
-    assert EDB.display() == "ExploitDB"
+# text -> its canonical source name
+SOURCE_NAMES = {
+    "exploitdb": "ExploitDB",
+    "exploit-db": "ExploitDB",
+    "packetstorm": "PacketStorm",
+    "packet storm": "PacketStorm",
+    "packet_storm": "PacketStorm",
+    "seebug": "Seebug",
+    "cxsecurity": "CXSecurity",
+    # display names, case and padding
+    "ExploitDB": "ExploitDB",
+    "PACKETSTORM": "PacketStorm",
+    "  Packet Storm\t": "PacketStorm",
+    "\nSeeBug ": "Seebug",
+    "CXSecurity": "CXSecurity",
+    # any other source is its own name, stripped, with its case
+    "0day.today": "0day.today",
+    "  NVD ": "NVD",
+    "nvd": "nvd",
+    "Other": "Other",
+    "exploit db": "exploit db",
+}
 
 
-def test_source_label_only_for_other():
-    with pytest.raises(ValueError):
-        SourceId(SourceName.SEEBUG, label="extra")
-    with pytest.raises(ValueError):
-        SourceId(SourceName.OTHER)
+def test_source_name():
+    for text, name in SOURCE_NAMES.items():
+        assert source_name(text) == name, text
+        assert source_name(name) == name, name
+
+
+def test_blank_source_name_is_an_error():
+    for text in ("", " ", "\t\n"):
+        with pytest.raises(ValueError):
+            source_name(text)
+
+
+def test_report_source_is_canonical():
+    assert PocReport.decode(make_report().encode() | {"source": " exploit-db"}).source == EDB
+    for text in ("exploitdb", " ExploitDB", "nvd ", " "):
+        with pytest.raises(ValueError):
+            PocReport(id="r1", source=text, raw_content="x")
+
+
+def test_blank_source_in_a_corpus_file_names_its_line(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(Corpus([make_report("a"), make_report("b")]), path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[2] = json.dumps({**json.loads(lines[2]), "source": " "})
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(CorpusError, match=f"{path}:3: "):
+        load_corpus(path)
 
 
 def test_content_kind_roundtrip():
@@ -687,8 +722,8 @@ def test_with_added_returns_self_when_nothing_is_new():
 reports = st.builds(
     PocReport,
     id=report_ids,
-    # parsing a name gives the source a report is saved and loaded as
-    source=st.text(min_size=1, max_size=10).filter(str.strip).map(SourceId.parse),
+    # a report is saved and loaded with its canonical source name
+    source=st.text(min_size=1, max_size=10).filter(str.strip).map(source_name),
     raw_content=st.text(),
     content_kind=st.sampled_from(CONTENT_KINDS),
     cve_ids=st.lists(cve_ids, unique=True, max_size=3).map(tuple),
@@ -830,9 +865,47 @@ def test_ingest_reports_matches_other_source_labels_case_insensitively(tmp_path,
             {"id": "c", "source": "osv", "content": "z"},
         ],
     )
-    declared = SourceId.parse("nvd")
-    reports = ingest_reports(path, declared)
+    reports = ingest_reports(path, "nvd")
     assert [r.id for r in reports] == ["a", "b"]
     # every report carries the declared source
-    assert {r.source for r in reports} == {declared}
+    assert {r.source for r in reports} == {"nvd"}
     assert "'osv' does not match declared 'nvd'" in caplog.text
+
+
+# The rule ingest followed while a source was a (platform, label) pair: an
+# alias named a platform with an empty label; any other text was an "Other"
+# source labelled with that text stripped, and labels compared ignoring case.
+_PAIR_ALIASES = {
+    "exploitdb": "EXPLOITDB",
+    "exploit-db": "EXPLOITDB",
+    "packetstorm": "PACKETSTORM",
+    "packet storm": "PACKETSTORM",
+    "packet_storm": "PACKETSTORM",
+    "seebug": "SEEBUG",
+    "cxsecurity": "CXSECURITY",
+}
+
+
+def _pair_key(text):
+    known = _PAIR_ALIASES.get(text.strip().lower())
+    return (known, "") if known else ("OTHER", text.strip().lower())
+
+
+SOURCE_TEXTS = [
+    "ExploitDB", "exploitdb", "Exploit-DB", " exploit-db ", "exploit db",
+    "PacketStorm", "packet storm", "PACKET_STORM", "Seebug", "SEEBUG\t",
+    "CXSecurity", "cxsecurity", "nvd", "NVD", " Nvd ", "osv", "Other", "other",
+    "0day.today", "Packet-Storm",
+]
+
+
+@pytest.mark.parametrize("declared", SOURCE_TEXTS)
+def test_ingest_keeps_the_records_the_pair_rule_kept(tmp_path, declared):
+    path = tmp_path / "src.jsonl"
+    write_jsonl(path, [
+        {"id": f"r{i}", "source": text, "content": "x"} for i, text in enumerate(SOURCE_TEXTS)
+    ])
+    kept = [r.id for r in ingest_reports(path, declared)]
+    assert kept == [
+        f"r{i}" for i, text in enumerate(SOURCE_TEXTS) if _pair_key(text) == _pair_key(declared)
+    ]

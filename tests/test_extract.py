@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pocfusion import (
     ASPECT_SLOTS,
@@ -14,7 +14,6 @@ from pocfusion import (
     DefaultStructuredExtractor,
     ExtractionError,
     PocReport,
-    SourceId,
     StructuredExtraction,
     aspect_values,
     code_kind,
@@ -32,7 +31,7 @@ from pocfusion.extract import SlotSpan, load_gold_annotations
 
 from gold_corpus import GOLD_FIXTURES
 
-EDB = SourceId.parse("ExploitDB")
+EDB = "ExploitDB"
 TEXT = ContentKind.decode("text")
 
 
@@ -225,6 +224,43 @@ def test_keyword_lines_at_line_edges():
     content = "steps\r\nxsteps\nsteps_\nſTEPS 1\nPoC Output\n\nexpected\noutput"
     assert extract._keyword_lines(extract._TRIGGER_KEYWORDS, content) == [0, 3]
     assert extract._keyword_lines(extract._ORACLE_KEYWORDS, content) == [4]
+
+
+def ungated_step_items(lines):
+    """Every line tried against the three list-marker patterns, with no gate
+    in front of them."""
+    items = []
+    for lineno, line in enumerate(lines):
+        for index, pattern in enumerate(extract._STEP_LIST_PATTERNS):
+            m = pattern.match(line)
+            if m:
+                marker = m.group(1)
+                value = int(marker) if marker.isdigit() else ord(marker)
+                items.append((lineno, index, value, len(line) - len(line.lstrip(" \t"))))
+                break
+    return items
+
+
+# "٣" is a decimal digit that is not ASCII; "²" is a digit to str.isdigit but
+# not to \d
+STEP_FRAGMENTS = [
+    "٣", "²", "1", "12", "a)", "z)", "A)", "é)", "Step 2:", "sTeP 3)", "step", "S", "s",
+    ".", ")", ":", " ", "\t", "x",
+]
+step_lines = st.lists(
+    st.tuples(
+        st.text(alphabet=" \t", max_size=10),
+        st.lists(st.sampled_from(STEP_FRAGMENTS), max_size=5).map("".join),
+    ).map("".join),
+    max_size=12,
+)
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(step_lines)
+@example(["٣. x", "². x", "  a) y", "\t\tStep 2: z", "sTeP 3) w", "", " " * 9 + "1. deep"])
+def test_gated_step_items_equal_the_three_pattern_loop(lines):
+    assert extract._find_step_items(lines) == ungated_step_items(lines)
 
 
 # --- the case fold: case-sensitive scans of it match as re.IGNORECASE does ---------

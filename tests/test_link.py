@@ -16,7 +16,6 @@ from pocfusion import (
     PocReport,
     ScoringModels,
     SharedCve,
-    SourceId,
     aspect_values,
     below_threshold,
     build_link_graph,
@@ -38,7 +37,7 @@ from pocfusion.corpus import AspectSet, ContentKind, read_jsonl, write_jsonl
 from pocfusion.link import save_pair_samples, title_text
 from pocfusion.similarity import cosine_similarity, tokenize_code, tokenize_text
 
-EDB = SourceId.parse("ExploitDB")
+EDB = "ExploitDB"
 TEXT = ContentKind.decode("text")
 PY = code_kind(LanguageId.PYTHON)
 

@@ -6,7 +6,6 @@ from pocfusion import (
     Corpus,
     FromCve,
     PocReport,
-    SourceId,
     aspect_values,
     completion_stats,
     deficiency_stats,
@@ -29,7 +28,7 @@ def report(rid, source, **slots):
             aspects = aspects.with_added(**{slot: aspect_values(values)})
     return PocReport(
         id=rid,
-        source=SourceId.parse(source),
+        source=source,
         raw_content="text",
         content_kind=TEXT,
         aspects=aspects,

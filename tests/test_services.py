@@ -19,7 +19,6 @@ from pocfusion import (
     HeuristicPairClassifier,
     PocReport,
     ScoringModels,
-    SourceId,
     aspect_values,
     build_link_graph,
     classify_pair,
@@ -27,7 +26,7 @@ from pocfusion import (
 from pocfusion.corpus import AspectSet, ContentKind
 from pocfusion.extract import DefaultStructuredExtractor, SlotSpan
 
-EDB = SourceId.parse("ExploitDB")
+EDB = "ExploitDB"
 
 
 class _Handler(http.server.BaseHTTPRequestHandler):
