@@ -15,7 +15,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
@@ -38,6 +37,7 @@ from .corpus import (
     load_cve_db,
     save_corpus,
     save_cve_db,
+    source_name,
     write_atomic,
 )
 from .extract import DefaultStructuredExtractor, ExternalStructuredExtractor, extract_all
@@ -231,9 +231,10 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     if needs_sources:
         seen_names = set()
         for name, path in sources:
-            if name.lower() in seen_names:
+            platform = source_name(name).lower()
+            if platform in seen_names:
                 errors.append(f"duplicate source name: {name}")
-            seen_names.add(name.lower())
+            seen_names.add(platform)
             if not Path(path).is_file():
                 errors.append(f"source file not found: {path}")
         if values["cve"] is not None and not Path(values["cve"]).is_file():
@@ -367,8 +368,10 @@ def stage_ingest(config: PipelineConfig, ws: Path, inputs: dict) -> _StageResult
     corpus = build_corpus(groups)
     if len(corpus) == 0:
         raise CorpusError("no reports survived ingestion")
-    save_corpus(corpus, ws / INGESTED)
+    # every input is read before an output is written: a dump that cannot
+    # be read leaves no corpus without its CVE database and manifest
     entries = ingest_cve_entries(config.cve) if config.cve else {}
+    save_corpus(corpus, ws / INGESTED)
     save_cve_db(entries, ws / CVE_DB)
     return {INGESTED: corpus, CVE_DB: entries}, {
         "reports": len(corpus), "cve_entries": len(entries),
@@ -385,6 +388,8 @@ def stage_extract(config: PipelineConfig, ws: Path, inputs: dict) -> _StageResul
     corpus = inputs[CLASSIFIED]
     degraded = 0
     if config.extractor_url:
+        from concurrent.futures import ThreadPoolExecutor
+
         extractor = ExternalStructuredExtractor(config.extractor_url)
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
             reports = list(pool.map(lambda r: extract_all(r, extractor=extractor), corpus))

@@ -578,14 +578,13 @@ def ingest_cve_entries(path: str | Path) -> dict[str, CveEntry]:
 
     Lines repeating a CVE id are merged by order-preserving set union of
     products, versions, and platforms. A product name that is not a string
-    is skipped with a warning, and so are entries with no named products or
-    a malformed id.
+    is skipped with a warning, and so are entries with no named products, a
+    ``products`` value that is not a list, or a malformed id.
     """
     path = Path(path)
     # cve_id -> (product key -> (display name, version order-set)), platform order-set
     products: dict[str, dict[str, tuple[str, dict[str, None]]]] = {}
     platforms: dict[str, dict[str, None]] = {}
-    order: dict[str, None] = {}
     for lineno, record in _source_records(path):
         cve_id = normalize_cve_id(str(record.get("cve_id", "")))
         if cve_id is None:
@@ -594,8 +593,14 @@ def ingest_cve_entries(path: str | Path) -> dict[str, CveEntry]:
                 path, lineno, record.get("cve_id"),
             )
             continue
+        listed = record.get("products")
+        if listed is not None and not isinstance(listed, list):
+            logger.warning(
+                "%s:%d: skipping %s: products is not a list: %r", path, lineno, cve_id, listed
+            )
+            continue
         named = []  # (name, product) of the products with a name
-        for product in record.get("products") or []:
+        for product in listed or []:
             name = product.get("name") if isinstance(product, dict) else None
             if name is not None and not isinstance(name, str):
                 logger.warning(
@@ -606,7 +611,6 @@ def ingest_cve_entries(path: str | Path) -> dict[str, CveEntry]:
         if not named:
             logger.warning("%s:%d: skipping %s: empty products list", path, lineno, cve_id)
             continue
-        order.setdefault(cve_id, None)
         by_name = products.setdefault(cve_id, {})
         for name, product in named:
             display, versions = by_name.setdefault(name.lower(), (name, {}))
@@ -619,10 +623,10 @@ def ingest_cve_entries(path: str | Path) -> dict[str, CveEntry]:
                 plats.setdefault(text, None)
 
     entries: dict[str, CveEntry] = {}
-    for cve_id in order:
+    for cve_id, by_name in products.items():
         entry_products = tuple(
             CveProduct(display, tuple(v for v in versions if v))
-            for display, versions in products[cve_id].values()
+            for display, versions in by_name.values()
         )
         entries[cve_id] = CveEntry(cve_id, entry_products, tuple(platforms[cve_id]))
     return entries

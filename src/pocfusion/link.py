@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import logging
 import math
-import random
 import re
 from array import array
 from collections import Counter
@@ -444,6 +443,8 @@ def build_pair_training_set(
             f"insufficient candidate pairs: need {n_pos} positive have "
             f"{len(positives)}, need {n_neg} negative have {len(negatives)}"
         )
+    import random
+
     rng = random.Random(seed)
     chosen = [(key, "same_vulnerability") for key in rng.sample(positives, n_pos)]
     chosen += [(key, "different") for key in rng.sample(negatives, n_neg)]

@@ -1,7 +1,9 @@
+import ast
 import hashlib
 import json
 import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -355,6 +357,17 @@ def test_duplicate_and_missing_sources(tmp_path, capsys):
     message = last_error(capsys)["message"]
     assert "duplicate source name: ExploitDB" in message
     assert "source file not found" in message
+    # two aliases of one platform are one source declared twice
+    code = main(
+        [
+            "ingest",
+            "--workspace", str(tmp_path / "ws"),
+            "--source", f"exploitdb={edb}",
+            "--source", f"exploit-db={edb}",
+        ]
+    )
+    assert code == 2
+    assert last_error(capsys)["message"] == "duplicate source name: exploit-db"
 
 
 # --- prerequisites and locking ------------------------------------------------------
@@ -414,6 +427,34 @@ def test_partial_ingestion_succeeds(tmp_path):
     manifest = json.loads((ws / "manifests" / "ingest.json").read_text())
     assert manifest["reports"] == 2
     assert main(["classify", "--workspace", str(ws)]) == 0
+
+
+@pytest.mark.parametrize("products", [5, True, "abc", {"name": "x"}])
+def test_cve_entry_with_products_not_a_list_is_skipped(tmp_path, caplog, products):
+    edb, _, _ = write_sources(tmp_path)
+    cve = tmp_path / "cve.jsonl"
+    cve.write_text(
+        json.dumps({"cve_id": "CVE-2020-1234", "products": products}) + "\n", encoding="utf-8"
+    )
+    ws = tmp_path / "ws"
+    argv = ["ingest", "--workspace", str(ws), "--source", f"exploitdb={edb}", "--cve", str(cve)]
+    assert main(argv) == 0
+    assert f"{cve}:1: skipping CVE-2020-1234: products is not a list: {products!r}" in (
+        caplog.messages
+    )
+    assert json.loads((ws / "manifests" / "ingest.json").read_text())["cve_entries"] == 0
+
+
+def test_unreadable_cve_dump_writes_no_ingest_output(tmp_path, capsys, monkeypatch):
+    def unreadable(path):
+        raise OSError(f"{path}: cannot read")
+
+    monkeypatch.setattr(cli, "ingest_cve_entries", unreadable)
+    ws = tmp_path / "ws"
+    assert main(base_argv("ingest", tmp_path)) == 4
+    assert "cannot read" in last_error(capsys)["message"]
+    assert not (ws / "corpus_ingested.jsonl").exists()
+    assert not (ws / "cve_db.jsonl").exists()
 
 
 def test_case_variant_header_labels_fill_their_slots(tmp_path):
@@ -861,24 +902,44 @@ def test_unreachable_classifier_degrades_to_the_same_links(tmp_path, monkeypatch
 
 
 def test_pipeline_runs_without_numpy(tmp_path):
-    # numpy's import (with its BLAS threads) would be the largest piece of
-    # every stage's start-up; only the unused skip-gram trainer may load it
+    # the pipeline needs the standard library alone: under -S no
+    # site-packages are importable, and a run with no service URL loads
+    # neither requests nor the modules only a service call or the
+    # training-set builder uses
     root = Path(__file__).resolve().parent.parent
     script = f"""
 import sys
 import pocfusion
 from pocfusion.cli import main
-assert "numpy" not in sys.modules, "import pocfusion loaded numpy"
 code = main(["run-all", "--config", "demo/config.cfg", "--workspace", {str(tmp_path / "ws")!r}])
 assert code == 0, code
-assert "numpy" not in sys.modules, "run-all loaded numpy"
+loaded = {{"numpy", "requests", "concurrent.futures", "random"}} & set(sys.modules)
+assert not loaded, f"run-all loaded {{sorted(loaded)}}"
 """
-    paths = [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
     result = subprocess.run(
-        [sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True
+        [sys.executable, "-S", "-c", script], cwd=root, env=env, capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    imported = set()
+    for path in (root / "src" / "pocfusion").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"pocfusion"}
+    with (root / "pyproject.toml").open("rb") as handle:
+        dependencies = tomllib.load(handle)["project"]["dependencies"]
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", d).group().lower().replace("-", "_") for d in dependencies
+    }
+    assert third_party == declared == {"requests"}
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
