@@ -13,13 +13,10 @@ from .corpus import (
     CveProduct,
     FromCve,
     FromPoc,
-    Kind,
-    LanguageId,
     Original,
     PocReport,
     aspect_values,
     build_corpus,
-    code_kind,
     decode_provenance,
     ingest_cve_entries,
     ingest_reports,

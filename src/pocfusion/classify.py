@@ -20,7 +20,7 @@ try:
 except ImportError:  # Python 3.10
     import sre_parse as _parser
 
-from .corpus import TEXT, CorpusError, Kind, LanguageId, PocReport, code_kind, read_jsonl
+from .corpus import ContentKind, CorpusError, PocReport, read_jsonl
 
 SIGNATURES_FORMAT = "language-signatures"
 SIGNATURES_VERSION = 1
@@ -152,7 +152,7 @@ class SignaturePattern:
 
 @dataclass(frozen=True)
 class LanguageSignature:
-    language: LanguageId
+    language: ContentKind
     patterns: tuple[SignaturePattern, ...]
     min_hits: int = DEFAULT_MIN_HITS
 
@@ -166,9 +166,10 @@ class LanguageSignature:
         return sum(p.weight * p.hits(content) for p in self.patterns)
 
 
-def _signature_record(record: dict) -> tuple[LanguageId, SignaturePattern]:
+def _signature_record(record: dict) -> tuple[ContentKind, SignaturePattern]:
     pattern = re.compile(record["pattern"], re.MULTILINE)
-    return LanguageId(record["language"]), SignaturePattern(pattern, int(record.get("weight", 1)))
+    language = ContentKind("code:" + record["language"])
+    return language, SignaturePattern(pattern, int(record.get("weight", 1)))
 
 
 def load_signatures(path: str | Path | None = None) -> tuple[LanguageSignature, ...]:
@@ -176,7 +177,7 @@ def load_signatures(path: str | Path | None = None) -> tuple[LanguageSignature, 
     if path is None:
         path = Path(__file__).parent / "data" / "signatures.jsonl"
     header = {"format": SIGNATURES_FORMAT, "version": SIGNATURES_VERSION}
-    grouped: dict[LanguageId, list[SignaturePattern]] = {}
+    grouped: dict[ContentKind, list[SignaturePattern]] = {}
     for language, pattern in read_jsonl(path, _signature_record, header):
         grouped.setdefault(language, []).append(pattern)
     min_hits = header.get("min_hits", DEFAULT_MIN_HITS)
@@ -185,7 +186,7 @@ def load_signatures(path: str | Path | None = None) -> tuple[LanguageSignature, 
         raise CorpusError(f"{path}:1: min_hits must be an integer >= 1, got {min_hits!r}")
     return tuple(
         LanguageSignature(language, tuple(grouped[language]), min_hits)
-        for language in LanguageId
+        for language in ContentKind
         if language in grouped
     )
 
@@ -202,17 +203,17 @@ def _default_signatures() -> tuple[LanguageSignature, ...]:
 
 def detect_language(
     content: str, signatures: tuple[LanguageSignature, ...] | None = None
-) -> tuple[LanguageId, int] | None:
+) -> tuple[ContentKind, int] | None:
     """Best-scoring language with its hit count, or None when nothing clears min_hits.
 
-    Ties break by LanguageId declaration order, which is the order signatures
+    Ties break by ContentKind declaration order, which is the order signatures
     are stored in, so the first strictly-best score wins.
     """
     if not content:
         return None
     if signatures is None:
         signatures = _default_signatures()
-    best: tuple[LanguageId, int] | None = None
+    best: tuple[ContentKind, int] | None = None
     for signature in signatures:
         hits = signature.score(content)
         if hits < signature.min_hits:
@@ -227,10 +228,10 @@ def categorize(report: PocReport) -> PocReport:
 
     Code when some language signature clears its minimum, Text otherwise.
     """
-    if report.content_kind.kind is not Kind.UNCLASSIFIED:
+    if report.content_kind is not ContentKind.UNCLASSIFIED:
         raise ValueError(
             f"report {report.id} is already classified as {report.content_kind.encode()}"
         )
     detected = detect_language(report.raw_content)
-    kind = code_kind(detected[0]) if detected is not None else TEXT
+    kind = detected[0] if detected is not None else ContentKind.TEXT
     return replace(report, content_kind=kind)

@@ -187,20 +187,31 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
         if getattr(args, name) is not None or name in file_values:
             logger.warning("%s has no effect and is ignored", name)
 
-    # a config file's source.NAME = PATH is checked as --source NAME=PATH is
-    declared = [
-        ("config key source.NAME", f"{key.split('.', 1)[1]}={value}")
+    # a config file's source.NAME = PATH is checked as --source NAME=PATH is;
+    # a flag replaces the file's source of the same platform, in its place
+    needs_sources = args.command in ("ingest", "run-all")
+    file_sources = [
+        f"{key.split('.', 1)[1]}={value}"
         for key, value in file_values.items()
         if key.startswith("source.")
     ]
-    declared += [("--source", item) for item in args.source or []]
-    sources: list[tuple[str, str]] = []
-    for origin, item in declared:
-        name, sep, path = item.partition("=")
-        if not sep or not name.strip() or not path.strip():
-            errors.append(f"{origin} expects NAME=PATH, got {item!r}")
-        else:
-            sources.append((name.strip(), path.strip()))
+    by_platform: dict[str, tuple[str, str]] = {}
+    for origin, items in (
+        ("config key source.NAME", file_sources),
+        ("--source", args.source or []),
+    ):
+        declared: dict[str, tuple[str, str]] = {}
+        for item in items:
+            name, sep, path = item.partition("=")
+            if not sep or not name.strip() or not path.strip():
+                errors.append(f"{origin} expects NAME=PATH, got {item!r}")
+                continue
+            platform = source_name(name).lower()
+            if needs_sources and platform in declared:
+                errors.append(f"duplicate source name: {name.strip()}")
+            declared.setdefault(platform, (name.strip(), path.strip()))
+        by_platform.update(declared)
+    sources = list(by_platform.values())
 
     defaults = PipelineConfig()
     values = {}
@@ -225,16 +236,10 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     if not values["workspace"]:
         errors.append("workspace is required (--workspace, config key, or env)")
 
-    needs_sources = args.command in ("ingest", "run-all")
     if needs_sources and not sources:
         errors.append(f"{args.command} requires at least one --source NAME=PATH")
     if needs_sources:
-        seen_names = set()
-        for name, path in sources:
-            platform = source_name(name).lower()
-            if platform in seen_names:
-                errors.append(f"duplicate source name: {name}")
-            seen_names.add(platform)
+        for _name, path in sources:
             if not Path(path).is_file():
                 errors.append(f"source file not found: {path}")
         if values["cve"] is not None and not Path(values["cve"]).is_file():

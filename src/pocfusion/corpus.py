@@ -81,63 +81,37 @@ class SourceId:
     parse = staticmethod(source_name)
 
 
-class Kind(str, Enum):
-    CODE = "code"
-    TEXT = "text"
-    OTHER = "other"
+class ContentKind(Enum):
+    """What a report's content is: not yet classified, prose, or code in one
+    of the nine recognized languages. Each value is the string files hold;
+    the languages are declared in the order that breaks detection ties."""
+
     UNCLASSIFIED = "unclassified"
-
-
-class LanguageId(str, Enum):
-    """The nine languages recognized in code-based reports. Order breaks ties."""
-
-    C_CPP = "c_cpp"
-    HTML = "html"
-    JAVA = "java"
-    JAVASCRIPT = "javascript"
-    PERL = "perl"
-    PHP = "php"
-    PYTHON = "python"
-    RUBY = "ruby"
-    SHELL = "shell"
-
-
-@dataclass(frozen=True)
-class ContentKind:
-    kind: Kind
-    lang: LanguageId | None = None
-
-    def __post_init__(self) -> None:
-        if (self.kind is Kind.CODE) != (self.lang is not None):
-            raise ValueError("lang must be set exactly when kind is code")
+    TEXT = "text"
+    C_CPP = "code:c_cpp"
+    HTML = "code:html"
+    JAVA = "code:java"
+    JAVASCRIPT = "code:javascript"
+    PERL = "code:perl"
+    PHP = "code:php"
+    PYTHON = "code:python"
+    RUBY = "code:ruby"
+    SHELL = "code:shell"
 
     @property
     def is_code(self) -> bool:
-        return self.kind is Kind.CODE
+        return self.value.startswith("code:")
 
     @property
     def is_text(self) -> bool:
-        return self.kind is Kind.TEXT
+        return self is ContentKind.TEXT
 
     def encode(self) -> str:
-        if self.kind is Kind.CODE:
-            assert self.lang is not None
-            return f"code:{self.lang.value}"
-        return self.kind.value
+        return self.value
 
     @classmethod
     def decode(cls, text: str) -> "ContentKind":
-        if text.startswith("code:"):
-            return cls(Kind.CODE, LanguageId(text.split(":", 1)[1]))
-        return cls(Kind(text))
-
-
-UNCLASSIFIED = ContentKind(Kind.UNCLASSIFIED)
-TEXT = ContentKind(Kind.TEXT)
-
-
-def code_kind(lang: LanguageId) -> ContentKind:
-    return ContentKind(Kind.CODE, lang)
+        return cls(text)
 
 
 # --- provenance ------------------------------------------------------------
@@ -332,7 +306,7 @@ class PocReport:
     id: str
     source: str
     raw_content: str
-    content_kind: ContentKind = UNCLASSIFIED
+    content_kind: ContentKind = ContentKind.UNCLASSIFIED
     cve_ids: tuple[str, ...] = ()
     aspects: AspectSet = field(default_factory=AspectSet)
 
@@ -577,9 +551,10 @@ def ingest_cve_entries(path: str | Path) -> dict[str, CveEntry]:
     """Load a CVE dump file into a map keyed by canonical CVE id.
 
     Lines repeating a CVE id are merged by order-preserving set union of
-    products, versions, and platforms. A product name that is not a string
-    is skipped with a warning, and so are entries with no named products, a
-    ``products`` value that is not a list, or a malformed id.
+    products, versions, and platforms. A product that is not an object, or
+    whose name is not a string, is skipped with a warning, and so are
+    entries with no named products, a ``products`` value that is not a
+    list, or a malformed id.
     """
     path = Path(path)
     # cve_id -> (product key -> (display name, version order-set)), platform order-set
@@ -601,7 +576,13 @@ def ingest_cve_entries(path: str | Path) -> dict[str, CveEntry]:
             continue
         named = []  # (name, product) of the products with a name
         for product in listed or []:
-            name = product.get("name") if isinstance(product, dict) else None
+            if not isinstance(product, dict):
+                logger.warning(
+                    "%s:%d: skipping product %r: %s, not an object",
+                    path, lineno, product, type(product).__name__,
+                )
+                continue
+            name = product.get("name")
             if name is not None and not isinstance(name, str):
                 logger.warning(
                     "%s:%d: skipping product name %r: not a string", path, lineno, name

@@ -16,8 +16,8 @@ from typing import Protocol, Sequence
 from .classify import head_matches, pattern_literals
 from .corpus import (
     ASPECT_SLOTS,
+    ContentKind,
     Corpus,
-    Kind,
     PocReport,
     _strings,
     aspect_values,
@@ -464,7 +464,7 @@ def extract_all(
     report: PocReport, extractor: StructuredExtractor | None = None
 ) -> PocReport:
     """Populate every slot a match exists for; idempotent, dedup-preserving."""
-    if report.content_kind.kind is Kind.UNCLASSIFIED:
+    if report.content_kind is ContentKind.UNCLASSIFIED:
         raise ValueError(f"report {report.id} must be categorized before extraction")
     content = report.raw_content
     if extractor is None:

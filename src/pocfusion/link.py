@@ -47,7 +47,7 @@ class PocLink:
     kind: ContentKind
 
     def __post_init__(self) -> None:
-        if not (self.kind.is_code or self.kind.is_text):
+        if self.kind is ContentKind.UNCLASSIFIED:
             raise ValueError(f"link kind must be code or text: {self.kind.encode()!r}")
         if self.a == self.b:
             raise ValueError(f"self-link on {self.a}")
@@ -126,7 +126,7 @@ def pair_kind_of(a: PocReport, b: PocReport) -> ContentKind | None:
     """The link kind two reports can form: their shared kind when both are
     text or both are code in the same language, otherwise None."""
     kind = a.content_kind
-    if kind == b.content_kind and (kind.is_code or kind.is_text):
+    if kind is b.content_kind and kind is not ContentKind.UNCLASSIFIED:
         return kind
     return None
 
@@ -508,7 +508,7 @@ def build_link_graph(
         pairs = candidate_pairs_same_cve(groups[cve_id], corpus)
         if pairs:
             group = (corpus.get(report_id) for report_id in groups[cve_id])
-            models.index([r for r in group if r.content_kind.is_code or r.content_kind.is_text])
+            models.index([r for r in group if r.content_kind is not ContentKind.UNCLASSIFIED])
         for a_id, b_id, kind in pairs:
             key = (a_id, b_id)
             if key in links:
@@ -525,7 +525,7 @@ def build_link_graph(
         names: dict[str, tuple[str, ...]] = {}
         for report in corpus:
             kind = report.content_kind
-            if kind.is_code or kind.is_text:
+            if kind is not ContentKind.UNCLASSIFIED:
                 lowered = tuple(name.lower() for name in software_names(report))
                 names[report.id] = lowered
                 for name in lowered:

@@ -13,17 +13,15 @@ from pocfusion import (
     CveEntry,
     FromCve,
     FromPoc,
-    LanguageId,
     PocLink,
     PocReport,
     SharedCve,
     aspect_values,
-    code_kind,
 )
 from pocfusion.corpus import AspectSet, ContentKind, CveProduct
 
-PY = code_kind(LanguageId.PYTHON)
-CC = code_kind(LanguageId.C_CPP)
+PY = ContentKind.PYTHON
+CC = ContentKind.C_CPP
 TEXT = ContentKind.decode("text")
 
 
@@ -134,13 +132,13 @@ def build_entries() -> dict[str, CveEntry]:
 
 def build_links(with_below_threshold: bool = True) -> list[PocLink]:
     links = [
-        PocLink("r1", "r2", SharedCve("CVE-2020-1111"), 0.82, code_kind(LanguageId.PYTHON)),
+        PocLink("r1", "r2", SharedCve("CVE-2020-1111"), 0.82, ContentKind.PYTHON),
         PocLink("r3", "r4", SharedCve("CVE-2019-2222"), 0.96, TEXT),
-        PocLink("r5", "r6", None, 0.9, code_kind(LanguageId.C_CPP)),
+        PocLink("r5", "r6", None, 0.9, ContentKind.C_CPP),
     ]
     if with_below_threshold:
         links.append(
-            PocLink("r1", "r3", SharedCve("CVE-2020-1111"), 0.4, code_kind(LanguageId.PYTHON))
+            PocLink("r1", "r3", SharedCve("CVE-2020-1111"), 0.4, ContentKind.PYTHON)
         )
     return links
 

@@ -21,7 +21,6 @@ from pocfusion import (
     CompletionConfig,
     Corpus,
     HeuristicPairClassifier,
-    LanguageId,
     PocLink,
     PocReport,
     ScoringModels,
@@ -30,7 +29,6 @@ from pocfusion import (
     build_link_graph,
     build_pair_training_set,
     categorize,
-    code_kind,
     detect_language,
     evaluate_extraction,
     extract_all,
@@ -43,7 +41,7 @@ from pocfusion import (
     tokenize_code,
 )
 from pocfusion.cli import main as cli_main
-from pocfusion.corpus import TEXT, AspectSet, ContentKind
+from pocfusion.corpus import AspectSet, ContentKind
 from pocfusion.similarity import cosine_similarity
 
 import classify_fixtures
@@ -144,9 +142,9 @@ def test_criterion_03_classification_fixtures():
     assert len(classify_fixtures.PROSE_FIXTURES) >= 6
     for lang, snippet in classify_fixtures.CODE_FIXTURES:
         detected = detect_language(snippet)
-        assert detected is not None and detected[0] == LanguageId(lang), lang
+        assert detected is not None and detected[0] == ContentKind("code:" + lang), lang
         appended = detect_language(snippet + PROSE_TAIL)
-        assert appended is not None and appended[0] == LanguageId(lang), lang
+        assert appended is not None and appended[0] == ContentKind("code:" + lang), lang
     for prose in classify_fixtures.PROSE_FIXTURES:
         assert detect_language(prose) is None
     _passed(3, "18 code snippets, 6 prose documents, prose-append stable")
@@ -215,7 +213,7 @@ def _straddle_report(rid, content, kind, cve):
 
 
 def test_criterion_06_links_and_donations_respect_thresholds():
-    py = code_kind(LanguageId.PYTHON)
+    py = ContentKind.PYTHON
     text = ContentKind.decode("text")
     corpus = Corpus(
         [
@@ -245,8 +243,8 @@ def test_criterion_06_links_and_donations_respect_thresholds():
         ("t1", "t2"): 6 / math.sqrt(85),
     }
     # pairs left unlinked really do score under their thresholds
-    assert score_pair(corpus.get("c3"), corpus.get("c4"), code_kind(LanguageId.PYTHON), models) < 0.5
-    assert score_pair(corpus.get("t3"), corpus.get("t4"), TEXT, models) < 0.65
+    assert score_pair(corpus.get("c3"), corpus.get("c4"), ContentKind.PYTHON, models) < 0.5
+    assert score_pair(corpus.get("t3"), corpus.get("t4"), ContentKind.TEXT, models) < 0.65
 
     raised_code = links_for(CompletionConfig(code_threshold=0.51))
     assert {(l.a, l.b) for l in raised_code} == {("t1", "t2")}
@@ -272,8 +270,8 @@ def test_criterion_06_links_and_donations_respect_thresholds():
     b1, b2 = donor_pair("dc", "dd", "CVE-2020-0006")
     donation_corpus = Corpus([a1, a2, b1, b2])
     donation_links = [
-        PocLink("da", "db", SharedCve("CVE-2020-0005"), 0.5, code_kind(LanguageId.PYTHON)),
-        PocLink("dc", "dd", SharedCve("CVE-2020-0006"), 0.65, TEXT),
+        PocLink("da", "db", SharedCve("CVE-2020-0005"), 0.5, ContentKind.PYTHON),
+        PocLink("dc", "dd", SharedCve("CVE-2020-0006"), 0.65, ContentKind.TEXT),
     ]
 
     def records_for(config):

@@ -37,6 +37,8 @@ def test_traced_demo_run_reaches_every_hook(tmp_path, monkeypatch):
     metrics = tracing.layer_metrics(tracing.traced_pipeline(cli.resolve_config(args), "demo"))
     assert metrics["cli.bytes_hashed"][0] > 0
     assert metrics["link.links"][0] == 7
+    # the categorize hook reads ContentKind.is_code: 12 of the 20 demo reports are code
+    assert metrics["classify.code_share"][0] == 0.6
     assert all(metrics[f"cli.{stage}_s"][0] > 0 for stage in cli.STAGES)
     # the link stage trains no embedding model and embeds no text
     assert metrics["similarity.train_s"][0] == 0

@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from pocfusion import (
     ContentKind,
-    Kind,
-    LanguageId,
     PocReport,
     categorize,
     detect_language,
@@ -34,7 +32,7 @@ def unclassified(content, rid="p1"):
 
 def test_signature_table_covers_all_languages():
     signatures = load_signatures()
-    assert [s.language for s in signatures] == list(LanguageId)
+    assert [s.language for s in signatures] == [k for k in ContentKind if k.is_code]
     assert all(s.min_hits == DEFAULT_MIN_HITS for s in signatures)
     assert all(s.patterns for s in signatures)
 
@@ -43,7 +41,7 @@ def test_signature_table_covers_all_languages():
 def test_code_fixture_detected(lang, snippet):
     detected = detect_language(snippet)
     assert detected is not None, f"no language detected for {lang} fixture"
-    assert detected[0] == LanguageId(lang)
+    assert detected[0] == ContentKind("code:" + lang)
     assert detected[1] >= DEFAULT_MIN_HITS
 
 
@@ -98,7 +96,7 @@ def test_tie_breaks_by_enum_order(tmp_path):
     ]
     table.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
     signatures = load_signatures(table)
-    assert detect_language("zebra", signatures) == (LanguageId.PERL, 1)
+    assert detect_language("zebra", signatures) == (ContentKind.PERL, 1)
 
 
 def test_weights_multiply_hits(tmp_path):
@@ -109,7 +107,7 @@ def test_weights_multiply_hits(tmp_path):
     ]
     table.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
     signatures = load_signatures(table)
-    assert detect_language("import import", signatures) == (LanguageId.PYTHON, 6)
+    assert detect_language("import import", signatures) == (ContentKind.PYTHON, 6)
 
 
 def test_signature_version_mismatch(tmp_path):
@@ -289,8 +287,8 @@ def test_user_table_with_ignorecase_and_alternation(tmp_path):
     table.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
     signatures = load_signatures(table)
     assert [p.literal for s in signatures for p in s.patterns] == [None, None]
-    assert detect_language("IMPORT Import", signatures) == (LanguageId.PYTHON, 2)
-    assert detect_language("gets gets", signatures) == (LanguageId.RUBY, 2)
+    assert detect_language("IMPORT Import", signatures) == (ContentKind.PYTHON, 2)
+    assert detect_language("gets gets", signatures) == (ContentKind.RUBY, 2)
 
 
 def test_user_table_alternation_hits(tmp_path):
@@ -307,7 +305,7 @@ def test_user_table_alternation_hits(tmp_path):
         ("curl", "wget"),
     ]
     content = "wget http://a/x\ncurl  https://b/y\nxcurl http://c\n"
-    assert detect_language(content, signatures) == (LanguageId.SHELL, 2)
+    assert detect_language(content, signatures) == (ContentKind.SHELL, 2)
     assert detect_language("curl -s http://a", signatures) is None
 
 

@@ -370,6 +370,46 @@ def test_duplicate_and_missing_sources(tmp_path, capsys):
     assert last_error(capsys)["message"] == "duplicate source name: exploit-db"
 
 
+def test_source_flag_replaces_config_file_source_of_its_platform(tmp_path, capsys):
+    edb, ps, _ = write_sources(tmp_path)
+    other = tmp_path / "other.jsonl"
+    other.write_text(edb.read_text(encoding="utf-8"), encoding="utf-8")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"workspace = ws\nsource.exploitdb = {edb}\nsource.packetstorm = {ps}\n",
+        encoding="utf-8",
+    )
+    # flags beat the file: the file's entry is replaced in its place
+    config = resolve(["ingest", "--config", str(cfg), "--source", f"exploit-db={other}"])
+    assert config.sources == (("exploit-db", str(other)), ("packetstorm", str(ps)))
+    config = resolve(["ingest", "--config", str(cfg), "--source", f"seebug={other}"])
+    assert config.sources == (
+        ("exploitdb", str(edb)), ("packetstorm", str(ps)), ("seebug", str(other))
+    )
+    # the overridden path is never opened
+    cfg.write_text(
+        f"workspace = ws\nsource.exploitdb = {tmp_path / 'missing.jsonl'}\n", encoding="utf-8"
+    )
+    config = resolve(["ingest", "--config", str(cfg), "--source", f"exploitdb={edb}"])
+    assert config.sources == (("exploitdb", str(edb)),)
+    # a platform declared twice among the flags, or twice in the file, is still an error
+    code = main(
+        [
+            "ingest", "--config", str(cfg),
+            "--source", f"exploitdb={edb}", "--source", f"ExploitDB={other}",
+        ]
+    )
+    assert code == 2
+    assert last_error(capsys)["message"] == "duplicate source name: ExploitDB"
+    cfg.write_text(
+        f"workspace = ws\nsource.exploitdb = {edb}\nsource.exploit-db = {other}\n",
+        encoding="utf-8",
+    )
+    code = main(["ingest", "--config", str(cfg), "--source", f"exploitdb={edb}"])
+    assert code == 2
+    assert last_error(capsys)["message"] == "duplicate source name: exploit-db"
+
+
 # --- prerequisites and locking ------------------------------------------------------
 
 

@@ -9,13 +9,11 @@ from pocfusion import (
     CveEntry,
     FromCve,
     FromPoc,
-    LanguageId,
     ORIGINAL,
     PocLink,
     PocReport,
     SharedCve,
     aspect_values,
-    code_kind,
     complete_from_cve,
     complete_from_poc,
     load_completion_records,
@@ -181,7 +179,7 @@ def test_complete_from_poc_rejects_weak_shared_cve_link():
     weak = link("a", "d", SharedCve("CVE-2020-0001"), 0.6)
     with pytest.raises(ValueError):
         complete_from_poc(target, donor, weak)
-    code_ok = PocLink("a", "d", SharedCve("CVE-2020-0001"), 0.6, code_kind(LanguageId.PYTHON))
+    code_ok = PocLink("a", "d", SharedCve("CVE-2020-0001"), 0.6, ContentKind.PYTHON)
     _, records = complete_from_poc(target, donor, code_ok)
     assert len(records) == 1
 

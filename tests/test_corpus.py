@@ -18,14 +18,11 @@ from pocfusion import (
     CveProduct,
     FromCve,
     FromPoc,
-    Kind,
-    LanguageId,
     ORIGINAL,
     Original,
     PocReport,
     aspect_values,
     build_corpus,
-    code_kind,
     decode_provenance,
     ingest_cve_entries,
     ingest_reports,
@@ -63,16 +60,18 @@ def test_aspect_slot_order():
 
 
 def test_language_enum_order():
-    assert [m.value for m in LanguageId] == [
-        "c_cpp",
-        "html",
-        "java",
-        "javascript",
-        "perl",
-        "php",
-        "python",
-        "ruby",
-        "shell",
+    assert [m.value for m in ContentKind] == [
+        "unclassified",
+        "text",
+        "code:c_cpp",
+        "code:html",
+        "code:java",
+        "code:javascript",
+        "code:perl",
+        "code:php",
+        "code:python",
+        "code:ruby",
+        "code:shell",
     ]
 
 
@@ -129,16 +128,26 @@ def test_blank_source_in_a_corpus_file_names_its_line(tmp_path):
         load_corpus(path)
 
 
+def test_corpus_report_of_kind_other_is_refused(tmp_path):
+    # no stage writes "other": a report is unclassified, text, or code
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(Corpus([make_report("a")]), path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[1] = json.dumps({**json.loads(lines[1]), "content_kind": "other"})
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(CorpusError, match=f"{path}:2: "):
+        load_corpus(path)
+
+
 def test_content_kind_roundtrip():
-    for text in ["text", "other", "unclassified", "code:python", "code:c_cpp"]:
+    for text in ["text", "unclassified", "code:python", "code:c_cpp"]:
         assert ContentKind.decode(text).encode() == text
-    with pytest.raises(ValueError):
-        ContentKind.decode("code:cobol")
-    with pytest.raises(ValueError):
-        ContentKind(Kind.TEXT, LanguageId.PYTHON)
-    with pytest.raises(ValueError):
-        ContentKind(Kind.CODE, None)
-    assert code_kind(LanguageId.RUBY).is_code
+    for text in ["code:cobol", "other", "code", "code:"]:
+        with pytest.raises(ValueError):
+            ContentKind.decode(text)
+    assert ContentKind.RUBY.is_code
+    assert not ContentKind.RUBY.is_text and ContentKind.TEXT.is_text
+    assert not (ContentKind.TEXT.is_code or ContentKind.UNCLASSIFIED.is_code)
 
 
 def test_provenance_roundtrip():
@@ -203,7 +212,7 @@ def test_report_requires_canonical_cve_ids():
 def test_report_roundtrip():
     report = make_report(
         rid="rt",
-        kind=code_kind(LanguageId.PHP),
+        kind=ContentKind.PHP,
         cve_ids=("CVE-2019-16113",),
         aspects=AspectSet().with_added(author=aspect_values(["mn0"])),
     )
@@ -405,6 +414,28 @@ def test_ingest_cve_entries_skips_product_names_that_are_not_strings(tmp_path, c
     assert f"{path}:3: skipping CVE-2020-11005: empty products list" in caplog.messages
 
 
+def test_ingest_cve_entries_skips_products_that_are_not_objects(tmp_path, caplog):
+    path = tmp_path / "cves.jsonl"
+    write_jsonl(
+        path,
+        [
+            {"cve_id": "CVE-2020-1234", "products": ["AlphaServ"]},
+            {"cve_id": "CVE-2020-1235", "products": [5, None, {"name": "Kept"}, ["x"]]},
+        ],
+    )
+    db = ingest_cve_entries(path)
+    assert list(db) == ["CVE-2020-1235"]
+    assert [p.name for p in db["CVE-2020-1235"].products] == ["Kept"]
+    skipped = [m for m in caplog.messages if "not an object" in m]
+    assert skipped == [
+        f"{path}:1: skipping product 'AlphaServ': str, not an object",
+        f"{path}:2: skipping product 5: int, not an object",
+        f"{path}:2: skipping product None: NoneType, not an object",
+        f"{path}:2: skipping product ['x']: list, not an object",
+    ]
+    assert f"{path}:1: skipping CVE-2020-1234: empty products list" in caplog.messages
+
+
 def test_build_corpus_cross_file_dedup(caplog):
     a = [make_report("x"), make_report("y")]
     b = [make_report("x", content="other copy")]
@@ -461,7 +492,7 @@ def test_corpus_save_load_roundtrip(tmp_path):
         [
             make_report(
                 "a",
-                kind=code_kind(LanguageId.PYTHON),
+                kind=ContentKind.PYTHON,
                 cve_ids=("CVE-2014-0160",),
                 aspects=AspectSet().with_added(
                     title=[AspectValue("t", FromPoc("b", 0.5, "shared_cve:CVE-2014-0160"))]
@@ -603,12 +634,12 @@ SAVED_FILES = {
     "corpus.jsonl": (save_corpus, load_corpus, Corpus([
         make_report("a", content="é\u2028x", cve_ids=("CVE-2014-0160",),
                     aspects=AspectSet().with_added(author=aspect_values(["mn0"]))),
-        make_report("b", kind=code_kind(LanguageId.PHP), aspects=AspectSet().with_added(
+        make_report("b", kind=ContentKind.PHP, aspects=AspectSet().with_added(
             title=[AspectValue("t", FromPoc("a", 0.5, "shared_cve:CVE-2014-0160"))])),
     ])),
     "links.jsonl": (save_links, load_links, [
         PocLink("a", "b", SharedCve("CVE-2014-0160"), 0.75, TEXT_KIND),
-        PocLink("a", "c", None, 0.5, code_kind(LanguageId.PHP)),
+        PocLink("a", "c", None, 0.5, ContentKind.PHP),
     ]),
     "records.jsonl": (save_completion_records, load_completion_records, [
         CompletionRecord("run-1", "a", "title", "t", FromCve("CVE-2014-0160")),
@@ -663,10 +694,8 @@ link_bases = st.just("classifier") | cve_ids.map("shared_cve:{}".format)
 completed_origins = st.builds(FromCve, cve_ids) | st.builds(
     FromPoc, report_ids, similarities, link_bases
 )
-CONTENT_KINDS = [ContentKind(kind) for kind in (Kind.TEXT, Kind.OTHER, Kind.UNCLASSIFIED)] + [
-    code_kind(lang) for lang in LanguageId
-]
-LINK_KINDS = [TEXT_KIND] + [code_kind(lang) for lang in LanguageId]
+CONTENT_KINDS = list(ContentKind)
+LINK_KINDS = [kind for kind in ContentKind if kind is not ContentKind.UNCLASSIFIED]
 
 
 @st.composite

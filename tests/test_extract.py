@@ -16,7 +16,6 @@ from pocfusion import (
     PocReport,
     StructuredExtraction,
     aspect_values,
-    code_kind,
     evaluate_extraction,
     extract_all,
     extract_cve_ids,
@@ -25,7 +24,7 @@ from pocfusion import (
     extract_verification_oracle,
     precision_recall,
 )
-from pocfusion.corpus import ContentKind, CorpusError, LanguageId
+from pocfusion.corpus import ContentKind, CorpusError
 from pocfusion import extract
 from pocfusion.extract import SlotSpan, load_gold_annotations
 
@@ -492,7 +491,7 @@ def test_title_fallback_not_for_code():
         id="c1",
         source=EDB,
         raw_content="import os\nprint(os.name)\n",
-        content_kind=code_kind(LanguageId.PYTHON),
+        content_kind=ContentKind.PYTHON,
     )
     assert extract_default(report).texts("title") == []
 

@@ -11,7 +11,6 @@ from pocfusion import (
     CompletionConfig,
     Corpus,
     HeuristicPairClassifier,
-    LanguageId,
     PocLink,
     PocReport,
     ScoringModels,
@@ -22,7 +21,6 @@ from pocfusion import (
     build_pair_training_set,
     candidate_pairs_same_cve,
     classify_pair,
-    code_kind,
     group_by_cve,
     kind_threshold,
     load_links,
@@ -39,7 +37,7 @@ from pocfusion.similarity import cosine_similarity, tokenize_code, tokenize_text
 
 EDB = "ExploitDB"
 TEXT = ContentKind.decode("text")
-PY = code_kind(LanguageId.PYTHON)
+PY = ContentKind.PYTHON
 
 
 def report(rid, content="x", kind=TEXT, cve_ids=(), title=None, version=None):
@@ -60,8 +58,8 @@ def report(rid, content="x", kind=TEXT, cve_ids=(), title=None, version=None):
 
 def test_pair_kind_roundtrip():
     assert ContentKind.decode("text") == TEXT
-    assert ContentKind.decode("code:perl").lang is LanguageId.PERL
-    assert code_kind(LanguageId.PERL).encode() == "code:perl"
+    assert ContentKind.decode("code:perl") is ContentKind.PERL
+    assert ContentKind.PERL.encode() == "code:perl"
     with pytest.raises(ValueError):
         ContentKind.decode("binary")
 
@@ -77,7 +75,7 @@ def test_link_canonical_order():
 
 
 def test_link_encode_decode():
-    shared = PocLink("a1", "b1", SharedCve("CVE-2020-1111"), 0.9, code_kind(LanguageId.C_CPP))
+    shared = PocLink("a1", "b1", SharedCve("CVE-2020-1111"), 0.9, ContentKind.C_CPP)
     voted = PocLink("a1", "c1", None, 0.87, TEXT)
     for link in (shared, voted):
         assert PocLink.decode(link.encode()) == link
@@ -92,7 +90,7 @@ def test_link_encode_decode():
 
 def test_kind_threshold():
     config = CompletionConfig()
-    assert kind_threshold(code_kind(LanguageId.PHP), config) == 0.5
+    assert kind_threshold(ContentKind.PHP, config) == 0.5
     assert kind_threshold(TEXT, config) == 0.65
     shared = SharedCve("CVE-2020-1111")
     # a shared-CVE link is below when under its own kind's threshold
@@ -121,14 +119,14 @@ def test_group_by_cve_keeps_singletons():
 
 def test_pair_kind_of():
     py_a, py_b = report("a", kind=PY), report("b", kind=PY)
-    c = report("c", kind=code_kind(LanguageId.C_CPP))
+    c = report("c", kind=ContentKind.C_CPP)
     t1, t2 = report("t1"), report("t2")
-    assert pair_kind_of(py_a, py_b) == code_kind(LanguageId.PYTHON)
+    assert pair_kind_of(py_a, py_b) == ContentKind.PYTHON
     assert pair_kind_of(py_a, c) is None
     assert pair_kind_of(t1, t2) == TEXT
     assert pair_kind_of(py_a, t1) is None
-    other, cc = ContentKind.decode("other"), code_kind(LanguageId.C_CPP)
-    kinds = [TEXT, other, PY, cc]
+    unclassified, cc = ContentKind.UNCLASSIFIED, ContentKind.C_CPP
+    kinds = [TEXT, unclassified, PY, cc]
     table = [  # rows: kind of a, columns: kind of b, both in the order of kinds
         [TEXT, None, None, None],
         [None, None, None, None],
@@ -149,15 +147,15 @@ def test_candidate_pairs_filter_and_order():
         ]
     )
     pairs = candidate_pairs_same_cve(["z9", "a1", "m5"], corpus)
-    assert pairs == [("a1", "z9", code_kind(LanguageId.PYTHON))]
+    assert pairs == [("a1", "z9", ContentKind.PYTHON)]
 
 
 def test_score_pair_code_cosine():
     models = ScoringModels()
     a = report("a", content="x y", kind=PY)
     b = report("b", content="x z", kind=PY)
-    assert score_pair(a, b, code_kind(LanguageId.PYTHON), models) == 0.5
-    assert score_pair(a, a, code_kind(LanguageId.PYTHON), models) == 1.0
+    assert score_pair(a, b, ContentKind.PYTHON, models) == 0.5
+    assert score_pair(a, a, ContentKind.PYTHON, models) == 1.0
 
 
 def code_report(rid, counts):
@@ -289,8 +287,8 @@ def test_score_pair_empty_code(caplog):
     models = ScoringModels()
     a = report("a", content="  ", kind=PY)
     b = report("b", content="\n", kind=PY)
-    assert score_pair(a, b, code_kind(LanguageId.PYTHON), models) == 0.0
-    assert score_pair(b, a, code_kind(LanguageId.PYTHON), models) == 0.0
+    assert score_pair(a, b, ContentKind.PYTHON, models) == 0.0
+    assert score_pair(b, a, ContentKind.PYTHON, models) == 0.0
     assert len(empty_content_warnings(caplog)) == 2
 
 
@@ -420,7 +418,7 @@ def build_demo_corpus():
             report(
                 "cc1",
                 content="x y",
-                kind=code_kind(LanguageId.C_CPP),
+                kind=ContentKind.C_CPP,
                 cve_ids=("CVE-2019-7008",),
             ),
             # text pair above the 0.65 threshold (cosine 1)
@@ -442,8 +440,8 @@ def test_build_link_graph():
     links = build_link_graph(corpus, models, clf, CompletionConfig())
     as_tuples = [(l.a, l.b, l.basis, l.kind) for l in links]
     assert as_tuples == [
-        ("cl1", "cl2", None, code_kind(LanguageId.PYTHON)),
-        ("py1", "py2", SharedCve("CVE-2019-7008"), code_kind(LanguageId.PYTHON)),
+        ("cl1", "cl2", None, ContentKind.PYTHON),
+        ("py1", "py2", SharedCve("CVE-2019-7008"), ContentKind.PYTHON),
         ("tx1", "tx2", SharedCve("CVE-2014-0160"), TEXT),
     ]
     by_key = {(l.a, l.b): l for l in links}
@@ -462,7 +460,7 @@ def test_build_link_graph_without_classifier():
 def test_build_link_graph_derives_software_names_once_per_report(monkeypatch):
     corpus = Corpus(
         list(build_demo_corpus())
-        + [report("ot1", kind=ContentKind.decode("other"), title="FooServ 2.0 - RCE")]
+        + [report("ot1", kind=ContentKind.UNCLASSIFIED, title="FooServ 2.0 - RCE")]
     )
 
     def graph():
@@ -606,7 +604,7 @@ def test_below_threshold_shared_cve_not_rescued_by_classifier():
 
 def test_links_roundtrip(tmp_path):
     links = [
-        PocLink("a1", "b1", SharedCve("CVE-2020-1111"), 0.625, code_kind(LanguageId.PHP)),
+        PocLink("a1", "b1", SharedCve("CVE-2020-1111"), 0.625, ContentKind.PHP),
         PocLink("a1", "c1", None, 0.875, TEXT),
         PocLink("a\u2028x", "b\u2029y\u0085", None, 0.5, TEXT),
     ]
@@ -757,7 +755,7 @@ def oracle_link_graph(corpus, cutoff, config):
     return [links[key] for key in sorted(links)]
 
 
-ORACLE_KINDS = [TEXT, PY, code_kind(LanguageId.C_CPP), ContentKind.decode("other")]
+ORACLE_KINDS = [TEXT, PY, ContentKind.C_CPP, ContentKind.UNCLASSIFIED]
 ORACLE_TITLES = [None, "FooServ 1.0 - RCE", "fooserv 2.1 - DoS", "BarWare 3 - RCE"]
 
 
