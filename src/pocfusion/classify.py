@@ -48,18 +48,15 @@ def _branch_heads(branches) -> tuple[str, ...] | None:
 
 def pattern_literals(
     pattern: re.Pattern[str],
-) -> tuple[str | None, tuple[str, ...] | None, tuple[str, ...] | None]:
+) -> tuple[str | None, tuple[str, ...] | None]:
     """What every match of ``pattern`` contains, from one parse of it:
-    ``(literal, branch heads, match heads)``, each None when there is none.
+    ``(literal, match heads)``, each None when there is none.
 
-    All three come from the pattern's top-level sequence, which a match
-    spans item by item, in order:
+    Both come from the pattern's top-level sequence, which a match spans
+    item by item, in order:
 
     - the literal is the longest run of literal characters in it, which a
       match contains verbatim;
-    - the branch heads are the leading literal runs of the branches of its
-      first alternation whose branches all start with a literal, one of
-      which a match contains;
     - the match heads are what a match starts with: past the leading
       zero-width assertions (``\\b``, ``^``), the literal run that follows
       or the branch heads of an alternation there.
@@ -68,21 +65,19 @@ def pattern_literals(
     cases too.
     """
     if pattern.flags & re.IGNORECASE:
-        return None, None, None
+        return None, None
     items = _parser.parse(pattern.pattern, pattern.flags).data
     literal = run = ""
     for op, value in items:
         run = run + chr(value) if op == _parser.LITERAL else ""
         literal = max(literal, run, key=len)
-    alternations = (_branch_heads(value[1]) for op, value in items if op == _parser.BRANCH)
-    heads = next(filter(None, alternations), None)
     rest = list(dropwhile(lambda item: item[0] == _parser.AT, items))
     if rest and rest[0][0] == _parser.BRANCH:
         starts = _branch_heads(rest[0][1][1])
     else:
         run = _leading_run(rest)
         starts = (run,) if run else None
-    return literal or None, heads, starts
+    return literal or None, starts
 
 
 def head_matches(
@@ -123,27 +118,21 @@ class SignaturePattern:
     pattern: re.Pattern[str]
     weight: int
     literal: str | None = field(init=False, default=None)
-    heads: tuple[str, ...] | None = field(init=False, default=None)
     starts: tuple[str, ...] | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         if self.weight < 1:
             raise ValueError("pattern weight must be >= 1")
-        literal, heads, starts = pattern_literals(self.pattern)
+        literal, starts = pattern_literals(self.pattern)
         object.__setattr__(self, "literal", literal)
-        object.__setattr__(self, "heads", heads)
         object.__setattr__(self, "starts", starts)
 
     def hits(self, content: str) -> int:
         """Number of non-overlapping matches in ``content``, as ``findall``
-        counts them. A content that lacks the required literal, or every
-        head of the gated alternation, cannot match, so its regex is not
-        run; an alternation whose heads are the match heads is not tested,
-        since the head scan's first searches are that test. A pattern with
-        match heads is tried only where they occur (:func:`head_matches`)."""
+        counts them. A content that lacks the required literal cannot
+        match, so its regex is not run. A pattern with match heads is tried
+        only where they occur (:func:`head_matches`)."""
         if self.literal is not None and self.literal not in content:
-            return 0
-        if self.heads not in (None, self.starts) and not any(h in content for h in self.heads):
             return 0
         if self.starts is None:
             return len(self.pattern.findall(content))

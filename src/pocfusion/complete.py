@@ -25,6 +25,7 @@ from .corpus import (
     PocReport,
     Provenance,
     aspect_values,
+    check_unit_number,
     decode_provenance,
     read_jsonl,
     write_jsonl,
@@ -45,10 +46,8 @@ class CompletionConfig:
     text_threshold: float = 0.65
 
     def __post_init__(self) -> None:
-        for name in ("code_threshold", "text_threshold"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} out of range: {value}")
+        check_unit_number("code_threshold", self.code_threshold)
+        check_unit_number("text_threshold", self.text_threshold)
 
 
 @dataclass(frozen=True)
@@ -60,9 +59,15 @@ class CompletionRecord:
     origin: Provenance
 
     def __post_init__(self) -> None:
-        if isinstance(self.origin, (FromCve, FromPoc)):
-            return
-        raise ValueError("completion origin must be FromCve or FromPoc")
+        for name in ("run_id", "target", "value"):
+            if type(getattr(self, name)) is not str:
+                raise ValueError(f"completion {name} is not a string: {getattr(self, name)!r}")
+        if not self.value.strip():
+            raise ValueError("completion value is empty after trimming")
+        if self.slot not in ASPECT_SLOTS:
+            raise ValueError(f"unknown aspect slot: {self.slot!r}")
+        if not isinstance(self.origin, (FromCve, FromPoc)):
+            raise ValueError("completion origin must be FromCve or FromPoc")
 
     def encode(self) -> dict:
         return {

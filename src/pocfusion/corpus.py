@@ -125,11 +125,20 @@ class Original:
         return {"kind": "original"}
 
 
+def is_canonical_cve_id(value: object) -> bool:
+    """True for a string that is a CVE id in canonical form."""
+    return type(value) is str and normalize_cve_id(value) == value
+
+
 @dataclass(frozen=True)
 class FromCve:
     """Value completed from a linked CVE entry."""
 
     cve_id: str
+
+    def __post_init__(self) -> None:
+        if not is_canonical_cve_id(self.cve_id):
+            raise ValueError(f"non-canonical CVE id: {self.cve_id!r}")
 
     def encode(self) -> dict:
         return {"kind": "from_cve", "cve_id": self.cve_id}
@@ -158,7 +167,16 @@ class FromPoc:
     basis: str
 
     def __post_init__(self) -> None:
+        if type(self.donor_id) is not str or not self.donor_id:
+            raise ValueError(f"donor id is not a non-empty string: {self.donor_id!r}")
         check_unit_number("similarity", self.similarity)
+        basis = self.basis
+        if basis != "classifier" and not (
+            type(basis) is str
+            and basis.startswith("shared_cve:")
+            and is_canonical_cve_id(basis.removeprefix("shared_cve:"))
+        ):
+            raise ValueError(f"unknown donor link basis: {basis!r}")
 
     def encode(self) -> dict:
         return {
@@ -316,7 +334,7 @@ class PocReport:
         if source_name(self.source) != self.source:
             raise ValueError(f"non-canonical source on report {self.id}: {self.source!r}")
         for cve_id in self.cve_ids:
-            if normalize_cve_id(cve_id) != cve_id:
+            if not is_canonical_cve_id(cve_id):
                 raise ValueError(f"non-canonical CVE id on report {self.id}: {cve_id!r}")
 
     def encode(self) -> dict:
@@ -366,7 +384,7 @@ class CveEntry:
     platforms: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if normalize_cve_id(self.cve_id) != self.cve_id:
+        if not is_canonical_cve_id(self.cve_id):
             raise ValueError(f"non-canonical CVE id: {self.cve_id!r}")
         if not self.products:
             raise ValueError(f"{self.cve_id}: products list is empty")

@@ -72,7 +72,7 @@ _TRIGGER_KEYWORDS = _keyword_regex(
 _ORACLE_KEYWORDS = _keyword_regex("expected output", "poc output")
 # where a keyword can start
 _KEYWORD_HEADS = {
-    pattern: pattern_literals(pattern)[2] for pattern in (_TRIGGER_KEYWORDS, _ORACLE_KEYWORDS)
+    pattern: pattern_literals(pattern)[1] for pattern in (_TRIGGER_KEYWORDS, _ORACLE_KEYWORDS)
 }
 _STEP_LIST_PATTERNS = (
     re.compile(r"^[ \t]{0,8}(\d{1,3})[.)][ \t]+"),
@@ -80,7 +80,7 @@ _STEP_LIST_PATTERNS = (
     re.compile(r"^[ \t]{0,8}[Ss][Tt][Ee][Pp][ \t]+(\d{1,3})[ \t]*[:.)][ \t]*"),
 )
 _URL_PATTERN = re.compile(r"\b(?:https?|ftp)://[^\s<>\"']+")
-_URL_HEADS = pattern_literals(_URL_PATTERN)[2]  # where a URL can start
+_URL_HEADS = pattern_literals(_URL_PATTERN)[1]  # where a URL can start
 
 
 def _indent_of(line: str) -> int:

@@ -190,17 +190,16 @@ class ScoringModels:
     A report's content vector counts its code tokens (:func:`tokenize_code`)
     when it is code and its words (:func:`tokenize_text`) otherwise; its
     title vector counts the words of its first title. :meth:`index` makes the
-    content or the title :func:`cosine_matrix` of one block of reports, and
-    that part's cosines of the block's pairs are read from it; any other
-    cosine is the same expression computed for the one pair.
+    title :func:`cosine_matrix` of one block of reports, and the title
+    cosines of the block's pairs are read from it; any other cosine is the
+    same expression computed for the one pair.
     """
 
     def __init__(self) -> None:
         # id -> ((content, squared norm), (title, squared norm))
         self._counts: dict[str, tuple[tuple[Counter, int], tuple[Counter, int]]] = {}
         self._rows: dict[str, int] = {}
-        self._part = 0  # the part the block's matrix holds: 0 content, 1 title
-        self._matrix: list[array] = []
+        self._matrix: list[array] = []  # the block's title cosines
 
     def _counts_of(self, report: PocReport) -> tuple[tuple[Counter, int], tuple[Counter, int]]:
         counts = self._counts.get(report.id)
@@ -217,21 +216,18 @@ class ScoringModels:
             )
         return counts
 
-    def index(self, reports: Sequence[PocReport], titles: bool = False) -> None:
-        """Make ``reports`` the block cosines are read from, replacing the
-        previous block, and compute its content cosine matrix, or with
-        ``titles`` its title cosine matrix. Cosines of the other part are
-        scored pair by pair, as for pairs outside the block."""
-        part = 1 if titles else 0
-        vectors = [self._counts_of(report)[part][0] for report in reports]
+    def index(self, reports: Sequence[PocReport]) -> None:
+        """Make ``reports`` the block title cosines are read from, replacing
+        the previous block, and compute its title cosine matrix. Content
+        cosines are scored pair by pair, as are pairs outside the block."""
+        vectors = [self._counts_of(report)[1][0] for report in reports]
         self._rows = {report.id: row for row, report in enumerate(reports)}
         self._matrix = []  # release the previous block's matrix first
-        self._part = part
         self._matrix = cosine_matrix(vectors)
 
     def _cosine(self, a: PocReport, b: PocReport, part: int) -> float:
         i, j = self._rows.get(a.id), self._rows.get(b.id)
-        if part == self._part and i is not None and j is not None:
+        if part == 1 and i is not None and j is not None:
             return self._matrix[i][j] if i > j else self._matrix[j][i]
         # cosine_matrix's entry for the pair: the same exact integer dot
         # product, summed over the smaller count, and the same expression
@@ -317,8 +313,7 @@ class HeuristicPairClassifier:
     token-count cosines against a cutoff. Confidence is that mean itself."""
 
     def __init__(self, models: ScoringModels, cutoff: float = 0.85):
-        if not 0.0 <= cutoff <= 1.0:
-            raise ValueError("cutoff must be in [0, 1]")
+        check_unit_number("cutoff", cutoff)
         self.models = models
         self.cutoff = cutoff
 
@@ -489,10 +484,9 @@ def build_link_graph(
     Same-CVE same-kind pairs link when their similarity clears the per-kind
     threshold. Pairs sharing no CVE id link when they name the same software
     and the classifier votes yes. One link per pair, shared-CVE basis first,
-    output sorted by pair key. The code and text reports of each CVE group
-    are indexed by content, and each software-name block by title, before
-    the group's or the block's pairs are scored; a classifier pair's content
-    cosine, when read, is computed for the pair.
+    output sorted by pair key. Each software-name block is indexed by title
+    before its pairs are classified; every content cosine, a CVE group's or
+    a classifier pair's, is computed for the pair.
 
     With the :class:`HeuristicPairClassifier`, a pair is classified only
     when its title cosine ``t`` leaves room to link: its verdict is
@@ -505,11 +499,7 @@ def build_link_graph(
     links: dict[tuple[str, str], PocLink] = {}
     groups = group_by_cve(corpus)
     for cve_id in sorted(groups):
-        pairs = candidate_pairs_same_cve(groups[cve_id], corpus)
-        if pairs:
-            group = (corpus.get(report_id) for report_id in groups[cve_id])
-            models.index([r for r in group if r.content_kind is not ContentKind.UNCLASSIFIED])
-        for a_id, b_id, kind in pairs:
+        for a_id, b_id, kind in candidate_pairs_same_cve(groups[cve_id], corpus):
             key = (a_id, b_id)
             if key in links:
                 continue
@@ -534,7 +524,7 @@ def build_link_graph(
         cutoff = classifier.cutoff if type(classifier) is HeuristicPairClassifier else None
         for (_name, kind), block in blocks.items():
             if len(block) > 1:
-                models.index(block, titles=True)
+                models.index(block)
             for a, b in combinations(block, 2):
                 if a.id > b.id:
                     a, b = b, a

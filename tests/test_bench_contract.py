@@ -4,7 +4,9 @@ directly. A rename there would only surface when the benchmark runs, so the
 names are checked here."""
 
 import ast
+import dataclasses
 import importlib
+import sys
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -88,3 +90,25 @@ def test_bench_imports_resolve():
     # the walk reaches function-level imports and the test module's imports
     assert ("pocfusion.cli", "PipelineConfig") in found
     assert ("pocfusion.link", "ScoringModels") in found
+
+
+def test_generated_benchmark_config_resolves(tmp_path, monkeypatch):
+    """Every benchmark corpus carries a ``config.cfg`` written by
+    ``bench/generate.py`` with keys the demo's config lacks (``seed``,
+    ``jobs``); the benchmark runs ``run-all`` on it from the corpus
+    directory, so it must resolve as a valid configuration."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+    generate = importlib.import_module("generate")
+    from pocfusion import cli
+
+    workload = dataclasses.replace(generate.WORKLOADS["code-blocks"], n_vulns=8, block_vulns=4)
+    generate.generate(workload, 1, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    args = cli.build_parser().parse_args(
+        ["run-all", "--config", "config.cfg", "--workspace", "ws"]
+    )
+    config = cli.resolve_config(args)
+    assert config.jobs == 1
+    assert config.cve == "inputs/cve_entries.jsonl"
+    assert len(config.sources) == 4

@@ -190,44 +190,13 @@ def test_bundled_patterns_without_a_gate():
     assert sum(p.startswith("(?i)") for p in ungated) == 5
 
 
-def test_branch_heads_of_a_top_level_alternation():
-    cases = {
-        r"\b(?:curl|wget)\s": ("curl", "wget"),
-        r"^\s*(?:fi|done|esac)\s*$": ("fi", "done", "esac"),
-        r"puts|gets": ("puts", "gets"),
-        r"\$_(?:GET|POST)\b": ("GET", "POST"),  # a later item of the sequence
-        r"(?:a\d|bc)": ("a", "bc"),  # a head ends at the first non-literal
-        r"(?:ab|\dc)": None,  # a branch without a literal head
-        r"(?:(?:ab|cd)|ef)": None,  # a nested group is not a literal head
-        r"(?:|ab)": None,  # an empty branch
-        r"(curl|wget)": None,  # a capturing group is not top-level
-        r"(?i)(?:curl|wget)": None,
-        r"(?i:curl|wget)": None,
-        r"x(?:\d|ab)y": None,  # the parser turns this alternation into a class
-    }
-    for source, heads in cases.items():
-        assert pattern_literals(re.compile(source, re.MULTILINE))[1] == heads, source
-
-
-def test_bundled_alternations_are_gated():
-    gated = {p.pattern.pattern: p.heads for p in BUNDLED_PATTERNS if p.heads}
-    assert len(gated) == 11
-    assert gated[r"\b(?:curl|wget)\s+-{1,2}\w+"] == ("curl", "wget")
-    # only the case-insensitive patterns are left with no gate at all
-    ungated = [p for p in BUNDLED_PATTERNS if p.literal is None and p.heads is None]
-    assert ungated == [p for p in BUNDLED_PATTERNS if p.pattern.flags & re.IGNORECASE]
-    for p in BUNDLED_PATTERNS:
-        if p.heads:
-            assert p.hits(" ".join(h[1:] for h in p.heads)) == 0
-
-
 def _gate_fragments() -> list[str]:
-    """Each bundled literal and alternation head, their halves, and the
+    """Each bundled literal and match head, their halves, and the
     characters the patterns are made of, so that generated text comes near
     to matching."""
     fragments = {" ", "  ", "\n", "\t", "x", "_", "0", "9"}
     for p in BUNDLED_PATTERNS:
-        for gate in (p.literal,) + (p.heads or ()):
+        for gate in (p.literal,) + (p.starts or ()):
             if gate:
                 fragments |= {gate, gate[:-1], gate[1:]}
         fragments |= {ch for ch in p.pattern.pattern if not ch.isalnum()}
@@ -248,22 +217,6 @@ def test_gated_hits_equal_findall(data):
     )
     assert matched.hits(content) >= 1
     for p in BUNDLED_PATTERNS:
-        assert p.hits(content) == len(p.pattern.findall(content)), p.pattern.pattern
-
-
-ALTERNATIONS = [p for p in BUNDLED_PATTERNS if p.heads]
-
-
-@settings(derandomize=True, max_examples=400, deadline=None)
-@given(st.data())
-def test_alternation_gated_hits_equal_findall(data):
-    # every bundled alternation, seen matching through each of its branches
-    matched = data.draw(st.sampled_from(ALTERNATIONS))
-    content = "\n".join(
-        data.draw(st.tuples(near_misses, st.from_regex(matched.pattern), near_misses))
-    )
-    assert matched.hits(content) >= 1
-    for p in ALTERNATIONS:
         assert p.hits(content) == len(p.pattern.findall(content)), p.pattern.pattern
 
 
@@ -300,10 +253,6 @@ def test_user_table_alternation_hits(tmp_path):
     ]
     table.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
     signatures = load_signatures(table)
-    assert [p.heads for s in signatures for p in s.patterns] == [
-        ("puts", "gets"),
-        ("curl", "wget"),
-    ]
     content = "wget http://a/x\ncurl  https://b/y\nxcurl http://c\n"
     assert detect_language(content, signatures) == (ContentKind.SHELL, 2)
     assert detect_language("curl -s http://a", signatures) is None
@@ -325,6 +274,8 @@ def test_match_heads_of_a_pattern():
         r"\b(?:unsigned\s+)?char": None,  # an optional group first
         r"\b(?:ab|\dc)": None,  # a branch without a literal head
         r"(?:a|b)c": None,  # the parser turns this alternation into a class
+        r"(?:(?:ab|cd)|ef)": None,  # a nested group is not a literal head
+        r"(?:|ab)": None,  # an empty branch
         r"^\s*import": None,
         r"(?<=x)yz": None,  # a lookbehind is not a zero-width AT item
         r"(foo)": None,  # a capturing group
@@ -333,7 +284,7 @@ def test_match_heads_of_a_pattern():
         r"(?i:f)oo": None,
     }
     for source, heads in cases.items():
-        assert pattern_literals(re.compile(source, re.MULTILINE))[2] == heads, source
+        assert pattern_literals(re.compile(source, re.MULTILINE))[1] == heads, source
 
 
 def test_bundled_patterns_with_match_heads():
@@ -369,7 +320,7 @@ def _scan_fragments() -> list[str]:
     ASCII and fold to ASCII ones under IGNORECASE."""
     fragments = {" ", "\n", "\t", "x", "_", "0", "ſ", "K", "é"}
     for pattern in SCANNED:
-        for head in pattern_literals(pattern)[2] or ():
+        for head in pattern_literals(pattern)[1] or ():
             fragments |= {head, head[:-1], head[1:]}
         fragments |= {ch for ch in pattern.pattern if not ch.isalnum()}
     return sorted(fragments)
@@ -384,7 +335,7 @@ def test_head_matches_equal_finditer(data):
     matched = data.draw(st.sampled_from(SCANNED))
     content = "\n".join(data.draw(st.tuples(scan_texts, st.from_regex(matched), scan_texts)))
     for pattern in SCANNED:
-        heads = pattern_literals(pattern)[2]
+        heads = pattern_literals(pattern)[1]
         if heads is None:
             continue
         spans = [m.span() for m in head_matches(pattern, heads, content)]

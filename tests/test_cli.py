@@ -588,6 +588,15 @@ STAGE_INPUTS = [
                      id="stats-similarity-bool"),
         pytest.param("link", "corpus_extracted.jsonl", set_aspect("title", ["Foo", " foo"]),
                      id="link-duplicate-values"),
+        pytest.param("stats", "completion_records.jsonl", set_field("slot", "bogus"),
+                     id="stats-unknown-record-slot"),
+        pytest.param("stats", "completion_records.jsonl",
+                     set_field("origin", {"kind": "from_cve", "cve_id": "nonsense"}),
+                     id="stats-non-canonical-cve-origin"),
+        pytest.param("stats", "completion_records.jsonl",
+                     set_field("origin", {"kind": "from_poc", "donor_id": "e1",
+                                          "similarity": 0.5, "basis": 7}),
+                     id="stats-basis-number"),
     ],
 )
 def test_broken_last_line_is_a_data_error(full_workspace, tmp_path, capsys, stage, name, damage):

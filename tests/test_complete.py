@@ -65,12 +65,37 @@ def test_config_validation():
         CompletionConfig(code_threshold=1.5)
     with pytest.raises(ValueError):
         CompletionConfig(text_threshold=-0.1)
+    with pytest.raises(ValueError):
+        CompletionConfig(True, False)
+    with pytest.raises(ValueError):
+        CompletionConfig("0.5")
 
 
 def test_record_origin_must_be_completion():
     with pytest.raises(ValueError):
         CompletionRecord("run-x", "r1", "title", "t", ORIGINAL)
     CompletionRecord("run-x", "r1", "title", "t", FromCve("CVE-2020-0001"))
+    # fields no stage could have written
+    origin = FromCve("CVE-2020-0001")
+    for fields in (
+        (5, "r1", "title", "t"),
+        ("run-x", "r1", "bogus", "t"),
+        ("run-x", "r1", "title", " "),
+    ):
+        with pytest.raises(ValueError):
+            CompletionRecord(*fields, origin)
+    for make in (
+        lambda: FromCve(None),
+        lambda: FromCve("nonsense"),
+        lambda: FromCve("cve-2020-0001"),
+        lambda: FromPoc(5, 0.5, "classifier"),
+        lambda: FromPoc("", 0.5, "classifier"),
+        lambda: FromPoc("e1", 0.5, ["x"]),
+        lambda: FromPoc("e1", 0.5, "shared_cve:nonsense"),
+    ):
+        with pytest.raises(ValueError):
+            make()
+    FromPoc("e1", 0.5, "shared_cve:CVE-2020-0001")
 
 
 def test_verify_association():

@@ -151,7 +151,7 @@ def test_content_kind_roundtrip():
 
 
 def test_provenance_roundtrip():
-    for origin in [Original(), FromCve("CVE-2020-1"), FromPoc("p9", 0.75, "classifier")]:
+    for origin in [Original(), FromCve("CVE-2020-0001"), FromPoc("p9", 0.75, "classifier")]:
         assert decode_provenance(origin.encode()) == origin
     assert decode_provenance(ORIGINAL.encode()) == Original()
 
@@ -173,7 +173,7 @@ def test_with_added_dedup_case_insensitive():
     aspects = AspectSet().with_added(author=aspect_values(["Bob", " bob ", "alice"]))
     assert aspects.texts("author") == ["Bob", "alice"]
     # a later duplicate with different provenance is still a duplicate
-    again = aspects.with_added(author=[AspectValue("BOB", FromCve("CVE-2020-1"))])
+    again = aspects.with_added(author=[AspectValue("BOB", FromCve("CVE-2020-0001"))])
     assert again.texts("author") == ["Bob", "alice"]
 
 
@@ -771,7 +771,7 @@ link_lists = st.lists(
 )
 record_lists = st.lists(
     st.builds(
-        CompletionRecord, st.text(), report_ids, st.sampled_from(ASPECT_SLOTS), st.text(),
+        CompletionRecord, st.text(), report_ids, st.sampled_from(ASPECT_SLOTS), aspect_text,
         completed_origins,
     ),
     max_size=5,

@@ -246,16 +246,15 @@ def test_text_and_title_cosines_equal_sparse_cosine_bit_for_bit(a_counts, b_coun
     block = [text_report(f"o{i}", *counts) for i, counts in enumerate(others)]
     block[at:at] = [a]
     block.append(b)
-    # indexed by content, its title cosines are scored pair by pair, and
-    # indexed by title, its content cosines are
+    # its title cosines are read from the block's matrix, its content
+    # cosines are scored pair by pair
     models = ScoringModels()
-    for titles in (False, True):
-        models.index(block, titles=titles)
-        assert cosines(models, a, b) == expected_hex
-        assert cosines(models, b, a) == expected_hex
-        for x, y in combinations(block, 2):
-            assert cosines(models, x, y) == oracle(x, y)
-            assert cosines(models, y, x) == oracle(y, x)
+    models.index(block)
+    assert cosines(models, a, b) == expected_hex
+    assert cosines(models, b, a) == expected_hex
+    for x, y in combinations(block, 2):
+        assert cosines(models, x, y) == oracle(x, y)
+        assert cosines(models, y, x) == oracle(y, x)
 
 
 def test_code_cosine_exact_half_in_a_block():
@@ -406,6 +405,8 @@ def test_heuristic_classifier_with_matching_titles():
 def test_heuristic_classifier_cutoff_validation():
     with pytest.raises(ValueError):
         HeuristicPairClassifier(ScoringModels(), cutoff=1.2)
+    with pytest.raises(ValueError):
+        HeuristicPairClassifier(ScoringModels(), cutoff=True)
 
 
 def build_demo_corpus():
