@@ -158,7 +158,11 @@ class LanguageSignature:
 def _signature_record(record: dict) -> tuple[ContentKind, SignaturePattern]:
     pattern = re.compile(record["pattern"], re.MULTILINE)
     language = ContentKind("code:" + record["language"])
-    return language, SignaturePattern(pattern, int(record.get("weight", 1)))
+    weight = record.get("weight", 1)
+    # as for min_hits, JSON's exact types refuse a boolean, a real and a string
+    if type(weight) is not int or weight < 1:
+        raise ValueError(f"weight must be an integer >= 1, got {weight!r}")
+    return language, SignaturePattern(pattern, weight)
 
 
 def load_signatures(path: str | Path | None = None) -> tuple[LanguageSignature, ...]:

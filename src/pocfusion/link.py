@@ -19,6 +19,7 @@ from .corpus import (
     Corpus,
     PocReport,
     check_unit_number,
+    is_canonical_cve_id,
     json_object,
     read_jsonl,
     write_jsonl,
@@ -37,6 +38,10 @@ logger = logging.getLogger(__name__)
 class SharedCve:
     cve_id: str
 
+    def __post_init__(self) -> None:
+        if not is_canonical_cve_id(self.cve_id):
+            raise ValueError(f"non-canonical CVE id: {self.cve_id!r}")
+
 
 @dataclass(frozen=True)
 class PocLink:
@@ -47,6 +52,9 @@ class PocLink:
     kind: ContentKind
 
     def __post_init__(self) -> None:
+        for end in (self.a, self.b):
+            if type(end) is not str or not end:
+                raise ValueError(f"link endpoint is not a non-empty string: {end!r}")
         if self.kind is ContentKind.UNCLASSIFIED:
             raise ValueError(f"link kind must be code or text: {self.kind.encode()!r}")
         if self.a == self.b:
@@ -185,25 +193,23 @@ def title_text(report: PocReport) -> str:
 
 
 class ScoringModels:
-    """Per-report token counts and the cosines read from them.
+    """Per-report token counts and the cosines computed from them.
 
     A report's content vector counts its code tokens (:func:`tokenize_code`)
     when it is code and its words (:func:`tokenize_text`) otherwise; its
-    title vector counts the words of its first title. :meth:`index` makes the
-    title :func:`cosine_matrix` of one block of reports, and the title
-    cosines of the block's pairs are read from it; any other cosine is the
-    same expression computed for the one pair.
+    title vector counts the words of its first title. Counts are kept per
+    report object: another object of a known id is counted anew. Each
+    cosine is computed for its pair; :meth:`title_matrix` gives a block's
+    title cosines, the same bit for bit, and keeps nothing.
     """
 
     def __init__(self) -> None:
-        # id -> ((content, squared norm), (title, squared norm))
-        self._counts: dict[str, tuple[tuple[Counter, int], tuple[Counter, int]]] = {}
-        self._rows: dict[str, int] = {}
-        self._matrix: list[array] = []  # the block's title cosines
+        # id -> (report counted, ((content, squared norm), (title, squared norm)))
+        self._counts: dict[str, tuple[PocReport, tuple[tuple[Counter, int], ...]]] = {}
 
-    def _counts_of(self, report: PocReport) -> tuple[tuple[Counter, int], tuple[Counter, int]]:
-        counts = self._counts.get(report.id)
-        if counts is None:
+    def _counts_of(self, report: PocReport) -> tuple[tuple[Counter, int], ...]:
+        counted, counts = self._counts.get(report.id, (None, ()))
+        if counted is not report:
             if report.content_kind.is_code:
                 content = tokenize_code(report.raw_content)
             else:
@@ -211,24 +217,17 @@ class ScoringModels:
             if not content:
                 logger.warning("report %s has no content tokens, scored 0", report.id)
             title = Counter(tokenize_text(title_text(report)))
-            counts = self._counts[report.id] = tuple(
+            counts = tuple(
                 (part, sum(count * count for count in part.values())) for part in (content, title)
             )
+            self._counts[report.id] = (report, counts)
         return counts
 
-    def index(self, reports: Sequence[PocReport]) -> None:
-        """Make ``reports`` the block title cosines are read from, replacing
-        the previous block, and compute its title cosine matrix. Content
-        cosines are scored pair by pair, as are pairs outside the block."""
-        vectors = [self._counts_of(report)[1][0] for report in reports]
-        self._rows = {report.id: row for row, report in enumerate(reports)}
-        self._matrix = []  # release the previous block's matrix first
-        self._matrix = cosine_matrix(vectors)
+    def title_matrix(self, reports: Sequence[PocReport]) -> list[array]:
+        """The title :func:`cosine_matrix` of ``reports``, rows in their order."""
+        return cosine_matrix([self._counts_of(report)[1][0] for report in reports])
 
     def _cosine(self, a: PocReport, b: PocReport, part: int) -> float:
-        i, j = self._rows.get(a.id), self._rows.get(b.id)
-        if part == 1 and i is not None and j is not None:
-            return self._matrix[i][j] if i > j else self._matrix[j][i]
         # cosine_matrix's entry for the pair: the same exact integer dot
         # product, summed over the smaller count, and the same expression
         (a_counts, a_norm), (b_counts, b_norm) = self._counts_of(a)[part], self._counts_of(b)[part]
@@ -484,17 +483,17 @@ def build_link_graph(
     Same-CVE same-kind pairs link when their similarity clears the per-kind
     threshold. Pairs sharing no CVE id link when they name the same software
     and the classifier votes yes. One link per pair, shared-CVE basis first,
-    output sorted by pair key. Each software-name block is indexed by title
-    before its pairs are classified; every content cosine, a CVE group's or
-    a classifier pair's, is computed for the pair.
+    output sorted by pair key. Every content cosine, a CVE group's or a
+    classifier pair's, is computed for the pair.
 
     With the :class:`HeuristicPairClassifier`, a pair is classified only
-    when its title cosine ``t`` leaves room to link: its verdict is
+    when its title cosine ``t``, read from its software-name block's
+    :meth:`ScoringModels.title_matrix`, leaves room to link: its verdict is
     ``0.5·t + 0.5·c >= cutoff`` with a content cosine ``c <= 1.0``, and in
     floats ``0.5·t + 0.5·c <= 0.5·t + 0.5`` (the halving is exact and
     rounded addition is monotone), so a pair with ``0.5·t + 0.5 < cutoff``
     cannot link, and its content cosine is not computed. Any other
-    classifier sees every candidate.
+    classifier sees every candidate, and no matrix is built.
     """
     links: dict[tuple[str, str], PocLink] = {}
     groups = group_by_cve(corpus)
@@ -523,9 +522,10 @@ def build_link_graph(
         seen: set[tuple[str, str]] = set()  # a pair can share several names
         cutoff = classifier.cutoff if type(classifier) is HeuristicPairClassifier else None
         for (_name, kind), block in blocks.items():
-            if len(block) > 1:
-                models.index(block)
-            for a, b in combinations(block, 2):
+            if len(block) < 2:
+                continue
+            titles = models.title_matrix(block) if cutoff is not None else None
+            for (i, a), (j, b) in combinations(enumerate(block), 2):
                 if a.id > b.id:
                     a, b = b, a
                 key = (a.id, b.id)
@@ -533,7 +533,8 @@ def build_link_graph(
                 if key in seen or set(a.cve_ids) & set(b.cve_ids):
                     continue
                 seen.add(key)
-                if cutoff is not None and 0.5 * models.title_cosine(a, b) + 0.5 < cutoff:
+                # row j > i of the lower triangle holds the pair's title cosine
+                if cutoff is not None and 0.5 * titles[j][i] + 0.5 < cutoff:
                     continue
                 same, confidence = classify_pair(classifier, a, b, names)
                 if same:

@@ -136,7 +136,10 @@ def test_signature_unknown_language(tmp_path):
             load_signatures(table)
 
 
-@pytest.mark.parametrize("field, value", [("pattern", 5), ("weight", None)])
+@pytest.mark.parametrize(
+    "field, value",
+    [("pattern", 5), ("weight", None), ("weight", 1.7), ("weight", True), ("weight", "2")],
+)
 def test_signature_field_of_wrong_type_names_its_line(tmp_path, field, value):
     table = tmp_path / "sigs.jsonl"
     rows = [

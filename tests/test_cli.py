@@ -597,6 +597,13 @@ STAGE_INPUTS = [
                      set_field("origin", {"kind": "from_poc", "donor_id": "e1",
                                           "similarity": 0.5, "basis": 7}),
                      id="stats-basis-number"),
+        # the demo's last link is a shared_cve link
+        pytest.param("complete", "links.jsonl", set_field("cve_id", "nonsense"),
+                     id="complete-non-canonical-link-cve"),
+        pytest.param("complete", "links.jsonl", set_field("cve_id", None),
+                     id="complete-null-link-cve"),
+        pytest.param("complete", "links.jsonl", set_field("a", ""),
+                     id="complete-empty-link-endpoint"),
     ],
 )
 def test_broken_last_line_is_a_data_error(full_workspace, tmp_path, capsys, stage, name, damage):
@@ -989,6 +996,17 @@ def test_third_party_imports_are_the_declared_dependencies():
         re.match(r"[A-Za-z0-9_.-]+", d).group().lower().replace("-", "_") for d in dependencies
     }
     assert third_party == declared == {"requests"}
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    root = Path(__file__).resolve().parent.parent
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    # a regex, since tomllib is not in the standard library before 3.11
+    floor = re.search(r'^requires-python\s*=\s*">=\s*3\.(\d+)"', pyproject, re.MULTILINE)
+    assert floor is not None, "pyproject.toml declares no requires-python floor"
+    for path in sorted((root / "src" / "pocfusion").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        ast.parse(source, str(path), feature_version=(3, int(floor.group(1))))
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -181,15 +182,14 @@ def test_code_cosine_equals_sparse_cosine_bit_for_bit(a_counts, b_counts, others
     a, b = code_report("a", a_counts), code_report("b", b_counts)
     assert tokenize_code(a.raw_content) == Counter(a_counts)
     expected = cosine_similarity(Counter(a_counts), Counter(b_counts)).hex()
-    # a pair outside any indexed block
+    # the pair on its own
     assert ScoringModels().content_cosine(a, b).hex() == expected
-    # the same pair inside a block of up to 12 reports, and every other pair
-    # of that block, read in both row orders
+    # the same pair among up to 12 reports whose counts one models keeps, and
+    # every other pair of them, in both orders
     block = [code_report(f"o{i}", counts) for i, counts in enumerate(others)]
     block[at:at] = [a]
     block.append(b)
     models = ScoringModels()
-    models.index(block)
     assert models.content_cosine(a, b).hex() == expected
     for x, y in combinations(block, 2):
         for u, v in ((x, y), (y, x)):
@@ -239,30 +239,58 @@ def test_text_and_title_cosines_equal_sparse_cosine_bit_for_bit(a_counts, b_coun
             for u, v in ((x.raw_content, y.raw_content), (title_text(x), title_text(y)))
         ]
 
-    # a pair outside any indexed block
+    # the pair on its own
     assert cosines(ScoringModels(), a, b) == expected_hex
-    # the same pair inside a block of up to 12 reports, and every other pair
-    # of that block, read in both row orders
+    # the same pair among up to 12 reports whose counts one models keeps, and
+    # every other pair of them, in both orders; the block's title matrix
+    # holds each pair's title cosine in row j > i
     block = [text_report(f"o{i}", *counts) for i, counts in enumerate(others)]
     block[at:at] = [a]
     block.append(b)
-    # its title cosines are read from the block's matrix, its content
-    # cosines are scored pair by pair
     models = ScoringModels()
-    models.index(block)
+    titles = models.title_matrix(block)
     assert cosines(models, a, b) == expected_hex
     assert cosines(models, b, a) == expected_hex
-    for x, y in combinations(block, 2):
+    for (i, x), (j, y) in combinations(enumerate(block), 2):
         assert cosines(models, x, y) == oracle(x, y)
         assert cosines(models, y, x) == oracle(y, x)
+        assert titles[j][i].hex() == oracle(x, y)[1]
 
 
 def test_code_cosine_exact_half_in_a_block():
     models = ScoringModels()
     a, b = report("a", content="x y", kind=PY), report("b", content="x z", kind=PY)
-    models.index([report("c", content="x x y q", kind=PY), a, b])
+    c = report("c", content="x x y q", kind=PY)
+    assert models.content_cosine(c, a) == 3 / math.sqrt(12)
     assert models.content_cosine(a, b) == 0.5
     assert score_pair(a, b, PY, models) == 0.5
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.lists(token_counts, max_size=12))
+def test_cosine_matrix_equals_sparse_cosine_bit_for_bit(vectors):
+    matrix = link_module.cosine_matrix([Counter(v) for v in vectors])
+    # row i holds vector i's cosines with vectors 0..i, in input order
+    assert [len(row) for row in matrix] == list(range(1, len(vectors) + 1))
+    for i, row in enumerate(matrix):
+        for j, entry in enumerate(row):
+            if not vectors[i] or not vectors[j]:
+                assert entry.hex() == (0.0).hex()
+            else:
+                oracle = cosine_similarity(Counter(vectors[i]), Counter(vectors[j]))
+                assert entry.hex() == oracle.hex()
+
+
+def test_scores_follow_a_replaced_report():
+    models = ScoringModels()
+    a = report("a", content="aa bb cc")
+    b = report("b", content="aa bb dd", title="FooServ overflow")
+    assert (models.title_cosine(a, b), models.content_cosine(a, b)) == (0.0, 2 / 3)
+    # another report of id a is counted anew, not answered from a's counts
+    a2 = replace(a, aspects=b.aspects, raw_content="totally different words here")
+    assert (models.title_cosine(a2, b), models.content_cosine(a2, b)) == (1.0, 0.0)
+    assert models.title_matrix([a2, b])[1][0] == 1.0
+    assert models.content_cosine(a, b) == 2 / 3
 
 
 def empty_content_warnings(caplog):
@@ -273,10 +301,10 @@ def test_code_cosine_zero_vector_logs(caplog):
     models = ScoringModels()
     a, b = report("a", content=" ", kind=PY), report("b", content="x", kind=PY)
     c = report("c", content="x y", kind=PY)
-    models.index([a, b, c])
+    models.title_matrix([a, b, c])
     assert models.content_cosine(a, b) == 0.0
     assert models.content_cosine(c, a) == 0.0
-    models.index([a, c])
+    models.title_matrix([a, c])
     assert models.content_cosine(a, c) == 0.0
     # one warning for the empty report, however many of its pairs are scored
     assert empty_content_warnings(caplog) == ["report a has no content tokens, scored 0"]
@@ -548,6 +576,29 @@ def test_heuristic_classifies_only_pairs_the_title_gate_lets_in(monkeypatch):
     candidates = list(combinations(["f1", "f2", "f3", "f4", "f5"], 2))
     assert calls == candidates
     assert external.degraded_pairs == candidates
+
+
+def test_other_classifier_builds_no_title_matrix(monkeypatch):
+    class Delegate:  # any classifier but the heuristic itself
+        def __init__(self, classifier):
+            self.classifier = classifier
+
+        def classify(self, a, b):
+            return self.classifier.classify(a, b)
+
+    corpus = gate_corpus()
+    models = ScoringModels()
+    expected = build_link_graph(
+        corpus, models, HeuristicPairClassifier(models), CompletionConfig()
+    )
+
+    def refused(vectors):
+        raise AssertionError("a title matrix was built")
+
+    monkeypatch.setattr(link_module, "cosine_matrix", refused)
+    models = ScoringModels()
+    delegate = Delegate(HeuristicPairClassifier(models))
+    assert build_link_graph(corpus, models, delegate, CompletionConfig()) == expected
 
 
 @pytest.mark.parametrize("cutoff, n_links", [(0.5, 8), (0.75, 3), (0.85, 1), (1.0, 1)])
