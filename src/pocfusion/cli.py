@@ -10,6 +10,7 @@ stages wrote, so nothing written in the run is decoded again.
 from __future__ import annotations
 
 import argparse
+import codecs
 import hashlib
 import json
 import logging
@@ -111,11 +112,12 @@ def parse_config_file(path: Path) -> dict[str, str]:
 
 def _read_config_file(path: Path) -> tuple[dict[str, str], list[str]]:
     """The values of a config file, and its malformed lines and repeated keys.
-    A file that is not UTF-8 raises :class:`ConfigurationError`."""
+    A leading byte-order mark is dropped; a file that is not UTF-8 raises
+    :class:`ConfigurationError`."""
     values: dict[str, str] = {}
     lines: dict[str, int] = {}  # key -> line that first set it
     errors: list[str] = []
-    data = path.read_bytes()
+    data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -426,7 +428,6 @@ def stage_complete(config: PipelineConfig, ws: Path, inputs: dict) -> _StageResu
     save_corpus(result.corpus, ws / COMPLETED)
     save_completion_records(result.records, ws / RECORDS)
     return {COMPLETED: result.corpus, RECORDS: result.records}, {
-        "run_id": result.run_id,
         "records": len(result.records),
         "skipped_links": result.skipped_links,
         "failed_associations": len(result.failed_associations),

@@ -8,8 +8,6 @@ donor's own Original values, so completed values never propagate onward.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -52,14 +50,13 @@ class CompletionConfig:
 
 @dataclass(frozen=True)
 class CompletionRecord:
-    run_id: str
     target: str
     slot: str
     value: str
     origin: Provenance
 
     def __post_init__(self) -> None:
-        for name in ("run_id", "target", "value"):
+        for name in ("target", "value"):
             if type(getattr(self, name)) is not str:
                 raise ValueError(f"completion {name} is not a string: {getattr(self, name)!r}")
         if not self.value.strip():
@@ -71,7 +68,6 @@ class CompletionRecord:
 
     def encode(self) -> dict:
         return {
-            "run_id": self.run_id,
             "target": self.target,
             "slot": self.slot,
             "value": self.value,
@@ -81,7 +77,6 @@ class CompletionRecord:
     @classmethod
     def decode(cls, data: dict) -> "CompletionRecord":
         return cls(
-            run_id=data["run_id"],
             target=data["target"],
             slot=data["slot"],
             value=data["value"],
@@ -106,7 +101,7 @@ def verify_association(report: PocReport, entry: CveEntry) -> bool:
 
 
 def _fill(
-    report: PocReport, origin: Provenance, run_id: str, /, **texts: Iterable[str]
+    report: PocReport, origin: Provenance, /, **texts: Iterable[str]
 ) -> tuple[PocReport, list[CompletionRecord]]:
     """Add values to slots in one step, given as one keyword argument per
     slot: the report holding them, and one record per value it lacked, slot
@@ -118,7 +113,7 @@ def _fill(
     if aspects is before:
         return report, []
     records = [
-        CompletionRecord(run_id, report.id, slot, value.text, origin)
+        CompletionRecord(report.id, slot, value.text, origin)
         for slot in texts
         for value in aspects.values(slot)[len(before.values(slot)):]
     ]
@@ -126,7 +121,7 @@ def _fill(
 
 
 def complete_from_cve(
-    report: PocReport, entry: CveEntry, run_id: str = ""
+    report: PocReport, entry: CveEntry
 ) -> tuple[PocReport, list[CompletionRecord]]:
     """Append the entry's versions and platforms that the report lacks.
 
@@ -140,7 +135,6 @@ def complete_from_cve(
     return _fill(
         report,
         FromCve(entry.cve_id),
-        run_id,
         software_version=entry.all_versions(),
         test_platform=entry.platforms,
     )
@@ -151,7 +145,6 @@ def complete_from_poc(
     donor: PocReport,
     link: PocLink,
     config: ThresholdConfig = CompletionConfig(),
-    run_id: str = "",
 ) -> tuple[PocReport, list[CompletionRecord]]:
     """Fill the target's empty slots with the donor's Original
     values. Non-empty target slots stay untouched; donor values that were
@@ -174,36 +167,13 @@ def complete_from_poc(
                 donated[slot] = texts
     if not donated:
         return target, []
-    return _fill(target, FromPoc(donor.id, link.similarity, link.basis_text), run_id, **donated)
-
-
-def _derive_run_id(
-    corpus: Corpus, cve_db: dict[str, CveEntry], links: Sequence[PocLink],
-    config: ThresholdConfig,
-) -> str:
-    digest = hashlib.sha256()
-    for report in corpus:
-        digest.update(json.dumps(report.encode(), ensure_ascii=False).encode("utf-8"))
-    for cve_id in sorted(cve_db):
-        digest.update(json.dumps(cve_db[cve_id].encode(), ensure_ascii=False).encode("utf-8"))
-    for link in links:
-        digest.update(json.dumps(link.encode(), ensure_ascii=False).encode("utf-8"))
-    digest.update(
-        json.dumps(
-            {
-                "code_threshold": config.code_threshold,
-                "text_threshold": config.text_threshold,
-            }
-        ).encode("utf-8")
-    )
-    return "run-" + digest.hexdigest()[:16]
+    return _fill(target, FromPoc(donor.id, link.similarity, link.basis_text), **donated)
 
 
 @dataclass
 class CompletionResult:
     corpus: Corpus
     records: list[CompletionRecord]
-    run_id: str
     skipped_links: int = 0
     failed_associations: list[tuple[str, str]] = field(default_factory=list)
 
@@ -220,10 +190,8 @@ def run_completion(
     verification for. Pass 2 walks links by descending similarity (ties by
     pair key) and lets each endpoint donate to the other; donors expose their
     pre-run Original values only, targets accumulate live, so the best donor
-    fills each gap and nothing chains. The run id is a digest of the inputs,
-    making reruns reproducible.
+    fills each gap and nothing chains.
     """
-    run_id = _derive_run_id(corpus, cve_db, links, config)
     snapshot = {report.id: report for report in corpus}
     current: dict[str, PocReport] = dict(snapshot)
     records: list[CompletionRecord] = []
@@ -242,7 +210,7 @@ def run_completion(
                 )
                 failed.append((report.id, cve_id))
                 continue
-            updated, new_records = complete_from_cve(updated, entry, run_id)
+            updated, new_records = complete_from_cve(updated, entry)
             records.extend(new_records)
         current[report.id] = updated
 
@@ -254,13 +222,13 @@ def run_completion(
             continue
         for target_id, donor_id in ((link.a, link.b), (link.b, link.a)):
             updated, new_records = complete_from_poc(
-                current[target_id], snapshot[donor_id], link, config, run_id
+                current[target_id], snapshot[donor_id], link, config
             )
             current[target_id] = updated
             records.extend(new_records)
 
     enriched = Corpus(current[report.id] for report in corpus)
-    return CompletionResult(enriched, records, run_id, skipped, failed)
+    return CompletionResult(enriched, records, skipped, failed)
 
 
 def replay_completion(corpus: Corpus, records: Iterable[CompletionRecord]) -> Corpus:

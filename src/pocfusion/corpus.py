@@ -7,6 +7,7 @@ files are UTF-8 JSON Lines.
 
 from __future__ import annotations
 
+import codecs
 import json
 import logging
 import os
@@ -452,9 +453,10 @@ class Corpus:
 
 def _source_records(path: Path) -> Iterator[tuple[int, dict]]:
     """The JSON objects of a source file with their line numbers. Source
-    files are read leniently: bad UTF-8 bytes become U+FFFD, and a line that
-    is not a JSON object is skipped with a warning."""
-    text = path.read_text(encoding="utf-8", errors="replace")
+    files are read leniently: a leading byte-order mark is dropped, bad UTF-8
+    bytes become U+FFFD, and a line that is not a JSON object is skipped with
+    a warning."""
+    text = path.read_bytes().removeprefix(codecs.BOM_UTF8).decode("utf-8", errors="replace")
     for lineno, line in jsonl_lines(text):
         try:
             yield lineno, json_object(line)

@@ -1,4 +1,5 @@
 import ast
+import codecs
 import hashlib
 import json
 import logging
@@ -327,6 +328,25 @@ def test_config_file_that_is_not_utf8_is_a_configuration_error(tmp_path, capsys)
     with pytest.raises(ConfigurationError) as err:
         parse_config_file(cfg)
     assert err.value.errors == [errors[0]["message"]]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["# comment\nworkspace = {ws}\nsource.exploitdb = {edb}\n",
+     "source.exploitdb = {edb}\nworkspace = {ws}\n"],
+)
+def test_config_file_drops_a_leading_byte_order_mark(tmp_path, text):
+    edb, _, _ = write_sources(tmp_path)
+    ws = tmp_path / "ws"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(codecs.BOM_UTF8 + text.format(ws=ws, edb=edb).encode("utf-8"))
+    assert main(["ingest", "--config", str(cfg)]) == 0
+    assert (ws / "corpus_ingested.jsonl").exists()
+    # a bad byte is still counted from the first byte
+    cfg.write_bytes(codecs.BOM_UTF8 + b"workspace = ws\n# caf\xff\n")
+    with pytest.raises(ConfigurationError) as err:
+        parse_config_file(cfg)
+    assert err.value.errors[0].startswith(f"{cfg}:2: not valid UTF-8")
 
 
 @pytest.mark.parametrize("line", ["source. = {edb}", "source.  = {edb}", "source.exploitdb ="])
@@ -1024,5 +1044,5 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     complete = json.loads((workspace / "manifests" / "complete.json").read_text())
     deficiency = (workspace / "deficiency.md").read_text(encoding="utf-8")
     assert capsys.readouterr().out == (
-        f"{complete['records']} {complete['run_id']}\n{deficiency}\n"
+        f"{complete['records']} {complete['skipped_links']}\n{deficiency}\n"
     )

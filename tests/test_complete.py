@@ -73,14 +73,14 @@ def test_config_validation():
 
 def test_record_origin_must_be_completion():
     with pytest.raises(ValueError):
-        CompletionRecord("run-x", "r1", "title", "t", ORIGINAL)
-    CompletionRecord("run-x", "r1", "title", "t", FromCve("CVE-2020-0001"))
+        CompletionRecord("r1", "title", "t", ORIGINAL)
+    CompletionRecord("r1", "title", "t", FromCve("CVE-2020-0001"))
     # fields no stage could have written
     origin = FromCve("CVE-2020-0001")
     for fields in (
-        (5, "r1", "title", "t"),
-        ("run-x", "r1", "bogus", "t"),
-        ("run-x", "r1", "title", " "),
+        (5, "title", "t"),
+        ("r1", "bogus", "t"),
+        ("r1", "title", " "),
     ):
         with pytest.raises(ValueError):
             CompletionRecord(*fields, origin)
@@ -134,14 +134,14 @@ def test_complete_from_cve_appends_versions_then_platforms():
         ("Windows", "Linux"),
     )
     r = report("a", ("CVE-2020-0001",), title=["AlphaServ 2.0 - RCE"], software_version=["2.0"])
-    updated, records = complete_from_cve(r, e, "run-1")
+    updated, records = complete_from_cve(r, e)
     assert [(x.slot, x.value) for x in records] == [
         ("software_version", "2.1"),
         ("software_version", "3.0"),
         ("test_platform", "Windows"),
         ("test_platform", "Linux"),
     ]
-    assert all(x.origin == FromCve("CVE-2020-0001") and x.run_id == "run-1" for x in records)
+    assert all(x.origin == FromCve("CVE-2020-0001") for x in records)
     assert updated.aspects.texts("software_version") == ["2.0", "2.1", "3.0"]
     # pre-existing values keep their provenance
     assert updated.aspects.values("software_version")[0].provenance == ORIGINAL
@@ -233,7 +233,6 @@ def test_run_completion_record_sequence():
     result = run_fixture()
     rows = [(r.target, r.slot, r.value, r.origin) for r in result.records]
     assert rows == EXPECTED_RECORD_ROWS
-    assert all(r.run_id == result.run_id for r in result.records)
     assert result.skipped_links == 1
     assert result.failed_associations == EXPECTED_FAILED_ASSOCIATIONS
 
@@ -255,17 +254,21 @@ def test_run_completion_is_idempotent():
     assert second.corpus == first.corpus
 
 
-def test_run_completion_id_derivation(tmp_path):
-    a, b = run_fixture(), run_fixture()
-    assert a.run_id == b.run_id
-    assert a.run_id.startswith("run-") and len(a.run_id) == 20
-    tweaked = run_fixture(config=CompletionConfig(code_threshold=0.6))
-    assert tweaked.run_id != a.run_id
-    # the saved CVE map gives the same run id and records as the in-memory one
+def test_run_completion_from_a_reloaded_cve_db(tmp_path):
+    # the saved CVE map gives the same records as the in-memory one
     path = tmp_path / "cve_db.jsonl"
     save_cve_db(build_entries(), path)
     reloaded = run_completion(build_reports(), load_cve_db(path), build_links())
-    assert (reloaded.run_id, reloaded.records) == (a.run_id, a.records)
+    assert reloaded.records == run_fixture().records
+
+
+def test_run_completion_encodes_no_input(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} encoded during completion")
+
+    for kind in (PocReport, CveEntry, PocLink):
+        monkeypatch.setattr(kind, "encode", refuse)
+    assert run_fixture().records
 
 
 def test_donor_order_falling_similarity():
@@ -307,7 +310,7 @@ def test_replay_unknown_target():
     with pytest.raises(KeyError):
         replay_completion(
             Corpus([report("a")]),
-            [CompletionRecord("run-x", "zz", "title", "T", FromCve("CVE-2020-0001"))],
+            [CompletionRecord("zz", "title", "T", FromCve("CVE-2020-0001"))],
         )
 
 
@@ -315,9 +318,7 @@ def test_records_roundtrip(tmp_path):
     result = run_fixture()
     records = [
         *result.records,
-        CompletionRecord(
-            "run-x", "r1", "title", "a\u2028b\u2029c\u0085d", FromCve("CVE-2020-0001")
-        ),
+        CompletionRecord("r1", "title", "a\u2028b\u2029c\u0085d", FromCve("CVE-2020-0001")),
     ]
     path = tmp_path / "records.jsonl"
     save_completion_records(records, path)
@@ -326,6 +327,9 @@ def test_records_roundtrip(tmp_path):
     assert data.endswith(b"\n") and data.count(b"\n") == len(records)
     save_completion_records(load_completion_records(path), path)
     assert path.read_bytes() == data
+    # a line written with a run id still loads
+    path.write_text('{"run_id": "run-0123456789abcdef", ' + data.decode("utf-8")[1:], "utf-8")
+    assert load_completion_records(path) == records
     save_completion_records([], path)
     assert path.read_bytes() == b""
     assert load_completion_records(path) == []

@@ -1,3 +1,4 @@
+import codecs
 import dataclasses
 import functools
 import json
@@ -274,6 +275,21 @@ def test_ingest_reports_drops_malformed_lines(tmp_path, caplog):
     assert f"{path}:8:" in caplog.text and f"{path}:9:" in caplog.text
 
 
+def test_ingest_reports_drops_a_leading_byte_order_mark(tmp_path, caplog):
+    path = tmp_path / "src.jsonl"
+    rows = [
+        {"id": "a", "source": "ExploitDB", "content": "x"},
+        {"id": "b", "source": "ExploitDB", "content": "y"},
+    ]
+    text = "".join(json.dumps(r) + "\n" for r in rows)
+    path.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+    assert [r.id for r in ingest_reports(path, EDB)] == ["a", "b"]
+    assert "malformed" not in caplog.text
+    # workspace files stay strict
+    with pytest.raises(CorpusError, match=":1:"):
+        read_jsonl(path, lambda data: data)
+
+
 def test_ingest_reports_source_mismatch_skips(tmp_path, caplog):
     path = tmp_path / "src.jsonl"
     write_jsonl(
@@ -443,6 +459,14 @@ def test_build_corpus_cross_file_dedup(caplog):
     assert len(corpus) == 2
     assert corpus.get("x").raw_content == "x"
     assert "x" in caplog.text
+
+
+def test_ingest_cve_entries_drops_a_leading_byte_order_mark(tmp_path, caplog):
+    path = tmp_path / "cves.jsonl"
+    row = {"cve_id": "CVE-2020-11001", "products": [{"name": "NetLine", "versions": ["2.1"]}]}
+    path.write_bytes(codecs.BOM_UTF8 + (json.dumps(row) + "\n").encode("utf-8"))
+    assert list(ingest_cve_entries(path)) == ["CVE-2020-11001"]
+    assert "malformed" not in caplog.text
 
 
 def test_ingest_cve_entries_merges_repeats(tmp_path, caplog):
@@ -642,8 +666,8 @@ SAVED_FILES = {
         PocLink("a", "c", None, 0.5, ContentKind.PHP),
     ]),
     "records.jsonl": (save_completion_records, load_completion_records, [
-        CompletionRecord("run-1", "a", "title", "t", FromCve("CVE-2014-0160")),
-        CompletionRecord("run-1", "b", "author", "mn0", FromPoc("a", 0.5, "classifier")),
+        CompletionRecord("a", "title", "t", FromCve("CVE-2014-0160")),
+        CompletionRecord("b", "author", "mn0", FromPoc("a", 0.5, "classifier")),
     ]),
     "cve_db.jsonl": (save_cve_db, load_cve_db, {
         "CVE-2014-0160": CveEntry("CVE-2014-0160", (CveProduct("OpenSSL", ("1.0.1f",)),),
@@ -771,8 +795,7 @@ link_lists = st.lists(
 )
 record_lists = st.lists(
     st.builds(
-        CompletionRecord, st.text(), report_ids, st.sampled_from(ASPECT_SLOTS), aspect_text,
-        completed_origins,
+        CompletionRecord, report_ids, st.sampled_from(ASPECT_SLOTS), aspect_text, completed_origins
     ),
     max_size=5,
 )

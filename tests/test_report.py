@@ -103,7 +103,7 @@ def test_completion_stats_counts():
 
 
 def test_completion_stats_rejects_unknown_targets():
-    record = CompletionRecord("run-x", "ghost", "title", "T", FromCve("CVE-2020-0001"))
+    record = CompletionRecord("ghost", "title", "T", FromCve("CVE-2020-0001"))
     with pytest.raises(ValueError) as err:
         completion_stats([record], Corpus([report("e1", "ExploitDB")]))
     assert "ghost" in str(err.value)
