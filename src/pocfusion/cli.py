@@ -21,12 +21,7 @@ from pathlib import Path
 from typing import Callable
 
 from .classify import categorize
-from .complete import (
-    CompletionConfig,
-    run_completion,
-    save_completion_records,
-    load_completion_records,
-)
+from .complete import CompletionConfig, run_completion, save_completion_records
 from .corpus import (
     Corpus,
     CorpusError,
@@ -435,15 +430,11 @@ def stage_complete(config: PipelineConfig, ws: Path, inputs: dict) -> _StageResu
 
 
 def stage_stats(config: PipelineConfig, ws: Path, inputs: dict) -> _StageResult:
-    extracted = inputs[EXTRACTED]
-    deficiency = deficiency_stats(extracted)
-    if len(extracted) == 0:
-        logger.warning("deficiency table computed over an empty corpus")
-    completion = completion_stats(inputs[RECORDS], inputs[COMPLETED])
+    completed = inputs[COMPLETED]
     extension = "md" if config.format == "markdown" else "csv"
     written = {
-        f"deficiency.{extension}": render_report(deficiency, config.format),
-        f"completion.{extension}": render_report(completion, config.format),
+        f"deficiency.{extension}": render_report(deficiency_stats(completed), config.format),
+        f"completion.{extension}": render_report(completion_stats(completed), config.format),
     }
     for name, text in written.items():
         write_atomic(ws / name, [text])
@@ -466,13 +457,13 @@ _STAGES = {
              "build the cross-source association graph"),
     "complete": (stage_complete, (EXTRACTED, LINKS, CVE_DB),
                  "fill missing aspects from CVE entries and linked reports"),
-    "stats": (stage_stats, (EXTRACTED, COMPLETED, RECORDS),
+    "stats": (stage_stats, (COMPLETED,),
               "compute deficiency and completion tables"),
 }
 STAGES = tuple(_STAGES)
-# workspace file -> (the stage that writes it, its loader). A loader looks its
-# function up in this module when it is called, so that a wrapper installed on
-# the module attribute sees every load.
+# workspace file a stage reads -> (the stage that writes it, its loader). A
+# loader looks its function up in this module when it is called, so that a
+# wrapper installed on the module attribute sees every load.
 _FILES: dict[str, tuple[str, Callable[[Path], object]]] = {
     INGESTED: ("ingest", lambda path: load_corpus(path)),
     CVE_DB: ("ingest", lambda path: load_cve_db(path)),
@@ -480,7 +471,6 @@ _FILES: dict[str, tuple[str, Callable[[Path], object]]] = {
     EXTRACTED: ("extract", lambda path: load_corpus(path)),
     LINKS: ("link", lambda path: load_links(path)),
     COMPLETED: ("complete", lambda path: load_corpus(path)),
-    RECORDS: ("complete", lambda path: load_completion_records(path)),
 }
 
 

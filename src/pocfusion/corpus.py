@@ -433,9 +433,6 @@ class Corpus:
     def __iter__(self) -> Iterator[PocReport]:
         return iter(self.reports)
 
-    def __contains__(self, report_id: str) -> bool:
-        return report_id in self._by_id
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Corpus):
             return NotImplemented
@@ -454,14 +451,23 @@ class Corpus:
 def _source_records(path: Path) -> Iterator[tuple[int, dict]]:
     """The JSON objects of a source file with their line numbers. Source
     files are read leniently: a leading byte-order mark is dropped, bad UTF-8
-    bytes become U+FFFD, and a line that is not a JSON object is skipped with
-    a warning."""
+    bytes become U+FFFD, and so do lone surrogates that ``\\u`` escapes decode
+    to, with one warning per record. A line that is not a JSON object is
+    skipped with a warning."""
     text = path.read_bytes().removeprefix(codecs.BOM_UTF8).decode("utf-8", errors="replace")
     for lineno, line in jsonl_lines(text):
         try:
-            yield lineno, json_object(line)
+            record = json_object(line)
         except ValueError as exc:
             logger.warning("%s:%d: skipping malformed record: %s", path, lineno, exc)
+            continue
+        if "\\u" in line:  # no UTF-8 text holds a surrogate; only an escape decodes to one
+            dumped = json.dumps(record, ensure_ascii=False)
+            dumped, count = re.subn("[\ud800-\udfff]", "\ufffd", dumped)
+            if count:
+                logger.warning("%s:%d: %d lone surrogate(s) read as U+FFFD", path, lineno, count)
+                record = json.loads(dumped)
+        yield lineno, record
 
 
 def _record_error(record: dict) -> str | None:

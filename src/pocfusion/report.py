@@ -1,19 +1,17 @@
 """Deficiency and completion statistics with markdown/CSV rendering.
 
 A statistics table is its column names and its rows of string cells, in
-render order. Deficiency counts only values the reports arrived with
-(Original provenance), so enriching a corpus never changes its deficiency
-table.
+render order. Both fold over one completed corpus: deficiency counts only
+the values the reports arrived with (Original provenance), which completion
+never touches, and the completion table counts every other value.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from typing import Sequence
 
-from .corpus import ASPECT_SLOTS, ORIGIN_KINDS, Corpus
-from .complete import CompletionRecord
+from .corpus import ASPECT_SLOTS, ORIGIN_KINDS, Corpus, Original
 
 Table = tuple[tuple[str, ...], list[tuple[str, ...]]]
 
@@ -60,31 +58,33 @@ def deficiency_stats(corpus: Corpus) -> Table:
     return DEFICIENCY_COLUMNS, rows
 
 
-def completion_stats(records: Sequence[CompletionRecord], corpus: Corpus) -> Table:
-    """Distinct-PoC and value counts per (source, aspect, origin kind) that
-    has a record, in source encounter, slot and origin order, then one
-    overall row per origin kind. Every record must target a corpus report."""
-    unknown = sorted({r.target for r in records if r.target not in corpus})
-    if unknown:
-        raise ValueError(f"completion records target unknown report ids: {unknown}")
-    targets: dict[tuple[str, str, str], set[str]] = {}
+def completion_stats(corpus: Corpus) -> Table:
+    """Distinct-PoC and value counts of the completed (non-Original) values
+    per (source, aspect, origin kind) that has one, in source encounter, slot
+    and origin order, then one overall row per origin kind."""
+    pocs: dict[tuple[str, str, str], int] = {}
     values: dict[tuple[str, str, str], int] = {}
-    for record in records:
-        source = corpus.get(record.target).source
-        key = (source, record.slot, record.origin.encode()["kind"])
-        targets.setdefault(key, set()).add(record.target)
-        values[key] = values.get(key, 0) + 1
+    for report in corpus:
+        held: dict[tuple[str, str, str], int] = {}  # this report's values per key
+        for slot in ASPECT_SLOTS:
+            for value in report.aspects.values(slot):
+                if not isinstance(value.provenance, Original):
+                    key = (report.source, slot, value.provenance.encode()["kind"])
+                    held[key] = held.get(key, 0) + 1
+        for key, count in held.items():
+            pocs[key] = pocs.get(key, 0) + 1
+            values[key] = values.get(key, 0) + count
     rows = []
     for source in dict.fromkeys(report.source for report in corpus):
         for slot in ASPECT_SLOTS:
             for origin in ORIGIN_KINDS:
                 key = (source, slot, origin)
                 if key in values:
-                    rows.append((source, slot, origin, str(len(targets[key])), str(values[key])))
+                    rows.append((source, slot, origin, str(pocs[key]), str(values[key])))
     for origin in ORIGIN_KINDS:
-        pocs = sum(len(ids) for key, ids in targets.items() if key[2] == origin)
+        count_pocs = sum(n for key, n in pocs.items() if key[2] == origin)
         count = sum(n for key, n in values.items() if key[2] == origin)
-        rows.append(("(all)", "(all)", origin, str(pocs), str(count)))
+        rows.append(("(all)", "(all)", origin, str(count_pocs), str(count)))
     return COMPLETION_COLUMNS, rows
 
 

@@ -440,7 +440,7 @@ def test_prerequisite_names_producing_command(tmp_path, capsys):
     assert "run 'pocfusion ingest' first" in message
 
     assert main(["stats", "--workspace", str(ws)]) == 3
-    assert "run 'pocfusion extract' first" in last_error(capsys)["message"]
+    assert "run 'pocfusion complete' first" in last_error(capsys)["message"]
 
 
 def test_lock_conflict(tmp_path, capsys):
@@ -517,6 +517,30 @@ def test_unreadable_cve_dump_writes_no_ingest_output(tmp_path, capsys, monkeypat
     assert not (ws / "cve_db.jsonl").exists()
 
 
+def test_lone_surrogate_escapes_in_outside_input_read_as_replacement_characters(
+    tmp_path, monkeypatch, caplog
+):
+    # JSON can escape a lone surrogate, which no UTF-8 file can hold; it reads
+    # as U+FFFD, as a byte that is not UTF-8 does
+    shutil.copytree(Path(__file__).resolve().parent.parent / "demo", tmp_path / "demo")
+    edb = tmp_path / "demo" / "exploitdb.jsonl"
+    lines = edb.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[0] = '{"\\udc00": 1, "title": "Lone \\ud800 title", ' + lines[0][1:]
+    edb.write_text("".join(lines), encoding="utf-8")
+    cve = tmp_path / "demo" / "cve_entries.jsonl"
+    lines = cve.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1] = lines[1].replace('"platforms": []', '"platforms": ["Linux \\udfff"]')
+    cve.write_text("".join(lines), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run-all", "--config", "demo/config.cfg", "--workspace", "ws"]) == 0
+    for path, line, count in (("exploitdb.jsonl", 1, 2), ("cve_entries.jsonl", 2, 1)):
+        assert (
+            f"{Path('demo', path)}:{line}: {count} lone surrogate(s) read as U+FFFD"
+        ) in caplog.messages
+    assert "Lone \ufffd title" in (tmp_path / "ws" / "corpus_ingested.jsonl").read_text("utf-8")
+    assert "Linux \ufffd" in (tmp_path / "ws" / "cve_db.jsonl").read_text("utf-8")
+
+
 def test_case_variant_header_labels_fill_their_slots(tmp_path):
     # each label matches ignoring case, though its lowercase is no label
     source = tmp_path / "edb.jsonl"
@@ -560,10 +584,11 @@ def set_field(field, value):
     return lambda line: json.dumps({**json.loads(line), field: value})
 
 
-def set_aspect(slot, texts):
+def set_aspect(slot, texts, provenance=None):
     def damage(line):
         record = json.loads(line)
-        values = [{"text": t, "provenance": {"kind": "original"}} for t in texts]
+        origin = {"kind": "original"} if provenance is None else provenance
+        values = [{"text": t, "provenance": origin} for t in texts]
         return json.dumps({**record, "aspects": {**record["aspects"], slot: values}})
     return damage
 
@@ -577,9 +602,7 @@ STAGE_INPUTS = [
     ("complete", "corpus_extracted.jsonl"),
     ("complete", "links.jsonl"),
     ("complete", "cve_db.jsonl"),
-    ("stats", "corpus_extracted.jsonl"),
     ("stats", "corpus_completed.jsonl"),
-    ("stats", "completion_records.jsonl"),
 ]
 
 
@@ -594,28 +617,29 @@ STAGE_INPUTS = [
                      id="complete-similarity-string"),
         pytest.param("complete", "links.jsonl", set_field("similarity", True),
                      id="complete-similarity-bool"),
-        pytest.param("stats", "completion_records.jsonl", set_field("origin", []),
+        pytest.param("stats", "corpus_completed.jsonl", set_aspect("title", ["T"], []),
                      id="stats-origin-list"),
         pytest.param("complete", "cve_db.jsonl", set_field("platforms", "Linux"),
                      id="complete-platforms-string"),
         pytest.param("link", "corpus_extracted.jsonl", set_aspect("bogus", ["x"]),
                      id="link-unknown-slot"),
-        pytest.param("stats", "completion_records.jsonl", set_field("origin", {"kind": "bogus"}),
+        pytest.param("stats", "corpus_completed.jsonl",
+                     set_aspect("title", ["T"], {"kind": "bogus"}),
                      id="stats-unknown-origin-kind"),
-        pytest.param("stats", "completion_records.jsonl",
-                     set_field("origin", {"kind": "from_poc", "donor_id": "e1",
-                                          "similarity": True, "basis": "classifier"}),
+        pytest.param("stats", "corpus_completed.jsonl",
+                     set_aspect("title", ["T"], {"kind": "from_poc", "donor_id": "e1",
+                                                 "similarity": True, "basis": "classifier"}),
                      id="stats-similarity-bool"),
         pytest.param("link", "corpus_extracted.jsonl", set_aspect("title", ["Foo", " foo"]),
                      id="link-duplicate-values"),
-        pytest.param("stats", "completion_records.jsonl", set_field("slot", "bogus"),
+        pytest.param("stats", "corpus_completed.jsonl", set_aspect("bogus", ["x"]),
                      id="stats-unknown-record-slot"),
-        pytest.param("stats", "completion_records.jsonl",
-                     set_field("origin", {"kind": "from_cve", "cve_id": "nonsense"}),
+        pytest.param("stats", "corpus_completed.jsonl",
+                     set_aspect("title", ["T"], {"kind": "from_cve", "cve_id": "nonsense"}),
                      id="stats-non-canonical-cve-origin"),
-        pytest.param("stats", "completion_records.jsonl",
-                     set_field("origin", {"kind": "from_poc", "donor_id": "e1",
-                                          "similarity": 0.5, "basis": 7}),
+        pytest.param("stats", "corpus_completed.jsonl",
+                     set_aspect("title", ["T"], {"kind": "from_poc", "donor_id": "e1",
+                                                 "similarity": 0.5, "basis": 7}),
                      id="stats-basis-number"),
         # the demo's last link is a shared_cve link
         pytest.param("complete", "links.jsonl", set_field("cve_id", "nonsense"),
@@ -654,6 +678,19 @@ def test_invalid_utf8_is_a_data_error(full_workspace, tmp_path, capsys, stage, n
     assert main([stage, "--workspace", str(ws)]) == 4
     line = data[:at].count(b"\n") + 1
     assert f"{name}:{line}: not valid UTF-8" in last_error(capsys)["message"]
+
+
+def test_stats_needs_only_the_completed_corpus(full_workspace, tmp_path):
+    # both tables fold over the completed corpus, whose values carry their
+    # provenance; the records file is an audit log no stage reads
+    ws = tmp_path / "ws"
+    shutil.copytree(full_workspace, ws)
+    for name in ("deficiency.md", "completion.md", "corpus_extracted.jsonl",
+                 "completion_records.jsonl"):
+        (ws / name).unlink()
+    assert main(["stats", "--workspace", str(ws)]) == 0
+    for name in ("deficiency.md", "completion.md"):
+        assert (ws / name).read_bytes() == (full_workspace / name).read_bytes(), name
 
 
 # the stage that writes each workspace file, written out by hand
@@ -787,7 +824,7 @@ def test_run_all_matches_staged_runs(tmp_path, fmt):
 
 def test_run_all_decodes_nothing_it_wrote(tmp_path, monkeypatch):
     calls = Counter()
-    for name in ("load_corpus", "load_cve_db", "load_links", "load_completion_records"):
+    for name in ("load_corpus", "load_cve_db", "load_links"):
         def counted(path, name=name, load=getattr(cli, name)):
             calls[name] += 1
             return load(path)
@@ -796,7 +833,7 @@ def test_run_all_decodes_nothing_it_wrote(tmp_path, monkeypatch):
     assert calls == Counter()
     # a single stage reads its inputs from the workspace
     assert main(["stats", "--workspace", str(tmp_path / "ws")]) == 0
-    assert calls == Counter({"load_corpus": 2, "load_completion_records": 1})
+    assert calls == Counter({"load_corpus": 1})
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -810,6 +847,28 @@ def test_rerun_is_byte_identical(tmp_path):
     for path in ws.rglob("*"):
         if path.is_file():
             assert snapshot[path.relative_to(ws)] == path.read_bytes(), path
+
+
+def test_run_all_is_byte_identical_under_any_hash_seed(tmp_path):
+    # str hashes are salted per process: an iteration over a set of strings
+    # that reached a file would order it differently under the two seeds
+    root = Path(__file__).resolve().parent.parent
+    script = "import sys; from pocfusion.cli import main; sys.exit(main(sys.argv[1:]))"
+    workspaces = []
+    for seed in ("0", "1"):
+        ws = tmp_path / f"seed-{seed}"
+        env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONHASHSEED": seed}
+        result = subprocess.run(
+            [sys.executable, "-c", script, "run-all", "--config", "demo/config.cfg",
+             "--workspace", str(ws)],
+            cwd=root, env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        workspaces.append(
+            {path.relative_to(ws): path.read_bytes() for path in ws.rglob("*") if path.is_file()}
+        )
+    assert sum(name.parent.name == "manifests" for name in workspaces[0]) == 6
+    assert workspaces[0] == workspaces[1]
 
 
 def test_leftover_tmp_files_do_not_change_a_run(tmp_path):
@@ -839,8 +898,7 @@ MANIFEST_FILES = {
     "link": ({"corpus_extracted.jsonl", "cve_db.jsonl"}, {"links.jsonl"}),
     "complete": ({"corpus_extracted.jsonl", "links.jsonl", "cve_db.jsonl"},
                  {"corpus_completed.jsonl", "completion_records.jsonl"}),
-    "stats": ({"corpus_extracted.jsonl", "corpus_completed.jsonl", "completion_records.jsonl"},
-              {"deficiency.md", "completion.md"}),
+    "stats": ({"corpus_completed.jsonl"}, {"deficiency.md", "completion.md"}),
 }
 
 
@@ -1043,6 +1101,7 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     # the example repeats the link, complete and stats stages in process
     complete = json.loads((workspace / "manifests" / "complete.json").read_text())
     deficiency = (workspace / "deficiency.md").read_text(encoding="utf-8")
+    completion = (workspace / "completion.md").read_text(encoding="utf-8")
     assert capsys.readouterr().out == (
-        f"{complete['records']} {complete['skipped_links']}\n{deficiency}\n"
+        f"{complete['records']} {complete['skipped_links']}\n{deficiency}\n{completion}\n"
     )

@@ -1,3 +1,5 @@
+import json
+import re
 from collections import Counter
 
 import pytest
@@ -24,7 +26,7 @@ from pocfusion import (
     save_cve_db,
     verify_association,
 )
-from pocfusion.corpus import AspectSet, AspectValue, ContentKind, CveProduct
+from pocfusion.corpus import AspectSet, AspectValue, ContentKind, CorpusError, CveProduct
 
 from fusion_fixture import (
     EXPECTED_FAILED_ASSOCIATIONS,
@@ -335,4 +337,35 @@ def test_records_roundtrip(tmp_path):
     assert load_completion_records(path) == []
     path.write_bytes(data + b"[1]\n")
     with pytest.raises(ValueError, match=f"records.jsonl:{len(records) + 1}:"):
+        load_completion_records(path)
+
+
+def set_record_field(field, value):
+    return lambda line: json.dumps({**json.loads(line), field: value})
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        pytest.param(set_record_field("origin", []), id="origin-list"),
+        pytest.param(set_record_field("origin", {"kind": "bogus"}), id="unknown-origin-kind"),
+        pytest.param(set_record_field("origin", {"kind": "from_poc", "donor_id": "e1",
+                                                 "similarity": True, "basis": "classifier"}),
+                     id="similarity-bool"),
+        pytest.param(set_record_field("slot", "bogus"), id="unknown-slot"),
+        pytest.param(set_record_field("origin", {"kind": "from_cve", "cve_id": "nonsense"}),
+                     id="non-canonical-cve-origin"),
+        pytest.param(set_record_field("origin", {"kind": "from_poc", "donor_id": "e1",
+                                                 "similarity": 0.5, "basis": 7}),
+                     id="basis-number"),
+        pytest.param(lambda line: line[: len(line) // 2], id="cut"),
+    ],
+)
+def test_broken_records_line_names_file_and_line(tmp_path, damage):
+    path = tmp_path / "completion_records.jsonl"
+    save_completion_records(run_fixture().records, path)
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    lines[-1] = damage(lines[-1])
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:{len(lines)}: "):
         load_completion_records(path)

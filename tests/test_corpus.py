@@ -228,7 +228,6 @@ def test_corpus_rejects_duplicate_ids():
 
 def test_corpus_lookup_and_replace():
     corpus = Corpus([make_report("a"), make_report("b")])
-    assert "a" in corpus and "z" not in corpus
     assert corpus.get("b").id == "b"
     with pytest.raises(KeyError):
         corpus.get("z")

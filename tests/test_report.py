@@ -1,18 +1,26 @@
+import itertools
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pocfusion import (
     ASPECT_SLOTS,
-    CompletionRecord,
     Corpus,
+    CveEntry,
+    CveProduct,
     FromCve,
+    PocLink,
     PocReport,
+    SharedCve,
     aspect_values,
     completion_stats,
     deficiency_stats,
     render_report,
     run_completion,
 )
-from pocfusion.corpus import AspectSet, AspectValue, ContentKind
+from pocfusion.corpus import ORIGIN_KINDS, AspectSet, AspectValue, ContentKind
+from pocfusion.report import COMPLETION_COLUMNS
 
 from fusion_fixture import build_entries, build_links, build_reports
 
@@ -86,7 +94,7 @@ def test_deficiency_empty_corpus():
 
 def test_completion_stats_counts():
     result = run_completion(build_reports(), build_entries(), build_links())
-    columns, rows = completion_stats(result.records, result.corpus)
+    columns, rows = completion_stats(result.corpus)
     assert columns == ("source", "aspect", "origin", "pocs_completed", "aspects_completed")
     counts = {row[:3]: (int(row[3]), int(row[4])) for row in rows}
     assert {source for source, _slot, _origin in counts} == {"ExploitDB", "(all)"}
@@ -102,11 +110,83 @@ def test_completion_stats_counts():
     assert sum(per_slot) == len(result.records) == 20
 
 
-def test_completion_stats_rejects_unknown_targets():
-    record = CompletionRecord("ghost", "title", "T", FromCve("CVE-2020-0001"))
-    with pytest.raises(ValueError) as err:
-        completion_stats([record], Corpus([report("e1", "ExploitDB")]))
-    assert "ghost" in str(err.value)
+# --- both tables fold over the completed corpus -------------------------------------
+
+SOURCES = ("ExploitDB", "PacketStorm")
+CVES = ("CVE-2020-0001", "CVE-2020-0002", "CVE-2021-0003")
+# few texts, so that software names meet CVE products and values repeat
+TEXTS = ("AlphaServ 2.0", "alphaserv", "BetaWeb 1.1", "Windows", "Linux", "step one")
+LINK_KINDS = (TEXT, ContentKind.PYTHON)
+
+
+@st.composite
+def fusion_inputs(draw):
+    """A small corpus over two sources holding Original values only, CVE
+    entries for some of the CVE ids, and links between its reports."""
+    texts = st.lists(st.sampled_from(TEXTS), max_size=2)
+    reports = [
+        PocReport(
+            id=f"r{n}",
+            source=draw(st.sampled_from(SOURCES)),
+            raw_content="text",
+            content_kind=draw(st.sampled_from(LINK_KINDS)),
+            cve_ids=tuple(draw(st.lists(st.sampled_from(CVES), unique=True, max_size=2))),
+            aspects=AspectSet().with_added(
+                **{slot: aspect_values(draw(texts)) for slot in ASPECT_SLOTS}
+            ),
+        )
+        for n in range(draw(st.integers(1, 6)))
+    ]
+    entries = {
+        cve_id: CveEntry(
+            cve_id,
+            (CveProduct(draw(st.sampled_from(TEXTS)), tuple(draw(texts))),),
+            tuple(draw(texts)),
+        )
+        for cve_id in draw(st.lists(st.sampled_from(CVES), unique=True))
+    }
+    pairs = list(itertools.combinations([r.id for r in reports], 2))
+    links = [
+        PocLink(a, b, draw(st.none() | st.sampled_from(CVES).map(SharedCve)),
+                draw(st.floats(0.0, 1.0)), draw(st.sampled_from(LINK_KINDS)))
+        for a, b in (draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    ]
+    return Corpus(reports), entries, links
+
+
+def completion_table_from_records(records, corpus):
+    """The completion table counted from the audit records, the way the stats
+    stage counted it while it read them: distinct targets and records per
+    (source, slot, origin kind)."""
+    targets = {}
+    values = Counter()
+    for record in records:
+        key = (corpus.get(record.target).source, record.slot, record.origin.encode()["kind"])
+        targets.setdefault(key, set()).add(record.target)
+        values[key] += 1
+    rows = [
+        (*key, str(len(targets[key])), str(values[key]))
+        for key in itertools.product(
+            dict.fromkeys(r.source for r in corpus), ASPECT_SLOTS, ORIGIN_KINDS
+        )
+        if key in values
+    ]
+    for origin in ORIGIN_KINDS:
+        pocs = sum(len(ids) for key, ids in targets.items() if key[2] == origin)
+        count = sum(n for key, n in values.items() if key[2] == origin)
+        rows.append(("(all)", "(all)", origin, str(pocs), str(count)))
+    return COMPLETION_COLUMNS, rows
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(fusion_inputs())
+def test_tables_from_the_completed_corpus_equal_the_record_counts(inputs):
+    corpus, entries, links = inputs
+    result = run_completion(corpus, entries, links)
+    assert completion_stats(result.corpus) == completion_table_from_records(
+        result.records, result.corpus
+    )
+    assert deficiency_stats(result.corpus) == deficiency_stats(corpus)
 
 
 def test_deficiency_markdown_layout():
@@ -136,7 +216,7 @@ def test_deficiency_csv_layout():
 
 def test_completion_render_skips_empty_rows():
     result = run_completion(build_reports(), build_entries(), build_links())
-    table = completion_stats(result.records, result.corpus)
+    table = completion_stats(result.corpus)
     md = render_report(table, "markdown")
     lines = md.splitlines()
     assert lines[0] == "| source | aspect | origin | pocs_completed | aspects_completed |"
@@ -154,7 +234,7 @@ def test_completion_render_skips_empty_rows():
 def test_completion_render_row_order():
     # rows follow source encounter order, then slot order, then origin kind
     result = run_completion(build_reports(), build_entries(), build_links())
-    table = completion_stats(result.records, result.corpus)
+    table = completion_stats(result.corpus)
     rows = render_report(table, "csv").splitlines()[1:]
     slots = [line.split(",")[1] for line in rows if not line.startswith("(all)")]
     order = {slot: i for i, slot in enumerate(ASPECT_SLOTS)}
