@@ -15,8 +15,8 @@ from .corpus import (
     FromPoc,
     Original,
     PocReport,
+    Skipped,
     aspect_values,
-    build_corpus,
     decode_provenance,
     ingest_cve_entries,
     ingest_reports,

@@ -25,7 +25,7 @@ from .complete import CompletionConfig, run_completion, save_completion_records
 from .corpus import (
     Corpus,
     CorpusError,
-    build_corpus,
+    Skipped,
     ingest_cve_entries,
     ingest_reports,
     json_object,
@@ -366,17 +366,21 @@ def _source_files(config: PipelineConfig) -> dict[str, Path]:
 
 
 def stage_ingest(config: PipelineConfig, ws: Path, inputs: dict) -> _StageResult:
-    groups = [ingest_reports(path, name) for name, path in config.sources]
-    corpus = build_corpus(groups)
+    skipped, seen_ids = Skipped(), set()
+    corpus = Corpus(
+        report
+        for name, path in config.sources
+        for report in ingest_reports(path, name, skipped, seen_ids)
+    )
     if len(corpus) == 0:
         raise CorpusError("no reports survived ingestion")
     # every input is read before an output is written: a dump that cannot
     # be read leaves no corpus without its CVE database and manifest
-    entries = ingest_cve_entries(config.cve) if config.cve else {}
+    entries = ingest_cve_entries(config.cve, skipped) if config.cve else {}
     save_corpus(corpus, ws / INGESTED)
     save_cve_db(entries, ws / CVE_DB)
     return {INGESTED: corpus, CVE_DB: entries}, {
-        "reports": len(corpus), "cve_entries": len(entries),
+        "reports": len(corpus), "cve_entries": len(entries), "skipped": asdict(skipped),
     }
 
 

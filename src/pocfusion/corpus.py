@@ -446,197 +446,214 @@ class Corpus:
 
 
 # --- ingestion ---------------------------------------------------------------
+#
+# Outside input is read through one table per input kind: field -> (the JSON
+# types its values may take, by exact type, so a boolean is no number; what a
+# value of any other type skips; the field's shape). Other fields are ignored.
+
+SKIP_VALUE, SKIP_RECORD = "value", "record"  # the value alone, or its whole record
+# One value, which absent or null reads as None (ONE) or skips the record
+# (REQUIRED; NONBLANK also when blank); one value or a list of them (MANY); or a
+# list (LIST: any other value skips the record). Null list items are dropped.
+ONE, REQUIRED, NONBLANK, MANY, LIST = "one", "required", "nonblank", "many", "list"
+TEXT, SCALAR, OBJECT = (str,), (str, int, float), (dict,)
+_TYPE_NAMES = {str: "a string", int: "a number", float: "a number", dict: "an object"}
+
+SOURCE_RECORD = {
+    "id": (TEXT, SKIP_RECORD, NONBLANK),
+    "source": (TEXT, SKIP_RECORD, NONBLANK),
+    "content": (TEXT, SKIP_RECORD, REQUIRED),
+    **dict.fromkeys([*_RECORD_SLOT_FIELDS, "cve_ids"], (SCALAR, SKIP_VALUE, MANY)),
+}
+CVE_ENTRY = {
+    "cve_id": (TEXT, SKIP_RECORD, REQUIRED),
+    "products": (OBJECT, SKIP_VALUE, LIST),  # each read by PRODUCT
+    "platforms": (SCALAR, SKIP_VALUE, MANY),
+}
+PRODUCT = {
+    "name": (TEXT, SKIP_RECORD, ONE),
+    "versions": (SCALAR, SKIP_VALUE, MANY),
+}
 
 
-def _source_records(path: Path) -> Iterator[tuple[int, dict]]:
-    """The JSON objects of a source file with their line numbers. Source
-    files are read leniently: a leading byte-order mark is dropped, bad UTF-8
-    bytes become U+FFFD, and so do lone surrogates that ``\\u`` escapes decode
-    to, with one warning per record. A line that is not a JSON object is
-    skipped with a warning."""
+@dataclass
+class Skipped:
+    """What ingest left out of outside input: whole records (source records,
+    CVE entries and products) and single values, each counted as its one
+    warning is logged, and the lone surrogates it read as U+FFFD."""
+
+    records: int = 0
+    values: int = 0
+    lone_surrogates: int = 0
+
+    def record(self, message: str, *args: object) -> None:
+        logger.warning(message, *args)
+        self.records += 1
+
+    def value(self, message: str, *args: object) -> None:
+        logger.warning(message, *args)
+        self.values += 1
+
+
+def _read_fields(
+    table: dict, record: dict, where: str, skipped: Skipped, kind: str = "record"
+) -> dict | None:
+    """The fields of an outside ``record`` of ``kind`` that ``table`` names:
+    one-value shapes read as a value or None, the others as the list of values
+    kept. None when the record is skipped. Each value or record skipped logs
+    one warning naming ``where`` (``file:line``), the field and the value."""
+    fields = {}
+    try:
+        for name, (accepts, otherwise, shape) in table.items():
+            value = record.get(name)
+            if value is None and shape in (REQUIRED, NONBLANK):
+                raise ValueError(f"missing required field {name!r}")
+            if shape == LIST and type(value) not in (list, type(None)):
+                raise ValueError(f"{name} {value!r} is not a list")
+            many = shape in (MANY, LIST)
+            kept = []
+            for item in value if many and type(value) is list else [value]:
+                if item is None:
+                    continue
+                if type(item) not in accepts:
+                    why = "not " + " or ".join(dict.fromkeys(_TYPE_NAMES[t] for t in accepts))
+                    if otherwise == SKIP_RECORD:
+                        raise ValueError(f"{name} {item!r} is {why}")
+                    skipped.value("%s: skipping %s value %r: %s", where, name, item, why)
+                elif shape == NONBLANK and not item.strip():
+                    raise ValueError(f"empty {name}")
+                else:
+                    kept.append(item)
+            fields[name] = kept if many else next(iter(kept), None)
+    except ValueError as exc:
+        skipped.record("%s: skipping %s: %s", where, kind, exc)
+        return None
+    return fields
+
+
+def _source_records(path: Path, table: dict, skipped: Skipped) -> Iterator[tuple[int, dict]]:
+    """The records of a source file, each read by ``table``, with their line
+    numbers. Source files are read leniently: a leading byte-order mark is
+    dropped, bad UTF-8 bytes become U+FFFD, and so do lone surrogates that
+    ``\\u`` escapes decode to, with one warning per record. A line that is not
+    a JSON object is skipped with a warning."""
     text = path.read_bytes().removeprefix(codecs.BOM_UTF8).decode("utf-8", errors="replace")
     for lineno, line in jsonl_lines(text):
         try:
             record = json_object(line)
         except ValueError as exc:
-            logger.warning("%s:%d: skipping malformed record: %s", path, lineno, exc)
+            skipped.record("%s:%d: skipping malformed record: %s", path, lineno, exc)
             continue
         if "\\u" in line:  # no UTF-8 text holds a surrogate; only an escape decodes to one
             dumped = json.dumps(record, ensure_ascii=False)
             dumped, count = re.subn("[\ud800-\udfff]", "\ufffd", dumped)
             if count:
                 logger.warning("%s:%d: %d lone surrogate(s) read as U+FFFD", path, lineno, count)
+                skipped.lone_surrogates += count
                 record = json.loads(dumped)
-        yield lineno, record
+        fields = _read_fields(table, record, f"{path}:{lineno}", skipped)
+        if fields is not None:
+            yield lineno, fields
 
 
-def _record_error(record: dict) -> str | None:
-    for key in ("id", "source", "content"):
-        if key not in record:
-            return f"missing required field {key!r}"
-        if not isinstance(record[key], str):
-            return f"field {key!r} is not a string"
-    for key in ("id", "source"):
-        if not record[key].strip():
-            return f"empty {key}"
-    return None
-
-
-def _field_values(record: dict, field_name: str, path: Path, lineno: int) -> list:
-    """The values of an optional ingest field, which holds one value or a
-    list of values. Strings and numbers are kept, nulls are dropped, and an
-    object, array or boolean is skipped with a warning."""
-    raw = record.get(field_name)
-    values = []
-    for value in raw if isinstance(raw, list) else [raw]:
-        if isinstance(value, (dict, list, bool)):
-            logger.warning(
-                "%s:%d: skipping %s value %r: not a string or a number",
-                path, lineno, field_name, value,
-            )
-        elif value is not None:
-            values.append(value)
-    return values
-
-
-def ingest_reports(path: str | Path, source: str) -> list[PocReport]:
-    """Load one source's report file into unclassified reports.
-
-    A record is kept when its ``source`` names the declared source: both
-    canonicalize by :func:`source_name` to the same name, ignoring case.
-
-    Pre-extracted optional fields (title, author, publish_time, platform,
-    version, references, cve_ids) are mapped into aspect slots with Original
-    provenance. Malformed lines are skipped with a warning naming the line
-    number; duplicate ids within the file are rejected the same way.
-    """
+def ingest_reports(
+    path: str | Path,
+    source: str,
+    skipped: Skipped | None = None,
+    seen_ids: set[str] | None = None,
+) -> list[PocReport]:
+    """Load one source's report file, read by :data:`SOURCE_RECORD`, into
+    unclassified reports. A record is kept when its ``source`` and the
+    declared source canonicalize by :func:`source_name` to the same name,
+    ignoring case, and its id is not in ``seen_ids``, which holds the ids
+    kept so far, from this file and from earlier files sharing the set. Its
+    optional fields fill aspect slots with Original provenance; a malformed
+    CVE id is dropped. What is skipped is counted in ``skipped``."""
     path = Path(path)
+    skipped = Skipped() if skipped is None else skipped
+    seen_ids = set() if seen_ids is None else seen_ids
     reports: list[PocReport] = []
-    seen_ids: set[str] = set()
     source = source_name(source)
     declared = source.lower()
-    for lineno, record in _source_records(path):
-        error = _record_error(record)
-        if error is not None:
-            logger.warning("%s:%d: skipping record: %s", path, lineno, error)
-            continue
-        if source_name(record["source"]).lower() != declared:
-            logger.warning(
+    for lineno, fields in _source_records(path, SOURCE_RECORD, skipped):
+        if source_name(fields["source"]).lower() != declared:
+            skipped.record(
                 "%s:%d: skipping record %r: source %r does not match declared %r",
-                path, lineno, record["id"], record["source"], source,
+                path, lineno, fields["id"], fields["source"], source,
             )
             continue
-        if record["id"] in seen_ids:
-            logger.warning("%s:%d: skipping duplicate report id %r", path, lineno, record["id"])
+        if fields["id"] in seen_ids:
+            skipped.record("%s:%d: skipping duplicate report id %r", path, lineno, fields["id"])
             continue
 
-        aspects = AspectSet().with_added(**{
-            slot: aspect_values(str(v) for v in _field_values(record, field_name, path, lineno))
-            for field_name, slot in _RECORD_SLOT_FIELDS.items()
-        })
-
         cve_ids: list[str] = []
-        for raw_id in _field_values(record, "cve_ids", path, lineno):
+        for raw_id in fields["cve_ids"]:
             normalized = normalize_cve_id(str(raw_id))
             if normalized is None:
-                logger.warning(
+                skipped.value(
                     "%s:%d: dropping malformed CVE id %r on report %r",
-                    path, lineno, raw_id, record["id"],
+                    path, lineno, raw_id, fields["id"],
                 )
             elif normalized not in cve_ids:
                 cve_ids.append(normalized)
 
-        seen_ids.add(record["id"])
+        seen_ids.add(fields["id"])
         reports.append(
             PocReport(
-                id=record["id"],
+                id=fields["id"],
                 source=source,
-                raw_content=record["content"],
+                raw_content=fields["content"],
                 cve_ids=tuple(cve_ids),
-                aspects=aspects,
+                aspects=AspectSet().with_added(**{
+                    slot: aspect_values(str(v) for v in fields[name])
+                    for name, slot in _RECORD_SLOT_FIELDS.items()
+                }),
             )
         )
     return reports
 
 
-def build_corpus(report_groups: Iterable[Iterable[PocReport]]) -> Corpus:
-    """Merge per-source report lists; later duplicates of an id are dropped with a warning."""
-    merged: list[PocReport] = []
-    seen: set[str] = set()
-    for group in report_groups:
-        for report in group:
-            if report.id in seen:
-                logger.warning("dropping duplicate report id across files: %r", report.id)
-                continue
-            seen.add(report.id)
-            merged.append(report)
-    return Corpus(merged)
-
-
-def ingest_cve_entries(path: str | Path) -> dict[str, CveEntry]:
-    """Load a CVE dump file into a map keyed by canonical CVE id.
-
-    Lines repeating a CVE id are merged by order-preserving set union of
-    products, versions, and platforms. A product that is not an object, or
-    whose name is not a string, is skipped with a warning, and so are
-    entries with no named products, a ``products`` value that is not a
-    list, or a malformed id.
-    """
+def ingest_cve_entries(path: str | Path, skipped: Skipped | None = None) -> dict[str, CveEntry]:
+    """Load a CVE dump file, read by :data:`CVE_ENTRY` and :data:`PRODUCT`,
+    into a map keyed by canonical CVE id. An entry with a malformed id or no
+    named product is skipped; a product whose name is null or blank is
+    dropped. Lines repeating a CVE id are merged by order-preserving set
+    union of products, versions, and platforms. What is skipped is counted
+    in ``skipped``."""
     path = Path(path)
-    # cve_id -> (product key -> (display name, version order-set)), platform order-set
-    products: dict[str, dict[str, tuple[str, dict[str, None]]]] = {}
-    platforms: dict[str, dict[str, None]] = {}
-    for lineno, record in _source_records(path):
-        cve_id = normalize_cve_id(str(record.get("cve_id", "")))
+    skipped = Skipped() if skipped is None else skipped
+    # cve_id -> (product key -> (display name, version order-set), platform order-set)
+    merged: dict[str, tuple[dict[str, tuple[str, dict[str, None]]], dict[str, None]]] = {}
+    for lineno, fields in _source_records(path, CVE_ENTRY, skipped):
+        cve_id = normalize_cve_id(fields["cve_id"])
         if cve_id is None:
-            logger.warning(
-                "%s:%d: skipping entry with malformed cve_id %r",
-                path, lineno, record.get("cve_id"),
-            )
-            continue
-        listed = record.get("products")
-        if listed is not None and not isinstance(listed, list):
-            logger.warning(
-                "%s:%d: skipping %s: products is not a list: %r", path, lineno, cve_id, listed
+            skipped.record(
+                "%s:%d: skipping entry with malformed cve_id %r", path, lineno, fields["cve_id"]
             )
             continue
         named = []  # (name, product) of the products with a name
-        for product in listed or []:
-            if not isinstance(product, dict):
-                logger.warning(
-                    "%s:%d: skipping product %r: %s, not an object",
-                    path, lineno, product, type(product).__name__,
-                )
-                continue
-            name = product.get("name")
-            if name is not None and not isinstance(name, str):
-                logger.warning(
-                    "%s:%d: skipping product name %r: not a string", path, lineno, name
-                )
-            elif name and name.strip():
-                named.append((name.strip(), product))
+        for item in fields["products"]:
+            product = _read_fields(PRODUCT, item, f"{path}:{lineno}", skipped, "product")
+            if product is not None and (name := (product["name"] or "").strip()):
+                named.append((name, product))
         if not named:
-            logger.warning("%s:%d: skipping %s: empty products list", path, lineno, cve_id)
+            skipped.record("%s:%d: skipping %s: empty products list", path, lineno, cve_id)
             continue
-        by_name = products.setdefault(cve_id, {})
+        by_name, platforms = merged.setdefault(cve_id, ({}, {}))
         for name, product in named:
             display, versions = by_name.setdefault(name.lower(), (name, {}))
-            for version in _field_values(product, "versions", path, lineno):
+            for version in product["versions"]:
                 versions.setdefault(str(version).strip(), None)
-        plats = platforms.setdefault(cve_id, {})
-        for platform in _field_values(record, "platforms", path, lineno):
-            text = str(platform).strip()
-            if text:
-                plats.setdefault(text, None)
-
-    entries: dict[str, CveEntry] = {}
-    for cve_id, by_name in products.items():
-        entry_products = tuple(
+        for platform in fields["platforms"]:
+            if text := str(platform).strip():
+                platforms.setdefault(text, None)
+    return {
+        cve_id: CveEntry(cve_id, tuple(
             CveProduct(display, tuple(v for v in versions if v))
             for display, versions in by_name.values()
-        )
-        entries[cve_id] = CveEntry(cve_id, entry_products, tuple(platforms[cve_id]))
-    return entries
+        ), tuple(platforms))
+        for cve_id, (by_name, platforms) in merged.items()
+    }
 
 
 # --- persistence -------------------------------------------------------------

@@ -526,6 +526,11 @@ def build_link_graph(
                 continue
             titles = models.title_matrix(block) if cutoff is not None else None
             for (i, a), (j, b) in combinations(enumerate(block), 2):
+                # row j > i of the lower triangle holds the pair's title
+                # cosine; it is the same in every block the pair shares, so a
+                # pair gated out here is gated out again there
+                if cutoff is not None and 0.5 * titles[j][i] + 0.5 < cutoff:
+                    continue
                 if a.id > b.id:
                     a, b = b, a
                 key = (a.id, b.id)
@@ -533,9 +538,6 @@ def build_link_graph(
                 if key in seen or set(a.cve_ids) & set(b.cve_ids):
                     continue
                 seen.add(key)
-                # row j > i of the lower triangle holds the pair's title cosine
-                if cutoff is not None and 0.5 * titles[j][i] + 0.5 < cutoff:
-                    continue
                 same, confidence = classify_pair(classifier, a, b, names)
                 if same:
                     links[key] = PocLink(a.id, b.id, None, confidence, kind)

@@ -40,7 +40,7 @@ def deficiency_stats(corpus: Corpus) -> Table:
         counts = present.setdefault(source, [0] * len(ASPECT_SLOTS))
         totals[source] = totals.get(source, 0) + 1
         for index, slot in enumerate(ASPECT_SLOTS):
-            if report.aspects.original_values(slot):
+            if any(isinstance(v.provenance, Original) for v in report.aspects.values(slot)):
                 counts[index] += 1
     rows = []
     for source, counts in present.items():

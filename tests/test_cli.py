@@ -8,10 +8,12 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pocfusion import cli
 from pocfusion.cli import (
@@ -499,14 +501,12 @@ def test_cve_entry_with_products_not_a_list_is_skipped(tmp_path, caplog, product
     ws = tmp_path / "ws"
     argv = ["ingest", "--workspace", str(ws), "--source", f"exploitdb={edb}", "--cve", str(cve)]
     assert main(argv) == 0
-    assert f"{cve}:1: skipping CVE-2020-1234: products is not a list: {products!r}" in (
-        caplog.messages
-    )
+    assert f"{cve}:1: skipping record: products {products!r} is not a list" in caplog.messages
     assert json.loads((ws / "manifests" / "ingest.json").read_text())["cve_entries"] == 0
 
 
 def test_unreadable_cve_dump_writes_no_ingest_output(tmp_path, capsys, monkeypatch):
-    def unreadable(path):
+    def unreadable(path, skipped):
         raise OSError(f"{path}: cannot read")
 
     monkeypatch.setattr(cli, "ingest_cve_entries", unreadable)
@@ -539,6 +539,124 @@ def test_lone_surrogate_escapes_in_outside_input_read_as_replacement_characters(
         ) in caplog.messages
     assert "Lone \ufffd title" in (tmp_path / "ws" / "corpus_ingested.jsonl").read_text("utf-8")
     assert "Linux \ufffd" in (tmp_path / "ws" / "cve_db.jsonl").read_text("utf-8")
+
+
+# Outside input as the four platforms might send it: any JSON value in any
+# field, including strings with lone surrogate escapes, byte-order marks,
+# U+2028 and carriage returns.
+_FUZZ_TEXT = st.lists(
+    st.sampled_from([
+        "a", " ", "ExploitDB", "CVE-2020-1111", "2020-1111", "é",
+        "\ud800", "\udfff", "\ufeff", "\u2028", "\r",
+    ]),
+    max_size=4,
+).map("".join)
+_FUZZ_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | _FUZZ_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_FUZZ_TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+_DEMO_SOURCES = ("exploitdb", "packetstorm", "seebug", "cxsecurity")
+_FUZZ_FIELDS = {
+    "source": ["id", "source", "content", "title", "author", "publish_time", "platform",
+               "version", "references", "cve_ids", "other"],
+    "cve": ["cve_id", "products", "platforms", "products.0.name", "products.0.versions",
+            "other"],
+}
+
+
+def _fuzz_edits(kind):
+    """Up to three edits of one file: (line index, edit), where an edit sets
+    a field, replaces the whole line (field None), or is raw text that ends
+    the line (a carriage return) or starts it (a byte-order mark)."""
+    edit = (
+        st.tuples(st.sampled_from(_FUZZ_FIELDS[kind]), _FUZZ_TEXT)
+        | st.tuples(st.sampled_from([*_FUZZ_FIELDS[kind], None]), _FUZZ_VALUES)
+        | st.sampled_from(["\r", "\ufeff"])
+    )
+    return st.lists(st.tuples(st.integers(0, 5), edit), max_size=3)
+
+
+def _fuzz_line(value):
+    # a lone surrogate has no UTF-8 form; JSON holds it as a \u escape
+    text = json.dumps(value, ensure_ascii=False)
+    return re.sub("[\ud800-\udfff]", lambda m: f"\\u{ord(m.group()):04x}", text)
+
+
+class _Warnings(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.fixed_dictionaries({
+    **{f"{name}.jsonl": _fuzz_edits("source") for name in _DEMO_SOURCES},
+    "cve_entries.jsonl": _fuzz_edits("cve"),
+}))
+def test_outside_input_is_ingested_with_a_warning_per_skip(edits):
+    demo = Path(__file__).resolve().parent.parent / "demo"
+    with tempfile.TemporaryDirectory() as tmp:
+        touched = {}  # file name -> indices of the lines edited
+        for name, file_edits in edits.items():
+            records = [json.loads(line) for line in (demo / name).read_text("utf-8").splitlines()]
+            start, end = [""] * len(records), [""] * len(records)
+            for index, edit in file_edits:
+                index %= len(records)
+                touched.setdefault(name, set()).add(index + 1)
+                if edit == "\r":
+                    end[index] += edit
+                elif edit == "\ufeff":
+                    start[index] += edit
+                elif edit[0] is None:
+                    records[index] = edit[1]
+                elif isinstance(records[index], dict):
+                    field, value = edit
+                    record = records[index]
+                    if field.startswith("products.0."):
+                        products = record.get("products")
+                        if not (isinstance(products, list) and products
+                                and isinstance(products[0], dict)):
+                            continue
+                        record, field = products[0], field.removeprefix("products.0.")
+                    record[field] = value
+            text = "".join(a + _fuzz_line(r) + b + "\n" for a, r, b in zip(start, records, end))
+            Path(tmp, name).write_text(text, encoding="utf-8")
+        argv = ["ingest", "--workspace", str(Path(tmp, "ws"))]
+        argv += ["--cve", str(Path(tmp, "cve_entries.jsonl"))]
+        for name in _DEMO_SOURCES:
+            argv += ["--source", f"{name}={Path(tmp, name + '.jsonl')}"]
+        warnings = _Warnings()
+        logging.getLogger("pocfusion").addHandler(warnings)
+        try:
+            assert main(argv) == 0
+        finally:
+            logging.getLogger("pocfusion").removeHandler(warnings)
+        manifest = json.loads(Path(tmp, "ws", "manifests", "ingest.json").read_text("utf-8"))
+        source_lines = sum(len((demo / f"{name}.jsonl").read_text("utf-8").splitlines())
+                           for name in _DEMO_SOURCES)
+
+    # every warning names the file and one of its edited lines
+    counted = {"records": 0, "values": 0, "lone_surrogates": 0}
+    source_records = 0
+    for message in warnings.messages:
+        where = re.match(r"(.*?):(\d+): ", message)
+        assert where and int(where[2]) in touched.get(Path(where[1]).name, ()), message
+        text = message[where.end():]
+        if lone := re.fullmatch(r"(\d+) lone surrogate\(s\) read as U\+FFFD", text):
+            counted["lone_surrogates"] += int(lone[1])
+        elif re.match(r"skipping \w+ value |dropping malformed CVE id ", text):
+            counted["values"] += 1
+        else:
+            counted["records"] += 1
+            source_records += Path(where[1]).name != "cve_entries.jsonl"
+    # one warning for each skip counted, and each source line is a report or
+    # a skipped record
+    assert manifest["skipped"] == counted
+    assert manifest["reports"] + source_records == source_lines
 
 
 def test_case_variant_header_labels_fill_their_slots(tmp_path):
@@ -909,6 +1027,7 @@ def test_manifest_contents(tmp_path):
     assert manifest["stage"] == "ingest"
     assert "seed" not in manifest
     assert manifest["reports"] == 3 and manifest["cve_entries"] == 1
+    assert manifest["skipped"] == {"records": 0, "values": 0, "lone_surrogates": 0}
     for stage, (inputs, outputs) in MANIFEST_FILES.items():
         manifest = json.loads((ws / "manifests" / f"{stage}.json").read_text())
         assert manifest["stage"] == stage
@@ -925,6 +1044,20 @@ def test_manifest_contents(tmp_path):
     manifest = json.loads((ws / "manifests" / "stats.json").read_text())
     assert set(manifest["inputs"]) == MANIFEST_FILES["stats"][0]
     assert set(manifest["outputs"]) == {"deficiency.csv", "completion.csv"}
+
+    # ingest counts what it skipped: a line that is no object, a record
+    # without content, a value of the wrong type, and a lone surrogate
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text("".join(line + "\n" for line in [
+        "[1]",
+        json.dumps({"id": "n", "source": "ExploitDB"}),
+        json.dumps({"id": "v", "source": "ExploitDB", "content": "x", "title": {"k": 1}}),
+        json.dumps({"id": "s", "source": "ExploitDB", "content": "x", "author": "\ud800"}),
+    ]), encoding="utf-8")
+    assert main(["ingest", "--workspace", str(ws), "--source", f"exploitdb={mixed}"]) == 0
+    manifest = json.loads((ws / "manifests" / "ingest.json").read_text())
+    assert manifest["reports"] == 2
+    assert manifest["skipped"] == {"records": 2, "values": 1, "lone_surrogates": 1}
 
 
 def test_config_hash_excludes_workspace(tmp_path):

@@ -22,8 +22,8 @@ from pocfusion import (
     ORIGINAL,
     Original,
     PocReport,
+    Skipped,
     aspect_values,
-    build_corpus,
     decode_provenance,
     ingest_cve_entries,
     ingest_reports,
@@ -396,10 +396,11 @@ def test_ingest_cve_entries_drops_nulls_and_skips_non_scalar_items(tmp_path, cap
     assert first.all_versions() == ["1.0"] and first.platforms == ()
     assert second.all_versions() == [] and second.platforms == ("Windows",)
     skipped = [m for m in caplog.messages if "not a string or a number" in m]
+    # an entry's own fields are read before its products
     assert [m.split(" value ")[0] for m in skipped] == [
         f"{path}:1: skipping versions",
-        f"{path}:2: skipping versions",
         f"{path}:2: skipping platforms",
+        f"{path}:2: skipping versions",
     ]
 
 
@@ -420,10 +421,10 @@ def test_ingest_cve_entries_skips_product_names_that_are_not_strings(tmp_path, c
     assert [(p.name, p.versions) for p in db["CVE-2020-11004"].products] == [("Kept", ("2",))]
     skipped = [m for m in caplog.messages if "not a string" in m]
     assert skipped == [
-        f"{path}:1: skipping product name True: not a string",
-        f"{path}:1: skipping product name 5: not a string",
-        f"{path}:2: skipping product name 5.5: not a string",
-        f"{path}:3: skipping product name ['x']: not a string",
+        f"{path}:1: skipping product: name True is not a string",
+        f"{path}:1: skipping product: name 5 is not a string",
+        f"{path}:2: skipping product: name 5.5 is not a string",
+        f"{path}:3: skipping product: name ['x'] is not a string",
     ]
     assert f"{path}:1: skipping CVE-2020-11003: empty products list" in caplog.messages
     assert f"{path}:3: skipping CVE-2020-11005: empty products list" in caplog.messages
@@ -442,22 +443,29 @@ def test_ingest_cve_entries_skips_products_that_are_not_objects(tmp_path, caplog
     assert list(db) == ["CVE-2020-1235"]
     assert [p.name for p in db["CVE-2020-1235"].products] == ["Kept"]
     skipped = [m for m in caplog.messages if "not an object" in m]
+    # a null product is dropped without a warning, as a null value is
     assert skipped == [
-        f"{path}:1: skipping product 'AlphaServ': str, not an object",
-        f"{path}:2: skipping product 5: int, not an object",
-        f"{path}:2: skipping product None: NoneType, not an object",
-        f"{path}:2: skipping product ['x']: list, not an object",
+        f"{path}:1: skipping products value 'AlphaServ': not an object",
+        f"{path}:2: skipping products value 5: not an object",
+        f"{path}:2: skipping products value ['x']: not an object",
     ]
     assert f"{path}:1: skipping CVE-2020-1234: empty products list" in caplog.messages
 
 
-def test_build_corpus_cross_file_dedup(caplog):
-    a = [make_report("x"), make_report("y")]
-    b = [make_report("x", content="other copy")]
-    corpus = build_corpus([a, b])
-    assert len(corpus) == 2
-    assert corpus.get("x").raw_content == "x"
-    assert "x" in caplog.text
+def test_ingest_reports_skips_ids_an_earlier_file_kept(tmp_path, caplog):
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    write_jsonl(first, [{"id": "x", "source": "ExploitDB", "content": "x"}])
+    write_jsonl(second, [
+        {"id": "y", "source": "Seebug", "content": "y"},
+        {"id": "x", "source": "Seebug", "content": "other copy"},
+    ])
+    skipped, seen_ids = Skipped(), set()
+    kept = ingest_reports(first, EDB, skipped, seen_ids) + ingest_reports(
+        second, "Seebug", skipped, seen_ids
+    )
+    assert [(r.id, r.raw_content) for r in kept] == [("x", "x"), ("y", "y")]
+    assert caplog.messages == [f"{second}:2: skipping duplicate report id 'x'"]
+    assert skipped == Skipped(records=1)
 
 
 def test_ingest_cve_entries_drops_a_leading_byte_order_mark(tmp_path, caplog):
