@@ -15,6 +15,7 @@ from .corpus import (
     FromPoc,
     Original,
     PocReport,
+    SharedCve,
     Skipped,
     aspect_values,
     decode_provenance,
@@ -48,7 +49,6 @@ from .link import (
     HeuristicPairClassifier,
     PocLink,
     ScoringModels,
-    SharedCve,
     below_threshold,
     build_link_graph,
     build_pair_training_set,

@@ -167,7 +167,7 @@ def complete_from_poc(
                 donated[slot] = texts
     if not donated:
         return target, []
-    return _fill(target, FromPoc(donor.id, link.similarity, link.basis_text), **donated)
+    return _fill(target, FromPoc(donor.id, link.similarity, link.basis), **donated)
 
 
 @dataclass

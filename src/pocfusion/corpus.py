@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, NoReturn, TypeVar
 
 from .cveid import normalize_cve_id
 
@@ -156,35 +156,57 @@ def check_unit_number(name: str, value: object) -> None:
 
 
 @dataclass(frozen=True)
-class FromPoc:
-    """Value donated by a related PoC report.
+class SharedCve:
+    """The basis of a link between two reports carrying one CVE id: that id.
+    A link the pair classifier made has the basis None."""
 
-    ``basis`` records how the donor was linked: ``shared_cve:<CVE-ID>`` or
-    ``classifier``.
-    """
+    cve_id: str
+
+    def __post_init__(self) -> None:
+        if not is_canonical_cve_id(self.cve_id):
+            raise ValueError(f"non-canonical CVE id: {self.cve_id!r}")
+
+
+def check_basis(basis: object) -> None:
+    """``ValueError`` unless ``basis`` is a link basis: a SharedCve or None."""
+    if basis is not None and type(basis) is not SharedCve:
+        raise ValueError(f"unknown link basis: {basis!r}")
+
+
+def encode_basis(basis: SharedCve | None) -> str:
+    """The one text form of a link basis, in links and in provenance alike:
+    ``shared_cve:<CVE-ID>``, or ``classifier`` for None."""
+    return "classifier" if basis is None else f"shared_cve:{basis.cve_id}"
+
+
+def decode_basis(text: object) -> SharedCve | None:
+    if text == "classifier":
+        return None
+    if type(text) is not str or not text.startswith("shared_cve:"):
+        raise ValueError(f"unknown link basis: {text!r}")
+    return SharedCve(text.removeprefix("shared_cve:"))
+
+
+@dataclass(frozen=True)
+class FromPoc:
+    """Value donated by a related PoC report, over a link of ``basis``."""
 
     donor_id: str
     similarity: float
-    basis: str
+    basis: SharedCve | None
 
     def __post_init__(self) -> None:
         if type(self.donor_id) is not str or not self.donor_id:
             raise ValueError(f"donor id is not a non-empty string: {self.donor_id!r}")
         check_unit_number("similarity", self.similarity)
-        basis = self.basis
-        if basis != "classifier" and not (
-            type(basis) is str
-            and basis.startswith("shared_cve:")
-            and is_canonical_cve_id(basis.removeprefix("shared_cve:"))
-        ):
-            raise ValueError(f"unknown donor link basis: {basis!r}")
+        check_basis(self.basis)
 
     def encode(self) -> dict:
         return {
             "kind": "from_poc",
             "donor_id": self.donor_id,
             "similarity": self.similarity,
-            "basis": self.basis,
+            "basis": encode_basis(self.basis),
         }
 
 
@@ -202,7 +224,7 @@ def decode_provenance(data: dict) -> Provenance:
     if kind == "from_cve":
         return FromCve(data["cve_id"])
     if kind == "from_poc":
-        return FromPoc(data["donor_id"], data["similarity"], data["basis"])
+        return FromPoc(data["donor_id"], data["similarity"], decode_basis(data["basis"]))
     raise CorpusError(f"unknown provenance kind: {kind!r}")
 
 
@@ -668,9 +690,21 @@ def jsonl_lines(text: str) -> list[tuple[int, str]]:
     return [(n, line) for n, line in enumerate(text.split("\n"), start=1) if line.strip()]
 
 
+def _not_json(constant: str) -> NoReturn:
+    raise ValueError(f"{constant} is not a JSON value")
+
+
+_DECODER = json.JSONDecoder(parse_constant=_not_json)
+
+
 def json_object(text: str) -> dict:
-    """Decode one record of a JSON file; ``ValueError`` unless it is an object."""
-    value = json.loads(text)
+    """Decode one record of a JSON file; ``ValueError`` unless it is an
+    object of standard JSON, without ``NaN`` or ``Infinity``, nested no
+    deeper than the decoder can recurse."""
+    try:
+        value = _DECODER.decode(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to decode") from None
     if not isinstance(value, dict):
         raise ValueError(f"expected a JSON object, got {type(value).__name__}")
     return value

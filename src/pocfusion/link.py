@@ -18,8 +18,11 @@ from .corpus import (
     ContentKind,
     Corpus,
     PocReport,
+    SharedCve,
+    check_basis,
     check_unit_number,
-    is_canonical_cve_id,
+    decode_basis,
+    encode_basis,
     json_object,
     read_jsonl,
     write_jsonl,
@@ -32,15 +35,6 @@ from .similarity import tokenize_code, tokenize_text
 from .similarity import cosine_similarity, embed_text  # noqa: F401
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class SharedCve:
-    cve_id: str
-
-    def __post_init__(self) -> None:
-        if not is_canonical_cve_id(self.cve_id):
-            raise ValueError(f"non-canonical CVE id: {self.cve_id!r}")
 
 
 @dataclass(frozen=True)
@@ -62,38 +56,23 @@ class PocLink:
         if self.a > self.b:
             raise ValueError(f"link endpoints not in canonical order: {self.a!r} > {self.b!r}")
         check_unit_number("similarity", self.similarity)
+        check_basis(self.basis)
 
     def encode(self) -> dict:
-        record = {"a": self.a, "b": self.b}
-        if isinstance(self.basis, SharedCve):
-            record["basis"] = "shared_cve"
-            record["cve_id"] = self.basis.cve_id
-        else:
-            record["basis"] = "classifier"
-        record["similarity"] = self.similarity
-        record["kind"] = self.kind.encode()
-        return record
-
-    @property
-    def basis_text(self) -> str:
-        """The basis as a donated value's provenance records it:
-        ``shared_cve:<CVE-ID>`` or ``classifier``."""
-        if isinstance(self.basis, SharedCve):
-            return f"shared_cve:{self.basis.cve_id}"
-        return "classifier"
+        return {
+            "a": self.a,
+            "b": self.b,
+            "basis": encode_basis(self.basis),
+            "similarity": self.similarity,
+            "kind": self.kind.encode(),
+        }
 
     @classmethod
     def decode(cls, data: dict) -> "PocLink":
-        if data["basis"] == "shared_cve":
-            basis: SharedCve | None = SharedCve(data["cve_id"])
-        elif data["basis"] == "classifier":
-            basis = None
-        else:
-            raise ValueError(f"unknown link basis: {data['basis']!r}")
         return cls(
             a=data["a"],
             b=data["b"],
-            basis=basis,
+            basis=decode_basis(data["basis"]),
             similarity=data["similarity"],
             kind=ContentKind.decode(data["kind"]),
         )
@@ -112,9 +91,7 @@ def below_threshold(link: PocLink, config: ThresholdConfig) -> bool:
     """True for a shared-CVE link scoring under its kind's threshold.
     A classifier link carries the classifier's confidence, not a cosine, and
     is never below."""
-    return isinstance(link.basis, SharedCve) and link.similarity < kind_threshold(
-        link.kind, config
-    )
+    return link.basis is not None and link.similarity < kind_threshold(link.kind, config)
 
 
 # --- grouping and candidates -------------------------------------------------

@@ -143,11 +143,11 @@ def build_links(with_below_threshold: bool = True) -> list[PocLink]:
     return links
 
 
-_L1 = FromPoc("r1", 0.82, "shared_cve:CVE-2020-1111")
-_L1R = FromPoc("r2", 0.82, "shared_cve:CVE-2020-1111")
-_L2 = FromPoc("r3", 0.96, "shared_cve:CVE-2019-2222")
-_L2R = FromPoc("r4", 0.96, "shared_cve:CVE-2019-2222")
-_L3 = FromPoc("r6", 0.9, "classifier")
+_L1 = FromPoc("r1", 0.82, SharedCve("CVE-2020-1111"))
+_L1R = FromPoc("r2", 0.82, SharedCve("CVE-2020-1111"))
+_L2 = FromPoc("r3", 0.96, SharedCve("CVE-2019-2222"))
+_L2R = FromPoc("r4", 0.96, SharedCve("CVE-2019-2222"))
+_L3 = FromPoc("r6", 0.9, None)
 
 # (target, slot, value, origin) in engine emission order: the CVE pass walks
 # reports r1..r6 appending versions before platforms, then the donation pass

@@ -20,6 +20,7 @@ from pocfusion import (
     ASPECT_SLOTS,
     CompletionConfig,
     Corpus,
+    FromPoc,
     HeuristicPairClassifier,
     PocLink,
     PocReport,
@@ -32,7 +33,9 @@ from pocfusion import (
     detect_language,
     evaluate_extraction,
     extract_all,
+    load_corpus,
     load_gold_annotations,
+    load_links,
     precision_recall,
     replay_completion,
     run_completion,
@@ -432,6 +435,25 @@ def test_demo_workspace_regression_pins(tmp_path, monkeypatch):
     assert manifest["skipped_links"] == 0
     assert manifest["failed_associations"] == 0
     assert not (ws / "embedding_model.json").exists()
+
+
+def test_demo_donated_values_name_their_link(tmp_path, monkeypatch):
+    # where-provenance: a donated value names the link it came over, with
+    # that link's basis and similarity
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    ws = tmp_path / "ws"
+    _run_demo(ws)
+    links = {(link.a, link.b): link for link in load_links(ws / "links.jsonl")}
+    classifier_made = set()  # whether each donated value came over a classifier link
+    for report in load_corpus(ws / "corpus_completed.jsonl"):
+        for slot in ASPECT_SLOTS:
+            for value in report.aspects.values(slot):
+                origin = value.provenance
+                if isinstance(origin, FromPoc):
+                    link = links[tuple(sorted((report.id, origin.donor_id)))]
+                    assert (link.basis, link.similarity) == (origin.basis, origin.similarity)
+                    classifier_made.add(origin.basis is None)
+    assert classifier_made == {True, False}
 
 
 def test_demo_outputs_do_not_depend_on_seed(tmp_path, monkeypatch):

@@ -505,6 +505,30 @@ def test_cve_entry_with_products_not_a_list_is_skipped(tmp_path, caplog, product
     assert json.loads((ws / "manifests" / "ingest.json").read_text())["cve_entries"] == 0
 
 
+def test_non_json_constants_in_outside_input_skip_their_record(tmp_path, caplog):
+    # NaN and Infinity are no JSON values: once read as the texts "nan" and "inf"
+    edb = tmp_path / "edb.jsonl"
+    edb.write_text(
+        '{"id": "ok", "source": "ExploitDB", "content": "x"}\n'
+        '{"id": "v", "source": "ExploitDB", "content": "x", "version": NaN}\n'
+        '{"id": "c", "source": "ExploitDB", "content": "x", "cve_ids": [Infinity]}\n',
+        encoding="utf-8",
+    )
+    cve = tmp_path / "cve.jsonl"
+    cve.write_text(
+        '{"cve_id": "CVE-2020-1111", "products": [{"name": "A", "versions": [-Infinity]}]}\n',
+        encoding="utf-8",
+    )
+    ws = tmp_path / "ws"
+    argv = ["ingest", "--workspace", str(ws), "--source", f"exploitdb={edb}", "--cve", str(cve)]
+    assert main(argv) == 0
+    skips = [m for m in caplog.messages if "skipping malformed record" in m]
+    assert [m.split(": skipping")[0] for m in skips] == [f"{edb}:2", f"{edb}:3", f"{cve}:1"]
+    manifest = json.loads((ws / "manifests" / "ingest.json").read_text())
+    assert (manifest["reports"], manifest["cve_entries"]) == (1, 0)
+    assert manifest["skipped"] == {"records": 3, "values": 0, "lone_surrogates": 0}
+
+
 def test_unreadable_cve_dump_writes_no_ingest_output(tmp_path, capsys, monkeypatch):
     def unreadable(path, skipped):
         raise OSError(f"{path}: cannot read")
@@ -565,14 +589,20 @@ _FUZZ_FIELDS = {
 }
 
 
+# a title array nested deeper than any decoder recurses; raw text, as
+# json.dumps of such a list would itself raise
+_DEEP_TITLE = '{"title": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
+
 def _fuzz_edits(kind):
     """Up to three edits of one file: (line index, edit), where an edit sets
-    a field, replaces the whole line (field None), or is raw text that ends
-    the line (a carriage return) or starts it (a byte-order mark)."""
+    a field, replaces the whole line (field None), is raw text that ends the
+    line (a carriage return) or starts it (a byte-order mark), or is the raw
+    line :data:`_DEEP_TITLE`."""
     edit = (
         st.tuples(st.sampled_from(_FUZZ_FIELDS[kind]), _FUZZ_TEXT)
         | st.tuples(st.sampled_from([*_FUZZ_FIELDS[kind], None]), _FUZZ_VALUES)
-        | st.sampled_from(["\r", "\ufeff"])
+        | st.sampled_from(["\r", "\ufeff", _DEEP_TITLE])
     )
     return st.lists(st.tuples(st.integers(0, 5), edit), max_size=3)
 
@@ -604,10 +634,13 @@ def test_outside_input_is_ingested_with_a_warning_per_skip(edits):
         for name, file_edits in edits.items():
             records = [json.loads(line) for line in (demo / name).read_text("utf-8").splitlines()]
             start, end = [""] * len(records), [""] * len(records)
+            raw = [None] * len(records)
             for index, edit in file_edits:
                 index %= len(records)
                 touched.setdefault(name, set()).add(index + 1)
-                if edit == "\r":
+                if edit == _DEEP_TITLE:
+                    raw[index] = edit
+                elif edit == "\r":
                     end[index] += edit
                 elif edit == "\ufeff":
                     start[index] += edit
@@ -623,7 +656,8 @@ def test_outside_input_is_ingested_with_a_warning_per_skip(edits):
                             continue
                         record, field = products[0], field.removeprefix("products.0.")
                     record[field] = value
-            text = "".join(a + _fuzz_line(r) + b + "\n" for a, r, b in zip(start, records, end))
+            text = "".join(a + (line or _fuzz_line(r)) + b + "\n"
+                           for a, r, line, b in zip(start, records, raw, end))
             Path(tmp, name).write_text(text, encoding="utf-8")
         argv = ["ingest", "--workspace", str(Path(tmp, "ws"))]
         argv += ["--cve", str(Path(tmp, "cve_entries.jsonl"))]
@@ -760,10 +794,20 @@ STAGE_INPUTS = [
                                                  "similarity": 0.5, "basis": 7}),
                      id="stats-basis-number"),
         # the demo's last link is a shared_cve link
-        pytest.param("complete", "links.jsonl", set_field("cve_id", "nonsense"),
+        pytest.param("complete", "links.jsonl", set_field("basis", "shared_cve:nonsense"),
                      id="complete-non-canonical-link-cve"),
-        pytest.param("complete", "links.jsonl", set_field("cve_id", None),
+        pytest.param("complete", "links.jsonl", set_field("basis", "shared_cve:"),
                      id="complete-null-link-cve"),
+        # a links file from a build that wrote the shared id apart
+        pytest.param("complete", "links.jsonl",
+                     lambda line: json.dumps({**json.loads(line), "basis": "shared_cve",
+                                              "cve_id": "CVE-2020-1111"}),
+                     id="complete-old-link-basis"),
+        # NaN and Infinity are no JSON values, wherever they stand
+        pytest.param("link", "corpus_extracted.jsonl", set_field("content", float("nan")),
+                     id="link-content-nan"),
+        pytest.param("stats", "corpus_completed.jsonl", set_field("content", float("-inf")),
+                     id="stats-content-minus-infinity"),
         pytest.param("complete", "links.jsonl", set_field("a", ""),
                      id="complete-empty-link-endpoint"),
     ],

@@ -90,14 +90,14 @@ def test_record_origin_must_be_completion():
         lambda: FromCve(None),
         lambda: FromCve("nonsense"),
         lambda: FromCve("cve-2020-0001"),
-        lambda: FromPoc(5, 0.5, "classifier"),
-        lambda: FromPoc("", 0.5, "classifier"),
+        lambda: FromPoc(5, 0.5, None),
+        lambda: FromPoc("", 0.5, None),
         lambda: FromPoc("e1", 0.5, ["x"]),
-        lambda: FromPoc("e1", 0.5, "shared_cve:nonsense"),
+        lambda: FromPoc("e1", 0.5, SharedCve("nonsense")),
     ):
         with pytest.raises(ValueError):
             make()
-    FromPoc("e1", 0.5, "shared_cve:CVE-2020-0001")
+    FromPoc("e1", 0.5, SharedCve("CVE-2020-0001"))
 
 
 def test_verify_association():
@@ -124,7 +124,7 @@ def test_verify_association_ignores_donated_names():
     r = report(
         "a",
         ("CVE-2020-0001",),
-        title=[AspectValue("Unrelated 3 - RCE", FromPoc("d", 0.9, "classifier"))],
+        title=[AspectValue("Unrelated 3 - RCE", FromPoc("d", 0.9, None))],
     )
     assert verify_association(r, entry("CVE-2020-0001", "AlphaServ"))
 
@@ -180,7 +180,7 @@ def test_complete_from_poc_fills_empty_slots_only():
         ("title", "T"),
         ("publish_time", "2020-01-01"),
     ]
-    origin = FromPoc("d", 0.97, "shared_cve:CVE-2020-0001")
+    origin = FromPoc("d", 0.97, SharedCve("CVE-2020-0001"))
     assert all(x.origin == origin for x in records)
     assert updated.aspects.texts("author") == ["bob"]
 
@@ -188,7 +188,7 @@ def test_complete_from_poc_fills_empty_slots_only():
 def test_complete_from_poc_donates_original_values_only():
     donor = report(
         "d",
-        title=[AspectValue("Donated", FromPoc("x", 0.99, "classifier"))],
+        title=[AspectValue("Donated", FromPoc("x", 0.99, None))],
         author=["alice"],
     )
     target = report("a")
@@ -196,7 +196,7 @@ def test_complete_from_poc_donates_original_values_only():
     updated, records = complete_from_poc(target, donor, l)
     assert [(x.slot, x.value) for x in records] == [("author", "alice")]
     assert updated.aspects.texts("title") == []
-    assert records[0].origin == FromPoc("d", 0.9, "classifier")
+    assert records[0].origin == FromPoc("d", 0.9, None)
 
 
 def test_complete_from_poc_rejects_weak_shared_cve_link():

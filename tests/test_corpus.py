@@ -152,16 +152,16 @@ def test_content_kind_roundtrip():
 
 
 def test_provenance_roundtrip():
-    for origin in [Original(), FromCve("CVE-2020-0001"), FromPoc("p9", 0.75, "classifier")]:
+    for origin in [Original(), FromCve("CVE-2020-0001"), FromPoc("p9", 0.75, None)]:
         assert decode_provenance(origin.encode()) == origin
     assert decode_provenance(ORIGINAL.encode()) == Original()
 
 
 def test_from_poc_similarity_bounds():
     with pytest.raises(ValueError):
-        FromPoc("p1", 1.2, "classifier")
+        FromPoc("p1", 1.2, None)
     with pytest.raises(ValueError):
-        FromPoc("p1", -0.1, "classifier")
+        FromPoc("p1", -0.1, None)
 
 
 def test_aspect_value_requires_text():
@@ -190,7 +190,7 @@ def test_with_added_unknown_slot():
 
 def test_original_values_filters_provenance():
     aspects = AspectSet().with_added(
-        title=[AspectValue("mine", ORIGINAL), AspectValue("donated", FromPoc("p2", 0.9, "classifier"))],
+        title=[AspectValue("mine", ORIGINAL), AspectValue("donated", FromPoc("p2", 0.9, None))],
     )
     assert [v.text for v in aspects.original_values("title")] == ["mine"]
     assert aspects.filled_slots() == ["title"]
@@ -526,7 +526,7 @@ def test_corpus_save_load_roundtrip(tmp_path):
                 kind=ContentKind.PYTHON,
                 cve_ids=("CVE-2014-0160",),
                 aspects=AspectSet().with_added(
-                    title=[AspectValue("t", FromPoc("b", 0.5, "shared_cve:CVE-2014-0160"))]
+                    title=[AspectValue("t", FromPoc("b", 0.5, SharedCve("CVE-2014-0160")))]
                 ),
             ),
             make_report("b", content="unicode éè"),
@@ -666,7 +666,7 @@ SAVED_FILES = {
         make_report("a", content="é\u2028x", cve_ids=("CVE-2014-0160",),
                     aspects=AspectSet().with_added(author=aspect_values(["mn0"]))),
         make_report("b", kind=ContentKind.PHP, aspects=AspectSet().with_added(
-            title=[AspectValue("t", FromPoc("a", 0.5, "shared_cve:CVE-2014-0160"))])),
+            title=[AspectValue("t", FromPoc("a", 0.5, SharedCve("CVE-2014-0160")))])),
     ])),
     "links.jsonl": (save_links, load_links, [
         PocLink("a", "b", SharedCve("CVE-2014-0160"), 0.75, TEXT_KIND),
@@ -674,7 +674,7 @@ SAVED_FILES = {
     ]),
     "records.jsonl": (save_completion_records, load_completion_records, [
         CompletionRecord("a", "title", "t", FromCve("CVE-2014-0160")),
-        CompletionRecord("b", "author", "mn0", FromPoc("a", 0.5, "classifier")),
+        CompletionRecord("b", "author", "mn0", FromPoc("a", 0.5, None)),
     ]),
     "cve_db.jsonl": (save_cve_db, load_cve_db, {
         "CVE-2014-0160": CveEntry("CVE-2014-0160", (CveProduct("OpenSSL", ("1.0.1f",)),),
@@ -721,7 +721,7 @@ report_ids = st.text(min_size=1, max_size=6)
 cve_ids = st.builds("CVE-{}-{:04d}".format, st.integers(1999, 2030), st.integers(0, 99_999))
 # JSON gives an int for 0 or 1 written without a fraction, a float otherwise
 similarities = st.integers(0, 1) | st.floats(0.0, 1.0)
-link_bases = st.just("classifier") | cve_ids.map("shared_cve:{}".format)
+link_bases = st.none() | cve_ids.map(SharedCve)
 completed_origins = st.builds(FromCve, cve_ids) | st.builds(
     FromPoc, report_ids, similarities, link_bases
 )
@@ -794,7 +794,7 @@ link_lists = st.lists(
     st.builds(
         lambda ends, basis, similarity, kind: PocLink(*sorted(ends), basis, similarity, kind),
         st.lists(report_ids, min_size=2, max_size=2, unique=True),
-        st.none() | st.builds(SharedCve, cve_ids),
+        link_bases,
         similarities,
         st.sampled_from(LINK_KINDS),
     ),
@@ -827,7 +827,7 @@ EVERY_KIND = Corpus(
         aspects=AspectSet().with_added(title=[
             AspectValue("t"),
             AspectValue("u", FromCve("CVE-2014-0160")),
-            AspectValue("v", FromPoc("r0", 0.3125, "classifier")),
+            AspectValue("v", FromPoc("r0", 0.3125, None)),
         ]),
     )
     for n, kind in enumerate(CONTENT_KINDS)

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from pocfusion import (
     CompletionConfig,
     Corpus,
+    FromPoc,
     HeuristicPairClassifier,
     PocLink,
     PocReport,
@@ -80,13 +81,32 @@ def test_link_encode_decode():
     voted = PocLink("a1", "c1", None, 0.87, TEXT)
     for link in (shared, voted):
         assert PocLink.decode(link.encode()) == link
-    assert shared.encode()["basis"] == "shared_cve"
-    assert shared.encode()["cve_id"] == "CVE-2020-1111"
-    assert "cve_id" not in voted.encode()
+    # a link writes its basis in the text form a donated value's provenance has
+    assert shared.encode()["basis"] == "shared_cve:CVE-2020-1111"
+    assert voted.encode()["basis"] == "classifier"
+    assert "cve_id" not in shared.encode()
+    for link in (shared, voted):
+        origin = FromPoc("a1", link.similarity, link.basis).encode()
+        assert origin["basis"] == link.encode()["basis"]
+    # a links file from a build that wrote the id apart is refused
+    with pytest.raises(ValueError, match="unknown link basis: 'shared_cve'"):
+        PocLink.decode({**shared.encode(), "basis": "shared_cve", "cve_id": "CVE-2020-1111"})
+    with pytest.raises(ValueError):
+        PocLink.decode({**shared.encode(), "basis": "shared_cve:nonsense"})
     # a link joins two reports of one code language or two text reports
     for bad_kind in ("other", "unclassified", "code", "binary"):
         with pytest.raises(ValueError):
             PocLink.decode({**voted.encode(), "kind": bad_kind})
+
+
+@pytest.mark.parametrize("basis", ["shared_cve:CVE-2020-1111", "classifier", "CVE-2020-1111", 7])
+def test_link_basis_is_a_shared_cve_or_none(basis):
+    # a text basis once constructed, encoded as a classifier link and was
+    # never below its threshold
+    with pytest.raises(ValueError, match="unknown link basis"):
+        PocLink("a", "b", basis, 0.1, TEXT)
+    with pytest.raises(ValueError, match="unknown link basis"):
+        FromPoc("a", 0.1, basis)
 
 
 def test_kind_threshold():
@@ -367,7 +387,7 @@ def test_software_names_dedup_case():
 
 
 def test_software_names_original_only():
-    from pocfusion import AspectValue, FromPoc
+    from pocfusion import AspectValue
 
     r = report("a", title="NetLine Mail 2.1 - RCE")
     enriched = PocReport(
@@ -376,7 +396,7 @@ def test_software_names_original_only():
         raw_content=r.raw_content,
         content_kind=r.content_kind,
         aspects=r.aspects.with_added(
-            title=[AspectValue("OtherTool 9 - x", FromPoc("d", 0.9, "classifier"))]
+            title=[AspectValue("OtherTool 9 - x", FromPoc("d", 0.9, None))]
         ),
     )
     assert software_names(enriched) == ("NetLine Mail", "OtherTool")

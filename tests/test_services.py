@@ -179,6 +179,25 @@ def test_extractor_service_non_object_body(service, body):
     assert client.degraded_ids == ["r1"]
 
 
+# NaN and Infinity are no JSON values, and nesting too deep to decode is no
+# answer; an extra key holds them, which a well-formed answer may have
+_DEEP = b"[" * 100_000 + b"]" * 100_000
+_NON_JSON = [b"NaN", b"Infinity", b"-Infinity", _DEEP]
+_NON_JSON_IDS = ["nan", "infinity", "minus-infinity", "too-deep"]
+
+
+@pytest.mark.parametrize("value", _NON_JSON, ids=_NON_JSON_IDS)
+def test_extractor_service_non_json_body(service, value):
+    start = CONTENT.index("Foo Bar")
+    body = b'{"title": [{"text": "Foo Bar", "start": %d, "end": %d, "score": %s}]}'
+    service.script = lambda payload: (200, body % (start, start + 7, value))
+    fallback = StubExtractor()
+    client = ExternalStructuredExtractor(service.url, fallback=fallback)
+    client.extract(text_report("r1", CONTENT))
+    assert client.degraded_ids == ["r1"]
+    assert fallback.calls == ["r1"]
+
+
 def test_extractor_service_unreachable():
     client = ExternalStructuredExtractor(closed_port_url(), deadline=2.0)
     report = text_report("r1", CONTENT)
@@ -253,6 +272,17 @@ def test_classifier_service_verdict_out_of_contract(service, body):
     a, b = pair()
     assert client.classify(a, b) == (False, 0.25)
     assert client.degraded_pairs == [("a1", "b1")]
+
+
+@pytest.mark.parametrize("value", _NON_JSON, ids=_NON_JSON_IDS)
+def test_classifier_service_non_json_body(service, value):
+    service.script = lambda payload: (200, b'{"same": true, "confidence": 0.9, "x": %s}' % value)
+    fallback = StubClassifier()
+    client = ExternalPairClassifier(service.url, fallback=fallback)
+    a, b = pair()
+    assert client.classify(a, b) == (False, 0.25)
+    assert client.degraded_pairs == [("a1", "b1")]
+    assert fallback.calls == [("a1", "b1")]
 
 
 def test_classifier_service_missing_key(service):
