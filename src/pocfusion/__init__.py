@@ -57,7 +57,6 @@ from .link import (
     group_by_cve,
     kind_threshold,
     load_links,
-    match_software,
     pair_kind_of,
     save_links,
     save_pair_samples,

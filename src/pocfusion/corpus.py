@@ -10,6 +10,7 @@ from __future__ import annotations
 import codecs
 import json
 import logging
+import math
 import os
 import re
 from dataclasses import dataclass, field, replace
@@ -694,19 +695,43 @@ def _not_json(constant: str) -> NoReturn:
     raise ValueError(f"{constant} is not a JSON value")
 
 
-_DECODER = json.JSONDecoder(parse_constant=_not_json)
+def _finite(number: str) -> float:
+    value = float(number)
+    if math.isinf(value):
+        raise ValueError(f"{number} is not a finite number")
+    return value
+
+
+_DECODER = json.JSONDecoder(parse_float=_finite, parse_constant=_not_json)
+
+# Nesting that every file and answer stays within, the outermost object
+# being level 1. It is well below the recursion limit, so a decoded value
+# can be walked and logged from any stage.
+MAX_JSON_DEPTH = 100
 
 
 def json_object(text: str) -> dict:
     """Decode one record of a JSON file; ``ValueError`` unless it is an
-    object of standard JSON, without ``NaN`` or ``Infinity``, nested no
-    deeper than the decoder can recurse."""
+    object of standard JSON, without ``NaN``, ``Infinity`` or a number that
+    overflows a float, nested no deeper than :data:`MAX_JSON_DEPTH`."""
     try:
         value = _DECODER.decode(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply to decode") from None
     if not isinstance(value, dict):
         raise ValueError(f"expected a JSON object, got {type(value).__name__}")
+    # a value nests no deeper than its text has opening brackets
+    if text.count("[") + text.count("{") > MAX_JSON_DEPTH:
+        level = [value]
+        for _ in range(MAX_JSON_DEPTH):
+            level = [
+                item
+                for container in level
+                for item in (container.values() if type(container) is dict else container)
+                if type(item) in (dict, list)
+            ]
+        if level:
+            raise ValueError("JSON nested too deeply to decode")
     return value
 
 

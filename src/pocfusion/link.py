@@ -249,13 +249,15 @@ def _name_from_text(text: str) -> str:
 
 
 def software_names(report: PocReport, original_only: bool = False) -> tuple[str, ...]:
-    """Software names a report is about, derived from its title values and
-    from any name part preceding version numbers in software_version values.
+    """Distinct software names a report is about, lowered, in first-seen
+    order: the name part of each title value, and of each software_version
+    value, before its first version number. Blocks are keyed by these names
+    and every name check compares them.
 
     With ``original_only`` the derivation ignores values added by completion,
     so the answer is stable across enrichment runs.
     """
-    names: dict[str, str] = {}
+    names: dict[str, None] = {}
     for slot in ("title", "software_version"):
         values = (
             report.aspects.original_values(slot)
@@ -265,16 +267,8 @@ def software_names(report: PocReport, original_only: bool = False) -> tuple[str,
         for value in values:
             name = _name_from_text(value.text)
             if name:
-                names.setdefault(name.lower(), name)
-    return tuple(names.values())
-
-
-def match_software(a: PocReport, b: PocReport) -> bool:
-    """True when the two reports name a common software product exactly
-    (case-insensitive, trimmed); false when either side names none."""
-    names_a = {n.lower() for n in software_names(a)}
-    names_b = {n.lower() for n in software_names(b)}
-    return bool(names_a & names_b)
+                names[name.lower()] = None
+    return tuple(names)
 
 
 # --- pair classification -------------------------------------------------------
@@ -352,16 +346,14 @@ def classify_pair(
 ) -> tuple[bool, float]:
     """Same-vulnerability verdict for two reports naming the same software.
 
-    The software match is a hard precondition; callers generate candidates
-    through it. ``names`` maps report ids to their distinct lowered software
-    names, as :func:`build_link_graph` has them already; without it the
-    names are derived here.
+    A shared software name is a hard precondition; callers generate
+    candidates through it. ``names`` maps report ids to their
+    :func:`software_names`, as :func:`build_link_graph` has them already;
+    without it the names are derived here.
     """
-    if names is not None:
-        shared = any(name in names[b.id] for name in names[a.id])
-    else:
-        shared = match_software(a, b)
-    if not shared:
+    if names is None:
+        names = {a.id: software_names(a), b.id: software_names(b)}
+    if set(names[a.id]).isdisjoint(names[b.id]):
         raise ValueError(
             f"classify_pair precondition violated: {a.id} and {b.id} "
             "do not name the same software"
@@ -492,9 +484,8 @@ def build_link_graph(
         for report in corpus:
             kind = report.content_kind
             if kind is not ContentKind.UNCLASSIFIED:
-                lowered = tuple(name.lower() for name in software_names(report))
-                names[report.id] = lowered
-                for name in lowered:
+                names[report.id] = report_names = software_names(report)
+                for name in report_names:
                     blocks.setdefault((name, kind), []).append(report)
         seen: set[tuple[str, str]] = set()  # a pair can share several names
         cutoff = classifier.cutoff if type(classifier) is HeuristicPairClassifier else None

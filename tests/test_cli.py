@@ -25,6 +25,7 @@ from pocfusion.cli import (
     resolve_config,
     ConfigurationError,
 )
+from pocfusion.corpus import MAX_JSON_DEPTH
 
 PY_POC_A = """#!/usr/bin/env python3
 # Exploit Title: AlphaServ 2.0 - Remote Overflow
@@ -506,12 +507,15 @@ def test_cve_entry_with_products_not_a_list_is_skipped(tmp_path, caplog, product
 
 
 def test_non_json_constants_in_outside_input_skip_their_record(tmp_path, caplog):
-    # NaN and Infinity are no JSON values: once read as the texts "nan" and "inf"
+    # NaN and Infinity are no JSON values, and 1e400 overflows a float: once
+    # read as the texts "nan" and "inf"
     edb = tmp_path / "edb.jsonl"
     edb.write_text(
         '{"id": "ok", "source": "ExploitDB", "content": "x"}\n'
         '{"id": "v", "source": "ExploitDB", "content": "x", "version": NaN}\n'
-        '{"id": "c", "source": "ExploitDB", "content": "x", "cve_ids": [Infinity]}\n',
+        '{"id": "c", "source": "ExploitDB", "content": "x", "cve_ids": [Infinity]}\n'
+        '{"id": "w", "source": "ExploitDB", "content": "x", "version": 1e400}\n'
+        '{"id": "d", "source": "ExploitDB", "content": "x", "cve_ids": [-1e400]}\n',
         encoding="utf-8",
     )
     cve = tmp_path / "cve.jsonl"
@@ -523,10 +527,43 @@ def test_non_json_constants_in_outside_input_skip_their_record(tmp_path, caplog)
     argv = ["ingest", "--workspace", str(ws), "--source", f"exploitdb={edb}", "--cve", str(cve)]
     assert main(argv) == 0
     skips = [m for m in caplog.messages if "skipping malformed record" in m]
-    assert [m.split(": skipping")[0] for m in skips] == [f"{edb}:2", f"{edb}:3", f"{cve}:1"]
+    assert [m.split(": skipping")[0] for m in skips] == [
+        f"{edb}:2", f"{edb}:3", f"{edb}:4", f"{edb}:5", f"{cve}:1"
+    ]
     manifest = json.loads((ws / "manifests" / "ingest.json").read_text())
     assert (manifest["reports"], manifest["cve_entries"]) == (1, 0)
-    assert manifest["skipped"] == {"records": 3, "values": 0, "lone_surrogates": 0}
+    assert manifest["skipped"] == {"records": 5, "values": 0, "lone_surrogates": 0}
+
+
+def test_outside_input_nested_past_the_bound_skips_its_record_at_any_call_depth(
+    tmp_path, caplog
+):
+    # line n holds a title nested n deep in a record nested n + 1 deep. The
+    # bound may not move with the caller's stack: a line the decoder reads
+    # just within the recursion limit could not be logged, as repr recursed
+    # past it, and ingest failed
+    edb = tmp_path / "edb.jsonl"
+    edb.write_text(
+        "".join(
+            '{"id": "r%d", "source": "ExploitDB", "content": "x", "title": %s}\n'
+            % (n, "[" * n + "]" * n)
+            for n in range(1, 1001)
+        ),
+        encoding="utf-8",
+    )
+
+    def ingest(ws, frames):
+        if frames:
+            return ingest(ws, frames - 1)
+        caplog.clear()
+        assert main(["ingest", "--workspace", str(ws), "--source", f"exploitdb={edb}"]) == 0
+        manifest = json.loads((ws / "manifests" / "ingest.json").read_text())
+        skips = [m for m in caplog.messages if m.endswith("JSON nested too deeply to decode")]
+        return manifest["reports"], [m.split(": skipping")[0] for m in skips]
+
+    expected = (MAX_JSON_DEPTH - 1, [f"{edb}:{n}" for n in range(MAX_JSON_DEPTH, 1001)])
+    for frames in (0, 200):
+        assert ingest(tmp_path / f"ws{frames}", frames) == expected
 
 
 def test_unreadable_cve_dump_writes_no_ingest_output(tmp_path, capsys, monkeypatch):
@@ -589,20 +626,25 @@ _FUZZ_FIELDS = {
 }
 
 
-# a title array nested deeper than any decoder recurses; raw text, as
-# json.dumps of such a list would itself raise
-_DEEP_TITLE = '{"title": ' + "[" * 100_000 + "]" * 100_000 + "}"
+def _deep_title(depth):
+    # raw text, as json.dumps of a list this deep would itself raise
+    return '{"title": ' + "[" * depth + "]" * depth + "}"
+
+
+# title arrays nested deeper than MAX_JSON_DEPTH: one within the recursion
+# limit and one far past it
+_DEEP_TITLES = (_deep_title(981), _deep_title(100_000))
 
 
 def _fuzz_edits(kind):
     """Up to three edits of one file: (line index, edit), where an edit sets
     a field, replaces the whole line (field None), is raw text that ends the
-    line (a carriage return) or starts it (a byte-order mark), or is the raw
-    line :data:`_DEEP_TITLE`."""
+    line (a carriage return) or starts it (a byte-order mark), or is one of
+    the raw lines :data:`_DEEP_TITLES`."""
     edit = (
         st.tuples(st.sampled_from(_FUZZ_FIELDS[kind]), _FUZZ_TEXT)
         | st.tuples(st.sampled_from([*_FUZZ_FIELDS[kind], None]), _FUZZ_VALUES)
-        | st.sampled_from(["\r", "\ufeff", _DEEP_TITLE])
+        | st.sampled_from(["\r", "\ufeff", *_DEEP_TITLES])
     )
     return st.lists(st.tuples(st.integers(0, 5), edit), max_size=3)
 
@@ -638,7 +680,7 @@ def test_outside_input_is_ingested_with_a_warning_per_skip(edits):
             for index, edit in file_edits:
                 index %= len(records)
                 touched.setdefault(name, set()).add(index + 1)
-                if edit == _DEEP_TITLE:
+                if edit in _DEEP_TITLES:
                     raw[index] = edit
                 elif edit == "\r":
                     end[index] += edit
@@ -808,6 +850,14 @@ STAGE_INPUTS = [
                      id="link-content-nan"),
         pytest.param("stats", "corpus_completed.jsonl", set_field("content", float("-inf")),
                      id="stats-content-minus-infinity"),
+        # so are a number that overflows a float and nesting past
+        # MAX_JSON_DEPTH, even under a key no record reads
+        pytest.param("stats", "corpus_completed.jsonl",
+                     lambda line: line[:-1] + ', "extra": 1e400}',
+                     id="stats-extra-overflowing-number"),
+        pytest.param("link", "corpus_extracted.jsonl",
+                     lambda line: line[:-1] + ', "extra": %s}' % ("[" * 200 + "]" * 200),
+                     id="link-extra-nested-past-the-bound"),
         pytest.param("complete", "links.jsonl", set_field("a", ""),
                      id="complete-empty-link-endpoint"),
     ],

@@ -26,7 +26,6 @@ from pocfusion import (
     group_by_cve,
     kind_threshold,
     load_links,
-    match_software,
     pair_kind_of,
     save_links,
     score_pair,
@@ -375,9 +374,9 @@ def test_software_names_from_title_and_versions():
         title="NetLine Mail 2.1 - POP3 Remote Buffer Overflow",
         version="2.1",
     )
-    assert software_names(r) == ("NetLine Mail",)
+    assert software_names(r) == ("netline mail",)
     r2 = report("b", version="GateServe 4.0")
-    assert software_names(r2) == ("GateServe",)
+    assert software_names(r2) == ("gateserve",)
     assert software_names(report("c")) == ()
 
 
@@ -399,23 +398,27 @@ def test_software_names_original_only():
             title=[AspectValue("OtherTool 9 - x", FromPoc("d", 0.9, None))]
         ),
     )
-    assert software_names(enriched) == ("NetLine Mail", "OtherTool")
-    assert software_names(enriched, original_only=True) == ("NetLine Mail",)
+    assert software_names(enriched) == ("netline mail", "othertool")
+    assert software_names(enriched, original_only=True) == ("netline mail",)
 
 
 def test_match_software():
+    # the software match is classify_pair's precondition
+    classifier = HeuristicPairClassifier(ScoringModels())
     a = report("a", title="FooServ 1.0 - RCE")
     b = report("b", title="fooserv 2.2 - DoS")
     c = report("c", title="BarWare 1.0 - RCE")
     blank = report("d")
-    assert match_software(a, b)
-    assert not match_software(a, c)
-    assert not match_software(a, blank)
+    # a name shared in another case is shared
+    assert classify_pair(classifier, a, b) == classifier.classify(a, b)
+    for other in (c, blank):
+        with pytest.raises(ValueError, match="precondition"):
+            classify_pair(classifier, a, other)
 
 
 def test_classify_pair_requires_software_match():
     classifier = HeuristicPairClassifier(ScoringModels())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="precondition"):
         classify_pair(classifier, report("a"), report("b"))
 
 
@@ -525,14 +528,42 @@ def test_build_link_graph_derives_software_names_once_per_report(monkeypatch):
         calls[r.id] += 1
         return software_names(r, original_only)
 
-    def refused(a, b):
-        raise AssertionError("the graph rederives names through match_software")
-
     monkeypatch.setattr(link_module, "software_names", counted)
-    monkeypatch.setattr(link_module, "match_software", refused)
     assert graph() == expected
-    # once for each text or code report; the report of another kind has no block
+    # once for each text or code report, and never again for the classifier's
+    # precondition; the report of another kind has no block
     assert calls == Counter({r.id: 1 for r in corpus if r.id != "ot1"})
+
+
+_NAME_TEXTS = st.lists(
+    st.sampled_from(["FooServ", "fooserv", "FOOSERV", "BarWare", "ΣΑΣ Mail", "σας mail"]).flatmap(
+        lambda name: st.sampled_from([name, f"{name} 1.0", f"{name} v2.1 - RCE", "3.0"])
+    ),
+    max_size=3,
+)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.lists(st.tuples(_NAME_TEXTS, _NAME_TEXTS), min_size=2, max_size=2))
+def test_software_names_are_lowered_and_decide_the_precondition(texts):
+    a, b = (
+        replace(report(rid), aspects=AspectSet().with_added(
+            title=aspect_values(titles), software_version=aspect_values(versions)
+        ))
+        for rid, (titles, versions) in zip("ab", texts)
+    )
+    for r in (a, b):
+        names = software_names(r)
+        assert all(name == name.lower() for name in names)
+        assert len(set(names)) == len(names)
+
+    def verdict(names):
+        try:
+            return classify_pair(HeuristicPairClassifier(ScoringModels()), a, b, names)
+        except ValueError as exc:
+            return str(exc)
+
+    assert verdict(None) == verdict({r.id: software_names(r) for r in (a, b)})
 
 
 def test_classify_pair_precondition_with_precomputed_names():

@@ -179,11 +179,12 @@ def test_extractor_service_non_object_body(service, body):
     assert client.degraded_ids == ["r1"]
 
 
-# NaN and Infinity are no JSON values, and nesting too deep to decode is no
-# answer; an extra key holds them, which a well-formed answer may have
+# NaN and Infinity are no JSON values, and a number that overflows a float
+# or nesting too deep to decode is no answer; an extra key holds them, which
+# a well-formed answer may have
 _DEEP = b"[" * 100_000 + b"]" * 100_000
-_NON_JSON = [b"NaN", b"Infinity", b"-Infinity", _DEEP]
-_NON_JSON_IDS = ["nan", "infinity", "minus-infinity", "too-deep"]
+_NON_JSON = [b"NaN", b"Infinity", b"-Infinity", b"1e400", b"-1e400", _DEEP]
+_NON_JSON_IDS = ["nan", "infinity", "minus-infinity", "overflow", "minus-overflow", "too-deep"]
 
 
 @pytest.mark.parametrize("value", _NON_JSON, ids=_NON_JSON_IDS)
