@@ -393,15 +393,15 @@ def stage_classify(config: PipelineConfig, ws: Path, inputs: dict) -> _StageResu
 def stage_extract(config: PipelineConfig, ws: Path, inputs: dict) -> _StageResult:
     corpus = inputs[CLASSIFIED]
     degraded = 0
+    default = DefaultStructuredExtractor()
     if config.extractor_url:
         from concurrent.futures import ThreadPoolExecutor
 
-        extractor = ExternalStructuredExtractor(config.extractor_url)
+        extractor = ExternalStructuredExtractor(config.extractor_url, default)
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
             reports = list(pool.map(lambda r: extract_all(r, extractor=extractor), corpus))
-        degraded = len(extractor.degraded_ids)
+        degraded = len(extractor.degraded)
     else:
-        default = DefaultStructuredExtractor()
         reports = [extract_all(report, extractor=default) for report in corpus]
     extracted = Corpus(reports)
     save_corpus(extracted, ws / EXTRACTED)
@@ -417,7 +417,7 @@ def stage_link(config: PipelineConfig, ws: Path, inputs: dict) -> _StageResult:
         else None
     )
     links = build_link_graph(inputs[EXTRACTED], models, external or heuristic, config)
-    degraded = len(external.degraded_pairs) if external else 0
+    degraded = len(external.degraded) if external else 0
     save_links(links, ws / LINKS)
     return {LINKS: links}, {"links": len(links), "degraded": {"classifier": degraded}}
 

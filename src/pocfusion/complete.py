@@ -93,7 +93,7 @@ def verify_association(report: PocReport, entry: CveEntry) -> bool:
     """
     if entry.cve_id not in report.cve_ids:
         raise ValueError(f"report {report.id} does not carry {entry.cve_id}")
-    names = [n.strip() for n in software_names(report, original_only=True)]
+    names = [n.strip() for n in software_names(report)]
     if not names:
         return True
     products = [p.name.strip().lower() for p in entry.products]

@@ -735,6 +735,53 @@ def json_object(text: str) -> dict:
     return value
 
 
+# Failed calls in a row after which a service client stops calling.
+BREAKER_LIMIT = 5
+
+
+class ServiceClient:
+    """A client of an optional HTTP service that answers JSON objects.
+
+    :meth:`_call` posts one request within ``deadline`` seconds, decodes the
+    answer with :func:`json_object` and passes it to the client's contract
+    check. A failed call logs one warning, adds its key to ``degraded`` and
+    gives None, and the client's ``fallback`` answers instead. After
+    :data:`BREAKER_LIMIT` failures in a row the client stops calling, and
+    every key it skips is degraded too; only a success of a call already in
+    flight, from another thread, resets the count then."""
+
+    def __init__(self, url: str, fallback, deadline: float = 10.0):
+        import threading
+
+        self.url = url
+        self.fallback = fallback
+        self.deadline = deadline
+        self.degraded: list = []
+        self._failures = 0
+        self._lock = threading.Lock()
+
+    def _call(self, key, payload: dict, check: Callable[[dict], _T]) -> _T | None:
+        if self._failures < BREAKER_LIMIT:
+            import requests  # only runs that call a service pay for the import
+
+            try:
+                response = requests.post(self.url, json=payload, timeout=self.deadline)
+                response.raise_for_status()
+                answer = check(json_object(response.text))
+                with self._lock:
+                    self._failures = 0
+                return answer
+            except (requests.RequestException, ValueError, KeyError, TypeError) as exc:
+                name = type(self).__name__
+                logger.warning("%s failed for %s, using its fallback: %s", name, key, exc)
+                with self._lock:
+                    self._failures += 1
+                    if self._failures == BREAKER_LIMIT:
+                        logger.warning("%s stops calling after %d failures", name, BREAKER_LIMIT)
+        self.degraded.append(key)
+        return None
+
+
 def format_mismatch(header: dict, fmt: str, version: int) -> str | None:
     """Why a versioned file's header is not ``fmt`` at ``version``, or None."""
     if header.get("format") == fmt and header.get("version") == version:

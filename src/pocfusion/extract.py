@@ -7,7 +7,6 @@ whitespace trimming); nothing is synthesized at this stage.
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -19,14 +18,12 @@ from .corpus import (
     ContentKind,
     Corpus,
     PocReport,
+    ServiceClient,
     _strings,
     aspect_values,
-    json_object,
     read_jsonl,
 )
 from .cveid import find_cve_ids
-
-logger = logging.getLogger(__name__)
 
 # Slots the structured extractor is responsible for.
 NER_SLOTS = ("test_platform", "software_version", "title", "author", "publish_time")
@@ -414,47 +411,24 @@ class DefaultStructuredExtractor:
         return StructuredExtraction({slot: tuple(v) for slot, v in spans.items()})
 
 
-class ExternalStructuredExtractor:
+class ExternalStructuredExtractor(ServiceClient):
     """Client for an external structured-extractor HTTP service.
 
     Request: ``{"id": ..., "content": ...}``; response: ``{slot: [{"text",
-    "start", "end"}, ...]}``. Unreachable service, over-deadline calls, and
-    contract-violating responses fall back to the default extractor; affected
-    report ids are collected in ``degraded_ids``.
+    "start", "end"}, ...]}``. A failed call, a contract-violating answer
+    included, is answered by ``fallback``; ``degraded`` collects the report
+    ids (see :class:`ServiceClient`).
     """
 
-    def __init__(
-        self,
-        url: str,
-        deadline: float = 10.0,
-        fallback: StructuredExtractor | None = None,
-    ):
-        self.url = url
-        self.deadline = deadline
-        self.fallback = fallback if fallback is not None else DefaultStructuredExtractor()
-        self.degraded_ids: list[str] = []
-
     def extract(self, report: PocReport) -> StructuredExtraction:
-        import requests  # only runs that call the service pay for the import
-
-        try:
-            response = requests.post(
-                self.url,
-                json={"id": report.id, "content": report.raw_content},
-                timeout=self.deadline,
-            )
-            response.raise_for_status()
-            extraction = StructuredExtraction.decode(json_object(response.text))
+        def check(data: dict) -> StructuredExtraction:
+            extraction = StructuredExtraction.decode(data)
             extraction.validate(report.raw_content)
             return extraction
-        except (requests.RequestException, ValueError, KeyError, TypeError) as exc:
-            logger.warning(
-                "external extractor failed for report %s, using default: %s",
-                report.id,
-                exc,
-            )
-            self.degraded_ids.append(report.id)
-            return self.fallback.extract(report)
+
+        payload = {"id": report.id, "content": report.raw_content}
+        extraction = self._call(report.id, payload, check)
+        return extraction if extraction is not None else self.fallback.extract(report)
 
 
 # --- composition ----------------------------------------------------------------

@@ -18,21 +18,20 @@ from .corpus import (
     ContentKind,
     Corpus,
     PocReport,
+    ServiceClient,
     SharedCve,
     check_basis,
     check_unit_number,
     decode_basis,
     encode_basis,
-    json_object,
     read_jsonl,
     write_jsonl,
 )
-from .similarity import tokenize_code, tokenize_text
+from .similarity import cosine_similarity, tokenize_code, tokenize_text
 
-# Not called by the pipeline: bench/tracing.py wraps these module attributes
-# (its similarity.embed and similarity.cosine layers), so they stay importable
-# until those layers go.
-from .similarity import cosine_similarity, embed_text  # noqa: F401
+# Not called by the pipeline: bench/tracing.py wraps this module attribute
+# (its similarity.embed layer), so it stays importable until that layer goes.
+from .similarity import embed_text  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -205,14 +204,8 @@ class ScoringModels:
         return cosine_matrix([self._counts_of(report)[1][0] for report in reports])
 
     def _cosine(self, a: PocReport, b: PocReport, part: int) -> float:
-        # cosine_matrix's entry for the pair: the same exact integer dot
-        # product, summed over the smaller count, and the same expression
         (a_counts, a_norm), (b_counts, b_norm) = self._counts_of(a)[part], self._counts_of(b)[part]
-        small, large = sorted((a_counts, b_counts), key=len)
-        dot = sum(count * large[token] for token, count in small.items() if token in large)
-        if not dot:
-            return 0.0
-        return dot / math.sqrt(a_norm * b_norm)
+        return cosine_similarity(a_counts, b_counts, a_norm, b_norm)
 
     def content_cosine(self, a: PocReport, b: PocReport) -> float:
         return self._cosine(a, b, 0)
@@ -248,23 +241,16 @@ def _name_from_text(text: str) -> str:
     return head.strip(" \t-_,;:")
 
 
-def software_names(report: PocReport, original_only: bool = False) -> tuple[str, ...]:
+def software_names(report: PocReport) -> tuple[str, ...]:
     """Distinct software names a report is about, lowered, in first-seen
-    order: the name part of each title value, and of each software_version
-    value, before its first version number. Blocks are keyed by these names
-    and every name check compares them.
-
-    With ``original_only`` the derivation ignores values added by completion,
-    so the answer is stable across enrichment runs.
+    order: the name part of each Original title value, and of each Original
+    software_version value, before its first version number. Values added by
+    completion are ignored, so the answer is stable across enrichment runs.
+    Blocks are keyed by these names and every name check compares them.
     """
     names: dict[str, None] = {}
     for slot in ("title", "software_version"):
-        values = (
-            report.aspects.original_values(slot)
-            if original_only
-            else report.aspects.values(slot)
-        )
-        for value in values:
+        for value in report.aspects.original_values(slot):
             name = _name_from_text(value.text)
             if name:
                 names[name.lower()] = None
@@ -294,48 +280,32 @@ class HeuristicPairClassifier:
         return combined >= self.cutoff, combined
 
 
-class ExternalPairClassifier:
+class ExternalPairClassifier(ServiceClient):
     """Client for an external pair-classifier HTTP service.
 
     Request: ``{"title_a", "content_a", "title_b", "content_b"}``; response:
-    ``{"same": bool, "confidence": real}``. Failures fall back to the
-    heuristic classifier; affected pairs are collected in ``degraded_pairs``.
+    ``{"same": bool, "confidence": real}``. A failed call, an out-of-contract
+    verdict included, is answered by ``fallback``; ``degraded`` collects the
+    pairs' ids (see :class:`ServiceClient`).
     """
 
-    def __init__(self, url: str, fallback: PairClassifier, deadline: float = 10.0):
-        self.url = url
-        self.fallback = fallback
-        self.deadline = deadline
-        self.degraded_pairs: list[tuple[str, str]] = []
-
     def classify(self, a: PocReport, b: PocReport) -> tuple[bool, float]:
-        import requests  # only runs that call the service pay for the import
+        payload = {
+            "title_a": title_text(a),
+            "content_a": a.raw_content,
+            "title_b": title_text(b),
+            "content_b": b.raw_content,
+        }
+        verdict = self._call((a.id, b.id), payload, _verdict)
+        return verdict if verdict is not None else self.fallback.classify(a, b)
 
-        try:
-            response = requests.post(
-                self.url,
-                json={
-                    "title_a": title_text(a),
-                    "content_a": a.raw_content,
-                    "title_b": title_text(b),
-                    "content_b": b.raw_content,
-                },
-                timeout=self.deadline,
-            )
-            response.raise_for_status()
-            data = json_object(response.text)
-            same, confidence = data["same"], data["confidence"]
-            if not isinstance(same, bool):
-                raise ValueError(f"verdict out of contract: {data}")
-            check_unit_number("confidence", confidence)
-            return same, float(confidence)
-        except (requests.RequestException, ValueError, KeyError, TypeError) as exc:
-            logger.warning(
-                "external classifier failed for pair (%s, %s), using heuristic: %s",
-                a.id, b.id, exc,
-            )
-            self.degraded_pairs.append((a.id, b.id))
-            return self.fallback.classify(a, b)
+
+def _verdict(data: dict) -> tuple[bool, float]:
+    same, confidence = data["same"], data["confidence"]
+    if not isinstance(same, bool):
+        raise ValueError(f"verdict out of contract: {data}")
+    check_unit_number("confidence", confidence)
+    return same, float(confidence)
 
 
 def classify_pair(

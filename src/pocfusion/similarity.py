@@ -6,13 +6,10 @@ lowercased word tokens for prose and titles, in pure Python.
 
 from __future__ import annotations
 
-import logging
 import math
 import re
 from collections import Counter
 from collections.abc import Mapping
-
-logger = logging.getLogger(__name__)
 
 _CODE_TOKEN = re.compile(r"[A-Za-z0-9_]+|[^\sA-Za-z0-9_]")
 _TEXT_TOKEN = re.compile(r"[a-z0-9]+")
@@ -32,21 +29,24 @@ def tokenize_text(content: str) -> list[str]:
     return [t for t in _TEXT_TOKEN.findall(content.lower()) if len(t) >= 2]
 
 
-def cosine_similarity(a: Mapping, b: Mapping) -> float:
-    """Cosine of two sparse vectors (mappings token -> count). A zero vector
-    gives 0 with a warning."""
-    dot = 0.0
+def cosine_similarity(
+    a: Mapping, b: Mapping, norm_a: int | None = None, norm_b: int | None = None
+) -> float:
+    """Cosine of two sparse vectors (mappings token -> count), given their
+    squared norms or not. The dot product is summed over the smaller mapping,
+    exactly for integer counts, and the product of the squared norms is
+    rounded once, under a single square root, which keeps exact halves
+    exact. It is 0.0 where the dot product is 0, as for a zero vector.
+    """
     small, large = (a, b) if len(a) <= len(b) else (b, a)
-    for token, count in small.items():
-        other = large.get(token)
-        if other:
-            dot += count * other
-    norm_sq = float(sum(v * v for v in a.values())) * float(sum(v * v for v in b.values()))
-    if norm_sq == 0.0:
-        logger.warning("cosine of zero vector requested, returning 0")
+    dot = sum(count * large[token] for token, count in small.items() if token in large)
+    if not dot:
         return 0.0
-    # single square root of the norm product keeps exact halves exact
-    return dot / math.sqrt(norm_sq)
+    if norm_a is None:
+        norm_a = sum(v * v for v in a.values())
+    if norm_b is None:
+        norm_b = sum(v * v for v in b.values())
+    return dot / math.sqrt(norm_a * norm_b)
 
 
 def _removed_trainer(*args, **kwargs):

@@ -45,6 +45,8 @@ def test_traced_demo_run_reaches_every_hook(tmp_path, monkeypatch):
     # the link stage trains no embedding model and embeds no text
     assert metrics["similarity.train_s"][0] == 0
     assert metrics["similarity.embed_calls"][0] == 0
+    # the link stage scores each pair with the cosine criterion 1 tests
+    assert metrics["similarity.cosine_calls"][0] > 0
 
 
 def _pocfusion_imports(source: str):

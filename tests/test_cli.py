@@ -1303,6 +1303,34 @@ def test_third_party_imports_are_the_declared_dependencies():
     assert third_party == declared == {"requests"}
 
 
+def _imports_by_function(node, where):
+    """(innermost enclosing function, top module name) for every import
+    statement under ``node``; ``where`` names the scope ``node`` is in."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _imports_by_function(child, f"{where.split('.')[0]}.{child.name}")
+            continue
+        if isinstance(child, ast.Import):
+            yield from ((where, alias.name.split(".")[0]) for alias in child.names)
+        elif isinstance(child, ast.ImportFrom) and child.level == 0:
+            yield where, child.module.split(".")[0]
+        yield from _imports_by_function(child, where)
+
+
+def test_requests_is_imported_in_one_function():
+    # every service call goes through one path, which alone imports requests
+    root = Path(__file__).resolve().parent.parent
+    sites = [
+        where
+        for path in sorted((root / "src" / "pocfusion").glob("*.py"))
+        for where, module in _imports_by_function(
+            ast.parse(path.read_text(encoding="utf-8")), path.stem
+        )
+        if module == "requests"
+    ]
+    assert sites == ["corpus._call"]
+
+
 def test_sources_parse_at_the_declared_python_floor():
     root = Path(__file__).resolve().parent.parent
     pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")

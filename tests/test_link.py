@@ -27,6 +27,7 @@ from pocfusion import (
     kind_threshold,
     load_links,
     pair_kind_of,
+    run_completion,
     save_links,
     score_pair,
     software_names,
@@ -398,8 +399,8 @@ def test_software_names_original_only():
             title=[AspectValue("OtherTool 9 - x", FromPoc("d", 0.9, None))]
         ),
     )
-    assert software_names(enriched) == ("netline mail", "othertool")
-    assert software_names(enriched, original_only=True) == ("netline mail",)
+    # a value added by completion names no software
+    assert software_names(enriched) == ("netline mail",)
 
 
 def test_match_software():
@@ -524,9 +525,9 @@ def test_build_link_graph_derives_software_names_once_per_report(monkeypatch):
     expected = graph()
     calls = Counter()
 
-    def counted(r, original_only=False):
+    def counted(r):
         calls[r.id] += 1
-        return software_names(r, original_only)
+        return software_names(r)
 
     monkeypatch.setattr(link_module, "software_names", counted)
     assert graph() == expected
@@ -626,7 +627,7 @@ def test_heuristic_classifies_only_pairs_the_title_gate_lets_in(monkeypatch):
     assert build_link_graph(corpus, models, external, CompletionConfig()) == links
     candidates = list(combinations(["f1", "f2", "f3", "f4", "f5"], 2))
     assert calls == candidates
-    assert external.degraded_pairs == candidates
+    assert external.degraded == candidates
 
 
 def test_other_classifier_builds_no_title_matrix(monkeypatch):
@@ -895,3 +896,40 @@ def test_build_link_graph_equals_per_pair_oracle(corpus, cutoff, thresholds):
     classifier = None if cutoff is None else HeuristicPairClassifier(models, cutoff)
     links = build_link_graph(corpus, models, classifier, config)
     assert links == oracle_link_graph(corpus, cutoff, config)
+
+
+def filled_from_reports(corpus, links, config):
+    """The (report, slot) pairs that completion fills from other reports."""
+    records = run_completion(corpus, {}, links, config).records
+    return {(r.target, r.slot) for r in records if isinstance(r.origin, FromPoc)}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(linkable_corpora(), st.data())
+def test_raising_a_threshold_removes_exactly_the_links_under_it(corpus, data):
+    """Raising the classifier cutoff or a kind threshold never adds a link:
+    it removes the links scored under the new bound, and keeps a link scored
+    at it. The (report, slot) pairs filled from other reports only shrink,
+    since donors give their Original values only."""
+
+    def run(cutoff, code, text):
+        config = SimpleNamespace(code_threshold=code, text_threshold=text)
+        models = ScoringModels()
+        links = build_link_graph(corpus, models, HeuristicPairClassifier(models, cutoff), config)
+        return links, filled_from_reports(corpus, links, config)
+
+    def bound_of(link):  # the index of the bound a link is held to
+        return 0 if link.basis is None else 1 if link.kind.is_code else 2
+
+    bounds = [data.draw(st.sampled_from([0.2, 0.5, 0.65])) for _ in range(3)]
+    links, filled = run(*bounds)
+    # each bound stays, or rises to 1.0 or to a score of a link it holds
+    raised = [
+        data.draw(st.sampled_from(sorted(
+            {bound, 1.0} | {link.similarity for link in links if bound_of(link) == i}
+        )))
+        for i, bound in enumerate(bounds)
+    ]
+    fewer, fewer_filled = run(*raised)
+    assert fewer == [link for link in links if link.similarity >= raised[bound_of(link)]]
+    assert fewer_filled <= filled

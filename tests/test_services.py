@@ -23,7 +23,7 @@ from pocfusion import (
     build_link_graph,
     classify_pair,
 )
-from pocfusion.corpus import AspectSet, ContentKind
+from pocfusion.corpus import BREAKER_LIMIT, AspectSet, ContentKind
 from pocfusion.extract import DefaultStructuredExtractor, SlotSpan
 
 EDB = "ExploitDB"
@@ -106,13 +106,13 @@ def good_extraction_payload():
 
 def test_extractor_service_roundtrip(service):
     service.script = lambda payload: (200, good_extraction_payload())
-    client = ExternalStructuredExtractor(service.url)
+    client = ExternalStructuredExtractor(service.url, DefaultStructuredExtractor())
     report = text_report("r1", CONTENT)
     extraction = client.extract(report)
     assert extraction.spans["title"] == (
         SlotSpan("Foo Bar", CONTENT.index("Foo Bar"), CONTENT.index("Foo Bar") + 7),
     )
-    assert client.degraded_ids == []
+    assert client.degraded == []
     assert service.requests == [{"id": "r1", "content": CONTENT}]
 
 
@@ -122,7 +122,7 @@ def test_extractor_service_rejects_lying_spans(service):
     fallback = StubExtractor()
     client = ExternalStructuredExtractor(service.url, fallback=fallback)
     client.extract(text_report("r1", CONTENT))
-    assert client.degraded_ids == ["r1"]
+    assert client.degraded == ["r1"]
     assert fallback.calls == ["r1"]
 
 
@@ -130,7 +130,7 @@ def test_extractor_service_rejects_unknown_slot(service):
     service.script = lambda payload: (200, {"severity": [{"text": "E", "start": 0, "end": 1}]})
     client = ExternalStructuredExtractor(service.url, fallback=StubExtractor())
     client.extract(text_report("r1", CONTENT))
-    assert client.degraded_ids == ["r1"]
+    assert client.degraded == ["r1"]
 
 
 @pytest.mark.parametrize(
@@ -153,7 +153,7 @@ def test_extractor_service_rejects_wrong_json_types(service, span, typed):
     fallback = StubExtractor()
     client = ExternalStructuredExtractor(service.url, fallback=fallback)
     client.extract(report)
-    assert client.degraded_ids == ["r1"]
+    assert client.degraded == ["r1"]
     assert fallback.calls == ["r1"]
 
 
@@ -161,14 +161,14 @@ def test_extractor_service_http_error(service):
     service.script = lambda payload: (500, {"error": "boom"})
     client = ExternalStructuredExtractor(service.url, fallback=StubExtractor())
     client.extract(text_report("r1", CONTENT))
-    assert client.degraded_ids == ["r1"]
+    assert client.degraded == ["r1"]
 
 
 def test_extractor_service_garbage_body(service):
     service.script = lambda payload: (200, b"not json at all")
     client = ExternalStructuredExtractor(service.url, fallback=StubExtractor())
     client.extract(text_report("r1", CONTENT))
-    assert client.degraded_ids == ["r1"]
+    assert client.degraded == ["r1"]
 
 
 @pytest.mark.parametrize("body", [[1], None, "x"], ids=["list", "null", "string"])
@@ -176,7 +176,7 @@ def test_extractor_service_non_object_body(service, body):
     service.script = lambda payload: (200, body)
     client = ExternalStructuredExtractor(service.url, fallback=StubExtractor())
     client.extract(text_report("r1", CONTENT))
-    assert client.degraded_ids == ["r1"]
+    assert client.degraded == ["r1"]
 
 
 # NaN and Infinity are no JSON values, and a number that overflows a float
@@ -195,16 +195,17 @@ def test_extractor_service_non_json_body(service, value):
     fallback = StubExtractor()
     client = ExternalStructuredExtractor(service.url, fallback=fallback)
     client.extract(text_report("r1", CONTENT))
-    assert client.degraded_ids == ["r1"]
+    assert client.degraded == ["r1"]
     assert fallback.calls == ["r1"]
 
 
 def test_extractor_service_unreachable():
-    client = ExternalStructuredExtractor(closed_port_url(), deadline=2.0)
+    client = ExternalStructuredExtractor(
+        closed_port_url(), DefaultStructuredExtractor(), deadline=2.0
+    )
     report = text_report("r1", CONTENT)
     extraction = client.extract(report)
-    assert client.degraded_ids == ["r1"]
-    # default fallback is the pattern extractor
+    assert client.degraded == ["r1"]
     assert extraction == DefaultStructuredExtractor().extract(report)
 
 
@@ -214,7 +215,7 @@ def test_extractor_service_degrades_per_report(service):
     client = ExternalStructuredExtractor(service.url, fallback=StubExtractor())
     client.extract(text_report("bad", CONTENT))
     client.extract(text_report("good", CONTENT))
-    assert client.degraded_ids == ["bad"]
+    assert client.degraded == ["bad"]
 
 
 # --- pair classifier service -------------------------------------------------------
@@ -241,7 +242,7 @@ def test_classifier_service_roundtrip(service):
     client = ExternalPairClassifier(service.url, fallback=StubClassifier())
     a, b = pair()
     assert client.classify(a, b) == (True, 0.91)
-    assert client.degraded_pairs == []
+    assert client.degraded == []
     assert service.requests == [
         {
             "title_a": "FooServ 1.0 - RCE",
@@ -258,7 +259,7 @@ def test_classifier_service_confidence_out_of_range(service):
     client = ExternalPairClassifier(service.url, fallback=fallback)
     a, b = pair()
     assert client.classify(a, b) == (False, 0.25)
-    assert client.degraded_pairs == [("a1", "b1")]
+    assert client.degraded == [("a1", "b1")]
     assert fallback.calls == [("a1", "b1")]
 
 
@@ -272,7 +273,7 @@ def test_classifier_service_verdict_out_of_contract(service, body):
     client = ExternalPairClassifier(service.url, fallback=StubClassifier())
     a, b = pair()
     assert client.classify(a, b) == (False, 0.25)
-    assert client.degraded_pairs == [("a1", "b1")]
+    assert client.degraded == [("a1", "b1")]
 
 
 @pytest.mark.parametrize("value", _NON_JSON, ids=_NON_JSON_IDS)
@@ -282,7 +283,7 @@ def test_classifier_service_non_json_body(service, value):
     client = ExternalPairClassifier(service.url, fallback=fallback)
     a, b = pair()
     assert client.classify(a, b) == (False, 0.25)
-    assert client.degraded_pairs == [("a1", "b1")]
+    assert client.degraded == [("a1", "b1")]
     assert fallback.calls == [("a1", "b1")]
 
 
@@ -291,7 +292,7 @@ def test_classifier_service_missing_key(service):
     client = ExternalPairClassifier(service.url, fallback=StubClassifier())
     a, b = pair()
     client.classify(a, b)
-    assert client.degraded_pairs == [("a1", "b1")]
+    assert client.degraded == [("a1", "b1")]
 
 
 def test_classifier_service_http_error(service):
@@ -299,14 +300,14 @@ def test_classifier_service_http_error(service):
     client = ExternalPairClassifier(service.url, fallback=StubClassifier())
     a, b = pair()
     client.classify(a, b)
-    assert client.degraded_pairs == [("a1", "b1")]
+    assert client.degraded == [("a1", "b1")]
 
 
 def test_classifier_service_unreachable():
     client = ExternalPairClassifier(closed_port_url(), fallback=StubClassifier(), deadline=2.0)
     a, b = pair()
     assert client.classify(a, b) == (False, 0.25)
-    assert client.degraded_pairs == [("a1", "b1")]
+    assert client.degraded == [("a1", "b1")]
 
 
 def test_classifier_service_via_classify_pair(service):
@@ -332,8 +333,89 @@ def test_classifier_service_verdict_links_at_any_confidence(service):
     assert [(link.a, link.b, link.basis, link.similarity) for link in links] == [
         ("a1", "b1", None, 0.2)
     ]
-    assert client.degraded_pairs == []
+    assert client.degraded == []
     assert len(service.requests) == 1
+
+
+# --- circuit breaker ---------------------------------------------------------------------
+
+
+def counted_posts(monkeypatch):
+    """Count the posts every service client makes, passing each on."""
+    import requests
+
+    posts = []
+    post = requests.post
+
+    def counted(*args, **kwargs):
+        posts.append(kwargs["json"])
+        return post(*args, **kwargs)
+
+    monkeypatch.setattr(requests, "post", counted)
+    return posts
+
+
+def pairs(n):
+    return [
+        (text_report(f"a{i}", "alpha", title="FooServ 1.0"), text_report(f"b{i}", "beta"))
+        for i in range(n)
+    ]
+
+
+def test_breaker_stops_a_serial_client_calling_a_dead_service(monkeypatch, caplog):
+    posts = counted_posts(monkeypatch)
+    fallback = StubClassifier()
+    client = ExternalPairClassifier(closed_port_url(), fallback=fallback, deadline=2.0)
+    for a, b in pairs(12):
+        assert client.classify(a, b) == (False, 0.25)
+    assert len(posts) == BREAKER_LIMIT
+    # every pair the breaker skipped is degraded and answered by the fallback
+    keys = [(f"a{i}", f"b{i}") for i in range(12)]
+    assert client.degraded == fallback.calls == keys
+    # one warning per failed call, and one when the breaker trips
+    assert len(caplog.records) == BREAKER_LIMIT + 1
+    assert caplog.records[-1].getMessage() == (
+        f"ExternalPairClassifier stops calling after {BREAKER_LIMIT} failures"
+    )
+
+
+def test_breaker_counts_failures_in_a_row(service):
+    # a success between failures resets the count
+    answers = iter(
+        [(503, {})] * (BREAKER_LIMIT - 1)
+        + [(200, {"same": True, "confidence": 0.9})]
+        + [(503, {})] * BREAKER_LIMIT
+    )
+    service.script = lambda payload: next(answers)
+    client = ExternalPairClassifier(service.url, fallback=StubClassifier())
+    verdicts = [client.classify(a, b) for a, b in pairs(3 * BREAKER_LIMIT)]
+    assert len(service.requests) == 2 * BREAKER_LIMIT
+    assert verdicts.count((True, 0.9)) == 1
+    assert len(client.degraded) == 3 * BREAKER_LIMIT - 1
+
+
+@pytest.mark.parametrize("jobs", [1, 4])
+def test_extract_stage_calls_a_dead_extractor_a_bounded_number_of_times(
+    tmp_path, monkeypatch, jobs
+):
+    from pocfusion.cli import main
+
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    argv = ["--config", "demo/config.cfg", "--workspace", str(tmp_path / "ws")]
+    for command in ("ingest", "classify", "extract"):
+        assert main([command, *argv]) == 0
+    plain = (tmp_path / "ws" / "corpus_extracted.jsonl").read_bytes()
+    posts = counted_posts(monkeypatch)
+    dead = ["--extractor-url", closed_port_url(), "--jobs", str(jobs)]
+    assert main(["extract", *argv, *dead]) == 0
+    # a serial stage posts until the breaker trips; each other worker can
+    # have one call in flight when it does
+    if jobs == 1:
+        assert len(posts) == BREAKER_LIMIT
+    assert BREAKER_LIMIT <= len(posts) <= BREAKER_LIMIT + jobs - 1
+    manifest = json.loads((tmp_path / "ws" / "manifests" / "extract.json").read_text())
+    assert manifest["degraded"] == {"extractor": 20}
+    assert (tmp_path / "ws" / "corpus_extracted.jsonl").read_bytes() == plain
 
 
 # --- import cost -----------------------------------------------------------------------

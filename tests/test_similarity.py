@@ -85,10 +85,11 @@ def test_cosine_exact_half():
     assert cosine_similarity(a, b) == 0.5
 
 
-def test_cosine_zero_vector_logs(caplog):
+def test_cosine_zero_vector_is_zero(caplog):
     assert cosine_similarity({}, {"a": 1}) == 0.0
     assert cosine_similarity(Counter(), Counter()) == 0.0
-    assert "zero vector" in caplog.text
+    # the link stage warns once per report without tokens, not per cosine
+    assert caplog.records == []
 
 
 token_counts = st.dictionaries(
