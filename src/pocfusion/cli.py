@@ -98,7 +98,7 @@ def parse_config_file(path: Path) -> dict[str, str]:
     """Read the key=value configuration format. ``#`` starts a comment;
     ``source.<name> = <path>`` declares a report source. A malformed line,
     a key set twice or a byte that is not UTF-8 is a configuration error
-    naming its lines."""
+    naming its lines. The pipeline does not call it; ``bench/tests`` does."""
     values, errors = _read_config_file(path)
     if errors:
         raise ConfigurationError(errors)
@@ -306,26 +306,49 @@ def _require(ws: Path, filename: str) -> Path:
     return path
 
 
+def _manifest_digests(ws: Path, stage: str) -> tuple[Path, dict, dict]:
+    """A stage's manifest path and its ``inputs`` and ``outputs`` digests."""
+    manifest = ws / MANIFEST_DIR / f"{stage}.json"
+    if not manifest.is_file():
+        raise PrerequisiteError(
+            f"workspace is missing {MANIFEST_DIR}/{stage}.json; run 'pocfusion {stage}' again"
+        )
+    try:
+        listed = json_object(manifest.read_text(encoding="utf-8"))
+        inputs, outputs = listed.get("inputs"), listed.get("outputs")
+        if not isinstance(inputs, dict) or not isinstance(outputs, dict):
+            raise ValueError("inputs and outputs must be objects")
+    except ValueError as exc:
+        raise CorpusError(f"{manifest}: unreadable manifest: {exc}") from exc
+    return manifest, inputs, outputs
+
+
 def _verified_digest(ws: Path, filename: str) -> str:
     """The SHA-256 of a workspace file, which must be the digest its
     writer's manifest lists for it: a file cut or changed since its stage
-    ran is refused."""
+    ran is refused. Back to ingest, each workspace file a stage in the chain
+    declares as an input must be, by its manifest, the one its writer's
+    manifest lists now: a stage that ran on an earlier input is named to run
+    again."""
     writer = _FILES[filename][0]
-    manifest = ws / MANIFEST_DIR / f"{writer}.json"
-    if not manifest.is_file():
-        raise PrerequisiteError(
-            f"workspace is missing {MANIFEST_DIR}/{writer}.json; run 'pocfusion {writer}' again"
-        )
-    try:
-        outputs = json_object(manifest.read_text(encoding="utf-8")).get("outputs")
-    except ValueError as exc:
-        raise CorpusError(f"{manifest}: unreadable manifest: {exc}") from exc
+    manifest, inputs, outputs = _manifest_digests(ws, writer)
     digest = _sha256_file(ws / filename)
-    if not isinstance(outputs, dict) or outputs.get(filename) != digest:
+    if outputs.get(filename) != digest:
         raise CorpusError(
             f"{ws / filename} does not match its digest in {manifest}; "
             f"run 'pocfusion {writer}' again"
         )
+    chain = [(writer, inputs)]
+    while chain:
+        stage, inputs = chain.pop()
+        for name in _STAGES[stage][1]:
+            upstream = _FILES[name][0]
+            _, upstream_inputs, outputs = _manifest_digests(ws, upstream)
+            if outputs.get(name) != inputs.get(name):
+                raise PrerequisiteError(
+                    f"'{stage}' ran on an earlier {name}; run 'pocfusion {stage}' again"
+                )
+            chain.append((upstream, upstream_inputs))
     return digest
 
 
@@ -454,10 +477,7 @@ _STAGES = {
                  "categorize reports as code (with language) or text"),
     "extract": (stage_extract, (CLASSIFIED,),
                 "populate aspect slots by rule-based and structured extraction"),
-    # link uses no CVE entries; it reads the CVE db so that a broken file
-    # fails here, and hashes it so the manifest ties the links to the ingest
-    # run that produced both
-    "link": (stage_link, (EXTRACTED, CVE_DB),
+    "link": (stage_link, (EXTRACTED,),
              "build the cross-source association graph"),
     "complete": (stage_complete, (EXTRACTED, LINKS, CVE_DB),
                  "fill missing aspects from CVE entries and linked reports"),
@@ -485,7 +505,8 @@ def run_command(command: str, config: PipelineConfig) -> None:
     A stage gets its inputs decoded. An input that an earlier stage of this
     command wrote is handed over as the object that stage saved, and is
     dropped after its last reader; any other input is loaded from disk, then
-    checked against the digest its writer's manifest lists."""
+    checked against the digest its writer's manifest lists, and that
+    writer's inputs against their writers' manifests, back to ingest."""
     ws = Path(config.workspace)
     ws.mkdir(parents=True, exist_ok=True)
     (ws / MANIFEST_DIR).mkdir(exist_ok=True)

@@ -104,10 +104,6 @@ class ContentKind(Enum):
     def is_code(self) -> bool:
         return self.value.startswith("code:")
 
-    @property
-    def is_text(self) -> bool:
-        return self is ContentKind.TEXT
-
     def encode(self) -> str:
         return self.value
 
@@ -470,33 +466,25 @@ class Corpus:
 
 # --- ingestion ---------------------------------------------------------------
 #
-# Outside input is read through one table per input kind: field -> (the JSON
-# types its values may take, by exact type, so a boolean is no number; what a
-# value of any other type skips; the field's shape). Other fields are ignored.
-
-SKIP_VALUE, SKIP_RECORD = "value", "record"  # the value alone, or its whole record
-# One value, which absent or null reads as None (ONE) or skips the record
-# (REQUIRED; NONBLANK also when blank); one value or a list of them (MANY); or a
-# list (LIST: any other value skips the record). Null list items are dropped.
+# Outside input is read through one table per input kind: field -> its shape.
+# Other fields are ignored. A one-value shape takes a string, and a value of
+# any other type skips the record: absent or null reads as None (ONE) or skips
+# the record (REQUIRED; NONBLANK also when blank). MANY takes one value or a
+# list of strings and numbers, LIST a list of objects (any other value skips
+# the record); there a value of another type is skipped alone, and null items
+# are dropped. Types match exactly, so a boolean is no number.
 ONE, REQUIRED, NONBLANK, MANY, LIST = "one", "required", "nonblank", "many", "list"
-TEXT, SCALAR, OBJECT = (str,), (str, int, float), (dict,)
+_ACCEPTS = {ONE: (str,), REQUIRED: (str,), NONBLANK: (str,), MANY: (str, int, float), LIST: (dict,)}
 _TYPE_NAMES = {str: "a string", int: "a number", float: "a number", dict: "an object"}
 
 SOURCE_RECORD = {
-    "id": (TEXT, SKIP_RECORD, NONBLANK),
-    "source": (TEXT, SKIP_RECORD, NONBLANK),
-    "content": (TEXT, SKIP_RECORD, REQUIRED),
-    **dict.fromkeys([*_RECORD_SLOT_FIELDS, "cve_ids"], (SCALAR, SKIP_VALUE, MANY)),
+    "id": NONBLANK,
+    "source": NONBLANK,
+    "content": REQUIRED,
+    **dict.fromkeys([*_RECORD_SLOT_FIELDS, "cve_ids"], MANY),
 }
-CVE_ENTRY = {
-    "cve_id": (TEXT, SKIP_RECORD, REQUIRED),
-    "products": (OBJECT, SKIP_VALUE, LIST),  # each read by PRODUCT
-    "platforms": (SCALAR, SKIP_VALUE, MANY),
-}
-PRODUCT = {
-    "name": (TEXT, SKIP_RECORD, ONE),
-    "versions": (SCALAR, SKIP_VALUE, MANY),
-}
+CVE_ENTRY = {"cve_id": REQUIRED, "products": LIST, "platforms": MANY}  # products by PRODUCT
+PRODUCT = {"name": ONE, "versions": MANY}
 
 
 @dataclass
@@ -527,8 +515,8 @@ def _read_fields(
     one warning naming ``where`` (``file:line``), the field and the value."""
     fields = {}
     try:
-        for name, (accepts, otherwise, shape) in table.items():
-            value = record.get(name)
+        for name, shape in table.items():
+            value, accepts = record.get(name), _ACCEPTS[shape]
             if value is None and shape in (REQUIRED, NONBLANK):
                 raise ValueError(f"missing required field {name!r}")
             if shape == LIST and type(value) not in (list, type(None)):
@@ -540,7 +528,7 @@ def _read_fields(
                     continue
                 if type(item) not in accepts:
                     why = "not " + " or ".join(dict.fromkeys(_TYPE_NAMES[t] for t in accepts))
-                    if otherwise == SKIP_RECORD:
+                    if not many:
                         raise ValueError(f"{name} {item!r} is {why}")
                     skipped.value("%s: skipping %s value %r: %s", where, name, item, why)
                 elif shape == NONBLANK and not item.strip():

@@ -4,17 +4,20 @@ import hashlib
 import json
 import logging
 import os
+import random
 import re
 import shutil
 import subprocess
 import sys
 import tempfile
 from collections import Counter
+from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pocfusion.corpus as corpus_module
 from pocfusion import cli
 from pocfusion.cli import (
     ENV_WORKSPACE,
@@ -25,7 +28,8 @@ from pocfusion.cli import (
     resolve_config,
     ConfigurationError,
 )
-from pocfusion.corpus import MAX_JSON_DEPTH
+from pocfusion.corpus import MAX_JSON_DEPTH, FromCve, load_corpus
+from pocfusion.link import software_names
 
 PY_POC_A = """#!/usr/bin/env python3
 # Exploit Title: AlphaServ 2.0 - Remote Overflow
@@ -792,7 +796,6 @@ STAGE_INPUTS = [
     ("classify", "corpus_ingested.jsonl"),
     ("extract", "corpus_classified.jsonl"),
     ("link", "corpus_extracted.jsonl"),
-    ("link", "cve_db.jsonl"),
     ("complete", "corpus_extracted.jsonl"),
     ("complete", "links.jsonl"),
     ("complete", "cve_db.jsonl"),
@@ -982,6 +985,211 @@ def test_unreadable_writer_manifest_is_a_data_error(full_workspace, tmp_path, ca
     assert f"{manifest}: unreadable manifest" in last_error(capsys)["message"]
 
 
+# --- the chain of manifests -----------------------------------------------------------
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
+
+
+def demo_argv(command, ws, *flags):
+    return [command, "--config", str(DEMO / "config.cfg"), "--workspace", str(ws), *flags]
+
+
+def test_a_stage_run_on_an_earlier_input_is_named_to_run_again(tmp_path, monkeypatch, capsys):
+    # ingest again with one source: the later stages' files were written from
+    # the earlier 20-report ingest, and each stage that reads them says which
+    # stage to run again, until the chain is current
+    monkeypatch.chdir(DEMO.parent)
+    ws = tmp_path / "ws"
+    assert main(demo_argv("run-all", ws)) == 0
+    assert main(["ingest", "--workspace", str(ws), "--source", "exploitdb=demo/exploitdb.jsonl",
+                 "--cve", "demo/cve_entries.jsonl"]) == 0
+    assert json.loads((ws / "manifests" / "ingest.json").read_text())["reports"] == 6
+    for stage in ("link", "complete", "stats"):
+        assert main([stage, "--workspace", str(ws)]) == 3, stage
+        assert last_error(capsys)["message"] == (
+            "'classify' ran on an earlier corpus_ingested.jsonl; run 'pocfusion classify' again"
+        )
+    assert main(["classify", "--workspace", str(ws)]) == 0
+    assert main(["link", "--workspace", str(ws)]) == 3
+    assert last_error(capsys)["message"] == (
+        "'extract' ran on an earlier corpus_classified.jsonl; run 'pocfusion extract' again"
+    )
+    for stage in ("extract", "link", "complete", "stats"):
+        assert main([stage, "--workspace", str(ws)]) == 0, stage
+    assert json.loads((ws / "manifests" / "link.json").read_text())["links"] == 1
+
+
+def test_a_run_aborted_over_an_earlier_run_leaves_no_stage_runnable_on_its_files(
+    tmp_path, monkeypatch, capsys
+):
+    # the 4th write of run-all is the classified corpus: ingest has written a
+    # 16-report corpus, and every later file is the earlier run's
+    shutil.copytree(DEMO, tmp_path / "demo")
+    monkeypatch.chdir(tmp_path)
+    ws = tmp_path / "ws"
+    assert main(demo_argv("run-all", ws)) == 0
+    source = tmp_path / "demo" / "exploitdb.jsonl"
+    source.write_text("".join(source.read_text("utf-8").splitlines(True)[:2]), "utf-8")
+    writes = []
+
+    def failing(path, chunks, write=corpus_module.write_atomic):
+        writes.append(path)
+        if len(writes) == 4:
+            raise OSError("disk full")
+        write(path, chunks)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(corpus_module, "write_atomic", failing)
+        patch.setattr(cli, "write_atomic", failing)
+        assert main(demo_argv("run-all", ws)) == 4
+    assert Path(writes[-1]).name == "corpus_classified.jsonl"
+    assert json.loads((ws / "manifests" / "ingest.json").read_text())["reports"] == 16
+    for stage in ("link", "stats"):
+        assert main([stage, "--workspace", str(ws)]) == 3, stage
+        assert "run 'pocfusion classify' again" in last_error(capsys)["message"]
+    assert main(demo_argv("run-all", ws)) == 0
+
+
+def test_a_new_cve_dump_leaves_the_links_current(tmp_path, monkeypatch):
+    # links use no CVE entry: after ingest with another dump, complete fills
+    # from the new entries over the links already built, and link run again
+    # writes the same links
+    monkeypatch.chdir(DEMO.parent)
+    ws = tmp_path / "ws"
+    assert main(demo_argv("run-all", ws)) == 0
+    entries = [json.loads(line) for line in (DEMO / "cve_entries.jsonl").read_text().splitlines()]
+    entries[0]["platforms"] = ["Plan 9"]
+    cve = tmp_path / "cve.jsonl"
+    cve.write_text("".join(json.dumps(entry) + "\n" for entry in entries), encoding="utf-8")
+    links = (ws / "links.jsonl").read_bytes()
+    assert main(demo_argv("ingest", ws, "--cve", str(cve))) == 0
+    assert "Plan 9" not in (ws / "corpus_completed.jsonl").read_text("utf-8")
+    for stage in ("complete", "stats", "link"):
+        assert main([stage, "--workspace", str(ws)]) == 0, stage
+    assert (ws / "links.jsonl").read_bytes() == links
+    completed = load_corpus(ws / "corpus_completed.jsonl")
+    assert any(
+        value.text == "Plan 9" and value.provenance == FromCve(entries[0]["cve_id"])
+        for report in completed for value in report.aspects.values("test_platform")
+    )
+
+
+# --- metamorphic relations on the demo --------------------------------------------------
+
+
+def demo_lines(name):
+    return (DEMO / f"{name}.jsonl").read_text(encoding="utf-8").splitlines()
+
+
+def run_rewritten_demo(root, sources, cve):
+    """run-all over rewritten demo inputs under ``root``: ``sources`` maps
+    each source name to its lines, in config order, and ``cve`` holds the
+    CVE dump's lines. Returns each workspace file's text, by path."""
+    root.mkdir()
+    config = [f"workspace = {root / 'ws'}", f"cve = {root / 'cve.jsonl'}"]
+    for name, lines in {**sources, "cve": cve}.items():
+        (root / f"{name}.jsonl").write_text("".join(l + "\n" for l in lines), encoding="utf-8")
+        if name != "cve":
+            config.append(f"source.{name} = {root / f'{name}.jsonl'}")
+    (root / "run.cfg").write_text("".join(line + "\n" for line in config), encoding="utf-8")
+    assert main(["run-all", "--config", str(root / "run.cfg")]) == 0
+    ws = root / "ws"
+    return {path.relative_to(ws): path.read_text("utf-8") for path in ws.rglob("*") if path.is_file()}
+
+
+def manifest_counters(text):
+    # digests follow the bytes, and the config hash the input paths and order
+    manifest = json.loads(text)
+    del manifest["config_hash"]
+    return {**manifest, "inputs": sorted(manifest["inputs"]), "outputs": sorted(manifest["outputs"])}
+
+
+def test_demo_inputs_in_another_order_permute_every_workspace_file(tmp_path):
+    rng = random.Random(7)
+    sources = {name: demo_lines(name) for name in _DEMO_SOURCES}
+    cve = demo_lines("cve_entries")
+    first = run_rewritten_demo(tmp_path / "a", sources, cve)
+    shuffled = {name: rng.sample(lines, len(lines)) for name, lines in reversed(sources.items())}
+    second = run_rewritten_demo(tmp_path / "b", shuffled, rng.sample(cve, len(cve)))
+    assert first.keys() == second.keys()
+    for name, text in first.items():
+        if name.parent.name == "manifests":
+            assert manifest_counters(text) == manifest_counters(second[name]), name
+        else:
+            assert Counter(text.splitlines()) == Counter(second[name].splitlines()), name
+    assert first[Path("corpus_completed.jsonl")] != second[Path("corpus_completed.jsonl")]
+
+
+def test_demo_renamed_ids_rename_every_output(tmp_path):
+    names = {}  # report id -> a hash-derived id, in another order
+
+    def renamed(line):
+        record = json.loads(line)
+        names[record["id"]] = "id-" + hashlib.sha256(record["id"].encode()).hexdigest()[:12]
+        return json.dumps({**record, "id": names[record["id"]]})
+
+    sources = {name: demo_lines(name) for name in _DEMO_SOURCES}
+    cve = demo_lines("cve_entries")
+    first = run_rewritten_demo(tmp_path / "a", sources, cve)
+    second = run_rewritten_demo(
+        tmp_path / "b", {name: [renamed(line) for line in lines] for name, lines in sources.items()},
+        cve,
+    )
+    assert sorted(names) != sorted(names, key=names.get)
+    back = {new: old for old, new in names.items()}
+    second = {name: re.sub(r"id-[0-9a-f]{12}", lambda m: back[m.group()], text)
+              for name, text in second.items()}
+
+    def links(text):  # each link with its ends in order
+        return sorted(
+            json.dumps({**link, "a": min(link["a"], link["b"]), "b": max(link["a"], link["b"])})
+            for link in map(json.loads, text.splitlines())
+        )
+
+    assert first.keys() == second.keys()
+    for name, text in first.items():
+        if name.parent.name == "manifests":
+            assert manifest_counters(text)["stage"] == manifest_counters(second[name])["stage"]
+        elif name == Path("links.jsonl"):
+            assert links(text) == links(second[name])
+        elif name == Path("completion_records.jsonl"):
+            # records are written in link order, which follows the ids
+            assert Counter(text.splitlines()) == Counter(second[name].splitlines())
+        else:
+            assert text == second[name], name
+    assert '"donor_id"' in first[Path("corpus_completed.jsonl")]
+
+
+def test_demo_report_that_shares_nothing_leaves_every_other_report_alone(tmp_path):
+    # the added advisory repeats words of cx-401's, so a corpus-wide term
+    # weight would move the scores of the others
+    lone = {
+        "id": "cx-499", "source": "CXSecurity", "cve_ids": ["CVE-1999-0499"],
+        "title": "Quokkaware 2 - Remote DoS",
+        "content": "WLB-1999010001 Quokkaware remote DoS\n\nAuthor: q.author\n"
+                   "Platform: Linux\n\nQuokkaware stops responding after a malformed status "
+                   "probe. The vendor shipped release 2.\n",
+    }
+    sources = {name: demo_lines(name) for name in _DEMO_SOURCES}
+    cve = demo_lines("cve_entries")
+    first = run_rewritten_demo(tmp_path / "a", sources, cve)
+    sources["cxsecurity"].insert(1, json.dumps(lone))
+    second = run_rewritten_demo(tmp_path / "b", sources, cve)
+    extracted = load_corpus(tmp_path / "b" / "ws" / "corpus_extracted.jsonl")
+    others = [report for report in extracted if report.id != "cx-499"]
+    assert not set(extracted.get("cx-499").cve_ids) & {c for r in others for c in r.cve_ids}
+    assert not set(software_names(extracted.get("cx-499"))) & {
+        name for r in others for name in software_names(r)
+    }
+    assert software_names(extracted.get("cx-499"))
+
+    def without_lone(text):
+        return [line for line in text.splitlines() if '"cx-499"' not in line]
+
+    for name in ("corpus_completed.jsonl", "completion_records.jsonl", "links.jsonl"):
+        assert without_lone(first[Path(name)]) == without_lone(second[Path(name)]), name
+
+
 # --- pipeline stages ------------------------------------------------------------------
 
 
@@ -1048,6 +1256,45 @@ def test_run_all_decodes_nothing_it_wrote(tmp_path, monkeypatch):
     assert calls == Counter({"load_corpus": 1})
 
 
+def test_each_stage_reads_exactly_the_inputs_it_declares(tmp_path, monkeypatch):
+    # a declared input is decoded and, run alone, hashed and checked: one the
+    # stage never reads costs both for nothing
+    read = {}
+
+    class Recorded(Mapping):
+        def __init__(self, stage, inputs):
+            self.stage, self.inputs = stage, inputs
+
+        def __getitem__(self, name):
+            read[self.stage].add(name)
+            return self.inputs[name]
+
+        def __iter__(self):
+            return iter(self.inputs)
+
+        def __len__(self):
+            return len(self.inputs)
+
+    def recording(stage, run):
+        def recorded(config, ws, inputs):
+            read[stage] = set()
+            return run(config, ws, Recorded(stage, inputs))
+        return recorded
+
+    declared = {stage: set(reads) for stage, (_run, reads, _help) in cli._STAGES.items()}
+    monkeypatch.setattr(cli, "_STAGES", {
+        stage: (recording(stage, run), reads, help)
+        for stage, (run, reads, help) in cli._STAGES.items()
+    })
+    monkeypatch.chdir(DEMO.parent)
+    assert main(demo_argv("run-all", tmp_path / "ws")) == 0
+    assert read == declared
+    for stage in cli.STAGES:
+        read.clear()
+        assert main(demo_argv(stage, tmp_path / "ws")) == 0
+        assert read == {stage: declared[stage]}
+
+
 def test_rerun_is_byte_identical(tmp_path):
     ws = tmp_path / "ws"
     run_stage("run-all", tmp_path)
@@ -1107,7 +1354,7 @@ MANIFEST_FILES = {
                {"corpus_ingested.jsonl", "cve_db.jsonl"}),
     "classify": ({"corpus_ingested.jsonl"}, {"corpus_classified.jsonl"}),
     "extract": ({"corpus_classified.jsonl"}, {"corpus_extracted.jsonl"}),
-    "link": ({"corpus_extracted.jsonl", "cve_db.jsonl"}, {"links.jsonl"}),
+    "link": ({"corpus_extracted.jsonl"}, {"links.jsonl"}),
     "complete": ({"corpus_extracted.jsonl", "links.jsonl", "cve_db.jsonl"},
                  {"corpus_completed.jsonl", "completion_records.jsonl"}),
     "stats": ({"corpus_completed.jsonl"}, {"deficiency.md", "completion.md"}),

@@ -147,7 +147,8 @@ def test_content_kind_roundtrip():
         with pytest.raises(ValueError):
             ContentKind.decode(text)
     assert ContentKind.RUBY.is_code
-    assert not ContentKind.RUBY.is_text and ContentKind.TEXT.is_text
+    assert ContentKind.decode("code:ruby") is not ContentKind.TEXT
+    assert ContentKind.decode("text") is ContentKind.TEXT
     assert not (ContentKind.TEXT.is_code or ContentKind.UNCLASSIFIED.is_code)
 
 

@@ -9,8 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pocfusion import (
+    ASPECT_SLOTS,
     CompletionConfig,
     Corpus,
+    CveEntry,
+    CveProduct,
     FromPoc,
     HeuristicPairClassifier,
     PocLink,
@@ -933,3 +936,123 @@ def test_raising_a_threshold_removes_exactly_the_links_under_it(corpus, data):
     fewer, fewer_filled = run(*raised)
     assert fewer == [link for link in links if link.similarity >= raised[bound_of(link)]]
     assert fewer_filled <= filled
+
+
+# --- metamorphic relations --------------------------------------------------------
+
+METAMORPHIC_CVE_DB = {
+    "CVE-2020-0001": CveEntry("CVE-2020-0001", (CveProduct("FooServ", ("1.0",)),), ("Linux",)),
+    "CVE-2020-0002": CveEntry("CVE-2020-0002", (CveProduct("BarWare", ("3",)),), ()),
+}
+
+
+def linked_and_completed(corpus, cve_db, config, cutoff=0.5):
+    models = ScoringModels()
+    links = build_link_graph(corpus, models, HeuristicPairClassifier(models, cutoff), config)
+    return links, run_completion(corpus, cve_db, links, config)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(linkable_corpora(), st.data())
+def test_permuting_the_input_permutes_every_output(corpus, data):
+    """Reports in another order, and CVE entries in another order, give the
+    same links, the same completed reports in the new order, and the same
+    completion records and counters as a multiset."""
+    config = SimpleNamespace(code_threshold=0.5, text_threshold=0.65)
+    links, result = linked_and_completed(corpus, METAMORPHIC_CVE_DB, config)
+    shuffled = Corpus(data.draw(st.permutations(corpus.reports)))
+    cve_db = dict(data.draw(st.permutations(list(METAMORPHIC_CVE_DB.items()))))
+    shuffled_links, shuffled_result = linked_and_completed(shuffled, cve_db, config)
+    assert shuffled_links == links
+    assert list(shuffled_result.corpus) == [result.corpus.get(r.id) for r in shuffled]
+    assert Counter(shuffled_result.records) == Counter(result.records)
+    assert shuffled_result.skipped_links == result.skipped_links
+    assert Counter(shuffled_result.failed_associations) == Counter(result.failed_associations)
+
+
+def first_donors(corpus, links, config):
+    """(target, slot) -> donor, by pass 2's rule over a corpus of Original
+    values completed without CVE entries: links are walked in the order
+    (-similarity, a, b), so donors tied on similarity fill in id order, and
+    the first link whose other end has a value fills an empty slot."""
+    donors = {}
+    for link in sorted(links, key=lambda l: (-l.similarity, l.a, l.b)):
+        if not below_threshold(link, config):
+            for target, donor in ((link.a, link.b), (link.b, link.a)):
+                for slot in ASPECT_SLOTS:
+                    if (not corpus.get(target).aspects.values(slot)
+                            and corpus.get(donor).aspects.values(slot)):
+                        donors.setdefault((target, slot), donor)
+    return donors
+
+
+def donors_of(records):
+    return {(r.target, r.slot): r.origin.donor_id for r in records if isinstance(r.origin, FromPoc)}
+
+
+def renamed_back(report, back):
+    """A completed report with its id and its donor ids mapped by ``back``."""
+    aspects = {
+        slot: [
+            replace(v, provenance=replace(v.provenance, donor_id=back[v.provenance.donor_id]))
+            if isinstance(v.provenance, FromPoc) else v
+            for v in report.aspects.values(slot)
+        ]
+        for slot in ASPECT_SLOTS
+    }
+    return replace(report, id=back[report.id], aspects=AspectSet().with_added(**aspects))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(linkable_corpora(), st.data())
+def test_renaming_ids_renames_them_in_every_output(corpus, data):
+    """Renamed report ids give the links and the completed reports of the
+    original ids, renamed, donor ids included. Where two donors of a slot
+    are tied on similarity, the one first in id order fills it, in each
+    naming."""
+    if data.draw(st.booleans()):  # one content for all: many links tie on similarity
+        corpus = Corpus(replace(r, raw_content="aa x") for r in corpus)
+    config = SimpleNamespace(code_threshold=0.5, text_threshold=0.65)
+    fresh = data.draw(st.permutations([f"q{i}" for i in range(len(corpus))]))
+    names = dict(zip([r.id for r in corpus], fresh))
+    back = {new: old for old, new in names.items()}
+    renamed = Corpus(replace(r, id=names[r.id]) for r in corpus)
+    links, result = linked_and_completed(corpus, {}, config)
+    renamed_links, renamed_result = linked_and_completed(renamed, {}, config)
+
+    assert sorted((
+        replace(link, a=min(back[link.a], back[link.b]), b=max(back[link.a], back[link.b]))
+        for link in renamed_links
+    ), key=lambda link: (link.a, link.b)) == links
+    donors = donors_of(result.records)
+    assert donors == first_donors(corpus, links, config)
+    assert donors_of(renamed_result.records) == first_donors(renamed, renamed_links, config)
+    renamed_donors = {(back[t], slot): back[d] for (t, slot), d in donors_of(renamed_result.records).items()}
+    assert renamed_donors.keys() == donors.keys()
+    for report, renamed_report in zip(result.corpus, renamed_result.corpus):
+        if all(renamed_donors[key] == d for key, d in donors.items() if key[0] == report.id):
+            assert renamed_back(renamed_report, back) == report
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(linkable_corpora(), st.data())
+def test_a_report_that_shares_nothing_leaves_every_other_report_alone(corpus, data):
+    """A report added anywhere that shares no CVE id and no software name
+    with any other adds no link and changes no other completed report."""
+    config = SimpleNamespace(code_threshold=0.5, text_threshold=0.65)
+    words = st.sampled_from(["x", "y", "z", "aa", "bb", "dos"])
+    lone = report(
+        "lone",
+        content=" ".join(data.draw(st.lists(words, max_size=6))),
+        kind=data.draw(st.sampled_from(ORACLE_KINDS)),
+        cve_ids=("CVE-2021-9999",),
+        title=data.draw(st.sampled_from([None, "QuuxServ 9 - LPE"])),
+    )
+    assert not set(software_names(lone)) & {n for r in corpus for n in software_names(r)}
+    at = data.draw(st.integers(0, len(corpus)))
+    grown = Corpus([*corpus.reports[:at], lone, *corpus.reports[at:]])
+    links, result = linked_and_completed(corpus, METAMORPHIC_CVE_DB, config)
+    grown_links, grown_result = linked_and_completed(grown, METAMORPHIC_CVE_DB, config)
+    assert grown_links == links
+    assert [r for r in grown_result.corpus if r.id != "lone"] == list(result.corpus)
+    assert [r for r in grown_result.records if r.target != "lone"] == result.records
