@@ -121,8 +121,9 @@ class SignaturePattern:
     starts: tuple[str, ...] | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
-        if self.weight < 1:
-            raise ValueError("pattern weight must be >= 1")
+        # exact type, as JSON gives it: a boolean, a real and a string are refused
+        if type(self.weight) is not int or self.weight < 1:
+            raise ValueError(f"weight must be an integer >= 1, got {self.weight!r}")
         literal, starts = pattern_literals(self.pattern)
         object.__setattr__(self, "literal", literal)
         object.__setattr__(self, "starts", starts)
@@ -158,11 +159,7 @@ class LanguageSignature:
 def _signature_record(record: dict) -> tuple[ContentKind, SignaturePattern]:
     pattern = re.compile(record["pattern"], re.MULTILINE)
     language = ContentKind("code:" + record["language"])
-    weight = record.get("weight", 1)
-    # as for min_hits, JSON's exact types refuse a boolean, a real and a string
-    if type(weight) is not int or weight < 1:
-        raise ValueError(f"weight must be an integer >= 1, got {weight!r}")
-    return language, SignaturePattern(pattern, weight)
+    return language, SignaturePattern(pattern, record.get("weight", 1))
 
 
 def load_signatures(path: str | Path | None = None) -> tuple[LanguageSignature, ...]:

@@ -203,6 +203,8 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
             if not sep or not name.strip() or not path.strip():
                 errors.append(f"{origin} expects NAME=PATH, got {item!r}")
                 continue
+            if "".join(item.splitlines()) != item:  # a config file's lines hold none
+                errors.append(f"{origin} holds a line break: {item!r}")
             platform = source_name(name).lower()
             if needs_sources and platform in declared:
                 errors.append(f"duplicate source name: {name.strip()}")
@@ -297,15 +299,6 @@ def write_manifest(
     return written
 
 
-def _require(ws: Path, filename: str) -> Path:
-    path = ws / filename
-    if not path.is_file():
-        raise PrerequisiteError(
-            f"workspace is missing {filename}; run 'pocfusion {_FILES[filename][0]}' first"
-        )
-    return path
-
-
 def _manifest_digests(ws: Path, stage: str) -> tuple[Path, dict, dict]:
     """A stage's manifest path and its ``inputs`` and ``outputs`` digests."""
     manifest = ws / MANIFEST_DIR / f"{stage}.json"
@@ -324,13 +317,15 @@ def _manifest_digests(ws: Path, stage: str) -> tuple[Path, dict, dict]:
 
 
 def _verified_digest(ws: Path, filename: str) -> str:
-    """The SHA-256 of a workspace file, which must be the digest its
-    writer's manifest lists for it: a file cut or changed since its stage
-    ran is refused. Back to ingest, each workspace file a stage in the chain
-    declares as an input must be, by its manifest, the one its writer's
-    manifest lists now: a stage that ran on an earlier input is named to run
-    again."""
+    """The SHA-256 of a workspace file, which must exist and be the digest
+    its writer's manifest lists for it: a file cut or changed since its
+    stage ran is refused. Back to ingest, each workspace file a stage in the
+    chain declares as an input must be, by its manifest, the one its
+    writer's manifest lists now: a stage that ran on an earlier input is
+    named to run again."""
     writer = _FILES[filename][0]
+    if not (ws / filename).is_file():
+        raise PrerequisiteError(f"workspace is missing {filename}; run 'pocfusion {writer}' first")
     manifest, inputs, outputs = _manifest_digests(ws, writer)
     digest = _sha256_file(ws / filename)
     if outputs.get(filename) != digest:
@@ -469,7 +464,7 @@ def stage_stats(config: PipelineConfig, ws: Path, inputs: dict) -> _StageResult:
 
 
 # stage name -> (function, workspace files it reads, help text), in run order;
-# a missing input is reported, and a present one decoded, in the order listed
+# inputs are checked, then decoded, in the order listed
 _STAGES = {
     "ingest": (stage_ingest, (),
                "load source report files and the CVE dump into the workspace"),
@@ -504,9 +499,9 @@ def run_command(command: str, config: PipelineConfig) -> None:
 
     A stage gets its inputs decoded. An input that an earlier stage of this
     command wrote is handed over as the object that stage saved, and is
-    dropped after its last reader; any other input is loaded from disk, then
-    checked against the digest its writer's manifest lists, and that
-    writer's inputs against their writers' manifests, back to ingest."""
+    dropped after its last reader. Any other input is first checked against
+    the digest its writer's manifest lists, and that writer's inputs against
+    their writers' manifests, back to ingest; only then is it loaded."""
     ws = Path(config.workspace)
     ws.mkdir(parents=True, exist_ok=True)
     (ws / MANIFEST_DIR).mkdir(exist_ok=True)
@@ -517,14 +512,14 @@ def run_command(command: str, config: PipelineConfig) -> None:
         for at, stage in enumerate(stages):
             logger.info("running stage %s", stage)
             run, reads, _help = _STAGES[stage]
-            paths = {name: _require(ws, name) for name in reads}
+            for name in reads:
+                if name not in kept:
+                    digests[name] = _verified_digest(ws, name)
+            paths = {name: ws / name for name in reads}
             inputs = {
                 name: kept[name] if name in kept else _FILES[name][1](path)
                 for name, path in paths.items()
             }
-            for name in reads:
-                if name not in digests:
-                    digests[name] = _verified_digest(ws, name)
             written, extra = run(config, ws, inputs)
             if stage == "ingest":
                 paths.update(_source_files(config))

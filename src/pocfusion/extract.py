@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Protocol, Sequence
 
@@ -279,30 +280,29 @@ class StructuredExtraction:
             if slot not in NER_SLOTS:
                 raise ExtractionError(f"unknown structured slot: {slot!r}")
 
-    def validate(self, content: str) -> None:
-        for slot, spans in self.spans.items():
-            for span in spans:
-                if not (0 <= span.start <= span.end <= len(content)):
-                    raise ExtractionError(
-                        f"slot {slot}: span ({span.start}, {span.end}) outside document"
-                    )
-                if content[span.start : span.end] != span.text:
-                    raise ExtractionError(
-                        f"slot {slot}: span text mismatch at ({span.start}, {span.end})"
-                    )
-
     def texts(self, slot: str) -> list[str]:
         return [span.text for span in self.spans.get(slot, ())]
 
     @classmethod
-    def decode(cls, data: dict) -> "StructuredExtraction":
-        return cls({
+    def decode(cls, data: dict, content: str) -> "StructuredExtraction":
+        """A service's answer for ``content``, each of whose spans must quote
+        ``content`` verbatim at its offsets."""
+        extraction = cls({
             slot: tuple(SlotSpan(s["text"], s["start"], s["end"]) for s in raw_spans)
             for slot, raw_spans in data.items()
         })
+        for slot, spans in extraction.spans.items():
+            for span in spans:
+                if not (0 <= span.start <= span.end <= len(content)) or (
+                    content[span.start : span.end] != span.text
+                ):
+                    raise ExtractionError(f"slot {slot}: {span} does not quote the document")
+        return extraction
 
 
 class StructuredExtractor(Protocol):
+    """Its spans must quote the report's content verbatim; none is checked."""
+
     def extract(self, report: PocReport) -> StructuredExtraction: ...
 
 
@@ -421,13 +421,9 @@ class ExternalStructuredExtractor(ServiceClient):
     """
 
     def extract(self, report: PocReport) -> StructuredExtraction:
-        def check(data: dict) -> StructuredExtraction:
-            extraction = StructuredExtraction.decode(data)
-            extraction.validate(report.raw_content)
-            return extraction
-
-        payload = {"id": report.id, "content": report.raw_content}
-        extraction = self._call(report.id, payload, check)
+        content = report.raw_content
+        decode = partial(StructuredExtraction.decode, content=content)
+        extraction = self._call(report.id, {"id": report.id, "content": content}, decode)
         return extraction if extraction is not None else self.fallback.extract(report)
 
 
@@ -443,9 +439,9 @@ def extract_all(
     content = report.raw_content
     if extractor is None:
         extractor = DefaultStructuredExtractor()
+    # an extractor returns verbatim spans: the default builds them from the
+    # content, and the service client has checked its answer's
     structured = extractor.extract(report)
-    # every extractor, the default included, must return verbatim spans
-    structured.validate(content)
     aspects = report.aspects.with_added(
         trigger_step=aspect_values(extract_trigger_step(content)),
         verification_oracle=aspect_values(extract_verification_oracle(content)),

@@ -319,7 +319,8 @@ def classify_pair(
     A shared software name is a hard precondition; callers generate
     candidates through it. ``names`` maps report ids to their
     :func:`software_names`, as :func:`build_link_graph` has them already;
-    without it the names are derived here.
+    without it the names are derived here. The verdict is the classifier's
+    own; a :class:`PocLink` refuses a confidence outside [0, 1].
     """
     if names is None:
         names = {a.id: software_names(a), b.id: software_names(b)}
@@ -328,10 +329,7 @@ def classify_pair(
             f"classify_pair precondition violated: {a.id} and {b.id} "
             "do not name the same software"
         )
-    same, confidence = classifier.classify(a, b)
-    if not 0.0 <= confidence <= 1.0:
-        raise ValueError(f"classifier confidence out of range: {confidence}")
-    return same, confidence
+    return classifier.classify(a, b)
 
 
 # --- training-set construction -------------------------------------------------

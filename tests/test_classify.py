@@ -12,7 +12,12 @@ from pocfusion import (
     detect_language,
     load_signatures,
 )
-from pocfusion.classify import DEFAULT_MIN_HITS, head_matches, pattern_literals
+from pocfusion.classify import (
+    DEFAULT_MIN_HITS,
+    SignaturePattern,
+    head_matches,
+    pattern_literals,
+)
 from pocfusion.corpus import CorpusError
 
 from classify_fixtures import CODE_FIXTURES, PROSE_FIXTURES
@@ -150,6 +155,12 @@ def test_signature_field_of_wrong_type_names_its_line(tmp_path, field, value):
     with pytest.raises(CorpusError) as err:
         load_signatures(table)
     assert str(err.value).startswith(f"{table}:2:")
+
+
+@pytest.mark.parametrize("weight", [True, 1.0, "2", 0])
+def test_signature_pattern_refuses_a_weight_that_is_no_integer_of_at_least_1(weight):
+    with pytest.raises(ValueError, match="weight must be an integer >= 1"):
+        SignaturePattern(re.compile("import"), weight)
 
 
 @pytest.mark.parametrize("min_hits", [None, "x", 0, True, 1.5])

@@ -29,6 +29,7 @@ from pocfusion.cli import (
     ConfigurationError,
 )
 from pocfusion.corpus import MAX_JSON_DEPTH, FromCve, load_corpus
+from pocfusion.extract import NER_SLOTS, StructuredExtraction
 from pocfusion.link import software_names
 
 PY_POC_A = """#!/usr/bin/env python3
@@ -366,6 +367,17 @@ def test_blank_source_in_config_file_is_a_configuration_error(tmp_path, capsys, 
     error = last_error(capsys)
     assert error["code"] == 2
     assert "config key source.NAME expects NAME=PATH" in error["message"]
+    assert not ws.exists()
+
+
+@pytest.mark.parametrize("item", ["my\nsrc={edb}", "exploit\rdb={edb}", "exploitdb={edb}\u2028"])
+def test_line_break_in_source_flag_is_a_configuration_error(tmp_path, capsys, item):
+    # a source name is written into each report and table row as it is given
+    edb, _, _ = write_sources(tmp_path)
+    ws = tmp_path / "ws"
+    item = item.format(edb=edb)
+    assert main(["ingest", "--workspace", str(ws), "--source", item]) == 2
+    assert last_error(capsys)["message"] == f"--source holds a line break: {item!r}"
     assert not ws.exists()
 
 
@@ -762,6 +774,7 @@ def test_non_object_corpus_line_is_a_data_error(tmp_path, capsys):
     lines = corpus.read_text(encoding="utf-8").count("\n")
     with corpus.open("a", encoding="utf-8") as handle:
         handle.write("[1]\n")
+    list_own_digest(ws, corpus.name)
     assert main(["classify", "--workspace", str(ws)]) == 4
     assert f"corpus_ingested.jsonl:{lines + 1}:" in last_error(capsys)["message"]
 
@@ -772,6 +785,18 @@ def full_workspace(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("full")
     assert main(base_argv("run-all", tmp)) == 0
     return tmp / "ws"
+
+
+def list_own_digest(ws, name):
+    """List a damaged workspace file's own SHA-256 wherever a manifest lists
+    one for it, so that a stage gets past the digest check and decodes it."""
+    digest = hashlib.sha256((ws / name).read_bytes()).hexdigest()
+    for manifest in (ws / "manifests").glob("*.json"):
+        listed = json.loads(manifest.read_text(encoding="utf-8"))
+        for files in (listed["inputs"], listed["outputs"]):
+            if name in files:
+                files[name] = digest
+        manifest.write_text(json.dumps(listed, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def cut_in_half(line):
@@ -872,6 +897,11 @@ def test_broken_last_line_is_a_data_error(full_workspace, tmp_path, capsys, stag
     lines = path.read_text(encoding="utf-8").split("\n")[:-1]
     lines[-1] = damage(lines[-1])
     path.write_text("\n".join(lines), encoding="utf-8")
+    # the digest refuses the file before it is decoded
+    assert main([stage, "--workspace", str(ws)]) == 4
+    assert f"{path} does not match its digest in " in last_error(capsys)["message"]
+    # a file that matches its manifest is refused by its decoder
+    list_own_digest(ws, name)
     assert main([stage, "--workspace", str(ws)]) == 4
     assert f"{name}:{len(lines)}:" in last_error(capsys)["message"]
 
@@ -890,6 +920,7 @@ def test_invalid_utf8_is_a_data_error(full_workspace, tmp_path, capsys, stage, n
     data = path.read_bytes()
     at = data.index(marker) + len(marker)
     path.write_bytes(data[:at] + b"\xff" + data[at:])
+    list_own_digest(ws, name)
     assert main([stage, "--workspace", str(ws)]) == 4
     line = data[:at].count(b"\n") + 1
     assert f"{name}:{line}: not valid UTF-8" in last_error(capsys)["message"]
@@ -936,25 +967,39 @@ def test_each_missing_input_names_its_producer(full_workspace, tmp_path, capsys,
     assert not (ws / ".lock").exists()
 
 
+def count_loads(monkeypatch):
+    """The names of the workspace files the stage loaders decode, in order."""
+    loads = []
+    for loader in ("load_corpus", "load_links", "load_cve_db"):
+        def counted(path, load=getattr(cli, loader)):
+            loads.append(Path(path).name)
+            return load(path)
+        monkeypatch.setattr(cli, loader, counted)
+    return loads
+
+
 @pytest.mark.parametrize(
     "stage, name",
     [pytest.param(stage, name, id=f"{stage}-{name}")
      for stage, name in STAGE_INPUTS],
 )
 def test_input_cut_on_a_line_boundary_is_a_data_error(
-    full_workspace, tmp_path, capsys, stage, name
+    full_workspace, tmp_path, capsys, monkeypatch, stage, name
 ):
     ws = tmp_path / "ws"
     shutil.copytree(full_workspace, ws)
     path = ws / name
     lines = path.read_text(encoding="utf-8").split("\n")[:-1]
     assert lines
-    # every line that is left decodes: only the writer's digest shows the cut
+    # every line that is left decodes: only the writer's digest shows the
+    # cut, and it does before any file is decoded
     path.write_text("".join(line + "\n" for line in lines[:-1]), encoding="utf-8")
+    loads = count_loads(monkeypatch)
     assert main([stage, "--workspace", str(ws)]) == 4
     message = last_error(capsys)["message"]
-    assert str(path) in message
+    assert message.startswith(f"{path} does not match its digest in ")
     assert str(ws / "manifests" / f"{PRODUCERS[name]}.json") in message
+    assert loads == []
     assert not (ws / ".lock").exists()
 
 
@@ -1004,11 +1049,14 @@ def test_a_stage_run_on_an_earlier_input_is_named_to_run_again(tmp_path, monkeyp
     assert main(["ingest", "--workspace", str(ws), "--source", "exploitdb=demo/exploitdb.jsonl",
                  "--cve", "demo/cve_entries.jsonl"]) == 0
     assert json.loads((ws / "manifests" / "ingest.json").read_text())["reports"] == 6
+    # each is refused by reading manifests alone, before it decodes a file
+    loads = count_loads(monkeypatch)
     for stage in ("link", "complete", "stats"):
         assert main([stage, "--workspace", str(ws)]) == 3, stage
         assert last_error(capsys)["message"] == (
             "'classify' ran on an earlier corpus_ingested.jsonl; run 'pocfusion classify' again"
         )
+        assert loads == [], stage
     assert main(["classify", "--workspace", str(ws)]) == 0
     assert main(["link", "--workspace", str(ws)]) == 3
     assert last_error(capsys)["message"] == (
@@ -1587,6 +1635,19 @@ def test_sources_parse_at_the_declared_python_floor():
     for path in sorted((root / "src" / "pocfusion").glob("*.py")):
         source = path.read_text(encoding="utf-8")
         ast.parse(source, str(path), feature_version=(3, int(floor.group(1))))
+
+
+def test_readme_extractor_example_decodes():
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n**Extractor**", 1)[1].split("\n**Pair classifier**", 1)[0]
+    request, response = (block.split("```", 1)[0] for block in section.split("```json\n")[1:])
+    request, response = json.loads(request), json.loads(response)
+    assert set(request) == {"id", "content"}
+    extraction = StructuredExtraction.decode(response, request["content"])
+    assert extraction.texts("author") == ["alice"]
+    # the section lists every slot a response may name
+    assert all(f"`{slot}`" in section for slot in NER_SLOTS)
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):

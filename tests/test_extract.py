@@ -388,7 +388,13 @@ def test_body_scan_requires_full_prefix():
 
 
 def extract_default(report):
-    return DefaultStructuredExtractor().extract(report)
+    # extract_all does not check these spans: each must quote the content
+    extraction = DefaultStructuredExtractor().extract(report)
+    content = report.raw_content
+    for spans in extraction.spans.values():
+        for s in spans:
+            assert content[s.start : s.end] == s.text, s
+    return extraction
 
 
 def test_header_block():
@@ -505,11 +511,12 @@ def test_spans_carry_offsets():
 
 def test_span_validation():
     good = StructuredExtraction({"author": (SlotSpan("bc", 1, 3),)})
-    good.validate("abcd")
+    assert StructuredExtraction.decode({"author": [{"text": "bc", "start": 1, "end": 3}]},
+                                       "abcd") == good
     with pytest.raises(ExtractionError):
-        StructuredExtraction({"author": (SlotSpan("zz", 1, 3),)}).validate("abcd")
+        StructuredExtraction.decode({"author": [{"text": "zz", "start": 1, "end": 3}]}, "abcd")
     with pytest.raises(ExtractionError):
-        StructuredExtraction({"author": (SlotSpan("cd", 2, 5),)}).validate("abcd")
+        StructuredExtraction.decode({"author": [{"text": "cd", "start": 2, "end": 5}]}, "abcd")
 
 
 def test_unknown_slot_rejected():
@@ -522,7 +529,7 @@ def test_structured_extraction_decode():
         "title": [{"text": "A - B", "start": 0, "end": 5}],
         "author": [{"text": "z", "start": 9, "end": 10}],
     }
-    assert StructuredExtraction.decode(data) == StructuredExtraction(
+    assert StructuredExtraction.decode(data, "A - B by z") == StructuredExtraction(
         {"title": (SlotSpan("A - B", 0, 5),), "author": (SlotSpan("z", 9, 10),)}
     )
 

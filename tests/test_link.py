@@ -597,6 +597,17 @@ def gate_corpus():
     )
 
 
+def test_a_classifier_confidence_is_checked_as_the_link_similarity():
+    def answering(verdict):
+        return SimpleNamespace(classify=lambda a, b: verdict)
+
+    corpus, config = gate_corpus(), CompletionConfig()
+    with pytest.raises(ValueError, match="similarity out of range: 1.5"):
+        build_link_graph(corpus, ScoringModels(), answering((True, 1.5)), config)
+    # a pair that is not linked leaves its confidence unused
+    assert build_link_graph(corpus, ScoringModels(), answering((False, 1.5)), config) == []
+
+
 def test_heuristic_classifies_only_pairs_the_title_gate_lets_in(monkeypatch):
     import socket
 
