@@ -235,7 +235,7 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     if not values["workspace"]:
         errors.append("workspace is required (--workspace, config key, or env)")
 
-    if needs_sources and not sources:
+    if needs_sources and not (file_sources or args.source):
         errors.append(f"{args.command} requires at least one --source NAME=PATH")
     if needs_sources:
         for _name, path in sources:

@@ -48,7 +48,7 @@ class CompletionConfig:
         check_unit_number("text_threshold", self.text_threshold)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompletionRecord:
     target: str
     slot: str

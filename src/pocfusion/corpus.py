@@ -7,7 +7,6 @@ files are UTF-8 JSON Lines.
 
 from __future__ import annotations
 
-import codecs
 import json
 import logging
 import math
@@ -15,6 +14,7 @@ import os
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NoReturn, TypeVar
 
@@ -128,7 +128,7 @@ def is_canonical_cve_id(value: object) -> bool:
     return type(value) is str and normalize_cve_id(value) == value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FromCve:
     """Value completed from a linked CVE entry."""
 
@@ -184,7 +184,7 @@ def decode_basis(text: object) -> SharedCve | None:
     return SharedCve(text.removeprefix("shared_cve:"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FromPoc:
     """Value donated by a related PoC report, over a link of ``basis``."""
 
@@ -232,7 +232,7 @@ def _dedup_key(text: str) -> str:
     return text.strip().lower()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AspectValue:
     """One value in an aspect slot, with its origin."""
 
@@ -256,9 +256,8 @@ class AspectSet:
     """The eight key-aspect slots of a report.
 
     An empty tuple means the aspect is missing. Within one slot no two values
-    share the same case-insensitively trimmed text; :meth:`with_added`
-    maintains that invariant, so build aspect sets through it.
-    """
+    share the same case-insensitively trimmed text; a set that breaks this
+    is refused when it is built, with :class:`CorpusError`."""
 
     trigger_step: tuple[AspectValue, ...] = ()
     verification_oracle: tuple[AspectValue, ...] = ()
@@ -268,6 +267,12 @@ class AspectSet:
     author: tuple[AspectValue, ...] = ()
     publish_time: tuple[AspectValue, ...] = ()
     reference: tuple[AspectValue, ...] = ()
+
+    def __post_init__(self) -> None:
+        for slot in ASPECT_SLOTS:
+            values = getattr(self, slot)
+            if len(values) > 1 and len({_dedup_key(v.text) for v in values}) != len(values):
+                raise CorpusError(f"duplicate values in slot {slot}")
 
     def values(self, slot: str) -> tuple[AspectValue, ...]:
         if slot not in ASPECT_SLOTS:
@@ -284,15 +289,11 @@ class AspectSet:
         changed = {}
         for slot, values in additions.items():
             current = self.values(slot)
-            seen = {_dedup_key(v.text) for v in current}
-            added = []
+            kept = {_dedup_key(v.text): v for v in current}
             for value in values:
-                key = _dedup_key(value.text)
-                if key not in seen:
-                    seen.add(key)
-                    added.append(value)
-            if added:
-                changed[slot] = current + tuple(added)
+                kept.setdefault(_dedup_key(value.text), value)
+            if len(kept) > len(current):
+                changed[slot] = tuple(kept.values())
         return replace(self, **changed) if changed else self
 
     def filled_slots(self) -> list[str]:
@@ -300,12 +301,6 @@ class AspectSet:
 
     def original_values(self, slot: str) -> tuple[AspectValue, ...]:
         return tuple(v for v in self.values(slot) if isinstance(v.provenance, Original))
-
-    def validate(self) -> None:
-        for slot in ASPECT_SLOTS:
-            keys = [_dedup_key(v.text) for v in self.values(slot)]
-            if len(keys) != len(set(keys)):
-                raise CorpusError(f"duplicate values in slot {slot}")
 
     def encode(self) -> dict:
         return {
@@ -547,24 +542,32 @@ def _source_records(path: Path, table: dict, skipped: Skipped) -> Iterator[tuple
     numbers. Source files are read leniently: a leading byte-order mark is
     dropped, bad UTF-8 bytes become U+FFFD, and so do lone surrogates that
     ``\\u`` escapes decode to, with one warning per record. A line that is not
-    a JSON object is skipped with a warning."""
-    text = path.read_bytes().removeprefix(codecs.BOM_UTF8).decode("utf-8", errors="replace")
-    for lineno, line in jsonl_lines(text):
-        try:
-            record = json_object(line)
-        except ValueError as exc:
-            skipped.record("%s:%d: skipping malformed record: %s", path, lineno, exc)
-            continue
-        if "\\u" in line:  # no UTF-8 text holds a surrogate; only an escape decodes to one
-            dumped = json.dumps(record, ensure_ascii=False)
-            dumped, count = re.subn("[\ud800-\udfff]", "\ufffd", dumped)
-            if count:
-                logger.warning("%s:%d: %d lone surrogate(s) read as U+FFFD", path, lineno, count)
-                skipped.lone_surrogates += count
-                record = json.loads(dumped)
-        fields = _read_fields(table, record, f"{path}:{lineno}", skipped)
-        if fields is not None:
-            yield lineno, fields
+    a JSON object is skipped with a warning. Lines are read one at a time and
+    end at ``"\\n"`` only, as in :func:`read_jsonl`."""
+    with path.open("rb") as handle:
+        for lineno, data in enumerate(handle, start=1):
+            line = data.decode("utf-8", errors="replace").removesuffix("\n")
+            if lineno == 1:
+                line = line.removeprefix("\ufeff")
+            if not line.strip():
+                continue
+            try:
+                record = json_object(line)
+            except ValueError as exc:
+                skipped.record("%s:%d: skipping malformed record: %s", path, lineno, exc)
+                continue
+            if "\\u" in line:  # no UTF-8 text holds a surrogate; only an escape decodes to one
+                dumped = json.dumps(record, ensure_ascii=False)
+                dumped, count = re.subn("[\ud800-\udfff]", "\ufffd", dumped)
+                if count:
+                    logger.warning(
+                        "%s:%d: %d lone surrogate(s) read as U+FFFD", path, lineno, count
+                    )
+                    skipped.lone_surrogates += count
+                    record = json.loads(dumped)
+            fields = _read_fields(table, record, f"{path}:{lineno}", skipped)
+            if fields is not None:
+                yield lineno, fields
 
 
 def ingest_reports(
@@ -668,15 +671,6 @@ def ingest_cve_entries(path: str | Path, skipped: Skipped | None = None) -> dict
 
 
 # --- persistence -------------------------------------------------------------
-
-
-def jsonl_lines(text: str) -> list[tuple[int, str]]:
-    """The non-blank lines of a JSON-lines text with their 1-based numbers.
-
-    Lines end at ``"\\n"`` only: :func:`write_jsonl` writes U+2028, U+2029
-    and U+0085 raw, and ``str.splitlines`` would break at them. A trailing
-    ``"\\r"`` is JSON whitespace, so CRLF files load too."""
-    return [(n, line) for n, line in enumerate(text.split("\n"), start=1) if line.strip()]
 
 
 def _not_json(constant: str) -> NoReturn:
@@ -812,57 +806,54 @@ _DECODE_ERRORS = (KeyError, ValueError, TypeError, AttributeError, re.error)
 def read_jsonl(
     path: str | Path, decode: Callable[[dict], _T], header: dict | None = None
 ) -> list[_T]:
-    """Decode every non-blank line of a file written by :func:`write_jsonl`.
+    """Decode every non-blank line of a file written by :func:`write_jsonl`,
+    reading one line at a time. Lines end at ``"\\n"`` only: U+2028, U+2029
+    and U+0085, which :func:`write_jsonl` writes raw, stay inside their line,
+    and a trailing ``"\\r"`` is JSON whitespace, so CRLF files load too.
 
     With ``header`` (``{"format": ..., "version": ...}``), line 1 must be a
     matching format header, and its other items are filled into ``header``.
     Bytes that are not UTF-8, a header that does not match, a line that is
     not a JSON object, or one that ``decode`` rejects raise
-    :class:`CorpusError` naming ``path:lineno``."""
-    data = Path(path).read_bytes()
-    try:
-        lines = jsonl_lines(data.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise CorpusError(f"{path}:{lineno}: not valid UTF-8: {exc.reason}") from exc
-    if header is not None:
-        if not lines or lines[0][0] != 1:
-            raise CorpusError(f"{path}:1: expected a format header")
-        try:
-            found = json_object(lines.pop(0)[1])
-        except ValueError as exc:
-            raise CorpusError(f"{path}:1: unreadable header: {exc}") from exc
-        mismatch = format_mismatch(found, header["format"], header["version"])
-        if mismatch is not None:
-            raise CorpusError(f"{path}:1: {mismatch}")
-        header.update(found)
+    :class:`CorpusError` naming ``path:lineno`` of the first such line."""
     records = []
-    for lineno, line in lines:
-        try:
-            records.append(decode(json_object(line)))
-        except _DECODE_ERRORS as exc:
-            raise CorpusError(f"{path}:{lineno}: broken record: {exc}") from exc
+    with Path(path).open("rb") as handle:
+        for lineno, data in enumerate(handle, start=1):
+            try:
+                line = data.decode("utf-8").removesuffix("\n")
+            except UnicodeDecodeError as exc:
+                raise CorpusError(f"{path}:{lineno}: not valid UTF-8: {exc.reason}") from exc
+            if lineno == 1 and header is not None:
+                if not line.strip():
+                    raise CorpusError(f"{path}:1: expected a format header")
+                try:
+                    found = json_object(line)
+                except ValueError as exc:
+                    raise CorpusError(f"{path}:1: unreadable header: {exc}") from exc
+                mismatch = format_mismatch(found, header["format"], header["version"])
+                if mismatch is not None:
+                    raise CorpusError(f"{path}:1: {mismatch}")
+                header.update(found)
+            elif line.strip():
+                try:
+                    records.append(decode(json_object(line)))
+                except _DECODE_ERRORS as exc:
+                    raise CorpusError(f"{path}:{lineno}: broken record: {exc}") from exc
+        if header is not None and handle.tell() == 0:  # an empty file has no line 1
+            raise CorpusError(f"{path}:1: expected a format header")
     return records
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write a corpus to a versioned container file (canonical serialization)."""
-    for report in corpus:
-        report.aspects.validate()
+    """Write a corpus to a versioned container file, encoding each report as it is written."""
     header = {"format": CORPUS_FORMAT, "version": CORPUS_VERSION}
-    write_jsonl(path, [header, *(report.encode() for report in corpus)])
-
-
-def _decode_report(data: dict) -> PocReport:
-    report = PocReport.decode(data)
-    report.aspects.validate()
-    return report
+    write_jsonl(path, chain([header], (report.encode() for report in corpus)))
 
 
 def load_corpus(path: str | Path) -> Corpus:
     """Load a corpus saved by :func:`save_corpus`, checking the format version."""
     header = {"format": CORPUS_FORMAT, "version": CORPUS_VERSION}
-    reports = read_jsonl(path, _decode_report, header)
+    reports = read_jsonl(path, PocReport.decode, header)
     try:
         return Corpus(reports)
     except CorpusError as exc:

@@ -28,9 +28,11 @@ from pocfusion.cli import (
     resolve_config,
     ConfigurationError,
 )
-from pocfusion.corpus import MAX_JSON_DEPTH, FromCve, load_corpus
+from pocfusion.corpus import (
+    MAX_JSON_DEPTH, FromCve, ingest_cve_entries, ingest_reports, load_corpus,
+)
 from pocfusion.extract import NER_SLOTS, StructuredExtraction
-from pocfusion.link import software_names
+from pocfusion.link import load_links, software_names
 
 PY_POC_A = """#!/usr/bin/env python3
 # Exploit Title: AlphaServ 2.0 - Remote Overflow
@@ -229,9 +231,26 @@ def test_config_errors_are_enumerated(tmp_path, capsys):
         "text-threshold must be in [0, 1]",
         "jobs must be >= 1",
         "workspace is required",
-        "requires at least one --source",
     ):
         assert fragment in message, fragment
+    # the malformed source item counts as given
+    assert "requires at least one --source" not in message
+
+
+def test_a_malformed_source_item_is_the_one_source_error(tmp_path, capsys):
+    ws = str(tmp_path / "ws")
+    assert main(["ingest", "--workspace", ws, "--source", "bad"]) == 2
+    assert last_error(capsys)["message"] == "--source expects NAME=PATH, got 'bad'"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("source.exploitdb =\n", encoding="utf-8")
+    assert main(["run-all", "--workspace", ws, "--config", str(cfg)]) == 2
+    assert last_error(capsys)["message"] == (
+        "config key source.NAME expects NAME=PATH, got 'exploitdb='"
+    )
+    # with no item at all, the missing source is the error
+    assert main(["ingest", "--workspace", ws]) == 2
+    assert last_error(capsys)["message"] == "ingest requires at least one --source NAME=PATH"
+    assert not (tmp_path / "ws").exists()
 
 
 @pytest.mark.parametrize(
@@ -1037,6 +1056,30 @@ DEMO = Path(__file__).resolve().parent.parent / "demo"
 
 def demo_argv(command, ws, *flags):
     return [command, "--config", str(DEMO / "config.cfg"), "--workspace", str(ws), *flags]
+
+
+def test_loaders_read_files_line_by_line(tmp_path, monkeypatch):
+    # no loader holds a whole file: each still reads the demo's inputs and
+    # workspace with Path.read_bytes refused
+    monkeypatch.chdir(DEMO.parent)
+    ws = tmp_path / "ws"
+    assert main(demo_argv("run-all", ws)) == 0
+
+    def load_all():
+        return [
+            load_corpus(ws / "corpus_completed.jsonl"),
+            load_links(ws / "links.jsonl"),
+            ingest_reports(DEMO / "exploitdb.jsonl", "exploitdb"),
+            ingest_cve_entries(DEMO / "cve_entries.jsonl"),
+        ]
+
+    def refused(self):
+        raise AssertionError(f"read_bytes({self})")
+
+    loaded = load_all()
+    monkeypatch.setattr(Path, "read_bytes", refused)
+    assert load_all() == loaded
+    assert len(loaded[0]) == 20 and loaded[1] and loaded[2] and loaded[3]
 
 
 def test_a_stage_run_on_an_earlier_input_is_named_to_run_again(tmp_path, monkeypatch, capsys):

@@ -197,6 +197,18 @@ def test_original_values_filters_provenance():
     assert aspects.filled_slots() == ["title"]
 
 
+def test_aspect_set_refuses_a_slot_with_near_duplicates():
+    with pytest.raises(CorpusError, match="^duplicate values in slot title$"):
+        AspectSet(title=(AspectValue("a"), AspectValue(" A ")))
+    aspects = AspectSet(author=(AspectValue("a"),))
+    with pytest.raises(CorpusError, match="^duplicate values in slot author$"):
+        dataclasses.replace(
+            aspects, author=(*aspects.author, AspectValue("A ", FromCve("CVE-2014-0160")))
+        )
+    # the same text in two slots is no duplicate
+    AspectSet(title=(AspectValue("a"),), author=(AspectValue("a"),))
+
+
 def test_aspect_set_encode_skips_empty_slots():
     aspects = AspectSet().with_added(reference=aspect_values(["https://a.example"]))
     payload = aspects.encode()
@@ -586,6 +598,42 @@ def test_load_corpus_names_bad_line(tmp_path):
         assert f"{path}{where}" in str(err.value)
 
 
+def test_load_corpus_names_a_line_whose_slot_holds_near_duplicates(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(Corpus([make_report("a"), make_report("b")]), path)
+    header, first, second = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(second)
+    value = {"text": "Bob", "provenance": {"kind": "original"}}
+    record["aspects"] = {"author": [value, {**value, "text": " bob"}]}
+    path.write_text("\n".join([header, first, json.dumps(record)]) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError) as err:
+        load_corpus(path)
+    assert str(err.value) == f"{path}:3: broken record: duplicate values in slot author"
+
+
+def test_the_first_faulty_line_is_named(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+
+    def error():
+        with pytest.raises(CorpusError) as err:
+            load_corpus(path)
+        return str(err.value)
+
+    # a broken record on line 2 is named before a byte that is not UTF-8 on line 3
+    header = json.dumps({"format": "poc-corpus", "version": 1}).encode()
+    path.write_bytes(header + b"\n{broken\n" + b'{"id": "caf\xff"}\n')
+    assert error().startswith(f"{path}:2: broken record")
+    path.write_bytes(header + b"\n\n" + b'{"id": "caf\xff"}\n{broken\n')
+    assert error().startswith(f"{path}:3: not valid UTF-8")
+    # a header that does not match comes first too
+    path.write_bytes(b'{"format": "links", "version": 1}\n\xff\n')
+    assert error().startswith(f"{path}:1: file declares format 'links'")
+    # a blank or missing line 1 holds no header
+    for data in (b"", b"\n", b"\n" + header + b"\n"):
+        path.write_bytes(data)
+        assert error() == f"{path}:1: expected a format header"
+
+
 def test_save_cve_db_sorted(tmp_path):
     entries = {
         "CVE-2021-33009": CveEntry("CVE-2021-33009", (CveProduct("GateServe", ("4.0",)),), ()),
@@ -770,7 +818,7 @@ def test_with_added_equals_slot_by_slot_chain(aspects, calls):
             expected = added_to_one_slot(expected, slot, values)
         got = got.with_added(**call)
         assert got == expected
-    got.validate()
+    dataclasses.replace(got)
 
 
 def test_with_added_returns_self_when_nothing_is_new():
