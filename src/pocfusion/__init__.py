@@ -67,8 +67,6 @@ from .complete import (
     CompletionConfig,
     CompletionRecord,
     CompletionResult,
-    complete_from_cve,
-    complete_from_poc,
     load_completion_records,
     replay_completion,
     run_completion,

@@ -93,7 +93,7 @@ def verify_association(report: PocReport, entry: CveEntry) -> bool:
     """
     if entry.cve_id not in report.cve_ids:
         raise ValueError(f"report {report.id} does not carry {entry.cve_id}")
-    names = [n.strip() for n in software_names(report)]
+    names = software_names(report)
     if not names:
         return True
     products = [p.name.strip().lower() for p in entry.products]
@@ -120,56 +120,6 @@ def _fill(
     return replace(report, aspects=aspects), records
 
 
-def complete_from_cve(
-    report: PocReport, entry: CveEntry
-) -> tuple[PocReport, list[CompletionRecord]]:
-    """Append the entry's versions and platforms that the report lacks.
-
-    Applies whether the slot was empty (direct completion) or partial
-    (append); the Basic-category slots are never touched by CVE data.
-    """
-    if not verify_association(report, entry):
-        raise ValueError(
-            f"association between {report.id} and {entry.cve_id} failed verification"
-        )
-    return _fill(
-        report,
-        FromCve(entry.cve_id),
-        software_version=entry.all_versions(),
-        test_platform=entry.platforms,
-    )
-
-
-def complete_from_poc(
-    target: PocReport,
-    donor: PocReport,
-    link: PocLink,
-    config: ThresholdConfig = CompletionConfig(),
-) -> tuple[PocReport, list[CompletionRecord]]:
-    """Fill the target's empty slots with the donor's Original
-    values. Non-empty target slots stay untouched; donor values that were
-    themselves completed never re-donate.
-    """
-    if {target.id, donor.id} != {link.a, link.b}:
-        raise ValueError(
-            f"link ({link.a}, {link.b}) does not connect {target.id} and {donor.id}"
-        )
-    if below_threshold(link, config):
-        raise ValueError(
-            f"link similarity {link.similarity} below the "
-            f"{link.kind.encode()} threshold"
-        )
-    donated = {}
-    for slot in ASPECT_SLOTS:
-        if not target.aspects.values(slot):
-            texts = [value.text for value in donor.aspects.original_values(slot)]
-            if texts:
-                donated[slot] = texts
-    if not donated:
-        return target, []
-    return _fill(target, FromPoc(donor.id, link.similarity, link.basis), **donated)
-
-
 @dataclass
 class CompletionResult:
     corpus: Corpus
@@ -186,11 +136,13 @@ def run_completion(
 ) -> CompletionResult:
     """Two completion passes over the whole corpus.
 
-    Pass 1 completes every report from every CVE entry it carries and passes
-    verification for. Pass 2 walks links by descending similarity (ties by
-    pair key) and lets each endpoint donate to the other; donors expose their
-    pre-run Original values only, targets accumulate live, so the best donor
-    fills each gap and nothing chains.
+    Pass 1 appends to each report the versions, then the platforms, it lacks
+    from every CVE entry it carries that passes :func:`verify_association`;
+    the Basic-category slots are never touched by CVE data. Pass 2 skips
+    links under their threshold and walks the rest by descending similarity
+    (ties by pair key), letting each endpoint fill the other's empty slots;
+    donors expose their pre-run Original values only, targets accumulate
+    live, so the best donor fills each gap and nothing chains.
     """
     snapshot = {report.id: report for report in corpus}
     current: dict[str, PocReport] = dict(snapshot)
@@ -198,19 +150,24 @@ def run_completion(
     failed: list[tuple[str, str]] = []
 
     for report in corpus:
-        updated = current[report.id]
+        updated = report
         for cve_id in report.cve_ids:
             entry = cve_db.get(cve_id)
             if entry is None:
                 continue
-            if not verify_association(updated, entry):
+            if not verify_association(report, entry):
                 logger.warning(
                     "report %s names different software than %s, skipping entry",
                     report.id, cve_id,
                 )
                 failed.append((report.id, cve_id))
                 continue
-            updated, new_records = complete_from_cve(updated, entry)
+            updated, new_records = _fill(
+                updated,
+                FromCve(cve_id),
+                software_version=entry.all_versions(),
+                test_platform=entry.platforms,
+            )
             records.extend(new_records)
         current[report.id] = updated
 
@@ -221,11 +178,17 @@ def run_completion(
             skipped += 1
             continue
         for target_id, donor_id in ((link.a, link.b), (link.b, link.a)):
-            updated, new_records = complete_from_poc(
-                current[target_id], snapshot[donor_id], link, config
-            )
-            current[target_id] = updated
-            records.extend(new_records)
+            target, donor = current[target_id], snapshot[donor_id]
+            donated = {}
+            for slot in ASPECT_SLOTS:
+                if not target.aspects.values(slot):
+                    texts = [value.text for value in donor.aspects.original_values(slot)]
+                    if texts:
+                        donated[slot] = texts
+            if donated:
+                origin = FromPoc(donor_id, link.similarity, link.basis)
+                current[target_id], new_records = _fill(target, origin, **donated)
+                records.extend(new_records)
 
     enriched = Corpus(current[report.id] for report in corpus)
     return CompletionResult(enriched, records, skipped, failed)

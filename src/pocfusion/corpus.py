@@ -119,8 +119,10 @@ class ContentKind(Enum):
 class Original:
     """Value present in (or extracted verbatim from) the source record."""
 
+    kind = "original"
+
     def encode(self) -> dict:
-        return {"kind": "original"}
+        return {"kind": self.kind}
 
 
 def is_canonical_cve_id(value: object) -> bool:
@@ -132,6 +134,7 @@ def is_canonical_cve_id(value: object) -> bool:
 class FromCve:
     """Value completed from a linked CVE entry."""
 
+    kind = "from_cve"
     cve_id: str
 
     def __post_init__(self) -> None:
@@ -139,7 +142,7 @@ class FromCve:
             raise ValueError(f"non-canonical CVE id: {self.cve_id!r}")
 
     def encode(self) -> dict:
-        return {"kind": "from_cve", "cve_id": self.cve_id}
+        return {"kind": self.kind, "cve_id": self.cve_id}
 
 
 def check_unit_number(name: str, value: object) -> None:
@@ -188,6 +191,7 @@ def decode_basis(text: object) -> SharedCve | None:
 class FromPoc:
     """Value donated by a related PoC report, over a link of ``basis``."""
 
+    kind = "from_poc"
     donor_id: str
     similarity: float
     basis: SharedCve | None
@@ -200,7 +204,7 @@ class FromPoc:
 
     def encode(self) -> dict:
         return {
-            "kind": "from_poc",
+            "kind": self.kind,
             "donor_id": self.donor_id,
             "similarity": self.similarity,
             "basis": encode_basis(self.basis),
@@ -209,18 +213,18 @@ class FromPoc:
 
 Provenance = Original | FromCve | FromPoc
 # the encoded kinds of a completed value's provenance, in table order
-ORIGIN_KINDS = ("from_cve", "from_poc")
+ORIGIN_KINDS = (FromCve.kind, FromPoc.kind)
 
 ORIGINAL = Original()
 
 
 def decode_provenance(data: dict) -> Provenance:
     kind = data.get("kind")
-    if kind == "original":
+    if kind == Original.kind:
         return ORIGINAL
-    if kind == "from_cve":
+    if kind == FromCve.kind:
         return FromCve(data["cve_id"])
-    if kind == "from_poc":
+    if kind == FromPoc.kind:
         return FromPoc(data["donor_id"], data["similarity"], decode_basis(data["basis"]))
     raise CorpusError(f"unknown provenance kind: {kind!r}")
 

@@ -393,9 +393,8 @@ class DefaultStructuredExtractor:
             if slot in _SPLIT_SLOTS and "," in text:
                 offset = start
                 for piece in text.split(","):
-                    piece_start = content.index(piece, offset) if piece else offset
-                    sub = _trim_span(content, piece_start, piece_start + len(piece))
-                    offset = piece_start + len(piece) + 1
+                    sub = _trim_span(content, offset, offset + len(piece))
+                    offset += len(piece) + 1
                     if sub is not None:
                         spans.setdefault(slot, []).append(SlotSpan(*sub))
             else:

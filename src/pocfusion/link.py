@@ -120,12 +120,11 @@ def candidate_pairs_same_cve(
 ) -> list[tuple[str, str, ContentKind]]:
     """All same-kind unordered pairs within one CVE group, canonically ordered."""
     pairs = []
-    for i in range(len(group)):
-        for j in range(i + 1, len(group)):
-            a, b = sorted((group[i], group[j]))
-            kind = pair_kind_of(corpus.get(a), corpus.get(b))
-            if kind is not None:
-                pairs.append((a, b, kind))
+    for pair in combinations(group, 2):
+        a, b = sorted(pair)
+        kind = pair_kind_of(corpus.get(a), corpus.get(b))
+        if kind is not None:
+            pairs.append((a, b, kind))
     return pairs
 
 
@@ -230,7 +229,9 @@ def score_pair(
 # --- software names ---------------------------------------------------------
 
 
-_VERSION_TOKEN = re.compile(r"v?\d+(?:\.\d+)*[a-z]?\b", re.IGNORECASE)
+# "Log4j 2.14" names "log4j": the digit in a word does not start a version
+_VERSION_TOKEN = re.compile(r"(?<![^\W_])v?\d+(?:\.\d+)*[a-z]?\b", re.IGNORECASE)
+_NAME_EDGES = re.compile(r"^[\s_,;:-]+|[\s_,;:-]+$")
 
 
 def _name_from_text(text: str) -> str:
@@ -238,14 +239,16 @@ def _name_from_text(text: str) -> str:
     m = _VERSION_TOKEN.search(head)
     if m:
         head = head[: m.start()]
-    return head.strip(" \t-_,;:")
+    return _NAME_EDGES.sub("", head)
 
 
 def software_names(report: PocReport) -> tuple[str, ...]:
     """Distinct software names a report is about, lowered, in first-seen
     order: the name part of each Original title value, and of each Original
-    software_version value, before its first version number. Values added by
-    completion are ignored, so the answer is stable across enrichment runs.
+    software_version value, before its first version number that does not
+    continue a letter or digit, trimmed of whitespace and ``-_,;:``. Values
+    added by completion are ignored, so the answer is stable across
+    enrichment runs.
     Blocks are keyed by these names and every name check compares them.
     """
     names: dict[str, None] = {}
@@ -358,15 +361,13 @@ def build_pair_training_set(
     tagged = [r for r in corpus if r.cve_ids]
     positive_keys: set[tuple[str, str]] = set()
     for group in group_by_cve(corpus).values():
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                positive_keys.add(tuple(sorted((group[i], group[j]))))
+        for pair in combinations(group, 2):
+            positive_keys.add(tuple(sorted(pair)))
     negative_keys: list[tuple[str, str]] = []
-    for i in range(len(tagged)):
-        for j in range(i + 1, len(tagged)):
-            key = tuple(sorted((tagged[i].id, tagged[j].id)))
-            if key not in positive_keys:
-                negative_keys.append(key)
+    for a, b in combinations(tagged, 2):
+        key = tuple(sorted((a.id, b.id)))
+        if key not in positive_keys:
+            negative_keys.append(key)
     positives = sorted(positive_keys)
     negatives = sorted(negative_keys)
     if len(positives) < n_pos or len(negatives) < n_neg:

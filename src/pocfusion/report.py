@@ -69,7 +69,7 @@ def completion_stats(corpus: Corpus) -> Table:
         for slot in ASPECT_SLOTS:
             for value in report.aspects.values(slot):
                 if not isinstance(value.provenance, Original):
-                    key = (report.source, slot, value.provenance.encode()["kind"])
+                    key = (report.source, slot, value.provenance.kind)
                     held[key] = held.get(key, 0) + 1
         for key, count in held.items():
             pocs[key] = pocs.get(key, 0) + 1

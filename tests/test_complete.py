@@ -16,8 +16,7 @@ from pocfusion import (
     PocReport,
     SharedCve,
     aspect_values,
-    complete_from_cve,
-    complete_from_poc,
+    below_threshold,
     load_completion_records,
     load_cve_db,
     replay_completion,
@@ -26,6 +25,7 @@ from pocfusion import (
     save_cve_db,
     verify_association,
 )
+import pocfusion.complete as complete_module
 from pocfusion.corpus import AspectSet, AspectValue, ContentKind, CorpusError, CveProduct
 
 from fusion_fixture import (
@@ -129,14 +129,15 @@ def test_verify_association_ignores_donated_names():
     assert verify_association(r, entry("CVE-2020-0001", "AlphaServ"))
 
 
-def test_complete_from_cve_appends_versions_then_platforms():
+def test_cve_completion_appends_versions_then_platforms():
     e = CveEntry(
         "CVE-2020-0001",
         (CveProduct("AlphaServ", ("2.0", "2.1")), CveProduct("AlphaServ Pro", ("3.0",))),
         ("Windows", "Linux"),
     )
     r = report("a", ("CVE-2020-0001",), title=["AlphaServ 2.0 - RCE"], software_version=["2.0"])
-    updated, records = complete_from_cve(r, e)
+    result = run_completion(Corpus([r]), {e.cve_id: e}, [])
+    records = result.records
     assert [(x.slot, x.value) for x in records] == [
         ("software_version", "2.1"),
         ("software_version", "3.0"),
@@ -144,87 +145,82 @@ def test_complete_from_cve_appends_versions_then_platforms():
         ("test_platform", "Linux"),
     ]
     assert all(x.origin == FromCve("CVE-2020-0001") for x in records)
+    updated = result.corpus.get("a")
     assert updated.aspects.texts("software_version") == ["2.0", "2.1", "3.0"]
     # pre-existing values keep their provenance
     assert updated.aspects.values("software_version")[0].provenance == ORIGINAL
 
 
-def test_complete_from_cve_dedup_is_case_insensitive():
+def test_cve_completion_dedup_is_case_insensitive():
     e = entry("CVE-2020-0001", "AlphaServ", ["2.0"], ["WINDOWS"])
     r = report(
         "a", ("CVE-2020-0001",),
         software_version=[" 2.0 "], test_platform=["windows"],
     )
-    updated, records = complete_from_cve(r, e)
-    assert records == []
-    assert updated is r
+    result = run_completion(Corpus([r]), {e.cve_id: e}, [])
+    assert result.records == []
+    assert result.corpus.get("a") is r
 
 
-def test_complete_from_cve_rejects_failed_verification():
+def test_cve_completion_rejects_failed_verification(caplog):
     e = entry("CVE-2020-0001", "AlphaServ", ["2.0"])
     r = report("a", ("CVE-2020-0001",), title=["Unrelated 3 - RCE"])
-    with pytest.raises(ValueError):
-        complete_from_cve(r, e)
+    with caplog.at_level("WARNING", logger="pocfusion.complete"):
+        result = run_completion(Corpus([r]), {e.cve_id: e}, [])
+    assert result.failed_associations == [("a", "CVE-2020-0001")]
+    assert len(caplog.records) == 1
+    assert result.records == []
 
 
 def link(a, b, basis, similarity, kind=TEXT):
     return PocLink(a, b, basis, similarity, kind)
 
 
-def test_complete_from_poc_fills_empty_slots_only():
+def donate(target, donor, l):
+    return run_completion(Corpus([target, donor]), {}, [l])
+
+
+def test_poc_completion_fills_empty_slots_only():
     donor = report("d", author=["alice"], title=["T"], publish_time=["2020-01-01"])
     target = report("a", author=["bob"])
-    l = link("a", "d", SharedCve("CVE-2020-0001"), 0.97)
-    updated, records = complete_from_poc(target, donor, l)
-    assert [(x.slot, x.value) for x in records] == [
-        ("title", "T"),
-        ("publish_time", "2020-01-01"),
+    result = donate(target, donor, link("a", "d", SharedCve("CVE-2020-0001"), 0.97))
+    records = result.records
+    assert [(x.target, x.slot, x.value) for x in records] == [
+        ("a", "title", "T"),
+        ("a", "publish_time", "2020-01-01"),
     ]
     origin = FromPoc("d", 0.97, SharedCve("CVE-2020-0001"))
     assert all(x.origin == origin for x in records)
-    assert updated.aspects.texts("author") == ["bob"]
+    assert result.corpus.get("a").aspects.texts("author") == ["bob"]
 
 
-def test_complete_from_poc_donates_original_values_only():
+def test_poc_completion_donates_original_values_only():
     donor = report(
         "d",
         title=[AspectValue("Donated", FromPoc("x", 0.99, None))],
         author=["alice"],
     )
-    target = report("a")
-    l = link("a", "d", None, 0.9)
-    updated, records = complete_from_poc(target, donor, l)
-    assert [(x.slot, x.value) for x in records] == [("author", "alice")]
-    assert updated.aspects.texts("title") == []
+    result = donate(report("a"), donor, link("a", "d", None, 0.9))
+    records = result.records
+    assert [(x.target, x.slot, x.value) for x in records] == [("a", "author", "alice")]
+    assert result.corpus.get("a").aspects.texts("title") == []
     assert records[0].origin == FromPoc("d", 0.9, None)
 
 
-def test_complete_from_poc_rejects_weak_shared_cve_link():
+def test_poc_completion_rejects_weak_shared_cve_link():
     donor = report("d", author=["alice"])
     target = report("a")
     # 0.6 is under the text threshold (0.65) and over the code one (0.5)
-    weak = link("a", "d", SharedCve("CVE-2020-0001"), 0.6)
-    with pytest.raises(ValueError):
-        complete_from_poc(target, donor, weak)
+    weak = donate(target, donor, link("a", "d", SharedCve("CVE-2020-0001"), 0.6))
+    assert weak.skipped_links == 1 and weak.records == []
     code_ok = PocLink("a", "d", SharedCve("CVE-2020-0001"), 0.6, ContentKind.PYTHON)
-    _, records = complete_from_poc(target, donor, code_ok)
-    assert len(records) == 1
+    result = donate(target, donor, code_ok)
+    assert result.skipped_links == 0 and len(result.records) == 1
 
 
-def test_complete_from_poc_classifier_links_have_no_threshold():
-    donor = report("d", author=["alice"])
-    target = report("a")
-    l = link("a", "d", None, 0.3)
-    _, records = complete_from_poc(target, donor, l)
-    assert len(records) == 1
-
-
-def test_complete_from_poc_requires_matching_link():
-    donor = report("d", author=["alice"])
-    target = report("a")
-    stray = link("a", "x", None, 0.9)
-    with pytest.raises(ValueError):
-        complete_from_poc(target, donor, stray)
+def test_poc_completion_classifier_links_have_no_threshold():
+    result = donate(report("a"), report("d", author=["alice"]), link("a", "d", None, 0.3))
+    assert result.skipped_links == 0 and len(result.records) == 1
 
 
 def run_fixture(**kwargs):
@@ -237,6 +233,26 @@ def test_run_completion_record_sequence():
     assert rows == EXPECTED_RECORD_ROWS
     assert result.skipped_links == 1
     assert result.failed_associations == EXPECTED_FAILED_ASSOCIATIONS
+
+
+def test_run_completion_checks_each_association_and_link_once(monkeypatch):
+    verified, tested = Counter(), Counter()
+
+    def verify(report, entry):
+        verified[report.id, entry.cve_id] += 1
+        return verify_association(report, entry)
+
+    def below(link, config):
+        tested[link] += 1
+        return below_threshold(link, config)
+
+    monkeypatch.setattr(complete_module, "verify_association", verify)
+    monkeypatch.setattr(complete_module, "below_threshold", below)
+    run_fixture()
+    entries = build_entries()
+    carried = [(r.id, c) for r in build_reports() for c in r.cve_ids if c in entries]
+    assert verified == Counter(carried)
+    assert tested == Counter(build_links())
 
 
 def test_run_completion_enriched_corpus():

@@ -389,6 +389,23 @@ def test_software_names_dedup_case():
     assert software_names(r) == ("gateserve",)
 
 
+@pytest.mark.parametrize(
+    "title, name",
+    [
+        ("Log4j 2.14 - RCE", "log4j"),
+        ("IPv6 Stack 1.0", "ipv6 stack"),
+        ("Win32 Foo 1.0", "win32 foo"),
+        ("Foo\u00a01.0", "foo"),
+        ("Foo\n1.0", "foo"),
+        ("Foo_1.2", "foo"),
+        ("Foo-1.2", "foo"),
+        ("Foo v1.2", "foo"),
+    ],
+)
+def test_software_name_ends_at_a_version_that_starts_a_word(title, name):
+    assert software_names(report("a", title=title)) == (name,)
+
+
 def test_software_names_original_only():
     from pocfusion import AspectValue
 
