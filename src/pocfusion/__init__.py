@@ -45,6 +45,7 @@ from .extract import (
 )
 from .similarity import cosine_similarity, tokenize_code, tokenize_text
 from .link import (
+    CompletionConfig,
     ExternalPairClassifier,
     HeuristicPairClassifier,
     PocLink,
@@ -52,7 +53,6 @@ from .link import (
     below_threshold,
     build_link_graph,
     build_pair_training_set,
-    candidate_pairs_same_cve,
     classify_pair,
     group_by_cve,
     kind_threshold,
@@ -64,7 +64,6 @@ from .link import (
     software_names,
 )
 from .complete import (
-    CompletionConfig,
     CompletionRecord,
     CompletionResult,
     load_completion_records,

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable
 
 from .classify import categorize
-from .complete import CompletionConfig, run_completion, save_completion_records
+from .complete import run_completion, save_completion_records
 from .corpus import (
     Corpus,
     CorpusError,
@@ -38,6 +38,7 @@ from .corpus import (
 )
 from .extract import DefaultStructuredExtractor, ExternalStructuredExtractor, extract_all
 from .link import (
+    CompletionConfig,
     ExternalPairClassifier,
     HeuristicPairClassifier,
     ScoringModels,
@@ -82,12 +83,13 @@ class PrerequisiteError(Exception):
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(CompletionConfig):
+    """A run's settings; as a :class:`CompletionConfig` it holds the link
+    thresholds the link and complete stages read."""
+
     sources: tuple[tuple[str, str], ...] = ()
     cve: str | None = None
     workspace: str | None = None
-    code_threshold: float = CompletionConfig.code_threshold
-    text_threshold: float = CompletionConfig.text_threshold
     extractor_url: str | None = None
     classifier_url: str | None = None
     jobs: int = 8
@@ -501,11 +503,15 @@ def run_command(command: str, config: PipelineConfig) -> None:
     command wrote is handed over as the object that stage saved, and is
     dropped after its last reader. Any other input is first checked against
     the digest its writer's manifest lists, and that writer's inputs against
-    their writers' manifests, back to ingest; only then is it loaded."""
+    their writers' manifests, back to ingest; only then is it loaded. Only
+    a command that starts with ingest creates the workspace."""
     ws = Path(config.workspace)
-    ws.mkdir(parents=True, exist_ok=True)
-    (ws / MANIFEST_DIR).mkdir(exist_ok=True)
     stages = STAGES if command == "run-all" else (command,)
+    if stages[0] == "ingest":
+        (ws / MANIFEST_DIR).mkdir(parents=True, exist_ok=True)
+    elif not ws.exists():
+        # refused as a missing first input, naming the stage that writes it
+        _verified_digest(ws, _STAGES[stages[0]][1][0])
     kept: dict[str, object] = {}  # written by this command, read by a later stage
     digests: dict[str, str] = {}  # workspace file -> SHA-256, as its manifest lists it
     with WorkspaceLock(ws):

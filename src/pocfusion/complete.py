@@ -23,29 +23,13 @@ from .corpus import (
     PocReport,
     Provenance,
     aspect_values,
-    check_unit_number,
     decode_provenance,
     read_jsonl,
     write_jsonl,
 )
-from .link import (
-    PocLink,
-    ThresholdConfig,
-    below_threshold,
-    software_names,
-)
+from .link import CompletionConfig, PocLink, below_threshold, software_names
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class CompletionConfig:
-    code_threshold: float = 0.5
-    text_threshold: float = 0.65
-
-    def __post_init__(self) -> None:
-        check_unit_number("code_threshold", self.code_threshold)
-        check_unit_number("text_threshold", self.text_threshold)
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,7 +116,7 @@ def run_completion(
     corpus: Corpus,
     cve_db: dict[str, CveEntry],
     links: Sequence[PocLink],
-    config: ThresholdConfig = CompletionConfig(),
+    config: CompletionConfig = CompletionConfig(),
 ) -> CompletionResult:
     """Two completion passes over the whole corpus.
 

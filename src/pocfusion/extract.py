@@ -236,10 +236,11 @@ def extract_verification_oracle(content: str) -> list[str]:
 
 def extract_references(content: str) -> list[str]:
     """All web/ftp URLs in document order, first occurrence kept, trailing
-    punctuation stripped."""
+    punctuation stripped. The scheme matches in any case on the fold; each
+    URL is cut from the content, its case kept."""
     seen: dict[str, None] = {}
-    for match in head_matches(_URL_PATTERN, _URL_HEADS, content):
-        url = match.group(0).rstrip(_TRAILING_PUNCT)
+    for match in head_matches(_URL_PATTERN, _URL_HEADS, fold_case(content)):
+        url = content[match.start():match.end()].rstrip(_TRAILING_PUNCT)
         host = url.split("://", 1)[1]
         if host and host[0].isalnum():
             seen.setdefault(url, None)

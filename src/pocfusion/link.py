@@ -77,16 +77,23 @@ class PocLink:
         )
 
 
-class ThresholdConfig(Protocol):
-    code_threshold: float
-    text_threshold: float
+@dataclass(frozen=True)
+class CompletionConfig:
+    """The per-kind similarity thresholds a shared-CVE link must reach."""
+
+    code_threshold: float = 0.5
+    text_threshold: float = 0.65
+
+    def __post_init__(self) -> None:
+        check_unit_number("code_threshold", self.code_threshold)
+        check_unit_number("text_threshold", self.text_threshold)
 
 
-def kind_threshold(kind: ContentKind, config: ThresholdConfig) -> float:
+def kind_threshold(kind: ContentKind, config: CompletionConfig) -> float:
     return config.code_threshold if kind.is_code else config.text_threshold
 
 
-def below_threshold(link: PocLink, config: ThresholdConfig) -> bool:
+def below_threshold(link: PocLink, config: CompletionConfig) -> bool:
     """True for a shared-CVE link scoring under its kind's threshold.
     A classifier link carries the classifier's confidence, not a cosine, and
     is never below."""
@@ -113,19 +120,6 @@ def pair_kind_of(a: PocReport, b: PocReport) -> ContentKind | None:
     if kind is b.content_kind and kind is not ContentKind.UNCLASSIFIED:
         return kind
     return None
-
-
-def candidate_pairs_same_cve(
-    group: Sequence[str], corpus: Corpus
-) -> list[tuple[str, str, ContentKind]]:
-    """All same-kind unordered pairs within one CVE group, canonically ordered."""
-    pairs = []
-    for pair in combinations(group, 2):
-        a, b = sorted(pair)
-        kind = pair_kind_of(corpus.get(a), corpus.get(b))
-        if kind is not None:
-            pairs.append((a, b, kind))
-    return pairs
 
 
 # --- scoring -------------------------------------------------------------------
@@ -414,7 +408,7 @@ def build_link_graph(
     corpus: Corpus,
     models: ScoringModels,
     classifier: PairClassifier | None,
-    config: ThresholdConfig,
+    config: CompletionConfig,
 ) -> list[PocLink]:
     """Assemble the association graph.
 
@@ -434,15 +428,22 @@ def build_link_graph(
     classifier sees every candidate, and no matrix is built.
     """
     links: dict[tuple[str, str], PocLink] = {}
+    # every pair decided so far, linked or not: all pairs sharing a CVE id,
+    # then each pair the classifier has seen
+    decided: set[tuple[str, str]] = set()
     groups = group_by_cve(corpus)
     for cve_id in sorted(groups):
-        for a_id, b_id, kind in candidate_pairs_same_cve(groups[cve_id], corpus):
-            key = (a_id, b_id)
-            if key in links:
+        for key in combinations(sorted(groups[cve_id]), 2):
+            if key in decided:
                 continue
-            score = score_pair(corpus.get(a_id), corpus.get(b_id), kind, models)
+            decided.add(key)
+            a, b = corpus.get(key[0]), corpus.get(key[1])
+            kind = pair_kind_of(a, b)
+            if kind is None:
+                continue
+            score = score_pair(a, b, kind, models)
             if score >= kind_threshold(kind, config):
-                links[key] = PocLink(a_id, b_id, SharedCve(cve_id), score, kind)
+                links[key] = PocLink(a.id, b.id, SharedCve(cve_id), score, kind)
     if classifier is not None:
         # (software name, content kind) -> reports in corpus order; a report
         # can only pair with reports of its own kind. Each report's names are
@@ -456,7 +457,6 @@ def build_link_graph(
                 names[report.id] = report_names = software_names(report)
                 for name in report_names:
                     blocks.setdefault((name, kind), []).append(report)
-        seen: set[tuple[str, str]] = set()  # a pair can share several names
         cutoff = classifier.cutoff if type(classifier) is HeuristicPairClassifier else None
         for (_name, kind), block in blocks.items():
             if len(block) < 2:
@@ -471,10 +471,10 @@ def build_link_graph(
                 if a.id > b.id:
                     a, b = b, a
                 key = (a.id, b.id)
-                # a pair sharing a CVE id is left to the shared-CVE pass
-                if key in seen or set(a.cve_ids) & set(b.cve_ids):
+                # a pair sharing a CVE id, or several names, is decided once
+                if key in decided:
                     continue
-                seen.add(key)
+                decided.add(key)
                 same, confidence = classify_pair(classifier, a, b, names)
                 if same:
                     links[key] = PocLink(a.id, b.id, None, confidence, kind)

@@ -479,6 +479,8 @@ def test_prerequisite_names_producing_command(tmp_path, capsys):
 
     assert main(["stats", "--workspace", str(ws)]) == 3
     assert "run 'pocfusion complete' first" in last_error(capsys)["message"]
+    # a refused stage leaves no workspace behind
+    assert not ws.exists()
 
 
 def test_lock_conflict(tmp_path, capsys):

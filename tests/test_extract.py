@@ -332,6 +332,11 @@ def test_reference_dedup_preserves_order():
 def test_reference_schemes():
     text = "ftp://mirror.example/patch.tgz and http://a.example"
     assert extract_references(text) == ["ftp://mirror.example/patch.tgz", "http://a.example"]
+    # the scheme matches in any case; the URL keeps its own
+    text = "See HTTPS://example.com/A and Http://x.org/b and https://ok.io/c"
+    assert extract_references(text) == [
+        "HTTPS://example.com/A", "Http://x.org/b", "https://ok.io/c",
+    ]
 
 
 def test_reference_requires_real_host():
@@ -343,9 +348,10 @@ def test_reference_parenthesized():
 
 
 def finditer_references(content):
-    """extract_references as a plain finditer scan of the URL pattern."""
+    """extract_references as a plain finditer scan of the URL pattern,
+    ignoring case."""
     seen = {}
-    for match in extract._URL_PATTERN.finditer(content):
+    for match in re.compile(extract._URL_PATTERN.pattern, re.IGNORECASE).finditer(content):
         url = match.group(0).rstrip(extract._TRAILING_PUNCT)
         host = url.split("://", 1)[1]
         if host and host[0].isalnum():
@@ -354,8 +360,8 @@ def finditer_references(content):
 
 
 URL_FRAGMENTS = [
-    "http", "https", "ftp", "ftps", "://", "ht", "tp", ":/", "//", "x.example",
-    "/a", ".", ")", "<", '"', " ", "\n", "_", "0", "é", "ſ", "K",
+    "http", "https", "ftp", "ftps", "HTTP", "Https", "FTP", "://", "ht", "tp", ":/", "//",
+    "x.example", "/a", ".", ")", "<", '"', " ", "\n", "_", "0", "é", "ſ", "K",
 ]
 
 

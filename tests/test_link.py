@@ -24,7 +24,6 @@ from pocfusion import (
     below_threshold,
     build_link_graph,
     build_pair_training_set,
-    candidate_pairs_same_cve,
     classify_pair,
     group_by_cve,
     kind_threshold,
@@ -170,8 +169,9 @@ def test_candidate_pairs_filter_and_order():
             report("m5", cve_ids=("CVE-2019-7008",)),
         ]
     )
-    pairs = candidate_pairs_same_cve(["z9", "a1", "m5"], corpus)
-    assert pairs == [("a1", "z9", ContentKind.PYTHON)]
+    # at zero thresholds every same-kind pair of the group links
+    links = build_link_graph(corpus, ScoringModels(), None, CompletionConfig(0.0, 0.0))
+    assert [(link.a, link.b, link.kind) for link in links] == [("a1", "z9", ContentKind.PYTHON)]
 
 
 def test_score_pair_code_cosine():
@@ -735,6 +735,11 @@ def test_below_threshold_shared_cve_not_rescued_by_classifier():
     models = ScoringModels()
     clf = HeuristicPairClassifier(models)
     assert build_link_graph(corpus, models, clf, CompletionConfig()) == []
+    # nor by a classifier that would link it: the pair is never offered
+    calls = []
+    always = SimpleNamespace(classify=lambda a, b: calls.append((a.id, b.id)) or (True, 0.9))
+    assert build_link_graph(corpus, models, always, CompletionConfig()) == []
+    assert calls == []
 
 
 def test_links_roundtrip(tmp_path):
@@ -865,8 +870,9 @@ def oracle_link_graph(corpus, cutoff, config):
     links = {}
     groups = group_by_cve(corpus)
     for cve_id in sorted(groups):
-        for a_id, b_id, kind in candidate_pairs_same_cve(groups[cve_id], corpus):
-            if (a_id, b_id) not in links:
+        for a_id, b_id in combinations(sorted(groups[cve_id]), 2):
+            kind = pair_kind_of(corpus.get(a_id), corpus.get(b_id))
+            if kind is not None and (a_id, b_id) not in links:
                 score = content_score(corpus.get(a_id), corpus.get(b_id), kind)
                 if score >= kind_threshold(kind, config):
                     links[(a_id, b_id)] = PocLink(a_id, b_id, SharedCve(cve_id), score, kind)

@@ -52,7 +52,8 @@ def service(monkeypatch):
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
     server.script = lambda payload: (200, {})
     server.requests = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll interval: shutdown() waits for the next poll to return
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     server.url = f"http://127.0.0.1:{server.server_address[1]}/"
     yield server
