@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from functools import cache
 from heapq import heapify, heappop, heapreplace
 from itertools import dropwhile
 from pathlib import Path
@@ -181,14 +182,9 @@ def load_signatures(path: str | Path | None = None) -> tuple[LanguageSignature, 
     )
 
 
-_DEFAULT_SIGNATURES: tuple[LanguageSignature, ...] | None = None
-
-
+@cache
 def _default_signatures() -> tuple[LanguageSignature, ...]:
-    global _DEFAULT_SIGNATURES
-    if _DEFAULT_SIGNATURES is None:
-        _DEFAULT_SIGNATURES = load_signatures()
-    return _DEFAULT_SIGNATURES
+    return load_signatures()
 
 
 def detect_language(

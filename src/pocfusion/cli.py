@@ -350,7 +350,8 @@ def _verified_digest(ws: Path, filename: str) -> str:
 
 
 class WorkspaceLock:
-    """Single-writer guard: a lock file created exclusively, removed on exit."""
+    """Single-writer guard: a lock file created exclusively, holding the
+    run's pid, removed on exit."""
 
     def __init__(self, ws: Path):
         self.path = ws / LOCK_FILE
@@ -358,12 +359,35 @@ class WorkspaceLock:
     def __enter__(self) -> "WorkspaceLock":
         try:
             with self.path.open("x", encoding="utf-8") as handle:
-                handle.write("locked\n")
+                handle.write(f"{os.getpid()}\n")
         except FileExistsError:
-            raise PrerequisiteError(
-                f"workspace is locked by another run; remove {self.path} if stale"
-            ) from None
+            pid = self._dead_holder()
+            held = (
+                "workspace is locked by another run" if pid is None
+                else f"workspace lock belongs to pid {pid}, which is not running"
+            )
+            raise PrerequisiteError(f"{held}; remove {self.path} if stale") from None
         return self
+
+    def _dead_holder(self) -> int | None:
+        """The positive pid the lock holds when no process has it, on POSIX
+        only: 0 and negative pids address process groups, and on Windows
+        ``os.kill`` ends the process. Otherwise None."""
+        if os.name != "posix":
+            return None
+        try:
+            text = self.path.read_text(encoding="ascii").strip()
+        except (OSError, UnicodeDecodeError):
+            return None
+        if not (text.isdigit() and int(text) > 0):
+            return None
+        try:
+            os.kill(int(text), 0)
+        except ProcessLookupError:
+            return int(text)
+        except (OSError, OverflowError):  # another user's process, or no pid_t
+            pass
+        return None
 
     def __exit__(self, *exc_info) -> None:
         self.path.unlink(missing_ok=True)

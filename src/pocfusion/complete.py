@@ -140,10 +140,6 @@ def run_completion(
             if entry is None:
                 continue
             if not verify_association(report, entry):
-                logger.warning(
-                    "report %s names different software than %s, skipping entry",
-                    report.id, cve_id,
-                )
                 failed.append((report.id, cve_id))
                 continue
             updated, new_records = _fill(
@@ -154,6 +150,14 @@ def run_completion(
             )
             records.extend(new_records)
         current[report.id] = updated
+    if failed:
+        logger.warning(
+            "%d CVE associations name different software than their report, "
+            "skipping those entries: %s%s",
+            len(failed),
+            ", ".join(f"{report_id} {cve_id}" for report_id, cve_id in failed[:5]),
+            ", ..." if len(failed) > 5 else "",
+        )
 
     skipped = 0
     ordered = sorted(links, key=lambda l: (-l.similarity, l.a, l.b))

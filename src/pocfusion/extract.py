@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Protocol, Sequence
 
@@ -26,9 +26,6 @@ from .corpus import (
 )
 from .cveid import find_cve_ids
 
-# Slots the structured extractor is responsible for.
-NER_SLOTS = ("test_platform", "software_version", "title", "author", "publish_time")
-
 _TRAILING_PUNCT = ".,;:!?'\"`)]}>"
 
 
@@ -36,6 +33,7 @@ class ExtractionError(ValueError):
     """Fatal extraction failure (contract violation, evaluation id mismatch)."""
 
 
+@lru_cache(maxsize=1)
 def fold_case(text: str) -> str:
     """``text`` with each character that ``re.IGNORECASE`` equates with an
     ASCII letter replaced by that lowercase letter, and other cased letters
@@ -48,6 +46,8 @@ def fold_case(text: str) -> str:
     characters, is mapped first; ``ı`` and ``ſ`` have no lowercase form, but
     match ``i`` and ``s`` ignoring case. A ``str.translate`` table doing the
     same is slower on non-ASCII text.
+
+    The last fold is kept, so that the scans of one report share one.
     """
     return text.replace("İ", "i").lower().replace("ı", "i").replace("ſ", "s")
 
@@ -72,10 +72,12 @@ _ORACLE_KEYWORDS = _keyword_regex("expected output", "poc output")
 _KEYWORD_HEADS = {
     pattern: pattern_literals(pattern)[1] for pattern in (_TRIGGER_KEYWORDS, _ORACLE_KEYWORDS)
 }
-_STEP_LIST_PATTERNS = (
-    re.compile(r"^[ \t]{0,8}(\d{1,3})[.)][ \t]+"),
-    re.compile(r"^[ \t]{0,8}([a-z])\)[ \t]+"),
-    re.compile(r"^[ \t]{0,8}[Ss][Tt][Ee][Pp][ \t]+(\d{1,3})[ \t]*[:.)][ \t]*"),
+# A list marker after at most 8 blanks: "1." or "1)", "a)", or "Step 1:".
+# Each alternative captures its marker, so the number of the last group a
+# match sets, less 2, is the marker's form: 0, 1 or 2.
+_STEP_MARKER = re.compile(
+    r"([ \t]{0,8})(?:(\d{1,3})[.)][ \t]+|([a-z])\)[ \t]+"
+    r"|[Ss][Tt][Ee][Pp][ \t]+(\d{1,3})[ \t]*[:.)][ \t]*)"
 )
 _URL_PATTERN = re.compile(r"\b(?:https?|ftp)://[^\s<>\"']+")
 _URL_HEADS = pattern_literals(_URL_PATTERN)[1]  # where a URL can start
@@ -86,29 +88,19 @@ def _indent_of(line: str) -> int:
 
 
 def _find_step_items(lines: list[str]) -> list[tuple[int, int, int, int]]:
-    """Enumerated list items: (line number, pattern index, sequence value of
-    the marker, indent)."""
+    """Enumerated list items: (line number, marker form, sequence value of
+    the marker, indent).
+
+    Every alternative of the marker starts with a non-blank character, so
+    a match's blanks are the line's whole leading run.
+    """
     items = []
     for lineno, line in enumerate(lines):
-        # skip a line no pattern can match: after at most 8 blanks a marker
-        # starts with a digit (str.isdigit holds for every \d), the "s" of
-        # "step", or a letter and ")"; a tuple, as "" is in any string
-        head = line.lstrip(" \t")
-        indent = len(line) - len(head)
-        first = head[:1]
-        if indent > 8 or not (
-            first.isdigit()
-            or first in ("S", "s")
-            or ("a" <= first <= "z" and head[1:2] == ")")
-        ):
-            continue
-        for index, pattern in enumerate(_STEP_LIST_PATTERNS):
-            m = pattern.match(line)
-            if m:
-                marker = m.group(1)
-                value = int(marker) if marker.isdigit() else ord(marker)
-                items.append((lineno, index, value, indent))
-                break
+        m = _STEP_MARKER.match(line)
+        if m:
+            marker = m.group(m.lastindex)
+            value = int(marker) if marker.isdigit() else ord(marker)
+            items.append((lineno, m.lastindex - 2, value, len(m.group(1))))
     return items
 
 
@@ -327,6 +319,9 @@ _HEADER_LABELS = {
         "version",
     ),
 }
+
+# Slots the structured extractor is responsible for.
+NER_SLOTS = tuple(_HEADER_LABELS)
 
 # Values in list-valued slots may be comma-separated on one header line.
 _SPLIT_SLOTS = frozenset({"test_platform", "software_version"})

@@ -492,6 +492,41 @@ def test_lock_conflict(tmp_path, capsys):
     assert "locked" in last_error(capsys)["message"]
 
 
+@pytest.mark.skipif(os.name != "posix", reason="a lock's pid is probed on POSIX only")
+def test_lock_of_a_dead_pid_is_named(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    ws.mkdir()
+    # above Linux's PID_MAX_LIMIT (2**22), so no process has it
+    (ws / ".lock").write_text("4194305\n", encoding="utf-8")
+    assert main(base_argv("ingest", tmp_path)) == 3
+    message = last_error(capsys)["message"]
+    assert "belongs to pid 4194305, which is not running" in message
+    assert "locked by another run" not in message
+    assert (ws / ".lock").exists()
+
+
+@pytest.mark.parametrize("content", [None, "locked\n", "0\n", "-1\n", "99999999999999999999\n"])
+def test_lock_of_a_live_pid_or_other_content_is_held(tmp_path, capsys, monkeypatch, content):
+    ws = tmp_path / "ws"
+    ws.mkdir()
+    (ws / ".lock").write_text(content or f"{os.getpid()}\n", encoding="utf-8")
+    probed = []
+    kill = os.kill
+    monkeypatch.setattr(os, "kill", lambda pid, sig: probed.append(pid) or kill(pid, sig))
+    assert main(base_argv("ingest", tmp_path)) == 3
+    assert "locked by another run" in last_error(capsys)["message"]
+    # 0 and negative numbers address process groups and are never probed
+    assert all(pid > 0 for pid in probed)
+
+
+def test_lock_holds_the_runs_pid(tmp_path):
+    ws = tmp_path / "ws"
+    ws.mkdir()
+    with cli.WorkspaceLock(ws) as lock:
+        assert lock.path.read_text(encoding="utf-8") == f"{os.getpid()}\n"
+    assert not lock.path.exists()
+
+
 def test_lock_released_after_success_and_failure(tmp_path, capsys):
     ws = tmp_path / "ws"
     assert main(base_argv("ingest", tmp_path)) == 0

@@ -172,6 +172,18 @@ def test_cve_completion_rejects_failed_verification(caplog):
     assert result.records == []
 
 
+def test_failed_associations_give_one_warning(caplog):
+    e = entry("CVE-2020-0001", "AlphaServ", ["2.0"])
+    reports = [report(rid, ("CVE-2020-0001",), title=["Unrelated 3 - RCE"]) for rid in "abc"]
+    with caplog.at_level("WARNING", logger="pocfusion.complete"):
+        result = run_completion(Corpus(reports), {e.cve_id: e}, [])
+    assert result.failed_associations == [(rid, "CVE-2020-0001") for rid in "abc"]
+    (record,) = caplog.records
+    message = record.getMessage()
+    assert message.startswith("3 CVE associations")
+    assert "a CVE-2020-0001, b CVE-2020-0001, c CVE-2020-0001" in message
+
+
 def link(a, b, basis, similarity, kind=TEXT):
     return PocLink(a, b, basis, similarity, kind)
 

@@ -16,12 +16,14 @@ from pocfusion import (
     PocReport,
     StructuredExtraction,
     aspect_values,
+    categorize,
     evaluate_extraction,
     extract_all,
     extract_cve_ids,
     extract_references,
     extract_trigger_step,
     extract_verification_oracle,
+    ingest_reports,
     precision_recall,
 )
 from pocfusion.corpus import ContentKind, CorpusError
@@ -225,12 +227,20 @@ def test_keyword_lines_at_line_edges():
     assert extract._keyword_lines(extract._ORACLE_KEYWORDS, content) == [4]
 
 
+# the list-marker grammar as three separate patterns, tried in order
+STEP_LIST_PATTERNS = (
+    re.compile(r"^[ \t]{0,8}(\d{1,3})[.)][ \t]+"),
+    re.compile(r"^[ \t]{0,8}([a-z])\)[ \t]+"),
+    re.compile(r"^[ \t]{0,8}[Ss][Tt][Ee][Pp][ \t]+(\d{1,3})[ \t]*[:.)][ \t]*"),
+)
+
+
 def ungated_step_items(lines):
     """Every line tried against the three list-marker patterns, with no gate
     in front of them."""
     items = []
     for lineno, line in enumerate(lines):
-        for index, pattern in enumerate(extract._STEP_LIST_PATTERNS):
+        for index, pattern in enumerate(STEP_LIST_PATTERNS):
             m = pattern.match(line)
             if m:
                 marker = m.group(1)
@@ -582,6 +592,25 @@ def test_extract_all_full_document():
         for slot in aspects.filled_slots()
         for v in aspects.values(slot)
     )
+
+
+def test_extract_all_folds_each_content_once():
+    # the header, trigger, oracle and reference scans of a report share one fold
+    reports = [
+        categorize(report)
+        for source in ("exploitdb", "packetstorm", "seebug", "cxsecurity")
+        for report in ingest_reports(DEMO / f"{source}.jsonl", source)
+    ]
+    extract.fold_case.cache_clear()
+    folds = []
+    for report in reports:
+        before = extract.fold_case.cache_info()
+        extract_all(report)
+        after = extract.fold_case.cache_info()
+        folds.append(after.misses - before.misses)
+        assert after.hits + after.misses - before.hits - before.misses == 4
+    assert len(reports) == 20
+    assert folds == [1] * len(reports)
 
 
 def test_extract_all_requires_categorized():
