@@ -46,7 +46,7 @@ from .link import (
     load_links,
     save_links,
 )
-from .report import completion_stats, deficiency_stats, render_report
+from .report import FORMATS, completion_stats, deficiency_stats, render_report
 
 # Not called by the pipeline: bench/tracing.py wraps this module attribute
 # (its similarity.train layer), so it stays importable until that layer goes.
@@ -160,8 +160,8 @@ _SETTINGS: dict[str, tuple[str | None, type, Callable[..., str | None] | None]] 
     "extractor_url": ("POCFUSION_EXTRACTOR_URL", str, None),
     "classifier_url": ("POCFUSION_CLASSIFIER_URL", str, None),
     "jobs": (None, int, lambda v: None if v >= 1 else f"must be >= 1, got {v}"),
-    "format": (None, str, lambda v: None if v in ("markdown", "csv")
-               else f"must be markdown or csv, got {v!r}"),
+    "format": (None, str, lambda v: None if v in FORMATS
+               else f"must be {' or '.join(FORMATS)}, got {v!r}"),
 }
 _TYPE_NAMES = {float: "a number", int: "an integer"}
 # Accepted as a config key and a flag so that existing configuration files
@@ -479,7 +479,7 @@ def stage_complete(config: PipelineConfig, ws: Path, inputs: dict) -> _StageResu
 
 def stage_stats(config: PipelineConfig, ws: Path, inputs: dict) -> _StageResult:
     completed = inputs[COMPLETED]
-    extension = "md" if config.format == "markdown" else "csv"
+    extension = FORMATS[config.format][0]
     written = {
         f"deficiency.{extension}": render_report(deficiency_stats(completed), config.format),
         f"completion.{extension}": render_report(completion_stats(completed), config.format),

@@ -12,7 +12,7 @@ import logging
 import math
 import os
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from itertools import chain
 from pathlib import Path
@@ -26,18 +26,6 @@ _T = TypeVar("_T")
 
 CORPUS_FORMAT = "poc-corpus"
 CORPUS_VERSION = 1
-
-# Slot identity is fixed: exactly these eight aspects, in this order.
-ASPECT_SLOTS = (
-    "trigger_step",
-    "verification_oracle",
-    "test_platform",
-    "software_version",
-    "title",
-    "author",
-    "publish_time",
-    "reference",
-)
 
 # Interchange-record fields that map straight into aspect slots at ingestion.
 _RECORD_SLOT_FIELDS = {
@@ -125,9 +113,11 @@ class Original:
         return {"kind": self.kind}
 
 
-def is_canonical_cve_id(value: object) -> bool:
-    """True for a string that is a CVE id in canonical form."""
-    return type(value) is str and normalize_cve_id(value) == value
+def check_cve_id(value: object, where: str = "") -> None:
+    """``ValueError`` unless ``value`` is a string that is a CVE id in
+    canonical form; the message names the holder by ``where``, as " on report R"."""
+    if type(value) is not str or normalize_cve_id(value) != value:
+        raise ValueError(f"non-canonical CVE id{where}: {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,8 +128,7 @@ class FromCve:
     cve_id: str
 
     def __post_init__(self) -> None:
-        if not is_canonical_cve_id(self.cve_id):
-            raise ValueError(f"non-canonical CVE id: {self.cve_id!r}")
+        check_cve_id(self.cve_id)
 
     def encode(self) -> dict:
         return {"kind": self.kind, "cve_id": self.cve_id}
@@ -163,8 +152,7 @@ class SharedCve:
     cve_id: str
 
     def __post_init__(self) -> None:
-        if not is_canonical_cve_id(self.cve_id):
-            raise ValueError(f"non-canonical CVE id: {self.cve_id!r}")
+        check_cve_id(self.cve_id)
 
 
 def check_basis(basis: object) -> None:
@@ -315,12 +303,16 @@ class AspectSet:
 
     @classmethod
     def decode(cls, data: dict) -> "AspectSet":
-        fields = {}
+        slots = {}
         for slot, values in data.items():
             if slot not in ASPECT_SLOTS:
                 raise CorpusError(f"unknown aspect slot: {slot!r}")
-            fields[slot] = tuple(AspectValue.decode(v) for v in values)
-        return cls(**fields)
+            slots[slot] = tuple(AspectValue.decode(v) for v in values)
+        return cls(**slots)
+
+
+# Slot identity is fixed: exactly AspectSet's eight fields, in their order.
+ASPECT_SLOTS = tuple(f.name for f in fields(AspectSet))
 
 
 def aspect_values(texts: Iterable[str], provenance: Provenance = ORIGINAL) -> list[AspectValue]:
@@ -353,8 +345,7 @@ class PocReport:
         if source_name(self.source) != self.source:
             raise ValueError(f"non-canonical source on report {self.id}: {self.source!r}")
         for cve_id in self.cve_ids:
-            if not is_canonical_cve_id(cve_id):
-                raise ValueError(f"non-canonical CVE id on report {self.id}: {cve_id!r}")
+            check_cve_id(cve_id, f" on report {self.id}")
 
     def encode(self) -> dict:
         return {
@@ -403,8 +394,7 @@ class CveEntry:
     platforms: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if not is_canonical_cve_id(self.cve_id):
-            raise ValueError(f"non-canonical CVE id: {self.cve_id!r}")
+        check_cve_id(self.cve_id)
         if not self.products:
             raise ValueError(f"{self.cve_id}: products list is empty")
 
@@ -723,25 +713,26 @@ def json_object(text: str) -> dict:
 
 # Failed calls in a row after which a service client stops calling.
 BREAKER_LIMIT = 5
+# Seconds a service client waits for one answer.
+SERVICE_DEADLINE = 10.0
 
 
 class ServiceClient:
     """A client of an optional HTTP service that answers JSON objects.
 
-    :meth:`_call` posts one request within ``deadline`` seconds, decodes the
-    answer with :func:`json_object` and passes it to the client's contract
-    check. A failed call logs one warning, adds its key to ``degraded`` and
-    gives None, and the client's ``fallback`` answers instead. After
-    :data:`BREAKER_LIMIT` failures in a row the client stops calling, and
-    every key it skips is degraded too; only a success of a call already in
-    flight, from another thread, resets the count then."""
+    :meth:`_call` posts one request within :data:`SERVICE_DEADLINE` seconds,
+    decodes the answer with :func:`json_object` and passes it to the client's
+    contract check. A failed call logs one warning, adds its key to
+    ``degraded`` and gives None, and the client's ``fallback`` answers
+    instead. After :data:`BREAKER_LIMIT` failures in a row the client stops
+    calling, and every key it skips is degraded too; only a success of a
+    call already in flight, from another thread, resets the count then."""
 
-    def __init__(self, url: str, fallback, deadline: float = 10.0):
+    def __init__(self, url: str, fallback):
         import threading
 
         self.url = url
         self.fallback = fallback
-        self.deadline = deadline
         self.degraded: list = []
         self._failures = 0
         self._lock = threading.Lock()
@@ -751,7 +742,7 @@ class ServiceClient:
             import requests  # only runs that call a service pay for the import
 
             try:
-                response = requests.post(self.url, json=payload, timeout=self.deadline)
+                response = requests.post(self.url, json=payload, timeout=SERVICE_DEADLINE)
                 response.raise_for_status()
                 answer = check(json_object(response.text))
                 with self._lock:
@@ -766,16 +757,6 @@ class ServiceClient:
                         logger.warning("%s stops calling after %d failures", name, BREAKER_LIMIT)
         self.degraded.append(key)
         return None
-
-
-def format_mismatch(header: dict, fmt: str, version: int) -> str | None:
-    """Why a versioned file's header is not ``fmt`` at ``version``, or None."""
-    if header.get("format") == fmt and header.get("version") == version:
-        return None
-    return (
-        f"file declares format {header.get('format')!r} version "
-        f"{header.get('version')!r}, this build reads {fmt!r} version {version!r}"
-    )
 
 
 def write_atomic(path: str | Path, chunks: Iterable[str]) -> None:
@@ -834,9 +815,12 @@ def read_jsonl(
                     found = json_object(line)
                 except ValueError as exc:
                     raise CorpusError(f"{path}:1: unreadable header: {exc}") from exc
-                mismatch = format_mismatch(found, header["format"], header["version"])
-                if mismatch is not None:
-                    raise CorpusError(f"{path}:1: {mismatch}")
+                fmt, version = header["format"], header["version"]
+                if found.get("format") != fmt or found.get("version") != version:
+                    raise CorpusError(
+                        f"{path}:1: file declares format {found.get('format')!r} version "
+                        f"{found.get('version')!r}, this build reads {fmt!r} version {version!r}"
+                    )
                 header.update(found)
             elif line.strip():
                 try:

@@ -161,6 +161,16 @@ def title_text(report: PocReport) -> str:
     return titles[0] if titles else ""
 
 
+def pair_texts(a: PocReport, b: PocReport) -> dict[str, str]:
+    """What a pair classifier reads of a pair: both titles and both contents."""
+    return {
+        "title_a": title_text(a),
+        "title_b": title_text(b),
+        "content_a": a.raw_content,
+        "content_b": b.raw_content,
+    }
+
+
 class ScoringModels:
     """Per-report token counts and the cosines computed from them.
 
@@ -280,20 +290,14 @@ class HeuristicPairClassifier:
 class ExternalPairClassifier(ServiceClient):
     """Client for an external pair-classifier HTTP service.
 
-    Request: ``{"title_a", "content_a", "title_b", "content_b"}``; response:
+    Request: :func:`pair_texts` of the pair; response:
     ``{"same": bool, "confidence": real}``. A failed call, an out-of-contract
     verdict included, is answered by ``fallback``; ``degraded`` collects the
     pairs' ids (see :class:`ServiceClient`).
     """
 
     def classify(self, a: PocReport, b: PocReport) -> tuple[bool, float]:
-        payload = {
-            "title_a": title_text(a),
-            "content_a": a.raw_content,
-            "title_b": title_text(b),
-            "content_b": b.raw_content,
-        }
-        verdict = self._call((a.id, b.id), payload, _verdict)
+        verdict = self._call((a.id, b.id), pair_texts(a, b), _verdict)
         return verdict if verdict is not None else self.fallback.classify(a, b)
 
 
@@ -341,39 +345,44 @@ def build_pair_training_set(
 ) -> list[dict]:
     """Sample labelled report pairs for an external same-vulnerability trainer.
 
-    A sample is a dict of the pair's ids ``a`` and ``b``, their titles and
-    contents (``title_a`` … ``content_b``), its ``label``
-    (``same_vulnerability`` or ``different``) and its ``partition`` (``train``,
-    ``dev`` or ``test``). Positives share at least one CVE id; negatives are
-    CVE-tagged on both sides with disjoint id sets. Partition sizes:
+    A sample is a dict of the pair's ids ``a`` and ``b``, its
+    :func:`pair_texts`, its ``label`` (``same_vulnerability`` or
+    ``different``) and its ``partition`` (``train``, ``dev`` or ``test``).
+    Positives share at least one CVE id; negatives are CVE-tagged on both
+    sides with disjoint id sets, drawn uniformly by pair number without
+    listing every pair, so memory grows with the sample. Partition sizes:
     floor(train), floor(dev), remainder to test, each ratio times the total
     rounded to 6 decimals first, so that 0.29 of 100 is 29, not the 28 of
     ``int(28.999999999999996)``. Deterministic for a fixed seed.
     """
     if abs(sum(split) - 1.0) > 1e-9 or any(r < 0 for r in split):
         raise ValueError(f"split ratios must be nonnegative and sum to 1: {split}")
-    tagged = [r for r in corpus if r.cve_ids]
+    tagged = sorted(r.id for r in corpus if r.cve_ids)
     positive_keys: set[tuple[str, str]] = set()
     for group in group_by_cve(corpus).values():
         for pair in combinations(group, 2):
             positive_keys.add(tuple(sorted(pair)))
-    negative_keys: list[tuple[str, str]] = []
-    for a, b in combinations(tagged, 2):
-        key = tuple(sorted((a.id, b.id)))
-        if key not in positive_keys:
-            negative_keys.append(key)
     positives = sorted(positive_keys)
-    negatives = sorted(negative_keys)
-    if len(positives) < n_pos or len(negatives) < n_neg:
+    # pair number k <-> (tagged[i], tagged[j]), i < j, k = j*(j-1)/2 + i; every
+    # positive joins two tagged reports, so the rest of the pairs are negatives
+    n_pairs = math.comb(len(tagged), 2)
+    if len(positives) < n_pos or n_pairs - len(positives) < n_neg:
         raise ValueError(
             f"insufficient candidate pairs: need {n_pos} positive have "
-            f"{len(positives)}, need {n_neg} negative have {len(negatives)}"
+            f"{len(positives)}, need {n_neg} negative have {n_pairs - len(positives)}"
         )
     import random
 
     rng = random.Random(seed)
     chosen = [(key, "same_vulnerability") for key in rng.sample(positives, n_pos)]
-    chosen += [(key, "different") for key in rng.sample(negatives, n_neg)]
+    negatives = []
+    # drawn without replacement, and at most len(positives) of them are positives
+    for k in rng.sample(range(n_pairs), min(n_pairs, n_neg + len(positives))):
+        j = (1 + math.isqrt(1 + 8 * k)) // 2
+        key = (tagged[k - j * (j - 1) // 2], tagged[j])
+        if key not in positive_keys:
+            negatives.append(key)
+    chosen += [(key, "different") for key in negatives[:n_neg]]
     rng.shuffle(chosen)
     total = len(chosen)
     n_train = int(round(split[0] * total, 6))
@@ -383,14 +392,10 @@ def build_pair_training_set(
         partition = (
             "train" if index < n_train else "dev" if index < n_train + n_dev else "test"
         )
-        a, b = corpus.get(a_id), corpus.get(b_id)
         samples.append({
             "a": a_id,
             "b": b_id,
-            "title_a": title_text(a),
-            "title_b": title_text(b),
-            "content_a": a.raw_content,
-            "content_b": b.raw_content,
+            **pair_texts(corpus.get(a_id), corpus.get(b_id)),
             "label": label,
             "partition": partition,
         })

@@ -109,11 +109,12 @@ def _render_csv(columns: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
     return buffer.getvalue()
 
 
+# table format -> (file extension, renderer)
+FORMATS = {"markdown": ("md", _render_markdown), "csv": ("csv", _render_csv)}
+
+
 def render_report(table: Table, format: str) -> str:
-    """Render a ``(columns, rows)`` table; formats are ``markdown`` and ``csv``."""
-    columns, rows = table
-    if format == "markdown":
-        return _render_markdown(columns, rows)
-    if format == "csv":
-        return _render_csv(columns, rows)
-    raise ValueError(f"unknown format: {format!r} (expected markdown or csv)")
+    """Render a ``(columns, rows)`` table in one of the :data:`FORMATS`."""
+    if format not in FORMATS:
+        raise ValueError(f"unknown format: {format!r} (expected {' or '.join(FORMATS)})")
+    return FORMATS[format][1](*table)

@@ -223,6 +223,23 @@ def test_report_requires_canonical_cve_ids():
     assert report.cve_ids == ("CVE-2020-1111",)
 
 
+@pytest.mark.parametrize("value", ["cve-2020-1234", "2020-1234", " CVE-2020-1234", 5, None])
+@pytest.mark.parametrize(
+    "build, where",
+    [
+        (FromCve, ""),
+        (SharedCve, ""),
+        (lambda cve_id: CveEntry(cve_id, (CveProduct("x"),)), ""),
+        (lambda cve_id: make_report("R", cve_ids=(cve_id,)), " on report R"),
+    ],
+    ids=["FromCve", "SharedCve", "CveEntry", "PocReport"],
+)
+def test_every_cve_id_holder_refuses_a_non_canonical_id(build, where, value):
+    with pytest.raises(ValueError) as err:
+        build(value)
+    assert str(err.value) == f"non-canonical CVE id{where}: {value!r}"
+
+
 def test_report_roundtrip():
     report = make_report(
         rid="rt",

@@ -653,7 +653,7 @@ def test_heuristic_classifies_only_pairs_the_title_gate_lets_in(monkeypatch):
     calls.clear()
     models = ScoringModels()
     external = ExternalPairClassifier(
-        f"http://127.0.0.1:{port}/", HeuristicPairClassifier(models), deadline=5.0
+        f"http://127.0.0.1:{port}/", HeuristicPairClassifier(models)
     )
     assert build_link_graph(corpus, models, external, CompletionConfig()) == links
     candidates = list(combinations(["f1", "f2", "f3", "f4", "f5"], 2))
@@ -810,6 +810,49 @@ def test_training_set_shortfall_message():
     with pytest.raises(ValueError) as err:
         build_pair_training_set(corpus, n_pos=100, n_neg=1)
     assert "100" in str(err.value) and "9" in str(err.value)
+
+
+def test_training_set_shortfall_counts_every_pair():
+    # 9 tagged reports in 3 CVE groups of 3: 9 positive pairs of 36, 27 negative
+    corpus = tagged_corpus()
+    with pytest.raises(ValueError) as err:
+        build_pair_training_set(corpus, n_pos=9, n_neg=28)
+    assert str(err.value) == (
+        "insufficient candidate pairs: need 9 positive have 9, need 28 negative have 27"
+    )
+
+
+def test_training_set_draws_every_negative_once():
+    # a report with two CVE ids forms positives with both groups
+    both = report("both", cve_ids=("CVE-2020-0001", "CVE-2020-0002"))
+    corpus = Corpus([*tagged_corpus(), both])
+    tagged = [r for r in corpus if r.cve_ids]
+    negatives = {
+        tuple(sorted((a.id, b.id)))
+        for a, b in combinations(tagged, 2)
+        if set(a.cve_ids).isdisjoint(b.cve_ids)
+    }
+    assert len(negatives) == 30
+    samples = build_pair_training_set(corpus, n_pos=0, n_neg=len(negatives), seed=3)
+    drawn = [(s["a"], s["b"]) for s in samples]
+    assert len(drawn) == len(set(drawn)) and set(drawn) == negatives
+
+
+def test_training_set_memory_grows_with_the_sample():
+    import tracemalloc
+
+    corpus = Corpus(
+        report(f"r{i:04d}", cve_ids=(f"CVE-2020-{1000 + i // 3}",)) for i in range(3000)
+    )
+    tracemalloc.start()
+    try:
+        samples = build_pair_training_set(corpus, n_pos=100, n_neg=100, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert Counter(s["label"] for s in samples) == {"same_vulnerability": 100, "different": 100}
+    # listing all 4,498,500 pairs, as a full enumeration does, takes hundreds of MB
+    assert peak < 20 * 2**20
 
 
 def test_training_set_split_validation():

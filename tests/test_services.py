@@ -7,6 +7,7 @@ import socket
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from pocfusion import (
     ScoringModels,
     aspect_values,
     build_link_graph,
+    build_pair_training_set,
     classify_pair,
 )
 from pocfusion.corpus import BREAKER_LIMIT, AspectSet, ContentKind
@@ -201,9 +203,7 @@ def test_extractor_service_non_json_body(service, value):
 
 
 def test_extractor_service_unreachable():
-    client = ExternalStructuredExtractor(
-        closed_port_url(), DefaultStructuredExtractor(), deadline=2.0
-    )
+    client = ExternalStructuredExtractor(closed_port_url(), DefaultStructuredExtractor())
     report = text_report("r1", CONTENT)
     extraction = client.extract(report)
     assert client.degraded == ["r1"]
@@ -252,6 +252,16 @@ def test_classifier_service_roundtrip(service):
             "content_b": "beta content",
         }
     ]
+
+
+def test_classifier_request_carries_the_training_sample_texts(service):
+    service.script = lambda payload: (200, {"same": True, "confidence": 0.91})
+    a, b = (replace(r, cve_ids=("CVE-2020-0001",)) for r in pair())
+    ExternalPairClassifier(service.url, fallback=StubClassifier()).classify(a, b)
+    [sample] = build_pair_training_set(Corpus([a, b]), n_pos=1, n_neg=0)
+    [request] = service.requests
+    assert request == {key: sample[key] for key in request}
+    assert sorted(request) == ["content_a", "content_b", "title_a", "title_b"]
 
 
 def test_classifier_service_confidence_out_of_range(service):
@@ -305,7 +315,7 @@ def test_classifier_service_http_error(service):
 
 
 def test_classifier_service_unreachable():
-    client = ExternalPairClassifier(closed_port_url(), fallback=StubClassifier(), deadline=2.0)
+    client = ExternalPairClassifier(closed_port_url(), fallback=StubClassifier())
     a, b = pair()
     assert client.classify(a, b) == (False, 0.25)
     assert client.degraded == [("a1", "b1")]
@@ -366,7 +376,7 @@ def pairs(n):
 def test_breaker_stops_a_serial_client_calling_a_dead_service(monkeypatch, caplog):
     posts = counted_posts(monkeypatch)
     fallback = StubClassifier()
-    client = ExternalPairClassifier(closed_port_url(), fallback=fallback, deadline=2.0)
+    client = ExternalPairClassifier(closed_port_url(), fallback=fallback)
     for a, b in pairs(12):
         assert client.classify(a, b) == (False, 0.25)
     assert len(posts) == BREAKER_LIMIT
